@@ -50,7 +50,7 @@ custom ns/step, ns/sweep and rounds/op, and allocs/op), and fails when:
     binary share codec's framing budget: total link bytes over total
     share words. The varint-delta + raw-float64 encoding costs ~9-10
     bytes per share word (JSON paid ~30); 12.0 is the ceiling that
-    catches a silent fallback to the JSON path or framing bloat.
+    catches framing bloat.
 
 Pass "-" as the base file to skip the regression comparison and run only
 the absolute gates. Benchmarks that exist only on one side are reported

@@ -142,13 +142,12 @@ type (
 	// on it; the CONGEST engine keeps its per-round flooding but shares
 	// the rw mixing-set and sweep-cut math.
 	WalkEngine = rw.WalkEngine
-	// BatchWalkEngine advances many walks in lockstep, each on the hybrid
-	// kernel, with a per-walk sparse-aware LargestMixingSet over one
-	// shared degree index. When several walks go dense, the engine decides
-	// from the graph's degree statistics (batch width × estimated neighbour
-	// spread vs the cache budget) whether to merge their dense steps into
-	// one fused interleaved pass over the adjacency arrays; SetFused
-	// overrides the automatic choice in either direction.
+	// BatchWalkEngine advances many walks in lockstep, each on its own
+	// hybrid-kernel WalkEngine, with a per-walk sparse-aware
+	// LargestMixingSet over one shared degree index. Distinct walks touch
+	// disjoint state, so StepWalk and LargestMixingSet may run for
+	// different walks from different goroutines, as the parallel engine
+	// does.
 	BatchWalkEngine = rw.BatchWalkEngine
 	// SharedIndex is the immutable per-graph table bundle (degree-sorted
 	// sweep index, inverse-degree flood table) that pooled detectors share:

@@ -247,10 +247,9 @@ func BenchmarkWalkEngineSparse100k(b *testing.B) { benchWalkEngine(b, 100_000, 3
 // for the hybrid engine is ≥ 3× faster ns/step than this.
 func BenchmarkWalkEngineDense100k(b *testing.B) { benchWalkEngine(b, 100_000, 3, true) }
 
-// batchBenchSetup prepares 8 spread-out point walks over the n=10⁵ bench
-// graph; both batch benchmarks measure the dense phase, where the fused CSR
-// pass is the differentiator.
-func batchBenchSetup(b *testing.B) (*cdrw.Graph, []int) {
+// BenchmarkBatchWalkDense100k measures 8 dense lockstep walks over the
+// n=10⁵ bench graph (ns per step per walk).
+func BenchmarkBatchWalkDense100k(b *testing.B) {
 	g := benchWalkGraph(b, 100_000)
 	n := g.NumVertices()
 	const walks = 8
@@ -258,21 +257,10 @@ func batchBenchSetup(b *testing.B) (*cdrw.Graph, []int) {
 	for i := range sources {
 		sources[i] = i * n / walks
 	}
-	return g, sources
-}
-
-// benchBatchWalk measures 8 dense lockstep walks (ns per step per walk),
-// fused or per-walk. On this PPM workload a solo walk's writes stay inside
-// one block's index range, so the unfused default wins; the fused
-// interleaved pass is for expander-like graphs whose per-walk arrays
-// outgrow the cache.
-func benchBatchWalk(b *testing.B, fused bool) {
-	g, sources := batchBenchSetup(b)
 	batch, err := cdrw.NewBatchWalkEngine(g, sources)
 	if err != nil {
 		b.Fatal(err)
 	}
-	batch.SetFused(fused)
 	for i := range sources {
 		batch.Engine(i).SetDenseThreshold(0)
 	}
@@ -284,12 +272,6 @@ func benchBatchWalk(b *testing.B, fused bool) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sources)), "ns/step")
 }
-
-// BenchmarkBatchWalkFused100k: the fused interleaved CSR pass.
-func BenchmarkBatchWalkFused100k(b *testing.B) { benchBatchWalk(b, true) }
-
-// BenchmarkBatchWalkUnfused100k: the default per-walk lockstep stepping.
-func BenchmarkBatchWalkUnfused100k(b *testing.B) { benchBatchWalk(b, false) }
 
 // BenchmarkLargestMixingSet measures one full candidate-size sweep
 // (Algorithm 1 lines 12–17) on a mixed distribution.

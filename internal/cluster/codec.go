@@ -6,10 +6,12 @@ import (
 	"math"
 )
 
-// The binary share codec: the compact wire form of one sharesPayload,
-// negotiated per link via the Accept / Content-Type pair (JSON is the
-// fallback for peers that predate it). Layout, all integers unsigned
-// LEB128 varints, floats little-endian IEEE 754:
+// The binary share codec: the wire form of what one shard freezes for one
+// peer for one round — per walk, the shares p(v)·(1/d(v)) of its boundary
+// vertices toward that peer whose mass is non-zero. The puller counts the
+// encoded size as the measured wire load of that machine link for the
+// round. Layout, all integers unsigned LEB128 varints, floats
+// little-endian IEEE 754:
 //
 //	byte    0xC5            magic
 //	byte    0x01            version
@@ -25,14 +27,13 @@ import (
 // vertex id, so every delta after the first is ≥ 1 and small — typically
 // one or two bytes against the 8-byte float it labels. The float bits
 // cross the wire verbatim, so the codec is numerically exact and the
-// bit-identity contract of congest.FloodTransport survives, as it does
-// under JSON's shortest-round-trip decimals.
+// bit-identity contract of congest.FloodTransport survives.
 const (
 	shareMagic   = 0xC5
 	shareVersion = 0x01
 
 	// shareContentType names the codec on the wire; the version is part of
-	// the name so a future layout change is a new negotiation, not a parse
+	// the name so a future layout change is a new content type, not a parse
 	// ambiguity.
 	shareContentType = "application/x-cdrw-shares-v1"
 )

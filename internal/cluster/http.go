@@ -7,7 +7,6 @@ import (
 	"log/slog"
 	"net/http"
 	"strconv"
-	"strings"
 
 	"cdrw/internal/serve"
 )
@@ -128,10 +127,8 @@ func (n *Node) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]string{"session": s.id})
 }
 
-// handleShares serves one frozen per-peer payload, content-negotiated: a
-// puller advertising the binary codec (Accept) gets the compact varint
-// encoding, anything else gets the JSON sharesPayload — the fallback that
-// keeps mixed-version clusters exchangeable.
+// handleShares serves one frozen per-peer payload in the binary share codec
+// (codec.go).
 func (n *Node) handleShares(w http.ResponseWriter, r *http.Request) {
 	s, err := n.session(r.PathValue("sid"))
 	if err != nil {
@@ -153,17 +150,13 @@ func (n *Node) handleShares(w http.ResponseWriter, r *http.Request) {
 		clusterError(w, err)
 		return
 	}
-	if strings.Contains(r.Header.Get("Accept"), shareContentType) {
-		payload, err := encodeShares(round, shares)
-		if err != nil {
-			clusterError(w, err)
-			return
-		}
-		w.Header().Set("Content-Type", shareContentType)
-		_, _ = w.Write(payload)
+	payload, err := encodeShares(round, shares)
+	if err != nil {
+		clusterError(w, err)
 		return
 	}
-	writeJSON(w, sharesPayload{Round: round, Shares: shares})
+	w.Header().Set("Content-Type", shareContentType)
+	_, _ = w.Write(payload)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -16,7 +16,7 @@ import (
 //
 // Words count share entries — one probability value routed to a vertex
 // owner, the unit the kmachine simulator's link loads are expressed in —
-// while bytes count the encoded payload including JSON framing. Because one
+// while bytes count the encoded payload including its framing. Because one
 // pull carries a link's entire round, the per-pull word count IS that link's
 // per-round load, and MaxLinkWords is directly comparable to the simulated
 // Results.MaxLinkLoad.

@@ -10,7 +10,6 @@ import (
 	"net"
 	"net/http"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -559,9 +558,6 @@ func (n *Node) pullSharesOnce(ctx context.Context, peer, sid string, round, self
 	if err != nil {
 		return nil, false, fmt.Errorf("%w: %v", errCluster, err)
 	}
-	// Negotiate the compact binary codec per link; peers that predate it
-	// ignore the header and answer JSON, which the decode path below still
-	// accepts.
 	req.Header.Set("Accept", shareContentType)
 	resp, err := n.client.Do(req)
 	if err != nil {
@@ -575,24 +571,19 @@ func (n *Node) pullSharesOnce(ctx context.Context, peer, sid string, round, self
 	if resp.StatusCode != http.StatusOK {
 		return nil, false, fmt.Errorf("%w: pull shares from %s: %s: %s", errCluster, peer, resp.Status, firstLine(body))
 	}
-	var pl sharesPayload
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), shareContentType) {
-		pl.Round, pl.Shares, err = decodeShares(body)
-		if err != nil {
-			return nil, false, fmt.Errorf("%w: pull shares from %s: %v", errCluster, peer, err)
-		}
-	} else if err := json.Unmarshal(body, &pl); err != nil {
+	gotRound, shares, err := decodeShares(body)
+	if err != nil {
 		return nil, false, fmt.Errorf("%w: pull shares from %s: %v", errCluster, peer, err)
 	}
-	if pl.Round != round || len(pl.Shares) != walks {
-		return nil, false, fmt.Errorf("%w: pull shares from %s: got round %d/%d walks, want %d/%d", errCluster, peer, pl.Round, len(pl.Shares), round, walks)
+	if gotRound != round || len(shares) != walks {
+		return nil, false, fmt.Errorf("%w: pull shares from %s: got round %d/%d walks, want %d/%d", errCluster, peer, gotRound, len(shares), round, walks)
 	}
 	var words int64
-	for _, sh := range pl.Shares {
+	for _, sh := range shares {
 		words += int64(len(sh))
 	}
 	n.metrics.addPull(from, self, int64(len(body)), words)
-	return pl.Shares, false, nil
+	return shares, false, nil
 }
 
 // postJSON posts v to url and decodes the response into out (which may be

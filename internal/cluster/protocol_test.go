@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"reflect"
@@ -120,10 +119,9 @@ func TestClusterErrorStatusClasses(t *testing.T) {
 }
 
 // TestClusterSharesNegotiation drives one real flood round across a
-// 2-shard cluster, then pulls the same frozen payload twice: once as a
-// legacy JSON puller (no Accept header) and once advertising the binary
-// codec. Both must carry identical share data — and the binary body must
-// be the smaller one.
+// 2-shard cluster, then pulls shard 0's frozen payload over HTTP: it must
+// arrive in the binary share codec, for the right round, and carry the
+// shares shard 0 froze for that peer.
 func TestClusterSharesNegotiation(t *testing.T) {
 	g := clusterTestGraph(t)
 	tc := startCluster(t, 2, 1)
@@ -171,36 +169,15 @@ func TestClusterSharesNegotiation(t *testing.T) {
 		}
 	}
 
-	// Pull shard 0's frozen payload toward the other rank, both ways.
+	// Pull shard 0's frozen payload toward the other rank.
 	other := 1 - sessions[0].self
 	url := tc.urls[0] + "/cluster/sessions/neg/shares?round=1&to=" + strconv.Itoa(other)
-
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jsonBody, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("JSON pull: %s: %s", resp.Status, jsonBody)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("fallback Content-Type %q, want application/json", ct)
-	}
-	var jsonPayload sharesPayload
-	if err := json.Unmarshal(jsonBody, &jsonPayload); err != nil {
-		t.Fatal(err)
-	}
-
 	req, err := http.NewRequest(http.MethodGet, url, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	req.Header.Set("Accept", shareContentType)
-	resp, err = http.DefaultClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,17 +196,17 @@ func TestClusterSharesNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	if round != 1 || jsonPayload.Round != 1 {
-		t.Fatalf("rounds: binary %d, JSON %d, want 1", round, jsonPayload.Round)
+	if round != 1 {
+		t.Fatalf("pulled round %d, want 1", round)
 	}
 	if len(binShares) == 0 || len(binShares[0]) == 0 {
 		t.Fatal("negotiation test froze an empty payload — boundary never exercised")
 	}
-	if !reflect.DeepEqual(binShares, jsonPayload.Shares) {
-		t.Fatal("binary and JSON pulls returned different share data")
+	want, err := sessions[0].shares(context.Background(), 1, other)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(binBody) >= len(jsonBody) {
-		t.Fatalf("binary body %d bytes not smaller than JSON %d", len(binBody), len(jsonBody))
+	if !reflect.DeepEqual(binShares, want) {
+		t.Fatal("binary pull returned different share data from what shard 0 froze")
 	}
 }

@@ -2,7 +2,7 @@
 // k cdrwd shards agree on a deterministic hash-based vertex placement
 // (kmachine.HashPartition), hold the walk state of their owned vertices, and
 // advance the CONGEST engine's probability-flooding rounds by exchanging one
-// coalesced share payload per machine link per round over HTTP/NDJSON — the
+// coalesced share payload per machine link per round over HTTP — the
 // coalesced realisation of the Conversion Theorem's message routing, whose
 // measured per-link wire load is validated against the simulator's predicted
 // link loads.

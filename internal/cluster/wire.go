@@ -1,12 +1,11 @@
 package cluster
 
 // The shard-to-shard control protocol is plain JSON over HTTP; the
-// shares pull — the only hot payload — is content-negotiated between the
-// compact binary codec (codec.go) and a JSON fallback. Probability values
-// are numerically exact either way: JSON marshals a float64 as the shortest
-// decimal that round-trips to the same bits, and the binary codec carries
-// the bits verbatim, so the bit-identity contract of
-// congest.FloodTransport survives the wire.
+// shares pull between shards travels in the compact binary codec
+// (codec.go). Probability values are numerically exact on both paths: JSON
+// marshals a float64 as the shortest decimal that round-trips to the same
+// bits, and the binary codec carries the bits verbatim, so the
+// bit-identity contract of congest.FloodTransport survives the wire.
 
 // entry is one sparse (vertex, value) pair — a walk-state support entry on
 // the driver↔shard path, a frozen share on the shard↔shard path.
@@ -72,15 +71,4 @@ type advanceResponse struct {
 // answering 200 promises the session state is still live there.
 type heartbeatRequest struct {
 	Session string `json:"session"`
-}
-
-// sharesPayload is what one shard freezes for one peer for one round: per
-// walk, the shares p(v)·(1/d(v)) of its boundary vertices toward that peer
-// whose mass is non-zero. The puller counts its encoded size as the
-// measured wire load of that machine link for the round. This JSON shape is
-// the negotiation fallback; pullers advertising the binary codec get the
-// same data through encodeShares instead.
-type sharesPayload struct {
-	Round  int       `json:"round"`
-	Shares [][]entry `json:"shares"`
 }

@@ -15,13 +15,15 @@ import (
 // walks of Algorithm 1 advance through the same communication rounds. The
 // protocol instances are independent — in a real execution each link simply
 // carries one O(log n)-bit word per walk per round — so the batch costs
-// max-over-walks rounds where the sequential loop costs their sum, while
-// every walk's own computation, stop rule, and round/message accounting stay
-// bit-identical to a solo DetectCommunity run (the conformance suite in
-// coreequiv_test.go pins this). The per-round flooding of all walks is fused
-// into one pass over the adjacency arrays, and observers receive per-link
-// aggregate word counts per shared round (LinkLoad), which is what the
-// k-machine converter's fast path consumes.
+// max-over-walks rounds where running the walks one after another costs
+// their sum, while every walk's own computation, stop rule, and
+// round/message accounting stay bit-identical to a one-lane run of its seed
+// (the conformance suite in coreequiv_test.go pins this). detectBatch is the
+// package's only detection loop: DetectCommunity is a batch of one seed and
+// Detect's pool loop runs one batch per super-step. The per-round flooding
+// of all walks is fused into one pass over the adjacency arrays, and
+// observers receive per-link aggregate word counts per shared round
+// (LinkLoad), which is what the k-machine converter's fast path consumes.
 
 // BatchDetection is one walk's outcome of a DetectBatch run.
 type BatchDetection struct {
@@ -29,7 +31,7 @@ type BatchDetection struct {
 	// ascending.
 	Community []int
 	// Stats carries the walk's own statistics — identical, field for field,
-	// to what a sequential DetectCommunity of the same seed would report,
+	// to what DetectCommunity of the same seed alone would report,
 	// including Metrics: the rounds and messages the walk's own protocol
 	// consumed. The shared rounds the batch actually took appear in the
 	// network's global metrics (their count is the max, not the sum, of the
@@ -67,29 +69,18 @@ func DetectBatchContext(ctx context.Context, nw *Network, seeds []int, cfg Confi
 	return detectBatch(nw, seeds, cfg)
 }
 
-// batchWalk is the per-walk state of a batched run.
+// batchWalk is the per-walk state of a batched run. The walk is live until
+// its tracker reports the walk ended.
 type batchWalk struct {
-	seed    int
 	tree    *Tree
 	covered []int32
 	p, next rw.Dist
-	prevSet []int
-	stalled int
-	active  bool
-	stats   CommunityStats
-	out     []int
+	trk     rw.CommunityTracker
 }
 
-// finish freezes the walk's community exactly like detectCommunity's finish.
-func (w *batchWalk) finish(set []int, stoppedByRule bool) {
-	w.active = false
-	w.stats.Stopped = stoppedByRule
-	w.out = withSeed(set, w.seed)
-	w.stats.FinalSetSize = len(w.out)
-}
-
-// detectBatch is the engine loop behind DetectBatchContext; the caller has
-// validated inputs and installed the run context.
+// detectBatch is the CONGEST detection loop, behind DetectBatchContext,
+// DetectCommunityContext (a batch of one) and Detect's pool loop; the
+// caller has validated inputs and installed the run context.
 func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error) {
 	if len(seeds) == 0 {
 		return nil, nil
@@ -99,16 +90,13 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 	nw.beginBatch(len(seeds))
 	defer nw.endBatch()
 
+	rule := rw.StopRule{Delta: cfg.Delta, Patience: cfg.Patience, MaxLen: cfg.MaxWalkLength}
 	walks := make([]*batchWalk, len(seeds))
 	for i, s := range seeds {
-		walks[i] = &batchWalk{
-			seed:   s,
-			p:      make(rw.Dist, n),
-			next:   make(rw.Dist, n),
-			active: true,
-			stats:  CommunityStats{Seed: s},
-		}
-		walks[i].p[s] = 1
+		w := &batchWalk{p: make(rw.Dist, n), next: make(rw.Dist, n)}
+		w.p[s] = 1
+		w.trk.Reset(s, rule)
+		walks[i] = w
 	}
 	degInv := nw.degInvTable()
 
@@ -117,14 +105,13 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 	nw.beginPhase()
 	for i, w := range walks {
 		nw.enterLane(i)
-		tree, err := nw.BuildTree(w.seed, cfg.TreeDepthLimit)
+		tree, err := nw.BuildTree(seeds[i], cfg.TreeDepthLimit)
 		if err != nil {
 			nw.endPhase()
 			return nil, err
 		}
 		w.tree = tree
 		w.covered = tree.CoveredVertices()
-		w.stats.TreeDepth = tree.MaxDepth()
 	}
 	nw.endPhase()
 
@@ -133,7 +120,7 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 	x := make([]float64, n)
 	counts := make([]int32, n)
 	active := len(walks)
-	for l := 1; l <= cfg.MaxWalkLength && active > 0; l++ {
+	for l := 1; active > 0; l++ {
 		if err := nw.interrupted(); err != nil {
 			return nil, err
 		}
@@ -157,32 +144,17 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 		// rounds, so the phase costs the slowest walk's rounds.
 		nw.beginPhase()
 		for i, w := range walks {
-			if !w.active {
+			if w.trk.Done() {
 				continue
 			}
 			nw.enterLane(i)
-			w.stats.WalkLength = l
-			curSet, err := nw.largestMixingSet(w.tree, w.covered, w.p, x, ladder, threshold)
+			cur, err := nw.largestMixingSet(w.tree, w.covered, w.p, x, ladder, threshold)
 			if err != nil {
 				nw.endPhase()
 				return nil, fmt.Errorf("congest: walk length %d: %w", l, err)
 			}
-			w.stats.SizesChecked += len(ladder)
-			if w.prevSet != nil && curSet != nil {
-				grown := float64(len(curSet)) >= (1+cfg.Delta)*float64(len(w.prevSet))
-				if !grown {
-					w.stalled++
-					if w.stalled >= cfg.Patience {
-						w.finish(w.prevSet, true)
-						active--
-					}
-					continue
-				}
-				w.stalled = 0
-			}
-			if curSet != nil {
-				w.prevSet = curSet
-				w.stats.FrozenAt = l
+			if w.trk.Observe(l, cur) {
+				active--
 			}
 		}
 		nw.endPhase()
@@ -193,16 +165,14 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 
 	out := make([]BatchDetection, len(walks))
 	for i, w := range walks {
-		if w.active {
-			// Length cap reached without the stop rule firing.
-			if w.prevSet != nil {
-				w.finish(w.prevSet, false)
-			} else {
-				w.finish([]int{w.seed}, false)
-			}
+		out[i] = BatchDetection{
+			Community: w.trk.Community(),
+			Stats: CommunityStats{
+				CommunityStats: w.trk.Stats(),
+				TreeDepth:      w.tree.MaxDepth(),
+				Metrics:        nw.laneMetrics(i),
+			},
 		}
-		w.stats.Metrics = nw.laneMetrics(i)
-		out[i] = BatchDetection{Community: w.out, Stats: w.stats}
 	}
 	return out, nil
 }
@@ -225,7 +195,7 @@ func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int3
 	g := nw.Graph()
 	observing := nw.observing()
 	for i, w := range walks {
-		if !w.active {
+		if w.trk.Done() {
 			continue
 		}
 		nw.enterLane(i)
@@ -261,14 +231,14 @@ func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int3
 		// payload a real network ships.
 		frames := nw.frameBuf[:0]
 		for _, w := range walks {
-			if w.active {
+			if !w.trk.Done() {
 				frames = append(frames, FloodFrame{P: w.p, Next: w.next})
 			}
 		}
 		nw.frameBuf = frames
 		nw.floodRemote(frames)
 		for _, w := range walks {
-			if w.active {
+			if !w.trk.Done() {
 				w.p, w.next = w.next, w.p
 			}
 		}
@@ -281,7 +251,7 @@ func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int3
 		row := shareAll[v*k : v*k+k]
 		dv := degInv[v]
 		for j, w := range walks {
-			if w.active {
+			if !w.trk.Done() {
 				row[j] = w.p[v] * dv
 			}
 		}
@@ -290,7 +260,7 @@ func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int3
 		for u := lo; u < hi; u++ {
 			ns := g.Neighbors(u)
 			for j, w := range walks {
-				if !w.active {
+				if w.trk.Done() {
 					continue
 				}
 				sum := 0.0
@@ -305,38 +275,39 @@ func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int3
 		}
 	})
 	for _, w := range walks {
-		if w.active {
+		if !w.trk.Done() {
 			w.p, w.next = w.next, w.p
 		}
 	}
 }
 
-// detectBatchedPool is Detect's pool loop with batching (cfg.Batch > 1):
-// each super-step draws up to Batch seeds from the pool of unassigned
+// detectBatchedPool is Detect's pool loop: each super-step draws up to
+// max(1, Batch) seeds from the pool of unassigned
 // vertices — the first uniformly, the rest spread outside the 2-hop balls of
 // the seeds already drawn, the same spreading DetectParallel uses — runs
 // them as one DetectBatch, and applies the detections in draw order (a
 // vertex claimed by an earlier detection of the same super-step is simply
-// not re-assigned, exactly as in the sequential loop). Every detection's
-// community and per-walk stats are bit-identical to a sequential
+// not re-assigned, exactly as with one seed per super-step). Every
+// detection's community and per-walk stats are bit-identical to
 // DetectCommunity of its seed; the batch only changes the pool schedule —
 // Batch communities leave the pool per super-step instead of one — so the
 // total round count drops by up to the batch factor, while seeds that land
 // in one community cost some duplicated messages. The run is fully
-// deterministic in cfg.Seed.
+// deterministic in cfg.Seed. With Batch ≤ 1 every super-step is one
+// uniformly drawn seed: Algorithm 1's sequential pool loop.
 //
 // The pool tail — once the pool is smaller than Batch·MinCommunitySize —
 // sizes its batches from the pool's component structure instead of the
 // fixed guard: a small pool cannot plausibly hold a batch of distinct
 // communities *within one connected piece*, and forcing every straggler
-// vertex to walk would run detections the sequential loop absorbs into one
-// another (a straggler's walk can be pathologically long — it is exactly
-// the seed whose community never settles). But when the residual pool
-// splits into several components of its induced subgraph, the sequential
-// loop must seed each piece separately anyway, so the tail draws up to
-// min(Batch, components) seeds, one per distinct component, and shares
-// their rounds. A single-component tail degenerates to the sequential
-// one-seed-at-a-time loop, exactly as before.
+// vertex to walk would run detections that one seed per super-step absorbs
+// into one another (a straggler's walk can be pathologically long — it is
+// exactly the seed whose community never settles). But when the residual
+// pool splits into several components of its induced subgraph, the
+// sequential schedule must seed each piece separately anyway, so the tail
+// draws up to min(Batch, components) seeds, one per distinct component, and
+// shares their rounds. A single-component tail draws one seed per
+// super-step.
 func detectBatchedPool(nw *Network, cfg Config) (*Result, error) {
 	g := nw.Graph()
 	n := g.NumVertices()

@@ -262,19 +262,22 @@ func TestCanonicalSumMatchesSweeper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want.Found() != (set != nil) {
+		if want.Found() != set.Found() {
 			t.Fatalf("steps %d: engines disagree on finding a set (core %v, congest %v)",
-				steps, want.Found(), set != nil)
+				steps, want.Found(), set.Found())
 		}
-		if set == nil {
+		if set.SizesChecked != want.SizesChecked {
+			t.Fatalf("steps %d: sizes checked differ: congest %d core %d", steps, set.SizesChecked, want.SizesChecked)
+		}
+		if !set.Found() {
 			continue
 		}
-		if len(set) != want.Size() {
-			t.Fatalf("steps %d: set sizes differ: congest %d core %d", steps, len(set), want.Size())
+		if set.Size() != want.Size() {
+			t.Fatalf("steps %d: set sizes differ: congest %d core %d", steps, set.Size(), want.Size())
 		}
-		for i := range set {
-			if set[i] != want.Vertices[i] {
-				t.Fatalf("steps %d: sets differ at %d: %d vs %d", steps, i, set[i], want.Vertices[i])
+		for i, v := range set.Vertices {
+			if v != want.Vertices[i] {
+				t.Fatalf("steps %d: sets differ at %d: %d vs %d", steps, i, v, want.Vertices[i])
 			}
 		}
 	}

@@ -4,12 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
-	"time"
 
-	"cdrw/internal/rng"
 	"cdrw/internal/rw"
-	"cdrw/internal/trace"
 )
 
 // Config parameterises a distributed CDRW run. The zero value is not valid;
@@ -43,12 +39,12 @@ type Config struct {
 	// values ≤ 1 select the paper's constant.
 	GrowthFactor float64
 	// Batch is the number of seed walks Detect advances in shared
-	// communication rounds per pool super-step (values ≤ 1 keep the
-	// sequential one-seed-at-a-time loop). Batching never changes the
+	// communication rounds per pool super-step (values ≤ 1 draw one seed
+	// per super-step: the sequential pool loop). Batching never changes the
 	// detected communities or any per-walk statistic — each walk's protocol,
-	// including its own round/message cost, is bit-identical to a sequential
-	// run — it only lets independent walks share rounds (and speculate ahead
-	// of the pool), so Result.Metrics.Rounds drops while total messages may
+	// including its own round/message cost, is bit-identical to a solo run —
+	// it only lets independent walks share rounds (and speculate ahead of
+	// the pool), so Result.Metrics.Rounds drops while total messages may
 	// grow by the speculative walks that end up unused.
 	Batch int
 }
@@ -100,20 +96,12 @@ func (c Config) validate() error {
 	return nil
 }
 
-// CommunityStats mirrors core.CommunityStats with CONGEST cost counters.
+// CommunityStats is the engine-independent rw.CommunityStats (which
+// core.CommunityStats aliases) plus the CONGEST cost of the run. The
+// embedded stats come from the same rw.CommunityTracker the in-memory
+// engines use, so they equal the reference engine's field for field.
 type CommunityStats struct {
-	Seed         int
-	WalkLength   int
-	Stopped      bool
-	FinalSetSize int
-	// SizesChecked counts ladder entries evaluated, matching the reference
-	// engine's accounting (both engines sweep the whole ladder per step).
-	SizesChecked int
-	// FrozenAt is the walk length of the final recorded mixing set (0 for
-	// the singleton fallback), mirroring core.CommunityStats.FrozenAt — the
-	// cross-engine equivalence suites compare stats structs wholesale, so
-	// the field must advance identically here and in the reference tracker.
-	FrozenAt  int
+	rw.CommunityStats
 	TreeDepth int
 	Metrics   Metrics // rounds/messages consumed by this community
 }
@@ -122,7 +110,7 @@ type CommunityStats struct {
 // BFS tree, evolve the walk distribution by per-round flooding, search the
 // largest local mixing set at every length via distributed binary search,
 // and stop when the set size stalls. It returns the community (sorted) and
-// cost statistics.
+// cost statistics. It is DetectBatch of the single seed s.
 func DetectCommunity(nw *Network, s int, cfg Config) ([]int, CommunityStats, error) {
 	return DetectCommunityContext(context.Background(), nw, s, cfg)
 }
@@ -133,97 +121,17 @@ func DetectCommunity(nw *Network, s int, cfg Config) ([]int, CommunityStats, err
 // ctx.Err(). Rounds simulated before the cancellation remain accounted in
 // the network's metrics.
 func DetectCommunityContext(ctx context.Context, nw *Network, s int, cfg Config) ([]int, CommunityStats, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, CommunityStats{}, err
-	}
-	if err := nw.checkVertex(s); err != nil {
-		return nil, CommunityStats{}, err
-	}
-	nw.setContext(ctx)
-	defer nw.setContext(nil)
-	return detectCommunity(nw, s, cfg)
-}
-
-// detectCommunity is the engine loop behind DetectCommunityContext; the
-// caller has validated inputs and installed the run context. Detect's pool
-// loop calls it directly so one setContext spans the whole pool run.
-func detectCommunity(nw *Network, s int, cfg Config) ([]int, CommunityStats, error) {
-	g := nw.Graph()
-	n := g.NumVertices()
-	startMetrics := nw.Metrics()
-	stats := CommunityStats{Seed: s}
-
-	tree, err := nw.BuildTree(s, cfg.TreeDepthLimit)
+	dets, err := DetectBatchContext(ctx, nw, []int{s}, cfg)
 	if err != nil {
-		return nil, stats, err
+		return nil, CommunityStats{}, err
 	}
-	stats.TreeDepth = tree.MaxDepth()
-	covered := tree.CoveredVertices()
-
-	ws := newWalkState(nw, s)
-	x := make([]float64, n)
-
-	var prevSet []int
-	stalled := 0
-	finish := func(set []int, stoppedByRule bool) ([]int, CommunityStats, error) {
-		stats.Stopped = stoppedByRule
-		out := withSeed(set, s)
-		stats.FinalSetSize = len(out)
-		stats.Metrics = nw.Metrics()
-		stats.Metrics.Rounds -= startMetrics.Rounds
-		stats.Metrics.Messages -= startMetrics.Messages
-		return out, stats, nil
-	}
-
-	threshold, growth := cfg.mixResolved()
-	ladder := rw.SizeLadderWithGrowth(cfg.MinCommunitySize, n, growth)
-	for l := 1; l <= cfg.MaxWalkLength; l++ {
-		stats.WalkLength = l
-		var t0 time.Time
-		if nw.tr != nil {
-			t0 = time.Now()
-		}
-		ws.flood(nw)
-
-		var t1 time.Time
-		if nw.tr != nil {
-			t1 = time.Now()
-			nw.tr.AddPhase(trace.PhaseFlood, t1.Sub(t0))
-		}
-		curSet, err := nw.largestMixingSet(tree, covered, ws.p, x, ladder, threshold)
-		if nw.tr != nil {
-			nw.tr.AddPhase(trace.PhaseSweep, time.Since(t1))
-		}
-		if err != nil {
-			return nil, stats, fmt.Errorf("congest: walk length %d: %w", l, err)
-		}
-		stats.SizesChecked += len(ladder)
-		if prevSet != nil && curSet != nil {
-			grown := float64(len(curSet)) >= (1+cfg.Delta)*float64(len(prevSet))
-			if !grown {
-				stalled++
-				if stalled >= cfg.Patience {
-					return finish(prevSet, true)
-				}
-				continue
-			}
-			stalled = 0
-		}
-		if curSet != nil {
-			prevSet = curSet
-			stats.FrozenAt = l
-		}
-	}
-	if prevSet != nil {
-		return finish(prevSet, false)
-	}
-	return finish([]int{s}, false)
+	return dets[0].Community, dets[0].Stats, nil
 }
 
-// walkState is the node-local flooding state (distribution, spare buffer,
-// inverse-degree table) shared by DetectCommunity and EstimateConductance,
-// so the two entry points cannot drift in how they initialise and evolve
-// the walk. degInv aliases the network's shared read-only table.
+// walkState is the node-local flooding state of a single walk outside the
+// detection loop (EstimateConductance): distribution, spare buffer and
+// inverse-degree table. degInv aliases the network's shared read-only
+// table.
 type walkState struct {
 	p, next rw.Dist
 	degInv  []float64
@@ -331,9 +239,9 @@ func (nw *Network) floodStepReference(p, next rw.Dist, degInv []float64) {
 
 // largestMixingSet runs the candidate-size sweep of Algorithm 1 lines 12–17
 // over the tree-covered nodes and returns the largest set satisfying the
-// mixing condition, or nil. Membership is materialised by one extra
-// broadcast of the winning threshold key, after which every node knows
-// locally whether it belongs to S_ℓ.
+// mixing condition (Vertices nil when no size passes). Membership is
+// materialised by one extra broadcast of the winning threshold key, after
+// which every node knows locally whether it belongs to S_ℓ.
 // The per-node x_u computation is rw.XValueAt — the exact function the
 // reference engine sweeps with — and the per-size sum is the canonical
 // rw.MixingSum, so the two engines share one definition of the statistic;
@@ -345,7 +253,7 @@ func (nw *Network) floodStepReference(p, next rw.Dist, degInv []float64) {
 // per binary-search iteration instead of a scan over every covered node.
 // A cancelled run context aborts the sweep between ladder sizes with the
 // context's error.
-func (nw *Network) largestMixingSet(tree *Tree, covered []int32, p rw.Dist, x []float64, ladder []int, mixThreshold float64) ([]int, error) {
+func (nw *Network) largestMixingSet(tree *Tree, covered []int32, p rw.Dist, x []float64, ladder []int, mixThreshold float64) (rw.MixingSet, error) {
 	g := nw.Graph()
 	n := g.NumVertices()
 	var (
@@ -366,7 +274,7 @@ func (nw *Network) largestMixingSet(tree *Tree, covered []int32, p rw.Dist, x []
 	}
 	for _, size := range ladder {
 		if err := nw.interrupted(); err != nil {
-			return nil, err
+			return rw.MixingSet{}, err
 		}
 		muPrime := rw.MuPrime(g, size)
 		var (
@@ -399,37 +307,25 @@ func (nw *Network) largestMixingSet(tree *Tree, covered []int32, p rw.Dist, x []
 		}
 	}
 	if err := nw.interrupted(); err != nil {
-		return nil, err
+		return rw.MixingSet{}, err
 	}
+	// Every node evaluates the whole ladder, as in the reference sweep.
+	ms := rw.MixingSet{SizesChecked: len(ladder)}
 	if !found {
-		return nil, nil
+		return ms, nil
 	}
 	// Materialise membership: the root broadcasts the winning (size,
 	// threshold); every covered node recomputes its x for that size and
 	// compares. One broadcast round-trip.
 	nw.Broadcast(tree)
-	set := make([]int, 0, bestSize)
+	ms.Vertices = make([]int, 0, bestSize)
 	for _, v := range covered {
 		k := key{x: rw.XValueAt(g, p, int(v), bestSize, bestX), id: v}
 		if keyLess(k, bestThreshold) || k == bestThreshold {
-			set = append(set, int(v))
+			ms.Vertices = append(ms.Vertices, int(v))
 		}
 	}
-	return set, nil
-}
-
-// withSeed inserts s into the sorted set if missing (the paper's community
-// C_s contains s by definition).
-func withSeed(set []int, s int) []int {
-	i := sort.SearchInts(set, s)
-	if i < len(set) && set[i] == s {
-		return set
-	}
-	out := make([]int, 0, len(set)+1)
-	out = append(out, set[:i]...)
-	out = append(out, s)
-	out = append(out, set[i:]...)
-	return out
+	return ms, nil
 }
 
 // Detection mirrors core.Detection for the distributed engine.
@@ -457,12 +353,11 @@ func (r *Result) Partition() [][]int {
 
 // Detect runs the distributed CDRW pool loop (Algorithm 1 lines 1–23),
 // detecting communities until every vertex is assigned. With cfg.Batch ≤ 1
-// it runs one seed at a time with seed sampling matching internal/core.
-// Detect exactly, so on a connected graph the two engines emit identical
-// communities; with cfg.Batch > 1 each super-step advances a batch of seed
-// walks in shared communication rounds (see DetectBatch and
-// detectBatchedPool), every individual detection still bit-identical to a
-// sequential run of its seed.
+// each super-step is one seed, sampled exactly like internal/core.Detect,
+// so on a connected graph the two engines emit identical communities; with
+// cfg.Batch > 1 each super-step advances a batch of seed walks in shared
+// communication rounds (see DetectBatch and detectBatchedPool), every
+// individual detection still bit-identical to a solo run of its seed.
 func Detect(nw *Network, cfg Config) (*Result, error) {
 	return DetectContext(context.Background(), nw, cfg)
 }
@@ -470,60 +365,11 @@ func Detect(nw *Network, cfg Config) (*Result, error) {
 // DetectContext is Detect with cancellation: ctx is polled by the round
 // scheduler and between pool iterations, so a cancelled caller gets
 // ctx.Err() back without waiting for the pool to drain.
-//
-// With cfg.Batch > 1 the pool loop advances batches of seed walks in shared
-// communication rounds (see detectBatchedPool); the emitted Detections are
-// bit-identical to the sequential loop's, with Result.Metrics.Rounds
-// reduced to the shared-round cost.
 func DetectContext(ctx context.Context, nw *Network, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	nw.setContext(ctx)
 	defer nw.setContext(nil)
-	if cfg.Batch > 1 {
-		return detectBatchedPool(nw, cfg)
-	}
-	n := nw.Graph().NumVertices()
-	r := rng.New(cfg.Seed)
-	assigned := make([]bool, n)
-	pool := make([]int, n)
-	for v := range pool {
-		pool[v] = v
-	}
-	res := &Result{}
-	before := nw.Metrics()
-	for len(pool) > 0 {
-		if err := nw.interrupted(); err != nil {
-			return nil, fmt.Errorf("congest: %w", err)
-		}
-		s := pool[r.Intn(len(pool))]
-		community, stats, err := detectCommunity(nw, s, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("congest: community of seed %d: %w", s, err)
-		}
-		kept := make([]int, 0, len(community))
-		for _, v := range community {
-			if !assigned[v] {
-				kept = append(kept, v)
-				assigned[v] = true
-			}
-		}
-		if !assigned[s] {
-			kept = append(kept, s)
-			assigned[s] = true
-		}
-		res.Detections = append(res.Detections, Detection{Raw: community, Assigned: kept, Stats: stats})
-		nextPool := pool[:0]
-		for _, v := range pool {
-			if !assigned[v] {
-				nextPool = append(nextPool, v)
-			}
-		}
-		pool = nextPool
-	}
-	res.Metrics = nw.Metrics()
-	res.Metrics.Rounds -= before.Rounds
-	res.Metrics.Messages -= before.Messages
-	return res, nil
+	return detectBatchedPool(nw, cfg)
 }

@@ -16,9 +16,42 @@ import (
 	"cdrw/internal/rng"
 )
 
+// TestDetectCommunityMatchesCore: on a connected graph the distributed
+// engine returns exactly the reference engine's community and stats, whole
+// struct, including walks that the walk-length cap cuts off.
 func TestDetectCommunityMatchesCore(t *testing.T) {
-	// The distributed engine must produce exactly the same community as the
-	// in-memory reference on a connected graph.
+	capped := 0
+	check := func(g *graph.Graph, delta float64, seed, maxLen int) {
+		t.Helper()
+		opts := []core.Option{core.WithDelta(delta)}
+		cfg := congest.DefaultConfig(g.NumVertices())
+		cfg.Delta = delta
+		if maxLen > 0 {
+			opts = append(opts, core.WithMaxWalkLength(maxLen))
+			cfg.MaxWalkLength = maxLen
+		}
+		want, wantStats, err := core.DetectCommunity(g, seed, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, stats, err := congest.DetectCommunity(congest.NewNetwork(g, 1), seed, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d cap %d: congest community %v, core %v", seed, maxLen, got, want)
+		}
+		if stats.CommunityStats != wantStats {
+			t.Fatalf("seed %d cap %d: congest stats %+v, core %+v", seed, maxLen, stats.CommunityStats, wantStats)
+		}
+		if stats.Metrics.Rounds <= 0 || stats.Metrics.Messages <= 0 {
+			t.Fatalf("seed %d cap %d: no cost recorded: %+v", seed, maxLen, stats.Metrics)
+		}
+		if !wantStats.Stopped && wantStats.FrozenAt > 0 {
+			capped++
+		}
+	}
+
 	cfgGen := gen.PPMConfig{N: 512, R: 2, P: 2 * gen.Log2(256) / 256, Q: 0.1 / 256}
 	ppm, err := gen.NewPPM(cfgGen, rng.New(11))
 	if err != nil {
@@ -27,30 +60,28 @@ func TestDetectCommunityMatchesCore(t *testing.T) {
 	if !ppm.Graph.IsConnected() {
 		t.Skip("sample disconnected; equivalence only defined on connected graphs")
 	}
-	delta := cfgGen.ExpectedConductance()
 	for _, seed := range []int{0, 77, 300, 511} {
-		want, _, err := core.DetectCommunity(ppm.Graph, seed, core.WithDelta(delta))
-		if err != nil {
-			t.Fatal(err)
+		check(ppm.Graph, cfgGen.ExpectedConductance(), seed, 0)
+	}
+
+	// Walk-length caps from 2 steps to past where the stop rule fires, on
+	// TestDetectMatchesCore's graph. A capped walk's community is its last
+	// mixing set plus the seed, and FinalSetSize counts the seed too.
+	cfgGen = gen.PPMConfig{N: 256, R: 2, P: 2 * gen.Log2(128) / 128, Q: 0.1 / 128}
+	ppm, err = gen.NewPPM(cfgGen, rng.New(13))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ppm.Graph.IsConnected() {
+		t.Skip("sample disconnected; equivalence only defined on connected graphs")
+	}
+	for _, maxLen := range []int{2, 3, 4, 6, 8, 12, 16, 24, 32, 40} {
+		for _, seed := range []int{0, 31, 64, 100, 128, 170, 211, 255} {
+			check(ppm.Graph, cfgGen.ExpectedConductance(), seed, maxLen)
 		}
-		nw := congest.NewNetwork(ppm.Graph, 1)
-		cfg := congest.DefaultConfig(512)
-		cfg.Delta = delta
-		got, stats, err := congest.DetectCommunity(nw, seed, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: congest |C|=%d, core |C|=%d", seed, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: sets differ at position %d", seed, i)
-			}
-		}
-		if stats.Metrics.Rounds <= 0 || stats.Metrics.Messages <= 0 {
-			t.Fatalf("seed %d: no cost recorded: %+v", seed, stats.Metrics)
-		}
+	}
+	if capped == 0 {
+		t.Fatal("no walk ended at the length cap with a mixing set; the cap path went untested")
 	}
 }
 
@@ -124,11 +155,12 @@ func conformanceGraphs(t *testing.T) map[string]*graph.Graph {
 }
 
 // TestDetectBatchMatchesSequential is the batched conformance property: on
-// SBM and Gnp instances, every walk of a DetectBatch run must be
-// byte-identical to a sequential DetectCommunity of the same seed —
-// community, stop statistics, and the walk's own round/message cost — while
-// the batch's shared rounds stay strictly below the sequential sum and the
-// per-walk message totals sum exactly to the sequential total.
+// SBM and Gnp instances, every walk of a 4-lane DetectBatch run must be
+// byte-identical to DetectCommunity of the same seed, a 1-lane batch —
+// community, stop statistics, and the walk's own round/message cost — so
+// lanes stay independent, while the batch's shared rounds stay strictly
+// below the sequential sum and the per-walk message totals sum exactly to
+// the sequential total.
 func TestDetectBatchMatchesSequential(t *testing.T) {
 	for name, g := range conformanceGraphs(t) {
 		n := g.NumVertices()

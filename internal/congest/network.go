@@ -49,7 +49,7 @@ type RoundObserver func(round int, msgs []Traffic)
 // LinkLoad aggregates the words one directed link carried in one round:
 // Words messages of one O(log n)-bit word each from From to To. In a batched
 // round (DetectBatch) a link carries one word per walk whose payload crosses
-// it, so Words is the number of such walks; in a sequential round every load
+// it, so Words is the number of such walks; in a one-walk round every load
 // has Words == 1. Entries for the same link may repeat within a round;
 // consumers accumulate.
 type LinkLoad struct {
@@ -66,8 +66,8 @@ type LinkLoad struct {
 type LoadObserver func(round int, loads []LinkLoad)
 
 // lane is the per-walk accounting of a batched execution: the rounds and
-// messages the walk's own protocol consumed (exactly what a sequential run
-// of the walk would be charged), plus its round offset within the current
+// messages the walk's own protocol consumed (exactly what the walk run
+// alone would be charged), plus its round offset within the current
 // phase.
 type lane struct {
 	rounds      int

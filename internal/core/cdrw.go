@@ -13,7 +13,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"cdrw/internal/congest"
@@ -165,20 +164,9 @@ func defaultConfig(n int) config {
 }
 
 // CommunityStats records per-seed diagnostics of a community computation.
-type CommunityStats struct {
-	Seed         int  // seed vertex s
-	WalkLength   int  // steps taken before the stop rule fired
-	Stopped      bool // true if the (1+δ) rule fired, false if the length cap hit
-	FinalSetSize int  // |C_s|
-	SizesChecked int  // total ladder entries evaluated (complexity accounting)
-	// FrozenAt is the walk length at which the output mixing set was last
-	// recorded — the l of the final S_l that became the community (before
-	// seed re-insertion). 0 when no mixing set was ever found (singleton
-	// fallback). The deterministic walk makes this replayable:
-	// Detector.ReverifyCommunity re-walks to FrozenAt and re-runs just that
-	// one sweep to check a cached community against a mutated graph.
-	FrozenAt int
-}
+// It is the engine-independent rw.CommunityStats, filled by the shared stop
+// rule (rw.CommunityTracker) on every engine.
+type CommunityStats = rw.CommunityStats
 
 // Detection records one pool iteration of Algorithm 1: the seed drawn from
 // the pool, the community detected for it on the full graph, and the subset
@@ -256,98 +244,9 @@ func (c *config) validate(n int) error {
 	return nil
 }
 
-// communityTracker applies the Algorithm 1 stop rule (lines 18–20) to the
-// stream of per-length mixing sets of one seed's walk. It is the single
-// home of the stop logic: DetectCommunity feeds it from a solo WalkEngine
-// and DetectParallel from a BatchWalkEngine, so the two paths cannot drift.
-//
-// The tracker copies every mixing set it retains into its own reused
-// buffers. That decouples it from the sweeper's scratch storage (whose
-// Vertices alias is only valid until the next sweep) and is what lets a
-// reusable Detector run detection after detection without allocating: reset
-// rewinds the buffers instead of dropping them.
-type communityTracker struct {
-	cfg       *config
-	stats     CommunityStats
-	prev      []int // copy of the last passing mixing set, reused across runs
-	prevFound bool
-	stalled   int
-	done      bool
-	outSet    []int // finalised community, reused across runs
-}
-
-func newCommunityTracker(cfg *config, seed int) *communityTracker {
-	t := &communityTracker{}
-	t.reset(cfg, seed)
-	return t
-}
-
-// reset rewinds the tracker for a fresh seed, keeping its buffers. The
-// previous run's outSet becomes invalid — callers that retain a community
-// across runs must have copied it.
-func (t *communityTracker) reset(cfg *config, seed int) {
-	t.cfg = cfg
-	t.stats = CommunityStats{Seed: seed}
-	t.prev = t.prev[:0]
-	t.prevFound = false
-	t.stalled = 0
-	t.done = false
-	t.outSet = t.outSet[:0]
-}
-
-// observe records the largest mixing set found after walk step l and returns
-// true when the stop rule fires. The rule compares consecutive *existing*
-// mixing sets. While the walk is still spreading, no candidate size passes
-// the mixing condition at all (the ball outgrows the last passing size
-// before the next ladder size becomes reachable); those steps are part of
-// the growth phase, not a stall, so they are skipped rather than counted
-// against the (1+δ) rule.
-func (t *communityTracker) observe(l int, cur rw.MixingSet) bool {
-	t.stats.WalkLength = l
-	t.stats.SizesChecked += cur.SizesChecked
-	if t.prevFound && cur.Found() {
-		grown := float64(cur.Size()) >= (1+t.cfg.delta)*float64(len(t.prev))
-		if !grown {
-			t.stalled++
-			if t.stalled >= t.cfg.patience {
-				// Output S_{ℓ-1}, the last set before the stall run began
-				// (Algorithm 1 line 20).
-				t.settle(true)
-				return true
-			}
-			// Keep prev (the pre-stall set) while waiting out the plateau.
-			return false
-		}
-		t.stalled = 0
-	}
-	if cur.Found() {
-		t.prev = append(t.prev[:0], cur.Vertices...)
-		t.prevFound = true
-		t.stats.FrozenAt = l
-	}
-	return false
-}
-
-// settle finalises the community, either because the stop rule fired
-// (stopped) or because the walk-length cap was reached. With no mixing set
-// at any length (pathological inputs: tiny graphs, isolated vertices) it
-// falls back to the singleton community {s}. At the cap, FinalSetSize
-// reports the mixing set's size before the seed is re-inserted, matching
-// the reference engine's historical accounting.
-func (t *communityTracker) settle(stopped bool) {
-	t.done = true
-	t.stats.Stopped = stopped
-	if !t.prevFound {
-		t.outSet = append(t.outSet[:0], t.stats.Seed)
-		t.stats.FinalSetSize = 1
-		return
-	}
-	t.outSet = withSeedInto(t.outSet[:0], t.prev, t.stats.Seed)
-	if stopped {
-		t.stats.FinalSetSize = len(t.outSet)
-	} else {
-		t.stats.FinalSetSize = len(t.prev)
-	}
+// stopRule returns the run's Algorithm 1 stop rule.
+func (c *config) stopRule() rw.StopRule {
+	return rw.StopRule{Delta: c.delta, Patience: c.patience, MaxLen: c.maxLen}
 }
 
 // DetectCommunity computes the community containing seed s: it walks from s,
@@ -378,81 +277,73 @@ func DetectCommunityContext(ctx context.Context, g *graph.Graph, s int, opts ...
 // when WithDenseSweep was given. Both return bit-identical results, and
 // both run over the engine's retained sweeper buffers, so repeat serving is
 // allocation-free whichever path a step takes.
-func (c *config) sweep(_ *graph.Graph, eng *rw.WalkEngine) (rw.MixingSet, error) {
+func (c *config) sweep(eng *rw.WalkEngine) (rw.MixingSet, error) {
 	if c.denseSweep {
 		return eng.LargestMixingSetDense(c.minSize, c.mix)
 	}
 	return eng.LargestMixingSet(c.minSize, c.mix)
 }
 
-// detectCommunity is the engine-level detection loop shared by
+// stepAndSweep runs step l of Algorithm 1 for the walk on eng: advance the
+// walk, sweep for the largest mixing set, and feed the set to trk, which
+// decides whether the walk has ended. The solo loop and every walker of the
+// parallel engine run this one function, so the step's timing, trace
+// phases and observer report exist once. The sweep polls
+// cfg.mix.Interrupt between ladder sizes.
+func (c *config) stepAndSweep(eng *rw.WalkEngine, trk *rw.CommunityTracker, l int) error {
+	timed := c.observer != nil || c.tr != nil
+	var t0 time.Time
+	if timed {
+		t0 = time.Now()
+	}
+	eng.Step()
+	var t1 time.Time
+	if timed {
+		t1 = time.Now()
+	}
+	cur, err := c.sweep(eng)
+	if err != nil {
+		return err
+	}
+	if timed {
+		sweepNS := time.Since(t1).Nanoseconds()
+		// AddPhase is atomic; the parallel engine's workers all land here.
+		c.tr.AddPhase(trace.PhaseWalk, t1.Sub(t0))
+		c.tr.AddPhase(trace.PhaseSweep, time.Duration(sweepNS))
+		if c.observer != nil {
+			c.observer(StepTiming{
+				Seed:        trk.Stats().Seed,
+				Step:        l,
+				Support:     eng.SupportSize(),
+				SparseSweep: eng.Sparse() && !c.denseSweep,
+				StepNS:      t1.Sub(t0).Nanoseconds(),
+				SweepNS:     sweepNS,
+			})
+		}
+	}
+	trk.Observe(l, cur)
+	return nil
+}
+
+// detectCommunity is the solo detection loop shared by
 // Detector.DetectCommunity and the pool loop, both of which reuse one
 // WalkEngine and one tracker across all their seeds instead of reallocating
-// per seed. ctx is polled once per walk step; the sweep additionally polls
-// cfg.mix.Interrupt between ladder sizes. The returned community slice is
-// the tracker's buffer: valid until the tracker's next reset.
-func detectCommunity(ctx context.Context, g *graph.Graph, eng *rw.WalkEngine, trk *communityTracker, s int, cfg *config) ([]int, CommunityStats, error) {
+// per seed. ctx is polled once per walk step. The returned community slice
+// is the tracker's buffer: valid until the tracker's next Reset.
+func detectCommunity(ctx context.Context, eng *rw.WalkEngine, trk *rw.CommunityTracker, s int, cfg *config) ([]int, CommunityStats, error) {
 	if err := eng.Reset(s); err != nil {
 		return nil, CommunityStats{Seed: s}, err
 	}
-	trk.reset(cfg, s)
-	for l := 1; l <= cfg.maxLen; l++ {
+	trk.Reset(s, cfg.stopRule())
+	for l := 1; !trk.Done(); l++ {
 		if err := ctx.Err(); err != nil {
-			return nil, trk.stats, err
+			return nil, trk.Stats(), err
 		}
-		timed := cfg.observer != nil || cfg.tr != nil
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		eng.Step()
-		var t1 time.Time
-		if timed {
-			t1 = time.Now()
-		}
-		cur, err := cfg.sweep(g, eng)
-		if err != nil {
-			return nil, trk.stats, err
-		}
-		if timed {
-			sweepNS := time.Since(t1).Nanoseconds()
-			cfg.tr.AddPhase(trace.PhaseWalk, t1.Sub(t0))
-			cfg.tr.AddPhase(trace.PhaseSweep, time.Duration(sweepNS))
-			if cfg.observer != nil {
-				cfg.observer(StepTiming{
-					Seed:        s,
-					Step:        l,
-					Support:     eng.SupportSize(),
-					SparseSweep: eng.Sparse() && !cfg.denseSweep,
-					StepNS:      t1.Sub(t0).Nanoseconds(),
-					SweepNS:     sweepNS,
-				})
-			}
-		}
-		if trk.observe(l, cur) {
-			return trk.outSet, trk.stats, nil
+		if err := cfg.stepAndSweep(eng, trk, l); err != nil {
+			return nil, trk.Stats(), err
 		}
 	}
-	// Length cap reached without the stop rule firing: emit the best set so
-	// far. A seed in a well-mixed graph ends up here with S = V.
-	trk.settle(false)
-	return trk.outSet, trk.stats, nil
-}
-
-// withSeedInto appends set to dst with the seed vertex inserted at its
-// sorted position (unless already present): the paper defines C_s as a set
-// containing s (Definition 2 takes the minimum over sets containing the
-// source), but the localised |S|-smallest-x_u selection can drop the seed
-// when its own probability still deviates from the restricted stationary
-// value. dst must not alias set.
-func withSeedInto(dst, set []int, s int) []int {
-	i := sort.SearchInts(set, s)
-	dst = append(dst, set[:i]...)
-	if i >= len(set) || set[i] != s {
-		dst = append(dst, s)
-	}
-	dst = append(dst, set[i:]...)
-	return dst
+	return trk.Community(), trk.Stats(), nil
 }
 
 // Detect runs CDRW over the whole graph: repeatedly draw a seed from the

@@ -46,7 +46,7 @@ type Detector struct {
 	// Reference-engine state, built lazily and retained.
 	idx *rw.DegreeIndex
 	eng *rw.WalkEngine
-	trk communityTracker
+	trk rw.CommunityTracker
 
 	// Parallel-engine state, retained across runs: the batch walk engine is
 	// Reset(seeds) instead of rebuilt, and the trackers, seed-drawing and
@@ -54,7 +54,7 @@ type Detector struct {
 	// persistent walker goroutines; the channel is retained so repeat runs
 	// reuse it instead of reallocating.
 	parBatch    *rw.BatchWalkEngine
-	parTrackers []*communityTracker
+	parTrackers []*rw.CommunityTracker
 	parSeeds    []int
 	parBlocked  []bool
 	parFree     []int
@@ -226,13 +226,13 @@ func (d *Detector) DetectCommunity(ctx context.Context, s int) ([]int, Community
 		out, cstats, err := congest.DetectCommunityContext(ctx, nw, s, d.congestConfig())
 		d.noteCongest(before)
 		if err != nil {
-			return nil, coreStats(cstats), err
+			return nil, cstats.CommunityStats, err
 		}
-		return out, coreStats(cstats), nil
+		return out, cstats.CommunityStats, nil
 	}
 	cfg := d.beginRun(ctx)
 	defer d.endRun()
-	return detectCommunity(ctx, d.g, d.walkEngine(), &d.trk, s, cfg)
+	return detectCommunity(ctx, d.walkEngine(), &d.trk, s, cfg)
 }
 
 // ReverifyCommunity cheaply re-checks a previously detected community
@@ -278,15 +278,15 @@ func (d *Detector) ReverifyCommunity(ctx context.Context, s int, community []int
 		}
 		eng.Step()
 	}
-	cur, err := cfg.sweep(d.g, eng)
+	cur, err := cfg.sweep(eng)
 	if err != nil {
 		return false, err
 	}
 	if !cur.Found() {
 		return false, nil
 	}
-	// Compare against community with the seed inserted the way settle()
-	// would emit it, without materialising the merged set: walk cur.Vertices
+	// Compare against community with the seed inserted the way the tracker
+	// emits it, without materialising the merged set: walk cur.Vertices
 	// and community in lockstep, letting the seed slot in at its sorted
 	// position.
 	i, j := 0, 0
@@ -332,7 +332,7 @@ func (d *Detector) Detect(ctx context.Context) (*Result, error) {
 		}
 		res, err := d.detectPool(ctx, func(ctx context.Context, s int) ([]int, CommunityStats, bool, error) {
 			out, cstats, err := congest.DetectCommunityContext(ctx, nw, s, ccfg)
-			return out, coreStats(cstats), true, err
+			return out, cstats.CommunityStats, true, err
 		})
 		d.noteCongest(before)
 		return res, err
@@ -341,7 +341,7 @@ func (d *Detector) Detect(ctx context.Context) (*Result, error) {
 		defer d.endRun()
 		eng := d.walkEngine()
 		return d.detectPool(ctx, func(ctx context.Context, s int) ([]int, CommunityStats, bool, error) {
-			out, stats, err := detectCommunity(ctx, d.g, eng, &d.trk, s, cfg)
+			out, stats, err := detectCommunity(ctx, eng, &d.trk, s, cfg)
 			// out is the tracker's buffer, overwritten next iteration.
 			return out, stats, false, err
 		})
@@ -358,7 +358,7 @@ func (d *Detector) detectCongestBatched(ctx context.Context, ccfg congest.Config
 	}
 	res := &Result{Detections: make([]Detection, len(cres.Detections))}
 	for i, det := range cres.Detections {
-		res.Detections[i] = Detection{Raw: det.Raw, Assigned: det.Assigned, Stats: coreStats(det.Stats)}
+		res.Detections[i] = Detection{Raw: det.Raw, Assigned: det.Assigned, Stats: det.Stats.CommunityStats}
 	}
 	for _, det := range res.Detections {
 		if !d.emit(det) {
@@ -377,20 +377,6 @@ func (d *Detector) noteCongest(before congest.Metrics) {
 		Messages: after.Messages - before.Messages,
 	}
 	d.ranCongest = true
-}
-
-// coreStats projects the distributed engine's per-seed stats onto the
-// unified stats shape (the CONGEST extras — tree depth, rounds, messages —
-// are available via congest.DetectCommunity or Detector.CongestMetrics).
-func coreStats(cs congest.CommunityStats) CommunityStats {
-	return CommunityStats{
-		Seed:         cs.Seed,
-		WalkLength:   cs.WalkLength,
-		Stopped:      cs.Stopped,
-		FinalSetSize: cs.FinalSetSize,
-		SizesChecked: cs.SizesChecked,
-		FrozenAt:     cs.FrozenAt,
-	}
 }
 
 // detectOne computes one seed's community. owned reports whether the

@@ -125,8 +125,8 @@ func TestDetectorCongestMatchesWrapper(t *testing.T) {
 		if !reflect.DeepEqual(g.Raw, w.Raw) || !reflect.DeepEqual(g.Assigned, w.Assigned) {
 			t.Fatalf("detection %d: communities differ", i)
 		}
-		if g.Stats != coreStats(w.Stats) {
-			t.Fatalf("detection %d: stats %+v vs %+v", i, g.Stats, coreStats(w.Stats))
+		if g.Stats != w.Stats.CommunityStats {
+			t.Fatalf("detection %d: stats %+v vs %+v", i, g.Stats, w.Stats.CommunityStats)
 		}
 	}
 	m, ok := d.CongestMetrics()

@@ -39,7 +39,7 @@ func legacyDetectCommunity(t *testing.T, g *gen.PPM, s int, cfg config) ([]int, 
 				stalled++
 				if stalled >= cfg.patience {
 					stats.Stopped = true
-					out := withSeedInto(nil, prev.Vertices, s)
+					out := rw.WithSeed(nil, prev.Vertices, s)
 					stats.FinalSetSize = len(out)
 					return out, stats
 				}
@@ -53,8 +53,8 @@ func legacyDetectCommunity(t *testing.T, g *gen.PPM, s int, cfg config) ([]int, 
 		}
 	}
 	if prev.Found() {
-		stats.FinalSetSize = prev.Size()
-		return withSeedInto(nil, prev.Vertices, s), stats
+		stats.FinalSetSize = len(rw.WithSeed(nil, prev.Vertices, s))
+		return rw.WithSeed(nil, prev.Vertices, s), stats
 	}
 	stats.FinalSetSize = 1
 	return []int{s}, stats

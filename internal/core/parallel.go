@@ -6,12 +6,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"cdrw/internal/graph"
 	"cdrw/internal/rng"
 	"cdrw/internal/rw"
-	"cdrw/internal/trace"
 )
 
 // parTask is one unit of walker work: advance walk i at walk length l. A
@@ -103,12 +101,11 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 	}
 	d.parSeeds = seeds
 
-	// Detect all seeds' communities in lockstep: per walk length, one
-	// goroutine per live walk advances that walk and runs its mixing-set
-	// search. Each walk's arithmetic and stop rule are exactly
-	// DetectCommunity's, so the outcome per seed is identical to running
-	// the seeds one by one. The batch engine and trackers are retained by
-	// the detector: repeat runs Reset them instead of rebuilding.
+	// Detect all seeds' communities in lockstep: per walk length, every
+	// live walk runs one stepAndSweep — the same step DetectCommunity runs
+	// — so the outcome per seed is identical to running the seeds one by
+	// one. The batch engine and trackers are retained by the detector:
+	// repeat runs Reset them instead of rebuilding.
 	if d.parBatch == nil {
 		batch, err := rw.NewBatchWalkEngineWithIndex(g, seeds, d.degreeIndex())
 		if err != nil {
@@ -120,11 +117,11 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 	}
 	batch := d.parBatch
 	for len(d.parTrackers) < r {
-		d.parTrackers = append(d.parTrackers, &communityTracker{})
+		d.parTrackers = append(d.parTrackers, &rw.CommunityTracker{})
 	}
 	trackers := d.parTrackers[:r]
 	for i, s := range seeds {
-		trackers[i].reset(&cfg, s)
+		trackers[i].Reset(s, cfg.stopRule())
 	}
 	if cap(d.parErrs) < r {
 		d.parErrs = make([]error, r)
@@ -133,8 +130,8 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 	for i := range errs {
 		errs[i] = nil
 	}
-	// Persistent walkers: one task advances walk i by one step and runs its
-	// sweep. Instead of spawning a goroutine per live walk per step — whose
+	// Persistent walkers: one task runs step l of walk i (stepAndSweep).
+	// Instead of spawning a goroutine per live walk per step — whose
 	// creation cost dominates short steps under DetectorPool load — the run
 	// spawns min(r, GOMAXPROCS) workers once and feeds them walk indices
 	// over a channel the detector retains across runs.
@@ -145,46 +142,10 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 			errs[i] = err
 			return
 		}
-		timed := cfg.observer != nil || cfg.tr != nil
-		var t0 time.Time
-		if timed {
-			t0 = time.Now()
-		}
-		batch.StepWalk(i)
-		var t1 time.Time
-		if timed {
-			t1 = time.Now()
-		}
-		var cur rw.MixingSet
-		var err error
-		if cfg.denseSweep {
-			cur, err = batch.LargestMixingSetDense(i, cfg.minSize, cfg.mix)
-		} else {
-			cur, err = batch.LargestMixingSet(i, cfg.minSize, cfg.mix)
-		}
-		if err != nil {
+		if err := cfg.stepAndSweep(batch.Engine(i), trackers[i], l); err != nil {
 			errs[i] = err
 			cancel() // first error cancels the sibling walkers
-			return
 		}
-		if timed {
-			sweepNS := time.Since(t1).Nanoseconds()
-			// AddPhase is atomic; the worker goroutines all land here.
-			cfg.tr.AddPhase(trace.PhaseWalk, t1.Sub(t0))
-			cfg.tr.AddPhase(trace.PhaseSweep, time.Duration(sweepNS))
-			if cfg.observer != nil {
-				eng := batch.Engine(i)
-				cfg.observer(StepTiming{
-					Seed:        seeds[i],
-					Step:        l,
-					Support:     eng.SupportSize(),
-					SparseSweep: eng.Sparse() && !cfg.denseSweep,
-					StepNS:      t1.Sub(t0).Nanoseconds(),
-					SweepNS:     sweepNS,
-				})
-			}
-		}
-		trackers[i].observe(l, cur)
 	}
 	if cap(d.parWork) < r {
 		d.parWork = make(chan parTask, r)
@@ -220,13 +181,20 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 		}
 		workerWG.Wait()
 	}()
-	for l := 1; l <= cfg.maxLen && batch.Active() > 0; l++ {
+	// Each round dispatches step l of every walk whose tracker has not
+	// ended it; the run ends when no walk is live (every tracker ends its
+	// walk by the length cap at the latest).
+	for l := 1; ; l++ {
+		live := 0
 		for i := range trackers {
-			if trackers[i].done || errs[i] != nil {
-				continue
+			if !trackers[i].Done() {
+				live++
+				wg.Add(1)
+				work <- parTask{i: i, l: l}
 			}
-			wg.Add(1)
-			work <- parTask{i: i, l: l}
+		}
+		if live == 0 {
+			break
 		}
 		wg.Wait()
 		// The first genuine walker error wins: once one walker fails and
@@ -249,16 +217,6 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 		if ctxErr != nil {
 			return nil, fmt.Errorf("core: parallel community of seed %d: %w", ctxSeed, ctxErr)
 		}
-		for i := range trackers {
-			if trackers[i].done && !batch.Halted(i) {
-				batch.Halt(i)
-			}
-		}
-	}
-	for _, t := range trackers {
-		if !t.done {
-			t.settle(false)
-		}
 	}
 
 	// Resolve overlaps: earlier seed index wins. Raw is copied out of the
@@ -273,7 +231,7 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 	}
 	res := &Result{Detections: make([]Detection, r)}
 	for i, t := range trackers {
-		raw := append([]int(nil), t.outSet...)
+		raw := append([]int(nil), t.Community()...)
 		kept := make([]int, 0, len(raw))
 		for _, v := range raw {
 			if owner[v] < 0 {
@@ -281,7 +239,7 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 				kept = append(kept, v)
 			}
 		}
-		res.Detections[i] = Detection{Raw: raw, Assigned: kept, Stats: t.stats}
+		res.Detections[i] = Detection{Raw: raw, Assigned: kept, Stats: t.Stats()}
 	}
 
 	// Attach unclaimed vertices by neighbour majority (repeat until stable

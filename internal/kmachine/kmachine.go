@@ -214,9 +214,8 @@ func (s *Simulator) Results() Results { return s.res }
 // congest.DetectCommunityContext — and forwards ctx so the observed
 // execution is cancellable. Any observer installed before (load or
 // per-message Traffic) is suspended for the run and restored afterwards:
-// historically Run installed the Traffic observer, and leaving a caller's
-// sim.Observer() active alongside the load observer would fold every round
-// into the results twice. Conversion results accumulate across Run calls;
+// leaving a caller's sim.Observer() active alongside the load observer
+// would fold every round into the results twice. Conversion results accumulate across Run calls;
 // read them with Results.
 func (s *Simulator) Run(ctx context.Context, nw *congest.Network, run func(context.Context) error) error {
 	prevLoad := nw.LoadObserver()

@@ -232,40 +232,13 @@ func (e *WalkEngine) LargestMixingSetDense(minSize int, opt MixOptions) (MixingS
 
 // BatchWalkEngine advances many walks over the same graph in lockstep, each
 // walk on the hybrid sparse/dense kernel and bit-identical to a solo
-// WalkEngine. Fusion additionally moves dense walks into a shared
-// vertex-interleaved store — the K walk masses of a vertex sit side by side
-// on one cache line — advanced by a single fused pass over the CSR arrays
-// per step. Fusion trades per-walk write locality for K× fewer touched
-// cache lines per edge: on community-structured graphs (PPM/SBM), where a
-// solo walk's writes already stay inside one block's index range, per-walk
-// stepping measures faster; on expander-like graphs at scales where one
-// walk's random-access window outgrows the cache, the fused pass wins. By
-// default the engine picks the kernel itself from the graph's edge-locality
-// statistics (see fuseFromStats); SetFused overrides the choice either way.
+// WalkEngine. Its walks share one degree index for their sparse sweeps.
 type BatchWalkEngine struct {
-	g        *graph.Graph
-	idx      *DegreeIndex // shared by every walk's sparse sweep
-	walks    []*WalkEngine
-	halted   []bool
-	fuseMode fuseMode
-	spread   float64 // cached estimateSpread(g), for the auto decision
-	spreadOK bool
-	inBatch  []bool    // walk's distribution lives in the interleaved store
-	pAll     []float64 // len K·n, row v holds the K walks' masses at v
-	nextAll  []float64
-	shareAll []float64 // len K·n, row v holds the K walks' outgoing shares at v
-	cols     []int     // scratch: interleaved columns advanced this step
+	g      *graph.Graph
+	idx    *DegreeIndex // shared by every walk's sparse sweep
+	walks  []*WalkEngine
+	halted []bool
 }
-
-// fuseMode selects the dense kernel of a batch: decided from graph
-// statistics (default), or forced on/off by SetFused.
-type fuseMode uint8
-
-const (
-	fuseAuto fuseMode = iota
-	fuseOn
-	fuseOff
-)
 
 // NewBatchWalkEngine returns a batch of point-source walks, one per source.
 // Duplicate sources are allowed (the walks evolve independently).
@@ -280,19 +253,9 @@ func NewBatchWalkEngine(g *graph.Graph, sources []int) (*BatchWalkEngine, error)
 // degree index, letting a reusable Detector keep one index alive across
 // repeated parallel runs instead of rebuilding it per call.
 func NewBatchWalkEngineWithIndex(g *graph.Graph, sources []int, idx *DegreeIndex) (*BatchWalkEngine, error) {
-	b := &BatchWalkEngine{
-		g:       g,
-		idx:     idx,
-		walks:   make([]*WalkEngine, len(sources)),
-		halted:  make([]bool, len(sources)),
-		inBatch: make([]bool, len(sources)),
-	}
-	for i, s := range sources {
-		e := NewWalkEngineWithIndex(g, idx)
-		if err := e.Reset(s); err != nil {
-			return nil, err
-		}
-		b.walks[i] = e
+	b := &BatchWalkEngine{g: g, idx: idx}
+	if err := b.Reset(sources); err != nil {
+		return nil, err
 	}
 	return b, nil
 }
@@ -301,9 +264,8 @@ func NewBatchWalkEngineWithIndex(g *graph.Graph, sources []int, idx *DegreeIndex
 // reusing every per-walk engine and buffer it already holds: a long-lived
 // caller (core's parallel engine) runs detection after detection on one
 // batch engine instead of rebuilding it per run. The batch may grow or
-// shrink; new walks share the existing degree index. Walks resume unfused
-// and unhalted (SetFused state is kept, so fused batches re-fuse as their
-// walks go dense). On an out-of-range source the batch is left unusable for
+// shrink; new walks share the existing degree index. Walks resume
+// unhalted. On an out-of-range source the batch is left unusable for
 // stepping but safe to Reset again.
 func (b *BatchWalkEngine) Reset(sources []int) error {
 	n := b.g.NumVertices()
@@ -312,10 +274,6 @@ func (b *BatchWalkEngine) Reset(sources []int) error {
 			return fmt.Errorf("rw: source %d out of range [0,%d): %w", s, n, graph.ErrVertexOutOfRange)
 		}
 	}
-	if len(sources) != len(b.walks) && b.pAll != nil {
-		// The interleaved store's stride is the walk count; realloc lazily.
-		b.pAll, b.nextAll, b.shareAll = nil, nil, nil
-	}
 	// Resize by reslicing up to capacity, so engines built for an earlier,
 	// larger batch survive a shrink and are found again on the next grow;
 	// only never-before-seen slots allocate.
@@ -323,32 +281,19 @@ func (b *BatchWalkEngine) Reset(sources []int) error {
 		b.walks = append(b.walks[:cap(b.walks)], nil)
 	}
 	b.walks = b.walks[:len(sources)]
-	for i := range b.walks {
-		if b.walks[i] == nil {
-			b.walks[i] = NewWalkEngineWithIndex(b.g, b.idx)
-		}
-	}
 	if cap(b.halted) < len(sources) {
 		b.halted = make([]bool, len(sources))
 	}
 	b.halted = b.halted[:len(sources)]
-	if cap(b.inBatch) < len(sources) {
-		b.inBatch = make([]bool, len(sources))
-	}
-	b.inBatch = b.inBatch[:len(sources)]
 	for i, s := range sources {
-		if b.inBatch[i] {
-			// The walk's own arrays are stale (its state lives in the
-			// interleaved store); a joined walk is always dense, so its Reset
-			// clears them fully.
-			b.inBatch[i] = false
+		if b.walks[i] == nil {
+			b.walks[i] = NewWalkEngineWithIndex(b.g, b.idx)
 		}
 		if err := b.walks[i].Reset(s); err != nil {
 			return err
 		}
 		b.halted[i] = false
 	}
-	b.cols = b.cols[:0]
 	return nil
 }
 
@@ -357,59 +302,23 @@ func (b *BatchWalkEngine) Reset(sources []int) error {
 // it touches only walk i's state plus shared read-only structures, so
 // callers may sweep distinct walks from distinct goroutines.
 func (b *BatchWalkEngine) LargestMixingSet(i, minSize int, opt MixOptions) (MixingSet, error) {
-	if b.inBatch[i] {
-		b.materialize(i)
-	}
 	return b.walks[i].LargestMixingSet(minSize, opt)
-}
-
-// LargestMixingSetDense is LargestMixingSet forced onto the dense reference
-// path (WalkEngine.LargestMixingSetDense) for walk i, with the same
-// per-walk concurrency contract.
-func (b *BatchWalkEngine) LargestMixingSetDense(i, minSize int, opt MixOptions) (MixingSet, error) {
-	if b.inBatch[i] {
-		b.materialize(i)
-	}
-	return b.walks[i].LargestMixingSetDense(minSize, opt)
 }
 
 // Size returns the number of walks in the batch, halted or not.
 func (b *BatchWalkEngine) Size() int { return len(b.walks) }
 
 // Dist returns walk i's current distribution as a dense vector. Like
-// WalkEngine.Dist the result aliases engine storage — valid until the next
-// Step — and for a walk in the interleaved store it is materialised on each
-// call (an O(n) gather), so callers should read it once per step.
-func (b *BatchWalkEngine) Dist(i int) Dist {
-	if b.inBatch[i] {
-		b.materialize(i)
-	}
-	return b.walks[i].Dist()
-}
+// WalkEngine.Dist the result aliases engine storage, valid until the next
+// Step.
+func (b *BatchWalkEngine) Dist(i int) Dist { return b.walks[i].Dist() }
 
-// materialize gathers column i of the interleaved store into walk i's own
-// dense array (which is idle storage while the walk is batched).
-func (b *BatchWalkEngine) materialize(i int) {
-	k := len(b.walks)
-	p := b.walks[i].p
-	for v := range p {
-		p[v] = b.pAll[v*k+i]
-	}
-}
-
-// Engine returns walk i's underlying engine. While walk i is batched the
-// engine's own Dist is stale — go through BatchWalkEngine.Dist instead.
+// Engine returns walk i's underlying engine.
 func (b *BatchWalkEngine) Engine(i int) *WalkEngine { return b.walks[i] }
 
 // Halt removes walk i from subsequent steps, freezing its distribution at
 // the current state. Detection loops halt walks whose stop rule has fired.
-func (b *BatchWalkEngine) Halt(i int) {
-	if b.inBatch[i] {
-		b.materialize(i)
-		b.inBatch[i] = false
-	}
-	b.halted[i] = true
-}
+func (b *BatchWalkEngine) Halt(i int) { b.halted[i] = true }
 
 // Halted reports whether walk i has been halted.
 func (b *BatchWalkEngine) Halted(i int) bool { return b.halted[i] }
@@ -425,154 +334,18 @@ func (b *BatchWalkEngine) Active() int {
 	return n
 }
 
-// SetFused forces the dense walks onto per-walk stepping (false) or the
-// fused interleaved pass (true), overriding the engine's automatic choice.
-// Turning fusion off mid-run materialises every batched walk back into its
-// own engine. Either way the walks' evolution is bit-identical, so the
-// toggle is purely a performance choice.
-func (b *BatchWalkEngine) SetFused(on bool) {
-	if !on {
-		for i := range b.walks {
-			if b.inBatch[i] {
-				b.materialize(i)
-				b.inBatch[i] = false
-			}
-		}
-		b.fuseMode = fuseOff
-		return
-	}
-	b.fuseMode = fuseOn
-}
-
-// shouldFuse resolves the batch's dense kernel for this step: an explicit
-// SetFused wins; otherwise the decision comes from the graph's edge-locality
-// statistics and the batch size. The spread estimate is computed once per
-// engine (the graph is immutable) and the rule itself is O(1), so the auto
-// path re-resolves cheaply even as Reset changes the batch size.
-func (b *BatchWalkEngine) shouldFuse() bool {
-	switch b.fuseMode {
-	case fuseOn:
-		return true
-	case fuseOff:
-		return false
-	}
-	if !b.spreadOK {
-		b.spread = estimateSpread(b.g)
-		b.spreadOK = true
-	}
-	return fuseFromStats(b.g.NumVertices(), len(b.walks), b.spread)
-}
-
-// StepWalk advances walk i alone by one hybrid step. It is the concurrency
-// hook for unfused batches: distinct walks touch disjoint state, so callers
-// may step different walks from different goroutines (core.DetectParallel
-// overlaps each walk's step with its mixing-set sweep this way). It must
-// not be mixed with fused stepping — a walk living in the interleaved store
-// can only advance through Step.
+// StepWalk advances walk i alone by one hybrid step. Distinct walks touch
+// disjoint state, so callers may step different walks from different
+// goroutines.
 func (b *BatchWalkEngine) StepWalk(i int) {
-	if b.halted[i] {
-		return
+	if !b.halted[i] {
+		b.walks[i].Step()
 	}
-	if b.inBatch[i] {
-		panic("rw: StepWalk on a walk in the fused interleaved store")
-	}
-	b.walks[i].Step()
 }
 
 // Step advances every non-halted walk by one step.
 func (b *BatchWalkEngine) Step() {
-	b.cols = b.cols[:0]
-	for i, e := range b.walks {
-		if b.halted[i] {
-			continue
-		}
-		if b.inBatch[i] {
-			b.cols = append(b.cols, i)
-			continue
-		}
-		if e.maybeDensify(); e.sparse {
-			e.sparseStep()
-			continue
-		}
-		if b.shouldFuse() {
-			b.join(i)
-			b.cols = append(b.cols, i)
-		} else {
-			e.denseStep()
-		}
-	}
-	if len(b.cols) > 0 {
-		b.fusedStep()
-	}
-}
-
-// join moves (already dense) walk i's distribution into the interleaved
-// store, allocated on first use.
-func (b *BatchWalkEngine) join(i int) {
-	k := len(b.walks)
-	n := b.g.NumVertices()
-	if b.pAll == nil {
-		b.pAll = make([]float64, k*n)
-		b.nextAll = make([]float64, k*n)
-		b.shareAll = make([]float64, k*n)
-	}
-	e := b.walks[i]
-	for v := 0; v < n; v++ {
-		b.pAll[v*k+i] = e.p[v]
-	}
-	b.inBatch[i] = true
-}
-
-// fusedStep is the dense kernel fused across the batched columns: one pass
-// over the CSR arrays advances them all. Like congest's blocked flood
-// kernel, the pass is share-precompute + gather: an interleave pass freezes
-// each column's outgoing share per vertex into rows of shareAll (row v holds
-// the batched walks' shares at v, side by side on one cache line), then a
-// gather pulls each neighbour list once and accumulates every column from
-// the k-wide rows its neighbour ids address — the random-access stream is
-// one shared row stream instead of a scattered read-modify-write per edge
-// per walk. Per walk each share is the exact quotient the solo kernel
-// computes and each output accumulates its in-neighbours' shares in the
-// same ascending order Step's scatter delivers them (zero shares are exact
-// additive identities over non-negative partial sums), so each column
-// evolves bit-identically to a solo dense walk.
-func (b *BatchWalkEngine) fusedStep() {
-	g := b.g
-	k := len(b.walks)
-	n := g.NumVertices()
-	for v := 0; v < n; v++ {
-		row := b.pAll[v*k : v*k+k]
-		sh := b.shareAll[v*k : v*k+k]
-		if d := float64(g.Degree(v)); d > 0 {
-			for _, j := range b.cols {
-				sh[j] = row[j] / d
-			}
-		} else {
-			for _, j := range b.cols {
-				sh[j] = 0
-			}
-		}
-	}
-	for u := 0; u < n; u++ {
-		ns := g.Neighbors(u)
-		out := b.nextAll[u*k : u*k+k]
-		if len(ns) == 0 {
-			row := b.pAll[u*k : u*k+k]
-			for _, j := range b.cols {
-				out[j] = row[j] // isolated walks keep their mass
-			}
-			continue
-		}
-		for _, j := range b.cols {
-			sum := 0.0
-			for _, w := range ns {
-				sum += b.shareAll[int(w)*k+j]
-			}
-			out[j] = sum
-		}
-	}
-	b.pAll, b.nextAll = b.nextAll, b.pAll
-	for _, j := range b.cols {
-		b.walks[j].steps++
+	for i := range b.walks {
+		b.StepWalk(i)
 	}
 }

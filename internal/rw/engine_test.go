@@ -145,106 +145,98 @@ func TestWalkEngineResetReuse(t *testing.T) {
 
 // TestBatchWalkEngineMatchesSolo: lockstep batch walks (including duplicate
 // sources and mid-run halts) match independent solo engines entry for
-// entry, in both the default per-walk mode and the fused interleaved mode.
+// entry.
 func TestBatchWalkEngineMatchesSolo(t *testing.T) {
-	for _, fused := range []bool{false, true} {
-		ppm := randomPPM(t, 23)
-		n := ppm.Graph.NumVertices()
-		sources := []int{0, n - 1, n / 3, 0, 2 * n / 3}
-		batch, err := NewBatchWalkEngine(ppm.Graph, sources)
-		if err != nil {
+	ppm := randomPPM(t, 23)
+	n := ppm.Graph.NumVertices()
+	sources := []int{0, n - 1, n / 3, 0, 2 * n / 3}
+	batch, err := NewBatchWalkEngine(ppm.Graph, sources)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const haltAt, haltIdx = 4, 2
+	solo := make([]*WalkEngine, len(sources))
+	for i, s := range sources {
+		solo[i] = NewWalkEngine(ppm.Graph)
+		if err := solo[i].Reset(s); err != nil {
 			t.Fatal(err)
 		}
-		batch.SetFused(fused)
-		const haltAt, haltIdx = 4, 2
-		solo := make([]*WalkEngine, len(sources))
-		for i, s := range sources {
-			solo[i] = NewWalkEngine(ppm.Graph)
-			if err := solo[i].Reset(s); err != nil {
-				t.Fatal(err)
+	}
+	for step := 1; step <= 10; step++ {
+		batch.Step()
+		for i := range sources {
+			if !batch.Halted(i) {
+				solo[i].Step()
 			}
 		}
-		for step := 1; step <= 10; step++ {
-			batch.Step()
-			for i := range sources {
-				if !batch.Halted(i) {
-					solo[i].Step()
-				}
-			}
-			if step == haltAt {
-				batch.Halt(haltIdx)
-			}
-			for i := range sources {
-				got, want := batch.Dist(i), solo[i].Dist()
-				for v := range want {
-					if got[v] != want[v] {
-						t.Fatalf("fused=%v step %d walk %d vertex %d: batch %g solo %g",
-							fused, step, i, v, got[v], want[v])
-					}
+		if step == haltAt {
+			batch.Halt(haltIdx)
+		}
+		for i := range sources {
+			got, want := batch.Dist(i), solo[i].Dist()
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("step %d walk %d vertex %d: batch %g solo %g",
+						step, i, v, got[v], want[v])
 				}
 			}
 		}
-		if batch.Active() != len(sources)-1 {
-			t.Fatalf("fused=%v: Active()=%d want %d", fused, batch.Active(), len(sources)-1)
-		}
-		if batch.Engine(haltIdx).Steps() != haltAt {
-			t.Fatalf("fused=%v: halted walk took %d steps, want %d", fused, batch.Engine(haltIdx).Steps(), haltAt)
-		}
+	}
+	if batch.Active() != len(sources)-1 {
+		t.Fatalf("Active()=%d want %d", batch.Active(), len(sources)-1)
+	}
+	if batch.Engine(haltIdx).Steps() != haltAt {
+		t.Fatalf("halted walk took %d steps, want %d", batch.Engine(haltIdx).Steps(), haltAt)
 	}
 }
 
-// TestBatchWalkEngineReset: a reused batch engine — after halting, fusing,
-// and advancing walks — reloads to fresh point walks that evolve exactly
-// like a newly built engine's, including growing and shrinking the batch.
+// TestBatchWalkEngineReset: a reused batch engine — after halting and
+// advancing walks — reloads to fresh point walks that evolve exactly like a
+// newly built engine's, including growing and shrinking the batch.
 func TestBatchWalkEngineReset(t *testing.T) {
-	for _, fused := range []bool{false, true} {
-		ppm := randomPPM(t, 41)
-		n := ppm.Graph.NumVertices()
-		batch, err := NewBatchWalkEngine(ppm.Graph, []int{0, n / 2, n - 1})
+	ppm := randomPPM(t, 41)
+	n := ppm.Graph.NumVertices()
+	batch, err := NewBatchWalkEngine(ppm.Graph, []int{0, n / 2, n - 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 8; step++ {
+		batch.Step()
+	}
+	batch.Halt(1)
+	for _, sources := range [][]int{
+		{n - 1, 0, n / 3},               // same size
+		{n / 4, 3},                      // shrink
+		{0, 1, n / 2, n - 1, 2 * n / 3}, // grow
+	} {
+		if err := batch.Reset(sources); err != nil {
+			t.Fatal(err)
+		}
+		if batch.Active() != len(sources) {
+			t.Fatalf("Active()=%d after Reset, want %d", batch.Active(), len(sources))
+		}
+		fresh, err := NewBatchWalkEngine(ppm.Graph, sources)
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch.SetFused(fused)
-		for step := 0; step < 8; step++ {
+		for step := 0; step < 6; step++ {
 			batch.Step()
+			fresh.Step()
 		}
-		batch.Halt(1)
-		for _, sources := range [][]int{
-			{n - 1, 0, n / 3},               // same size
-			{n / 4, 3},                      // shrink
-			{0, 1, n / 2, n - 1, 2 * n / 3}, // grow
-		} {
-			if err := batch.Reset(sources); err != nil {
-				t.Fatal(err)
-			}
-			if batch.Active() != len(sources) {
-				t.Fatalf("fused=%v: Active()=%d after Reset, want %d", fused, batch.Active(), len(sources))
-			}
-			fresh, err := NewBatchWalkEngine(ppm.Graph, sources)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fresh.SetFused(fused)
-			for step := 0; step < 6; step++ {
-				batch.Step()
-				fresh.Step()
-			}
-			for i := range sources {
-				got, want := batch.Dist(i), fresh.Dist(i)
-				for v := range want {
-					if got[v] != want[v] {
-						t.Fatalf("fused=%v walk %d vertex %d: reused %g fresh %g",
-							fused, i, v, got[v], want[v])
-					}
+		for i := range sources {
+			got, want := batch.Dist(i), fresh.Dist(i)
+			for v := range want {
+				if got[v] != want[v] {
+					t.Fatalf("walk %d vertex %d: reused %g fresh %g", i, v, got[v], want[v])
 				}
 			}
 		}
-		if err := batch.Reset([]int{-1}); err == nil {
-			t.Fatal("Reset accepted an out-of-range source")
-		}
-		if err := batch.Reset([]int{5}); err != nil {
-			t.Fatalf("Reset after a failed Reset: %v", err)
-		}
+	}
+	if err := batch.Reset([]int{-1}); err == nil {
+		t.Fatal("Reset accepted an out-of-range source")
+	}
+	if err := batch.Reset([]int{5}); err != nil {
+		t.Fatalf("Reset after a failed Reset: %v", err)
 	}
 }
 
@@ -275,42 +267,6 @@ func TestBatchWalkEngineStepWalkConcurrent(t *testing.T) {
 			}(i)
 		}
 		wg.Wait()
-		for i := range sources {
-			solo[i].Step()
-			got, want := batch.Dist(i), solo[i].Dist()
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("step %d walk %d vertex %d: batch %g solo %g", step, i, v, got[v], want[v])
-				}
-			}
-		}
-	}
-}
-
-// TestBatchWalkEngineFusedToggleMidRun: turning fusion off mid-run
-// materialises the batched walks; the distributions keep matching solo
-// engines across the toggle.
-func TestBatchWalkEngineFusedToggleMidRun(t *testing.T) {
-	ppm := randomPPM(t, 29)
-	n := ppm.Graph.NumVertices()
-	sources := []int{1, n / 2}
-	batch, err := NewBatchWalkEngine(ppm.Graph, sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch.SetFused(true)
-	solo := make([]*WalkEngine, len(sources))
-	for i, s := range sources {
-		solo[i] = NewWalkEngine(ppm.Graph)
-		if err := solo[i].Reset(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for step := 1; step <= 12; step++ {
-		if step == 7 {
-			batch.SetFused(false)
-		}
-		batch.Step()
 		for i := range sources {
 			solo[i].Step()
 			got, want := batch.Dist(i), solo[i].Dist()

@@ -404,3 +404,51 @@ func TestDegreeIndexInvariants(t *testing.T) {
 		t.Fatalf("prefix[n]=%d, want volume %d", idx.prefix[n], g.Volume())
 	}
 }
+
+// TestDenseSweepMatchesReferenceProperty: the compact dense path (nil
+// support: exact support extraction + bitmap-ordered index walk) stays
+// bit-identical to the package-level dense reference across random graphs,
+// random dense-ish distributions and repeated sweeps on one reused sweeper.
+func TestDenseSweepMatchesReferenceProperty(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		ppm := sweepPPM(t, seed)
+		g := ppm.Graph
+		n := g.NumVertices()
+		sw := NewSweeper(g)
+		for round := 0; round < 3; round++ {
+			p := make(Dist, n)
+			// Mostly-full support with holes: the regime the dense sweep
+			// serves, including exact zeros it must skip.
+			for v := range p {
+				if r.Float64() < 0.9 {
+					p[v] = r.Float64()
+				}
+			}
+			minSize := 1 + r.Intn(6)
+			want, err := LargestMixingSetOpt(g, p, minSize, MixOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := sw.LargestMixingSet(p, nil, minSize, MixOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Sum != want.Sum || got.SizesChecked != want.SizesChecked ||
+				len(got.Vertices) != len(want.Vertices) {
+				t.Fatalf("dense sweep diverged: got {sum %v, checked %d, |S| %d}, want {sum %v, checked %d, |S| %d}",
+					got.Sum, got.SizesChecked, len(got.Vertices),
+					want.Sum, want.SizesChecked, len(want.Vertices))
+			}
+			for i, v := range want.Vertices {
+				if got.Vertices[i] != v {
+					t.Fatalf("dense sweep vertex %d: got %d want %d", i, got.Vertices[i], v)
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+		t.Fatal(err)
+	}
+}
