@@ -50,7 +50,11 @@ custom ns/step, ns/sweep and rounds/op, and allocs/op), and fails when:
     binary share codec's framing budget: total link bytes over total
     share words. The varint-delta + raw-float64 encoding costs ~9-10
     bytes per share word (JSON paid ~30); 12.0 is the ceiling that
-    catches framing bloat.
+    catches framing bloat, or
+  * BenchmarkClusterRound reports a coord-bytes/entry median above 12.0 —
+    the same budget for the binary advance codec on the driver<->shard
+    path: coordination bytes per routed walk-state entry (~9; JSON paid
+    ~36).
 
 Pass "-" as the base file to skip the regression comparison and run only
 the absolute gates. Benchmarks that exist only on one side are reported
@@ -114,10 +118,14 @@ PAIR_GATES = (
 WIRE_RATIO_BENCH = "BenchmarkClusterRound"
 WIRE_RATIO_MAX = 2.0
 
-# Absolute ceiling on the binary share codec's framing cost: total link
-# bytes per share word in the same benchmark. Also head-only.
-BYTES_WORD_UNIT = "bytes/word"
-BYTES_WORD_MAX = 12.0
+# Absolute ceilings on the binary round codec's framing cost in the same
+# benchmark, head-only: total link bytes per share word (shard<->shard
+# shares) and coordination bytes per routed walk-state entry (driver<->shard
+# advance, which shares the shares' layout).
+CODEC_CEILINGS = (
+    ("bytes/word", 12.0),
+    ("coord-bytes/entry", 12.0),
+)
 
 
 def load(path):
@@ -134,7 +142,7 @@ def load(path):
             for value, unit in zip(parts[1:], parts[2:]):
                 if (unit in NS_UNITS or unit == ALLOC_UNIT
                         or unit == BYTES_UNIT or unit == WIRE_RATIO_UNIT
-                        or unit == BYTES_WORD_UNIT):
+                        or unit in dict(CODEC_CEILINGS)):
                     try:
                         metrics[(name, unit)].append(float(value))
                     except ValueError:
@@ -230,18 +238,19 @@ def main():
         print("ClusterRound wire-ratio missing from head REGRESSION")
         failed.append(WIRE_RATIO_BENCH)
 
-    # Absolute gate: the binary share codec's framing cost per share word.
-    bw_key = (WIRE_RATIO_BENCH, BYTES_WORD_UNIT)
-    if bw_key in head:
-        bw = median(head[bw_key])
-        status = "ok" if bw <= BYTES_WORD_MAX else "REGRESSION"
-        print(f"{WIRE_RATIO_BENCH} [{BYTES_WORD_UNIT}]: {bw:,.2f} "
-              f"(want <= {BYTES_WORD_MAX:g}) {status}")
-        if bw > BYTES_WORD_MAX:
+    # Absolute gates: the binary round codec's framing cost per word.
+    for unit, ceiling in CODEC_CEILINGS:
+        key = (WIRE_RATIO_BENCH, unit)
+        if key in head:
+            value = median(head[key])
+            status = "ok" if value <= ceiling else "REGRESSION"
+            print(f"{WIRE_RATIO_BENCH} [{unit}]: {value:,.2f} "
+                  f"(want <= {ceiling:g}) {status}")
+            if value > ceiling:
+                failed.append(WIRE_RATIO_BENCH)
+        else:
+            print(f"ClusterRound {unit} missing from head REGRESSION")
             failed.append(WIRE_RATIO_BENCH)
-    else:
-        print("ClusterRound bytes/word missing from head REGRESSION")
-        failed.append(WIRE_RATIO_BENCH)
 
     # Relative gate: ns-valued regressions against the base ref.
     for key in sorted(head):

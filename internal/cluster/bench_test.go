@@ -15,7 +15,9 @@ import (
 // MaxLinkLoad for the identical placement. The ratio is the CI-gated
 // validation that the socket protocol never routes more than the simulated
 // per-edge messaging it replaces (bench_gate fails the run if the median
-// ratio exceeds 2.0; coalescing keeps it at or below 1.0 in practice).
+// ratio exceeds 2.0; coalescing keeps it at or below 1.0 in practice), plus
+// the two codecs' framing costs: bytes per share word on the shard links
+// and coordination bytes per routed advance entry on the driver path.
 func BenchmarkClusterRound(b *testing.B) {
 	g := clusterTestGraph(b)
 	const placementSeed = 42
@@ -68,4 +70,13 @@ func BenchmarkClusterRound(b *testing.B) {
 	// paid ~30. bench_gate fails the run if the median exceeds 12.
 	b.ReportMetric(float64(totalBytes)/float64(totalWords), "bytes/word")
 	b.ReportMetric(float64(maxWords)/float64(predicted.MaxLinkLoad), "wire-ratio")
+	// coord-bytes/entry is the same framing cost on the driver↔shard
+	// advance path: coordination bytes per routed walk-state entry. The
+	// binary advance codec shares the share codec's layout, so bench_gate
+	// holds it to the same ceiling of 12.
+	coord := driver.Metrics()
+	if coord.CoordWords() == 0 {
+		b.Fatal("no advance entries routed")
+	}
+	b.ReportMetric(float64(coord.CoordBytes())/float64(coord.CoordWords()), "coord-bytes/entry")
 }

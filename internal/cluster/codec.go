@@ -6,59 +6,81 @@ import (
 	"math"
 )
 
-// The binary share codec: the wire form of what one shard freezes for one
-// peer for one round — per walk, the shares p(v)·(1/d(v)) of its boundary
-// vertices toward that peer whose mass is non-zero. The puller counts the
-// encoded size as the measured wire load of that machine link for the
-// round. Layout, all integers unsigned LEB128 varints, floats
+// The binary round codec: the wire form of every per-round message — the
+// shares one shard freezes for one peer (shard → shard), the owned support
+// the driver routes to a shard (advance request), and the shard's
+// next-step support (advance reply). All three carry, per walk, sparse
+// (vertex, value) entries in ascending vertex order. Layout, integers
+// LEB128 varints (unsigned, except the reply's signed timings), floats
 // little-endian IEEE 754:
 //
-//	byte    0xC5            magic
+//	byte    magic           0xC5 shares, 0xC6 advance request, 0xC7 advance reply
 //	byte    0x01            version
 //	uvarint round
 //	uvarint walk count
 //	per walk:
 //	  uvarint entry count c
 //	  c × uvarint          vertex deltas: first = v₀, then vᵢ − vᵢ₋₁
-//	  c × 8 bytes          float64 bits of the shares, same order
+//	  c × 8 bytes          float64 bits of the values, same order
+//	reply only:
+//	  3 × varint           freeze, pull and gather nanoseconds
 //
-// Delta coding leans on an invariant the freeze path already guarantees:
-// shares are emitted in the boundary list's order, which is ascending by
-// vertex id, so every delta after the first is ≥ 1 and small — typically
-// one or two bytes against the 8-byte float it labels. The float bits
-// cross the wire verbatim, so the codec is numerically exact and the
-// bit-identity contract of congest.FloodTransport survives.
+// Delta coding leans on an invariant every sender guarantees: entries are
+// emitted in ascending vertex order (boundary lists, owned lists and
+// support scans all ascend), so every delta after the first is ≥ 1 and
+// small — typically one or two bytes against the 8-byte float it labels.
+// The float bits cross the wire verbatim, so the codec is numerically exact
+// and the bit-identity contract of congest.FloodTransport survives. The
+// puller of a shares payload counts its encoded size as the measured wire
+// load of that machine link for the round.
 const (
-	shareMagic   = 0xC5
-	shareVersion = 0x01
+	shareMagic        = 0xC5
+	advanceMagic      = 0xC6
+	advanceReplyMagic = 0xC7
+	codecVersion      = 0x01
 
-	// shareContentType names the codec on the wire; the version is part of
+	// The content types name the codec on the wire; the version is part of
 	// the name so a future layout change is a new content type, not a parse
-	// ambiguity.
-	shareContentType = "application/x-cdrw-shares-v1"
+	// ambiguity. Advance requests and replies share one, told apart by
+	// their magic.
+	shareContentType   = "application/x-cdrw-shares-v1"
+	advanceContentType = "application/x-cdrw-advance-v1"
 )
 
-// encodeShares encodes one round's per-walk share entries. Entries within a
-// walk must be in strictly ascending vertex order (the freeze invariant);
-// violations are reported rather than silently mis-encoded.
-func encodeShares(round int, shares [][]entry) ([]byte, error) {
-	size := 2 + binary.MaxVarintLen64*2
-	for _, walk := range shares {
+// codecName names a message class in errors.
+func codecName(magic byte) string {
+	switch magic {
+	case shareMagic:
+		return "shares"
+	case advanceMagic:
+		return "advance"
+	default:
+		return "advance reply"
+	}
+}
+
+// encodeRound encodes one round's per-walk entries under magic, followed by
+// the trailer values as signed varints. Entries within a walk must be in
+// strictly ascending vertex order; violations are reported rather than
+// silently mis-encoded.
+func encodeRound(magic byte, round int, walks [][]entry, trailer ...int64) ([]byte, error) {
+	size := 2 + binary.MaxVarintLen64*(2+len(trailer))
+	for _, walk := range walks {
 		size += binary.MaxVarintLen64 + len(walk)*(binary.MaxVarintLen32+8)
 	}
 	buf := make([]byte, 2, size)
-	buf[0], buf[1] = shareMagic, shareVersion
+	buf[0], buf[1] = magic, codecVersion
 	buf = binary.AppendUvarint(buf, uint64(round))
-	buf = binary.AppendUvarint(buf, uint64(len(shares)))
-	for w, walk := range shares {
+	buf = binary.AppendUvarint(buf, uint64(len(walks)))
+	for w, walk := range walks {
 		buf = binary.AppendUvarint(buf, uint64(len(walk)))
 		prev := int32(0)
 		for i, e := range walk {
 			if i > 0 && e.V <= prev {
-				return nil, fmt.Errorf("%w: encode shares: walk %d entry %d: vertex %d after %d breaks ascending order", errCluster, w, i, e.V, prev)
+				return nil, fmt.Errorf("%w: encode %s: walk %d entry %d: vertex %d after %d breaks ascending order", errCluster, codecName(magic), w, i, e.V, prev)
 			}
 			if e.V < 0 {
-				return nil, fmt.Errorf("%w: encode shares: walk %d entry %d: negative vertex %d", errCluster, w, i, e.V)
+				return nil, fmt.Errorf("%w: encode %s: walk %d entry %d: negative vertex %d", errCluster, codecName(magic), w, i, e.V)
 			}
 			buf = binary.AppendUvarint(buf, uint64(e.V-prev))
 			prev = e.V
@@ -67,77 +89,124 @@ func encodeShares(round int, shares [][]entry) ([]byte, error) {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(e.S))
 		}
 	}
+	for _, v := range trailer {
+		buf = binary.AppendVarint(buf, v)
+	}
 	return buf, nil
 }
 
-// decodeShares parses an encodeShares payload. Every count is validated
-// against the bytes actually present before it sizes an allocation, so a
-// truncated or hostile payload errors instead of over-allocating.
-func decodeShares(b []byte) (round int, shares [][]entry, err error) {
-	if len(b) < 2 || b[0] != shareMagic {
-		return 0, nil, fmt.Errorf("%w: decode shares: not a share payload", errCluster)
+// decodeRound parses an encodeRound payload of the given magic, storing its
+// trailer values through trailer; any other trailing byte is an error.
+// Every count is validated against the bytes actually present before it
+// sizes an allocation, so a truncated or hostile payload errors instead of
+// over-allocating.
+func decodeRound(magic byte, b []byte, trailer ...*int64) (round int, walks [][]entry, err error) {
+	name := codecName(magic)
+	if len(b) < 2 || b[0] != magic {
+		return 0, nil, fmt.Errorf("%w: decode %s: not a %s payload", errCluster, name, name)
 	}
-	if b[1] != shareVersion {
-		return 0, nil, fmt.Errorf("%w: decode shares: unsupported codec version %d", errCluster, b[1])
+	if b[1] != codecVersion {
+		return 0, nil, fmt.Errorf("%w: decode %s: unsupported codec version %d", errCluster, name, b[1])
 	}
 	b = b[2:]
 	r, b, err := readUvarint(b)
 	if err != nil {
-		return 0, nil, fmt.Errorf("%w: decode shares: round: %v", errCluster, err)
+		return 0, nil, fmt.Errorf("%w: decode %s: round: %v", errCluster, name, err)
 	}
-	walks, b, err := readUvarint(b)
+	if r > math.MaxInt32 {
+		return 0, nil, fmt.Errorf("%w: decode %s: round %d overflows", errCluster, name, r)
+	}
+	count, b, err := readUvarint(b)
 	if err != nil {
-		return 0, nil, fmt.Errorf("%w: decode shares: walk count: %v", errCluster, err)
+		return 0, nil, fmt.Errorf("%w: decode %s: walk count: %v", errCluster, name, err)
 	}
 	// Each walk needs at least one count byte; each entry at least one
 	// delta byte plus eight float bytes.
-	if walks > uint64(len(b)) {
-		return 0, nil, fmt.Errorf("%w: decode shares: %d walks in %d bytes", errCluster, walks, len(b))
+	if count > uint64(len(b)) {
+		return 0, nil, fmt.Errorf("%w: decode %s: %d walks in %d bytes", errCluster, name, count, len(b))
 	}
-	shares = make([][]entry, walks)
-	for w := range shares {
-		var count uint64
-		count, b, err = readUvarint(b)
+	walks = make([][]entry, count)
+	for w := range walks {
+		var c uint64
+		c, b, err = readUvarint(b)
 		if err != nil {
-			return 0, nil, fmt.Errorf("%w: decode shares: walk %d count: %v", errCluster, w, err)
+			return 0, nil, fmt.Errorf("%w: decode %s: walk %d count: %v", errCluster, name, w, err)
 		}
-		if count > uint64(len(b))/9 {
-			return 0, nil, fmt.Errorf("%w: decode shares: walk %d: %d entries in %d bytes", errCluster, w, count, len(b))
+		if c > uint64(len(b))/9 {
+			return 0, nil, fmt.Errorf("%w: decode %s: walk %d: %d entries in %d bytes", errCluster, name, w, c, len(b))
 		}
-		if count == 0 {
+		if c == 0 {
 			continue
 		}
-		walk := make([]entry, count)
+		walk := make([]entry, c)
 		prev := int32(0)
 		for i := range walk {
 			var delta uint64
 			delta, b, err = readUvarint(b)
 			if err != nil {
-				return 0, nil, fmt.Errorf("%w: decode shares: walk %d entry %d: %v", errCluster, w, i, err)
+				return 0, nil, fmt.Errorf("%w: decode %s: walk %d entry %d: %v", errCluster, name, w, i, err)
 			}
-			v := int64(prev) + int64(delta)
-			if v > math.MaxInt32 {
-				return 0, nil, fmt.Errorf("%w: decode shares: walk %d entry %d: vertex %d overflows", errCluster, w, i, v)
+			if delta > math.MaxInt32-uint64(prev) {
+				return 0, nil, fmt.Errorf("%w: decode %s: walk %d entry %d: vertex overflows", errCluster, name, w, i)
 			}
 			if i > 0 && delta == 0 {
-				return 0, nil, fmt.Errorf("%w: decode shares: walk %d entry %d: zero delta", errCluster, w, i)
+				return 0, nil, fmt.Errorf("%w: decode %s: walk %d entry %d: zero delta", errCluster, name, w, i)
 			}
-			walk[i].V = int32(v)
-			prev = int32(v)
+			prev += int32(delta)
+			walk[i].V = prev
 		}
 		if len(b) < 8*len(walk) {
-			return 0, nil, fmt.Errorf("%w: decode shares: walk %d: truncated floats", errCluster, w)
+			return 0, nil, fmt.Errorf("%w: decode %s: walk %d: truncated floats", errCluster, name, w)
 		}
 		for i := range walk {
 			walk[i].S = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 		}
 		b = b[8*len(walk):]
-		shares[w] = walk
+		walks[w] = walk
+	}
+	for _, v := range trailer {
+		var n int
+		if *v, n = binary.Varint(b); n <= 0 {
+			return 0, nil, fmt.Errorf("%w: decode %s: truncated trailer", errCluster, name)
+		}
+		b = b[n:]
 	}
 	if len(b) != 0 {
-		return 0, nil, fmt.Errorf("%w: decode shares: %d trailing bytes", errCluster, len(b))
+		return 0, nil, fmt.Errorf("%w: decode %s: %d trailing bytes", errCluster, name, len(b))
 	}
-	return int(r), shares, nil
+	return int(r), walks, nil
+}
+
+// encodeShares encodes one round's frozen per-walk shares for one peer.
+func encodeShares(round int, shares [][]entry) ([]byte, error) {
+	return encodeRound(shareMagic, round, shares)
+}
+
+// decodeShares parses an encodeShares payload.
+func decodeShares(b []byte) (round int, shares [][]entry, err error) {
+	return decodeRound(shareMagic, b)
+}
+
+// encode encodes the advance request.
+func (r advanceRequest) encode() ([]byte, error) {
+	return encodeRound(advanceMagic, r.Round, r.Support)
+}
+
+// decodeAdvance parses an advance request payload.
+func decodeAdvance(b []byte) (req advanceRequest, err error) {
+	req.Round, req.Support, err = decodeRound(advanceMagic, b)
+	return req, err
+}
+
+// encode encodes the advance reply, its timings as the trailer.
+func (r advanceResponse) encode() ([]byte, error) {
+	return encodeRound(advanceReplyMagic, r.Round, r.Support, r.T.FreezeNS, r.T.PullNS, r.T.GatherNS)
+}
+
+// decodeAdvanceReply parses an advance reply payload.
+func decodeAdvanceReply(b []byte) (resp advanceResponse, err error) {
+	resp.Round, resp.Support, err = decodeRound(advanceReplyMagic, b, &resp.T.FreezeNS, &resp.T.PullNS, &resp.T.GatherNS)
+	return resp, err
 }
 
 // readUvarint is binary.Uvarint with explicit error reporting.

@@ -133,7 +133,7 @@ func TestCodecRejectsMalformed(t *testing.T) {
 	}
 	// A tiny payload claiming 2^40 entries must fail the bounds check, not
 	// attempt the allocation.
-	huge := []byte{shareMagic, shareVersion, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
+	huge := []byte{shareMagic, codecVersion, 1, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x7F}
 	if _, _, err := decodeShares(huge); err == nil {
 		t.Fatal("inflated entry count accepted")
 	}

@@ -90,6 +90,7 @@ func (n *Node) newDriver(ctx context.Context, name string, opts []core.Option) (
 		Vertices:      g.NumVertices(),
 		Edges:         g.NumEdges(),
 		PlacementSeed: n.cfg.PlacementSeed,
+		Walks:         max(settings.CongestBatch, 1),
 	}
 	dctx, dcancel := context.WithCancelCause(ctx)
 	stopHB := make(chan struct{})
@@ -121,9 +122,9 @@ func (n *Node) newDriver(ctx context.Context, name string, opts []core.Option) (
 		} else {
 			var coord int64
 			cctx, ccancel := context.WithTimeout(ctx, n.peerTimeout)
-			err := n.postJSON(cctx, peer+"/cluster/sessions", sreq, nil, &coord)
+			_, err := n.postJSON(cctx, peer+"/cluster/sessions", sreq, nil, &coord)
 			ccancel()
-			n.metrics.addCoord(coord)
+			n.metrics.addCoord(coord, 0)
 			if err != nil {
 				cleanup()
 				return nil, nil, settings, nil, true, &PeerError{Peer: peer, Err: err}
@@ -225,9 +226,9 @@ func (n *Node) sessionHeartbeat(dctx context.Context, stop <-chan struct{}, peer
 		}
 		hctx, cancel := context.WithTimeout(context.Background(), n.peerTimeout)
 		var coord int64
-		status, err := n.post(hctx, peer+"/cluster/sessions/"+sid+"/heartbeat", heartbeatRequest{Session: sid}, nil, &coord)
+		status, err := n.postJSON(hctx, peer+"/cluster/sessions/"+sid+"/heartbeat", heartbeatRequest{Session: sid}, nil, &coord)
 		cancel()
-		n.metrics.addCoord(coord)
+		n.metrics.addCoord(coord, 0)
 		if err == nil {
 			miss = 0
 			continue

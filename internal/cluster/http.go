@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
@@ -18,7 +19,7 @@ import (
 //	GET    /cluster/info                          membership view
 //	POST   /cluster/sessions                      create a detection session
 //	DELETE /cluster/sessions/{sid}                drop a session
-//	POST   /cluster/sessions/{sid}/advance        drive one flood round
+//	POST   /cluster/sessions/{sid}/advance        drive one flood round (binary codec)
 //	POST   /cluster/sessions/{sid}/heartbeat      driver liveness beat
 //	GET    /cluster/sessions/{sid}/shares         pull frozen boundary shares
 func (n *Node) Handler() http.Handler {
@@ -33,17 +34,24 @@ func (n *Node) Handler() http.Handler {
 	return mux
 }
 
+// maxControlBody bounds the JSON control bodies (join, session): a member
+// list and a few scalars, far below this.
+const maxControlBody = 64 << 10
+
 // clusterError maps a protocol failure to a status: 503 for unsettled
-// membership, 400 for requests malformed in themselves (bodies, params),
-// 502 for a dead peer observed downstream, and 409 for genuine
-// round-protocol conflicts (unknown sessions, out-of-order rounds,
-// mismatched graphs) — the classes a driver treats differently.
+// membership, 413 for a body over its bound, 400 for requests malformed in
+// themselves (bodies, params), 502 for a dead peer observed downstream, and
+// 409 for genuine round-protocol conflicts (unknown sessions, out-of-order
+// rounds, mismatched graphs) — the classes a driver treats differently.
 func clusterError(w http.ResponseWriter, err error) {
 	status := http.StatusInternalServerError
 	var pe *PeerError
+	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.Is(err, serve.ErrClusterNotReady):
 		status = http.StatusServiceUnavailable
+	case errors.As(err, &tooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, errBadRequest):
 		status = http.StatusBadRequest
 	case errors.As(err, &pe):
@@ -56,10 +64,19 @@ func clusterError(w http.ResponseWriter, err error) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
 }
 
+// decodeControl decodes a JSON control body read through a maxControlBody
+// bound; an oversized body keeps its *http.MaxBytesError for the 413.
+func decodeControl(w http.ResponseWriter, r *http.Request, what string, v any) error {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxControlBody)).Decode(v); err != nil {
+		return fmt.Errorf("%w: bad %s body: %w", errBadRequest, what, err)
+	}
+	return nil
+}
+
 func (n *Node) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		clusterError(w, fmt.Errorf("%w: bad join body: %v", errBadRequest, err))
+	if err := decodeControl(w, r, "join", &req); err != nil {
+		clusterError(w, err)
 		return
 	}
 	n.merge(append(req.Members, req.Advertise))
@@ -73,8 +90,8 @@ func (n *Node) handleInfo(w http.ResponseWriter, r *http.Request) {
 
 func (n *Node) handleCreateSession(w http.ResponseWriter, r *http.Request) {
 	var req sessionRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		clusterError(w, fmt.Errorf("%w: bad session body: %v", errBadRequest, err))
+	if err := decodeControl(w, r, "session", &req); err != nil {
+		clusterError(w, err)
 		return
 	}
 	if err := n.createSession(req); err != nil {
@@ -95,8 +112,15 @@ func (n *Node) handleAdvance(w http.ResponseWriter, r *http.Request) {
 		clusterError(w, err)
 		return
 	}
-	var req advanceRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	// The body is bounded before it is read: a session's advance carries at
+	// most its walk count of owned-vertex supports.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.maxAdvanceBytes()))
+	if err != nil {
+		clusterError(w, fmt.Errorf("%w: bad advance body: %w", errBadRequest, err))
+		return
+	}
+	req, err := decodeAdvance(body)
+	if err != nil {
 		clusterError(w, fmt.Errorf("%w: bad advance body: %v", errBadRequest, err))
 		return
 	}
@@ -107,11 +131,17 @@ func (n *Node) handleAdvance(w http.ResponseWriter, r *http.Request) {
 	}
 	// The driver stamps traced detections with its request id; logging it
 	// here ties this shard's round work to the driver's trace.
-	if id := r.Header.Get("X-Request-Id"); id != "" && resp.T != nil {
+	if id := r.Header.Get("X-Request-Id"); id != "" {
 		slog.Debug("cluster round advanced", "request_id", id, "session", s.id,
 			"round", req.Round, "freeze_ns", resp.T.FreezeNS, "pull_ns", resp.T.PullNS, "gather_ns", resp.T.GatherNS)
 	}
-	writeJSON(w, resp)
+	payload, err := resp.encode()
+	if err != nil {
+		clusterError(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", advanceContentType)
+	_, _ = w.Write(payload)
 }
 
 // handleHeartbeat records driver liveness for one session. A 200 means the

@@ -28,6 +28,7 @@ type WireMetrics struct {
 	pulls      int64
 	rounds     int64
 	coordBytes int64
+	coordWords int64 // walk-state entries routed in advance requests and replies
 	evictions  int64 // members evicted after missed heartbeats
 	reaped     int64 // sessions dropped for a silent driver
 	retries    int64 // share-pull attempts retried after transient failures
@@ -88,9 +89,11 @@ func (m *WireMetrics) addRounds(n int64) {
 // session control) — deliberately separate from the link counters: in the
 // k-machine model the walk state lives on the machines, and only the
 // shard↔shard share exchange is the traffic the Conversion Theorem bounds.
-func (m *WireMetrics) addCoord(bytes int64) {
+// words counts the walk-state entries the bytes routed (0 for control).
+func (m *WireMetrics) addCoord(bytes, words int64) {
 	m.mu.Lock()
 	m.coordBytes += bytes
+	m.coordWords += words
 	m.mu.Unlock()
 }
 
@@ -158,6 +161,22 @@ func (m *WireMetrics) TotalLinkWords() int64 {
 		sum += w
 	}
 	return sum
+}
+
+// CoordBytes returns the driver↔shard coordination bytes sent and received.
+func (m *WireMetrics) CoordBytes() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.coordBytes
+}
+
+// CoordWords returns the walk-state entries routed in advance requests and
+// replies; the CoordBytes/CoordWords quotient is the advance codec's
+// framing cost (control messages add a few hundred bytes per detection).
+func (m *WireMetrics) CoordWords() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.coordWords
 }
 
 // Rounds returns the flood rounds driven through this node.

@@ -344,7 +344,7 @@ func (n *Node) gossip() {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), n.peerTimeout)
 		var resp joinResponse
-		err := n.postJSON(ctx, peer+"/cluster/join", req, &resp, nil)
+		_, err := n.postJSON(ctx, peer+"/cluster/join", req, &resp, nil)
 		cancel()
 		if err != nil {
 			continue // unreachable peers retry next tick
@@ -489,7 +489,7 @@ func (n *Node) createSession(req sessionRequest) error {
 	if err != nil {
 		return fmt.Errorf("%w: session %s: %v", errCluster, req.Session, err)
 	}
-	s := newSession(n, req.Session, g, store, ranks, self)
+	s := newSession(n, req.Session, g, store, ranks, self, req.Walks)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, dup := n.sessions[req.Session]; dup {
@@ -586,27 +586,36 @@ func (n *Node) pullSharesOnce(ctx context.Context, peer, sid string, round, self
 	return shares, false, nil
 }
 
-// postJSON posts v to url and decodes the response into out (which may be
-// nil). When wire is non-nil it receives the request+response body sizes —
-// the driver's coordination-byte accounting.
-func (n *Node) postJSON(ctx context.Context, url string, v, out any, wire *int64) error {
-	_, err := n.post(ctx, url, v, out, wire)
-	return err
-}
-
-// post is postJSON exposing the response status: 0 means the request never
+// postJSON posts v as JSON to url and decodes the response into out (which
+// may be nil), returning the response status: 0 means the request never
 // completed (transport-level failure), so callers like the heartbeat loop
-// can distinguish a dead peer from a live peer rejecting the request.
-func (n *Node) post(ctx context.Context, url string, v, out any, wire *int64) (int, error) {
+// can distinguish a dead peer from a live peer rejecting the request. When
+// wire is non-nil it receives the request+response body sizes — the
+// driver's coordination-byte accounting.
+func (n *Node) postJSON(ctx context.Context, url string, v, out any, wire *int64) (int, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", errCluster, err)
 	}
+	status, respBody, err := n.post(ctx, url, "application/json", body, wire)
+	if err != nil || out == nil {
+		return status, err
+	}
+	if err := json.Unmarshal(respBody, out); err != nil {
+		return status, fmt.Errorf("%w: post %s: decode response: %v", errCluster, url, err)
+	}
+	return status, nil
+}
+
+// post sends body to url and returns the response status and body; a
+// non-200 answer is an error carrying the status. wire, when non-nil,
+// receives the request+response body sizes.
+func (n *Node) post(ctx context.Context, url, contentType string, body []byte, wire *int64) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", errCluster, err)
+		return 0, nil, fmt.Errorf("%w: %v", errCluster, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	// Propagate the request trace across the cluster: every peer POST of a
 	// traced detection carries the driver's request id, so shard logs and
 	// the driver's trace stitch into one story.
@@ -615,25 +624,20 @@ func (n *Node) post(ctx context.Context, url string, v, out any, wire *int64) (i
 	}
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return 0, fmt.Errorf("%w: post %s: %v", errCluster, url, err)
+		return 0, nil, fmt.Errorf("%w: post %s: %v", errCluster, url, err)
 	}
 	defer resp.Body.Close()
 	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
 	if err != nil {
-		return 0, fmt.Errorf("%w: post %s: %v", errCluster, url, err)
+		return 0, nil, fmt.Errorf("%w: post %s: %v", errCluster, url, err)
 	}
 	if wire != nil {
 		*wire += int64(len(body) + len(respBody))
 	}
 	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, fmt.Errorf("%w: post %s: %s: %s", errCluster, url, resp.Status, firstLine(respBody))
+		return resp.StatusCode, nil, fmt.Errorf("%w: post %s: %s: %s", errCluster, url, resp.Status, firstLine(respBody))
 	}
-	if out != nil {
-		if err := json.Unmarshal(respBody, out); err != nil {
-			return resp.StatusCode, fmt.Errorf("%w: post %s: decode response: %v", errCluster, url, err)
-		}
-	}
-	return resp.StatusCode, nil
+	return resp.StatusCode, respBody, nil
 }
 
 func firstLine(b []byte) string {

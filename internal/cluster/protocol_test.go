@@ -1,13 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestClusterErrorStatusClasses pins the 400/409 split on the shard
@@ -97,11 +100,16 @@ func TestClusterErrorStatusClasses(t *testing.T) {
 			return get(base + "/cluster/sessions/ghost/shares?round=1&to=0")
 		}, http.StatusConflict},
 		{"out-of-order round", func() int {
-			s, err := postStatus(t, base+"/cluster/sessions/ec/advance", `{"round":7,"support":[]}`)
+			payload, err := advanceRequest{Round: 7, Support: [][]entry{nil}}.encode()
 			if err != nil {
 				t.Fatal(err)
 			}
-			return s
+			resp, err := http.Post(base+"/cluster/sessions/ec/advance", advanceContentType, bytes.NewReader(payload))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			return resp.StatusCode
 		}, http.StatusConflict},
 		{"heartbeat on live session", func() int {
 			s, err := postStatus(t, base+"/cluster/sessions/ec/heartbeat", `{"session":"ec"}`)
@@ -208,5 +216,83 @@ func TestClusterSharesNegotiation(t *testing.T) {
 	}
 	if !reflect.DeepEqual(binShares, want) {
 		t.Fatal("binary pull returned different share data from what shard 0 froze")
+	}
+}
+
+// endlessReader yields zero bytes forever: a request body no bound can
+// finish reading.
+type endlessReader struct{}
+
+func (endlessReader) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestClusterOversizedBodiesRefused pins the body bounds of the shard
+// protocol surface: an advance body one byte over its session's bound
+// (walk count × owned-vertex entries) and a control body over the constant
+// bound both answer 413, and an endless advance body is refused after the
+// bound is read rather than streamed to exhaustion.
+func TestClusterOversizedBodiesRefused(t *testing.T) {
+	g := clusterTestGraph(t)
+	tc := startCluster(t, 2, 1)
+	tc.register(t, "ppm", g)
+	base := tc.urls[0]
+	node := tc.nodes[0]
+
+	ranks, _, err := node.roster()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sreq := sessionRequest{
+		Session: "big", Graph: "ppm", Members: ranks,
+		Vertices: g.NumVertices(), Edges: g.NumEdges(), PlacementSeed: 1, Walks: 2,
+	}
+	if err := node.createSession(sreq); err != nil {
+		t.Fatal(err)
+	}
+	defer node.dropSession("big")
+	s, err := node.session("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := s.maxAdvanceBytes()
+	if bound <= 0 || bound > 1<<20 {
+		t.Fatalf("advance bound %d bytes for %d owned vertices and 2 walks", bound, len(s.store.owned))
+	}
+
+	post := func(url, contentType string, body io.Reader) int {
+		t.Helper()
+		resp, err := http.Post(url, contentType, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	advance := base + "/cluster/sessions/big/advance"
+	if got := post(advance, advanceContentType, bytes.NewReader(make([]byte, bound+1))); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("advance body of bound+1 bytes: status %d, want 413", got)
+	}
+	start := time.Now()
+	if got := post(advance, advanceContentType, endlessReader{}); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("endless advance body: status %d, want 413", got)
+	}
+	if took := time.Since(start); took > 5*time.Second {
+		t.Errorf("endless advance body took %v to refuse", took)
+	}
+	huge := `{"session":"` + strings.Repeat("s", maxControlBody) + `"}`
+	if got := post(base+"/cluster/sessions", "application/json", strings.NewReader(huge)); got != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized session body: status %d, want 413", got)
+	}
+	// A payload within the bound but claiming more walks than the session
+	// allows is malformed, not oversized.
+	payload, err := advanceRequest{Round: 1, Support: make([][]entry, 3)}.encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := post(advance, advanceContentType, bytes.NewReader(payload)); got != http.StatusBadRequest {
+		t.Errorf("advance with 3 walks on a 2-walk session: status %d, want 400", got)
 	}
 }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -32,6 +33,7 @@ type session struct {
 	store *Store
 	peers []string // rank-ordered advertise URLs
 	self  int
+	walks int // most walks one advance may carry
 
 	lastBeat atomic.Int64 // unix nanos of the last heartbeat or advance
 
@@ -54,7 +56,7 @@ type session struct {
 	mark  []int32
 }
 
-func newSession(node *Node, id string, g *graph.Graph, store *Store, peers []string, self int) *session {
+func newSession(node *Node, id string, g *graph.Graph, store *Store, peers []string, self, walks int) *session {
 	n := g.NumVertices()
 	s := &session{
 		node:    node,
@@ -63,6 +65,7 @@ func newSession(node *Node, id string, g *graph.Graph, store *Store, peers []str
 		store:   store,
 		peers:   peers,
 		self:    self,
+		walks:   max(walks, 1),
 		frozen:  make([][][]entry, len(peers)),
 		frozenC: make(chan struct{}),
 		closed:  make(chan struct{}),
@@ -85,6 +88,14 @@ func (s *session) idle() time.Duration {
 // immediately with a cluster error. Idempotent.
 func (s *session) close() { s.closeOnce.Do(func() { close(s.closed) }) }
 
+// maxAdvanceBytes bounds an advance request body: the codec header plus,
+// for each of the session's walks, an entry count and one entry — a vertex
+// delta of at most five bytes and eight float bytes — per owned vertex.
+func (s *session) maxAdvanceBytes() int64 {
+	perWalk := binary.MaxVarintLen64 + len(s.store.owned)*(binary.MaxVarintLen32+8)
+	return int64(2 + 2*binary.MaxVarintLen64 + s.walks*perWalk)
+}
+
 // advance executes one flood round for this shard: freeze outgoing boundary
 // shares, pull the ghost shares this shard's owned vertices read, then
 // gather next-step mass for every owned vertex in CSR neighbour order —
@@ -98,6 +109,9 @@ func (s *session) advance(ctx context.Context, req advanceRequest) (advanceRespo
 	default:
 	}
 	s.touch()
+	if len(req.Support) > s.walks {
+		return advanceResponse{}, fmt.Errorf("%w: session %s: advance carries %d walks, session allows %d", errBadRequest, s.id, len(req.Support), s.walks)
+	}
 	if req.Round != s.round+1 {
 		return advanceResponse{}, fmt.Errorf("%w: session %s: advance round %d after round %d", errCluster, s.id, req.Round, s.round)
 	}
@@ -195,7 +209,7 @@ func (s *session) advance(ctx context.Context, req advanceRequest) (advanceRespo
 	freeze, pull := frozenAt.Sub(start), pulledAt.Sub(frozenAt)
 	gather := time.Since(pulledAt)
 	s.node.metrics.observeRoundStages(freeze, pull, gather)
-	resp.T = &advanceTiming{
+	resp.T = advanceTiming{
 		FreezeNS: freeze.Nanoseconds(),
 		PullNS:   pull.Nanoseconds(),
 		GatherNS: gather.Nanoseconds(),

@@ -82,11 +82,18 @@ func (t *roundTransport) Flood(ctx context.Context, frames []congest.FloodFrame)
 			// An advance nests a freeze wait and a peer pull on the remote
 			// side, each bounded by PeerTimeout; 3× covers both plus the
 			// gather, so a hung shard cannot wedge the driver's round.
-			actx, cancel := context.WithTimeout(ctx, 3*t.node.peerTimeout)
-			var coord int64
-			err := t.node.postJSON(actx, t.peers[m]+"/cluster/sessions/"+t.sid+"/advance", reqs[m], &resps[m], &coord)
-			cancel()
-			t.node.metrics.addCoord(coord)
+			payload, err := reqs[m].encode()
+			if err == nil {
+				actx, cancel := context.WithTimeout(ctx, 3*t.node.peerTimeout)
+				var coord int64
+				var body []byte
+				_, body, err = t.node.post(actx, t.peers[m]+"/cluster/sessions/"+t.sid+"/advance", advanceContentType, payload, &coord)
+				cancel()
+				if err == nil {
+					resps[m], err = decodeAdvanceReply(body)
+				}
+				t.node.metrics.addCoord(coord, entries(reqs[m].Support)+entries(resps[m].Support))
+			}
 			if err != nil {
 				var pe *PeerError
 				if !errors.As(err, &pe) {
@@ -121,7 +128,7 @@ func (t *roundTransport) Flood(ctx context.Context, frames []congest.FloodFrame)
 				next[e.V] = e.S
 			}
 		}
-		if resp.T != nil && t.stats != nil {
+		if t.stats != nil {
 			t.stats[m].freezeNS += resp.T.FreezeNS
 			t.stats[m].pullNS += resp.T.PullNS
 			t.stats[m].gatherNS += resp.T.GatherNS
@@ -130,4 +137,13 @@ func (t *roundTransport) Flood(ctx context.Context, frames []congest.FloodFrame)
 	}
 	t.node.metrics.addRounds(1)
 	return nil
+}
+
+// entries counts the entries of a per-walk support.
+func entries(walks [][]entry) int64 {
+	var n int64
+	for _, w := range walks {
+		n += int64(len(w))
+	}
+	return n
 }

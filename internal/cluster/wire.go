@@ -1,17 +1,16 @@
 package cluster
 
-// The shard-to-shard control protocol is plain JSON over HTTP; the
-// shares pull between shards travels in the compact binary codec
-// (codec.go). Probability values are numerically exact on both paths: JSON
-// marshals a float64 as the shortest decimal that round-trips to the same
-// bits, and the binary codec carries the bits verbatim, so the
+// The control protocol (membership, sessions, heartbeats) is plain JSON
+// over HTTP. Every per-round message — the driver↔shard advance and the
+// shard↔shard shares pull — travels in the compact binary round codec
+// (codec.go), which carries probability values' bits verbatim, so the
 // bit-identity contract of congest.FloodTransport survives the wire.
 
 // entry is one sparse (vertex, value) pair — a walk-state support entry on
 // the driver↔shard path, a frozen share on the shard↔shard path.
 type entry struct {
-	V int32   `json:"v"`
-	S float64 `json:"s"`
+	V int32
+	S float64
 }
 
 // joinRequest is one gossip step of the coordinator-free membership
@@ -29,7 +28,10 @@ type joinResponse struct {
 
 // sessionRequest creates one detection session on a shard. Vertices/Edges
 // pin that every shard holds the same replicated graph; Members pins that
-// every shard numbers ranks identically before any walk state moves.
+// every shard numbers ranks identically before any walk state moves. Walks
+// is the most walks one advance of the session carries (the driver's batch
+// size; values below 1 mean 1): with the shard's owned-vertex count it
+// bounds the advance body.
 type sessionRequest struct {
 	Session       string   `json:"session"`
 	Graph         string   `json:"graph"`
@@ -37,34 +39,33 @@ type sessionRequest struct {
 	Vertices      int      `json:"vertices"`
 	Edges         int      `json:"edges"`
 	PlacementSeed uint64   `json:"placement_seed"`
+	Walks         int      `json:"walks"`
 }
 
 // advanceRequest drives one flood round on a shard: Support[w] is the sparse
-// current distribution of walk w restricted to the shard's owned vertices.
-// Rounds are numbered from 1 and must arrive in order.
+// current distribution of walk w restricted to the shard's owned vertices,
+// ascending. Rounds are numbered from 1 and must arrive in order.
 type advanceRequest struct {
-	Round   int       `json:"round"`
-	Support [][]entry `json:"support"`
+	Round   int
+	Support [][]entry
 }
 
 // advanceTiming reports where one advance spent its time on the shard, in
 // nanoseconds: freezing outgoing boundary shares, pulling ghost shares
 // from peers, and gathering next-step mass. The driver folds these into
-// the request trace's per-shard spans. Optional and compatible both ways:
-// a shard that omits it leaves the driver's spans empty, a driver that
-// ignores it costs nothing.
+// the request trace's per-shard spans.
 type advanceTiming struct {
-	FreezeNS int64 `json:"freeze_ns"`
-	PullNS   int64 `json:"pull_ns"`
-	GatherNS int64 `json:"gather_ns"`
+	FreezeNS int64
+	PullNS   int64
+	GatherNS int64
 }
 
 // advanceResponse returns the next-step distribution of the shard's owned
-// vertices, sparse, one slice per walk of the request.
+// vertices, sparse and ascending, one slice per walk of the request.
 type advanceResponse struct {
-	Round   int            `json:"round"`
-	Support [][]entry      `json:"support"`
-	T       *advanceTiming `json:"t,omitempty"`
+	Round   int
+	Support [][]entry
+	T       advanceTiming
 }
 
 // heartbeatRequest is one driver liveness beat for a session; the shard

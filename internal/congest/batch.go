@@ -117,7 +117,6 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 
 	threshold, growth := cfg.mixResolved()
 	ladder := rw.SizeLadderWithGrowth(cfg.MinCommunitySize, n, growth)
-	x := make([]float64, n)
 	counts := make([]int32, n)
 	active := len(walks)
 	for l := 1; active > 0; l++ {
@@ -148,7 +147,7 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 				continue
 			}
 			nw.enterLane(i)
-			cur, err := nw.largestMixingSet(w.tree, w.covered, w.p, x, ladder, threshold)
+			cur, err := nw.largestMixingSet(w.tree, w.covered, w.p, ladder, threshold)
 			if err != nil {
 				nw.endPhase()
 				return nil, fmt.Errorf("congest: walk length %d: %w", l, err)

@@ -36,8 +36,12 @@ func settleGoroutines(t *testing.T, base int, what string) {
 // TestBatchCancellationLeaksNoGoroutines: cancelling mid-batch — from a load
 // observer, while the 4-goroutine per-round worker pool is in use — tears
 // the batched run down with ctx.Err() and no goroutine leaks, for both
-// DetectBatch and the batched pool loop.
+// DetectBatch and the batched pool loop. Cancelling mid-ladder, on 4 ladder
+// workers, does the same: from a load observer while the sweep charges its
+// sizes' rounds (the sweep stops within one broadcast + convergecast pair),
+// and from a timer while the workers compute.
 func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfgGen := gen.PPMConfig{N: 512, R: 4, P: 2 * gen.Log2(128) / 128, Q: 0.1 / 128}
 	ppm, err := gen.NewPPM(cfgGen, rng.New(211))
 	if err != nil {
@@ -84,6 +88,144 @@ func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 			t.Fatalf("batched Detect: error %v, want context.Canceled", err)
 		}
 		settleGoroutines(t, base, "batched pool cancellation")
+	}
+
+	// Mid-ladder, while the sweep replays its sizes' communication: outside
+	// batch mode the load observer sees every round as it is charged.
+	{
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		flood := NewNetwork(ppm.Graph, 1)
+		ws := newWalkState(flood, 0)
+		for step := 0; step < 4; step++ {
+			ws.flood(flood)
+		}
+		nw := NewNetwork(ppm.Graph, cfg.Workers)
+		tree, err := nw.BuildTree(0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const cancelAt = 200
+		seen, after := 0, 0
+		nw.SetLoadObserver(func(int, []LinkLoad) {
+			if seen++; seen == cancelAt {
+				cancel()
+			} else if seen > cancelAt {
+				after++
+			}
+		})
+		nw.setContext(ctx)
+		ladder := rw.SizeLadder(cfg.MinCommunitySize, 512)
+		_, err = nw.largestMixingSet(tree, tree.CoveredVertices(), ws.p, ladder, rw.MixingThreshold)
+		nw.setContext(nil)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("sweep cancelled at round %d: error %v, want context.Canceled", cancelAt, err)
+		}
+		if limit := 2 * tree.MaxDepth(); after > limit {
+			t.Fatalf("sweep ran %d rounds after the cancellation, want at most %d", after, limit)
+		}
+		settleGoroutines(t, base, "mid-ladder cancellation")
+	}
+
+	// Mid-ladder, while the workers compute: the ladders dominate a
+	// detection's time, so timed cancellations land in them.
+	for _, d := range []time.Duration{100 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond} {
+		ctx, cancel := context.WithCancel(context.Background())
+		timer := time.AfterFunc(d, cancel)
+		nw := NewNetwork(ppm.Graph, cfg.Workers)
+		_, err := DetectBatchContext(ctx, nw, []int{0, 128, 256, 384}, cfg)
+		timer.Stop()
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("DetectBatch cancelled after %v: error %v, want context.Canceled", d, err)
+		}
+		settleGoroutines(t, base, "timed cancellation")
+	}
+}
+
+// TestLadderLoadsMatchSequentialReference: the concurrent ladder charges
+// exactly the communication of the sequential sweep it replaced
+// (largestMixingSetReference). With a load observer on each of two
+// networks and 4 ladder workers, every walk step's sweep — on the indexed
+// path under a spanning tree and on the covered-scan path under a
+// depth-limited one — must return the same mixing set and the same
+// metrics, and the observers must see the same link loads, round by round.
+func TestLadderLoadsMatchSequentialReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	cfgGen := gen.PPMConfig{N: 256, R: 2, P: 2 * gen.Log2(128) / 128, Q: 0.1 / 128}
+	ppm, err := gen.NewPPM(cfgGen, rng.New(37))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ppm.Graph
+	n := g.NumVertices()
+	if !g.IsConnected() {
+		t.Skip("sample disconnected")
+	}
+	type round struct {
+		r     int
+		loads []LinkLoad
+	}
+	record := func(into *[]round) LoadObserver {
+		return func(r int, loads []LinkLoad) {
+			*into = append(*into, round{r, append([]LinkLoad(nil), loads...)})
+		}
+	}
+	ladder := rw.SizeLadder(DefaultConfig(n).MinCommunitySize, n)
+	for _, depth := range []int{-1, 2} {
+		for _, seed := range []int{3, 200} {
+			var got, want []round
+			nw, ref := NewNetwork(g, 1), NewNetwork(g, 1)
+			nw.SetLoadObserver(record(&got))
+			ref.SetLoadObserver(record(&want))
+			tree, err := nw.BuildTree(seed, depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			refTree, err := ref.BuildTree(seed, depth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			covered := tree.CoveredVertices()
+			if indexed := len(covered) == n; indexed != (depth < 0) {
+				t.Fatalf("depth %d covers %d of %d vertices", depth, len(covered), n)
+			}
+			flood := NewNetwork(g, 1)
+			ws := newWalkState(flood, seed)
+			x := make([]float64, n)
+			found := 0
+			for step := 1; step <= 10; step++ {
+				ws.flood(flood)
+				set, err := nw.largestMixingSet(tree, covered, ws.p, ladder, rw.MixingThreshold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSet, err := ref.largestMixingSetReference(refTree, covered, ws.p, x, ladder, rw.MixingThreshold)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(set, wantSet) {
+					t.Fatalf("depth %d seed %d step %d: set %v, sequential reference %v", depth, seed, step, set, wantSet)
+				}
+				if nw.Metrics() != ref.Metrics() {
+					t.Fatalf("depth %d seed %d step %d: metrics %+v, sequential reference %+v", depth, seed, step, nw.Metrics(), ref.Metrics())
+				}
+				if set.Found() {
+					found++
+				}
+			}
+			if found == 0 {
+				t.Fatalf("depth %d seed %d: no step found a mixing set; the comparison never reached membership", depth, seed)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("depth %d seed %d: observer saw %d rounds, sequential reference %d", depth, seed, len(got), len(want))
+			}
+			for i := range want {
+				if !reflect.DeepEqual(got[i], want[i]) {
+					t.Fatalf("depth %d seed %d: round %d loads differ: %+v vs %+v", depth, seed, i, got[i], want[i])
+				}
+			}
+		}
 	}
 }
 
@@ -150,16 +292,18 @@ func TestBatchObserversSeeAllMessages(t *testing.T) {
 
 // TestSelectIndexedMatchesScan is the satellite equivalence test for the
 // degree-indexed selection: on flooded walk distributions over Gnp graphs,
-// selectKSmallestIndexed must return the same threshold key, the same
-// success flag and the same iteration-for-iteration communication cost as
-// the covered-scan reference, and its canonical sum must equal
-// canonicalCoveredSum of the scan's threshold.
+// selectIndexed must return the same threshold key, the same success flag
+// and the same iteration-for-iteration communication cost as the
+// covered-scan search, its canonical sum must equal canonicalCoveredSum of
+// the scan's threshold, and all of it must equal the sequential indexed
+// search it replaced (selectKSmallestIndexedReference).
 func TestSelectIndexedMatchesScan(t *testing.T) {
 	for _, seed := range []uint64{7, 31} {
 		g := gnpGraph(t, 200, seed)
 		n := g.NumVertices()
 		scanNW := NewNetwork(g, 1)
 		idxNW := NewNetwork(g, 1)
+		refNW := NewNetwork(g, 1)
 		tree, err := scanNW.BuildTree(0, -1)
 		if err != nil {
 			t.Fatal(err)
@@ -168,6 +312,10 @@ func TestSelectIndexedMatchesScan(t *testing.T) {
 			t.Skip("sample disconnected; the indexed path needs full coverage")
 		}
 		tree2, err := idxNW.BuildTree(0, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tree3, err := refNW.BuildTree(0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,16 +343,26 @@ func TestSelectIndexedMatchesScan(t *testing.T) {
 				scanCost.Rounds -= before.Rounds
 				scanCost.Messages -= before.Messages
 
+				before = idxNW.Metrics()
+				idxTh, idxSum, idxOK := idxNW.selectKSmallestIndexed(tree2, ws.p, support, &off, muPrime, size)
+				idxCost := idxNW.Metrics()
+				idxCost.Rounds -= before.Rounds
+				idxCost.Messages -= before.Messages
+
 				off.SetMu(muPrime)
 				xsup := make([]float64, len(support))
 				for i, v := range support {
 					xsup[i] = rw.XValueAt(g, ws.p, int(v), size, muPrime)
 				}
-				before = idxNW.Metrics()
-				idxTh, idxSum, idxOK := idxNW.selectKSmallestIndexed(tree2, support, xsup, &off, muPrime, size)
-				idxCost := idxNW.Metrics()
-				idxCost.Rounds -= before.Rounds
-				idxCost.Messages -= before.Messages
+				before = refNW.Metrics()
+				refTh, refSum, refOK := refNW.selectKSmallestIndexedReference(tree3, support, xsup, &off, muPrime, size)
+				refCost := refNW.Metrics()
+				refCost.Rounds -= before.Rounds
+				refCost.Messages -= before.Messages
+				if refTh != idxTh || refSum != idxSum || refOK != idxOK || refCost != idxCost {
+					t.Fatalf("seed %d step %d size %d: selection (%+v, %v, %v, %+v), sequential reference (%+v, %v, %v, %+v)",
+						seed, step, size, idxTh, idxSum, idxOK, idxCost, refTh, refSum, refOK, refCost)
+				}
 
 				if scanOK != idxOK {
 					t.Fatalf("seed %d step %d size %d: ok %v vs %v", seed, step, size, scanOK, idxOK)
@@ -246,7 +404,6 @@ func TestCanonicalSumMatchesSweeper(t *testing.T) {
 	}
 	covered := tree.CoveredVertices()
 	sweeper := rw.NewSweeper(g)
-	x := make([]float64, n)
 	const minSize = 6
 	ladder := rw.SizeLadder(minSize, n)
 	for _, steps := range []int{1, 2, 4, 8} {
@@ -258,7 +415,7 @@ func TestCanonicalSumMatchesSweeper(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, err := nw.largestMixingSet(tree, covered, p, x, ladder, rw.MixingThreshold)
+		set, err := nw.largestMixingSet(tree, covered, p, ladder, rw.MixingThreshold)
 		if err != nil {
 			t.Fatal(err)
 		}

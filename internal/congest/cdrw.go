@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
+	"sync/atomic"
 
 	"cdrw/internal/rw"
 )
@@ -246,63 +248,30 @@ func (nw *Network) floodStepReference(p, next rw.Dist, degInv []float64) {
 // reference engine sweeps with — and the per-size sum is the canonical
 // rw.MixingSum, so the two engines share one definition of the statistic;
 // this simulator only owns the tree selection and the round/message
-// accounting around it. When the tree covers the whole graph, each size's
-// distributed selection runs on the degree-indexed fast path
-// (selectKSmallestIndexed): off-support nodes answer the root's broadcasts
-// from their degree alone, so a size costs O(support + log²n) simulator work
-// per binary-search iteration instead of a scan over every covered node.
-// A cancelled run context aborts the sweep between ladder sizes with the
-// context's error.
-func (nw *Network) largestMixingSet(tree *Tree, covered []int32, p rw.Dist, x []float64, ladder []int, mixThreshold float64) (rw.MixingSet, error) {
+// accounting around it.
+//
+// Once p is fixed the sizes are independent, so evalLadder computes every
+// size's selection first, concurrently; the sweep then charges each size's
+// communication in ladder order (replaySelection), so rounds, messages,
+// lanes and observers see the same calls as a sequential sweep. A cancelled
+// run context aborts the sweep with the context's error.
+func (nw *Network) largestMixingSet(tree *Tree, covered []int32, p rw.Dist, ladder []int, mixThreshold float64) (rw.MixingSet, error) {
 	g := nw.Graph()
-	n := g.NumVertices()
 	var (
 		bestThreshold key
 		bestSize      int
 		found         bool
-		bestX         = math.NaN() // µ' of winning size, for re-deriving x
 	)
-	indexed := n > 0 && len(covered) == n
-	if indexed {
-		nw.support = nw.support[:0]
-		for v := 0; v < n; v++ {
-			if p[v] != 0 {
-				nw.support = append(nw.support, int32(v))
-			}
-		}
-		nw.off.Reset(nw.degreeIndex(), nw.support)
-	}
-	for _, size := range ladder {
+	results := nw.evalLadder(p, covered, ladder)
+	for i, size := range ladder {
 		if err := nw.interrupted(); err != nil {
 			return rw.MixingSet{}, err
 		}
-		muPrime := rw.MuPrime(g, size)
-		var (
-			threshold key
-			sum       float64
-			ok        bool
-		)
-		if indexed && muPrime > 0 {
-			nw.off.SetMu(muPrime)
-			xs := nw.xsup[:0]
-			for _, v := range nw.support {
-				xs = append(xs, rw.XValueAt(g, p, int(v), size, muPrime))
-			}
-			nw.xsup = xs
-			threshold, sum, ok = nw.selectKSmallestIndexed(tree, nw.support, xs, &nw.off, muPrime, size)
-		} else {
-			nw.parallelFor(n, func(u int) {
-				x[u] = rw.XValueAt(g, p, u, size, muPrime)
-			})
-			threshold, _, ok = nw.selectKSmallest(tree, covered, x, size)
-			if ok {
-				sum = canonicalCoveredSum(g, p, covered, x, threshold, muPrime, size)
-			}
-		}
-		if ok && sum < mixThreshold {
-			bestThreshold = threshold
+		r := results[i]
+		nw.replaySelection(tree, r)
+		if r.ok && r.sum < mixThreshold {
+			bestThreshold = r.threshold
 			bestSize = size
-			bestX = muPrime
 			found = true
 		}
 	}
@@ -318,14 +287,132 @@ func (nw *Network) largestMixingSet(tree *Tree, covered []int32, p rw.Dist, x []
 	// threshold); every covered node recomputes its x for that size and
 	// compares. One broadcast round-trip.
 	nw.Broadcast(tree)
+	muPrime := rw.MuPrime(g, bestSize)
 	ms.Vertices = make([]int, 0, bestSize)
 	for _, v := range covered {
-		k := key{x: rw.XValueAt(g, p, int(v), bestSize, bestX), id: v}
-		if keyLess(k, bestThreshold) || k == bestThreshold {
+		if keyLE(key{x: rw.XValueAt(g, p, int(v), bestSize, muPrime), id: v}, bestThreshold) {
 			ms.Vertices = append(ms.Vertices, int(v))
 		}
 	}
 	return ms, nil
+}
+
+// evalLadder computes every ladder size's selection for the walk
+// distribution p over the covered nodes, in ladder order. When the tree
+// covers an edged graph, each size runs on the degree-indexed fast path
+// (selectIndexed): off-support nodes answer the root's broadcasts from their
+// degree alone, so a size costs O(support + log²n) simulator work per
+// binary-search iteration instead of a scan over every covered node
+// (scanSelect). The selections only read the network, so they run on
+// min(GOMAXPROCS, len(ladder)) goroutines: the caller and one helper per
+// further core, each claiming sizes from a shared cursor with its own
+// scratch. A stopped run leaves the remaining results zero; the caller's
+// next interrupted() poll reports it.
+func (nw *Network) evalLadder(p rw.Dist, covered []int32, ladder []int) []sizeResult {
+	if len(ladder) == 0 {
+		return nil
+	}
+	g := nw.g
+	n := g.NumVertices()
+	if cap(nw.sizeRes) < len(ladder) {
+		nw.sizeRes = make([]sizeResult, len(ladder))
+	}
+	job := &ladderJob{
+		nw: nw, p: p, covered: covered, ladder: ladder,
+		// µ' > 0 for every size exactly when the graph has an edge.
+		indexed: n > 0 && len(covered) == n && g.Volume() > 0,
+		res:     nw.sizeRes[:len(ladder)],
+		done:    make(chan struct{}),
+	}
+	if job.indexed {
+		nw.support = nw.support[:0]
+		for v := 0; v < n; v++ {
+			if p[v] != 0 {
+				nw.support = append(nw.support, int32(v))
+			}
+		}
+		nw.off.Reset(nw.degreeIndex(), nw.support)
+	}
+	job.left.Store(int64(len(ladder)))
+	workers := min(runtime.GOMAXPROCS(0), len(ladder))
+	for len(nw.sel) < workers {
+		nw.sel = append(nw.sel, new(selScratch))
+	}
+	for _, sc := range nw.sel[1:workers] {
+		go job.work(sc)
+	}
+	job.work(nw.sel[0])
+	<-job.done
+	return job.res
+}
+
+// ladderJob is one evalLadder call shared by its workers. A worker touches
+// nothing but the job's counters until it has claimed a size, and the
+// caller waits for every claimed size to finish, not for the helpers: a
+// helper the scheduler starts only after the caller has claimed every size
+// finds the cursor exhausted and exits, so a short ladder never waits on a
+// goroutine wake-up.
+type ladderJob struct {
+	nw      *Network
+	p       rw.Dist
+	covered []int32
+	ladder  []int
+	indexed bool
+	res     []sizeResult
+	next    atomic.Int64  // next unclaimed ladder position
+	left    atomic.Int64  // sizes not yet finished
+	done    chan struct{} // closed when left reaches zero
+}
+
+// work claims and evaluates sizes with scratch sc until none are left. The
+// off-support stream is copied only once a size is claimed, while the
+// caller is still waiting on this ladder.
+func (j *ladderJob) work(sc *selScratch) {
+	i := j.claim()
+	if i < 0 {
+		return
+	}
+	if j.indexed {
+		sc.off = j.nw.off
+	}
+	for ; i >= 0; i = j.claim() {
+		j.res[i] = j.eval(sc, j.ladder[i])
+		if j.left.Add(-1) == 0 {
+			close(j.done)
+		}
+	}
+}
+
+// claim returns the next unclaimed ladder position, or -1 when none is left.
+func (j *ladderJob) claim() int {
+	if i := int(j.next.Add(1) - 1); i < len(j.ladder) {
+		return i
+	}
+	return -1
+}
+
+// eval computes one size's selection; a stopped run yields the zero result.
+func (j *ladderJob) eval(sc *selScratch, size int) sizeResult {
+	nw := j.nw
+	g := nw.g
+	muPrime := rw.MuPrime(g, size)
+	switch {
+	case nw.stopped():
+		return sizeResult{}
+	case j.indexed:
+		return nw.selectIndexed(sc, j.p, size, muPrime)
+	}
+	if len(sc.x) < g.NumVertices() {
+		sc.x = make([]float64, g.NumVertices())
+	}
+	for _, v := range j.covered {
+		sc.x[v] = rw.XValueAt(g, j.p, int(v), size, muPrime)
+	}
+	r := nw.scanSelect(j.covered, sc.x, size)
+	if r.ok {
+		r.sum = canonicalCoveredSum(g, j.p, j.covered, sc.x, r.threshold, muPrime, size)
+	}
+	return r
 }
 
 // Detection mirrors core.Detection for the distributed engine.

@@ -76,8 +76,11 @@ type lane struct {
 }
 
 // Network wraps the input graph with round/message accounting. A Network is
-// not safe for concurrent use; the parallel executor only parallelises
-// per-node local computation inside a round, never the round structure.
+// not safe for concurrent use. Internally it runs two kinds of work in
+// parallel, neither of which touches the accounting: per-node local
+// computation inside a round (Workers goroutines), and the independent
+// per-size selections of a mixing-set ladder (evalLadder), whose rounds and
+// messages the caller then charges in ladder order.
 type Network struct {
 	g        *graph.Graph
 	metrics  Metrics
@@ -99,12 +102,13 @@ type Network struct {
 	expandBuf  []Traffic    // legacy-observer expansion scratch
 
 	// ctx is the run context installed by the context-aware entry points
-	// (DetectContext and friends); the round scheduler polls it so a
-	// cancelled caller stops burning simulated rounds. ctxErr caches the
-	// first observed context error for the duration of the run. tr is the
-	// request trace carried by that context (nil = untraced): the round
-	// loop attributes flood and sweep time to it.
+	// (DetectContext and friends) and done its Done channel, fetched once
+	// per run; the round scheduler polls done so a cancelled caller stops
+	// burning simulated rounds. ctxErr caches the context error once done
+	// has closed. tr is the request trace carried by that context (nil =
+	// untraced): the round loop attributes flood and sweep time to it.
 	ctx    context.Context
+	done   <-chan struct{}
 	ctxErr error
 	tr     *trace.Trace
 
@@ -116,16 +120,18 @@ type Network struct {
 	transportErr error
 	frameBuf     []FloodFrame
 
-	// Selection fast-path state (selectKSmallestIndexed), built lazily and
-	// retained across runs. When shared is non-nil the degree index and the
+	// Selection fast-path state (selectIndexed), built lazily and retained
+	// across runs. When shared is non-nil the degree index and the
 	// inverse-degree table come from it instead of being built per network.
+	// off is the current walk step's off-support stream over support; sel
+	// holds one scratch per ladder worker and sizeRes the ladder's results.
 	shared  *rw.SharedIndex
 	degIdx  *rw.DegreeIndex
 	dinv    []float64
 	off     rw.OffSupportStream
 	support []int32
-	xsup    []float64
-	selKeys []key
+	sel     []*selScratch
+	sizeRes []sizeResult
 
 	// Flood-kernel scratch (floodStep/batchFlood), retained across rounds:
 	// shareBuf holds the per-source outgoing shares of a solo flood, shareAll
@@ -181,16 +187,17 @@ func (nw *Network) observing() bool { return nw.observer != nil || nw.loadObs !=
 // error.
 func (nw *Network) setContext(ctx context.Context) {
 	nw.tr = trace.FromContext(ctx)
-	if ctx == context.Background() {
-		ctx = nil // nothing to poll; keep the scheduler check free
+	nw.ctx, nw.done = nil, nil
+	if ctx != nil && ctx != context.Background() {
+		// Background has nothing to poll: a nil done keeps the check free.
+		nw.ctx, nw.done = ctx, ctx.Done()
 	}
-	nw.ctx = ctx
 	nw.ctxErr = nil
 	nw.transportErr = nil
 }
 
-// interrupted reports the run context's error, caching the first one seen.
-// The round scheduler and the per-size selection loops poll it so that
+// interrupted reports the run context's error, caching it once seen. The
+// round scheduler and the per-size selection loops poll it so that
 // cancellation lands within O(1) rounds rather than at the next walk step.
 // A sticky transport failure (floodRemote) surfaces here too, so a broken
 // cluster link unwinds a detection exactly like a cancelled context —
@@ -199,13 +206,25 @@ func (nw *Network) interrupted() error {
 	if nw.transportErr != nil {
 		return nw.transportErr
 	}
-	if nw.ctxErr != nil {
-		return nw.ctxErr
-	}
-	if nw.ctx != nil {
+	if nw.ctxErr == nil && nw.stopped() {
 		nw.ctxErr = nw.ctx.Err()
 	}
 	return nw.ctxErr
+}
+
+// stopped reports whether the run context is done or a transport failed.
+// It polls the cached Done channel without blocking — no lock, no write —
+// so concurrent ladder workers may call it.
+func (nw *Network) stopped() bool {
+	if nw.transportErr != nil {
+		return true
+	}
+	select {
+	case <-nw.done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Graph returns the underlying input graph.
@@ -466,7 +485,7 @@ func (nw *Network) parallelRanges(n, tile int, fn func(lo, hi int)) {
 }
 
 // degreeIndex returns the degree-sorted index behind the selection fast path
-// (selectKSmallestIndexed): the injected shared index's copy when one was
+// (selectIndexed): the injected shared index's copy when one was
 // provided, a private lazily-built one otherwise. It models node-local
 // knowledge — every node knows its own degree, and the root learns the
 // degree distribution once during setup — so it costs no simulated

@@ -20,8 +20,10 @@ import (
 //
 // A stream is prepared once per walk step (Reset, O(support·log support))
 // and re-targeted per candidate size (SetMu, O(1)); queries cost
-// O(log n · log support). It is not safe for concurrent use. The zero value
-// is ready for Reset.
+// O(log n · log support). It is not safe for concurrent use, but copies of
+// a prepared stream share its support tables read-only: each copy may take
+// its own SetMu and answer queries concurrently with the others until the
+// original is Reset. The zero value is ready for Reset.
 type OffSupportStream struct {
 	idx  *DegreeIndex
 	mu   float64
