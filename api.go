@@ -142,13 +142,6 @@ type (
 	// on it; the CONGEST engine keeps its per-round flooding but shares
 	// the rw mixing-set and sweep-cut math.
 	WalkEngine = rw.WalkEngine
-	// BatchWalkEngine advances many walks in lockstep, each on its own
-	// hybrid-kernel WalkEngine, with a per-walk sparse-aware
-	// LargestMixingSet over one shared degree index. Distinct walks touch
-	// disjoint state, so StepWalk and LargestMixingSet may run for
-	// different walks from different goroutines, as the parallel engine
-	// does.
-	BatchWalkEngine = rw.BatchWalkEngine
 	// SharedIndex is the immutable per-graph table bundle (degree-sorted
 	// sweep index, inverse-degree flood table) that pooled detectors share:
 	// build one per graph with NewSharedIndex, inject it with
@@ -159,8 +152,7 @@ type (
 	// MixSweeper runs largest-mixing-set searches over one graph with the
 	// sparse fast path exposed directly: pass the distribution's support
 	// (ascending) for O(support)-per-size sweeps, or nil for the dense
-	// reference. Not safe for concurrent use; sweepers of different walks
-	// may share a graph's index (see NewBatchWalkEngine).
+	// reference. Not safe for concurrent use.
 	MixSweeper = rw.Sweeper
 )
 
@@ -189,12 +181,6 @@ func Walk(g *Graph, source, steps int) (Dist, error) { return rw.Walk(g, source,
 // Call Reset(source), then Step/Advance; Dist exposes the current
 // distribution.
 func NewWalkEngine(g *Graph) *WalkEngine { return rw.NewWalkEngine(g) }
-
-// NewBatchWalkEngine returns a lockstep engine over one walk per source
-// (duplicates allowed).
-func NewBatchWalkEngine(g *Graph, sources []int) (*BatchWalkEngine, error) {
-	return rw.NewBatchWalkEngine(g, sources)
-}
 
 // MixingTime returns the ε-near mixing time from source.
 func MixingTime(g *Graph, source int, eps float64, maxSteps int) (int, error) {

@@ -218,7 +218,7 @@ func TestPublicAPICongestAndKMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := cdrw.NewCongestNetwork(g, 1)
-	nw.SetObserver(sim.Observer())
+	nw.SetLoadObserver(sim.LoadObserver())
 	com, stats, err := cdrw.CongestDetectCommunity(nw, 0, cdrw.DefaultCongestConfig(128))
 	if err != nil {
 		t.Fatal(err)

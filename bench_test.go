@@ -247,32 +247,6 @@ func BenchmarkWalkEngineSparse100k(b *testing.B) { benchWalkEngine(b, 100_000, 3
 // for the hybrid engine is ≥ 3× faster ns/step than this.
 func BenchmarkWalkEngineDense100k(b *testing.B) { benchWalkEngine(b, 100_000, 3, true) }
 
-// BenchmarkBatchWalkDense100k measures 8 dense lockstep walks over the
-// n=10⁵ bench graph (ns per step per walk).
-func BenchmarkBatchWalkDense100k(b *testing.B) {
-	g := benchWalkGraph(b, 100_000)
-	n := g.NumVertices()
-	const walks = 8
-	sources := make([]int, walks)
-	for i := range sources {
-		sources[i] = i * n / walks
-	}
-	batch, err := cdrw.NewBatchWalkEngine(g, sources)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range sources {
-		batch.Engine(i).SetDenseThreshold(0)
-	}
-	batch.Step() // warm past the point distribution
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		batch.Step()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(sources)), "ns/step")
-}
-
 // BenchmarkLargestMixingSet measures one full candidate-size sweep
 // (Algorithm 1 lines 12–17) on a mixed distribution.
 func BenchmarkLargestMixingSet(b *testing.B) {
@@ -793,10 +767,10 @@ func BenchmarkCongestBatchWalks10k(b *testing.B) {
 	benchCongestWalks(b, 10_000, 10, true)
 }
 
-// benchKMachineConv measures converting one batched CONGEST execution (8
-// seed walks in shared rounds) into k-machine rounds, through either the
-// per-message Traffic observer or the per-link aggregate load observer.
-func benchKMachineConv(b *testing.B, loads bool) {
+// BenchmarkKMachineConvLoads measures converting one batched CONGEST
+// execution (8 seed walks in shared rounds) into k-machine rounds through
+// the per-link aggregate load observer.
+func BenchmarkKMachineConvLoads(b *testing.B) {
 	const n, k, walks = 1024, 8, 8
 	ppm := benchCongestPPM(b, n, 8)
 	cfg := cdrw.DefaultCongestConfig(n)
@@ -817,11 +791,7 @@ func benchKMachineConv(b *testing.B, loads bool) {
 			b.Fatal(err)
 		}
 		nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
-		if loads {
-			nw.SetLoadObserver(sim.LoadObserver())
-		} else {
-			nw.SetObserver(sim.Observer())
-		}
+		nw.SetLoadObserver(sim.LoadObserver())
 		if _, err := cdrw.CongestDetectBatch(nw, seeds, cfg); err != nil {
 			b.Fatal(err)
 		}
@@ -831,38 +801,30 @@ func benchKMachineConv(b *testing.B, loads bool) {
 	}
 }
 
-// BenchmarkKMachineConvTraffic: the per-message reference path.
-func BenchmarkKMachineConvTraffic(b *testing.B) { benchKMachineConv(b, false) }
-
-// BenchmarkKMachineConvLoads: the fused per-link aggregation fast path; the
-// acceptance bar is a measured speedup over the Traffic twin.
-func BenchmarkKMachineConvLoads(b *testing.B) { benchKMachineConv(b, true) }
-
 // BenchmarkBatchWalkEngineReuse pins the rw-layer serving contract behind
-// the parallel engine: Reset-ing a retained BatchWalkEngine and running a
-// short lockstep detection (step + sparse sweep per walk) allocates nothing
-// in steady state. CI's bench gate enforces 0 allocs/op absolutely.
+// the parallel engine, which retains one WalkEngine per walk: Reset-ing 4
+// retained engines and running a short lockstep detection (3 steps, each
+// followed by a sparse sweep per walk) allocates nothing in steady state.
+// CI's bench gate enforces 0 allocs/op absolutely.
 func BenchmarkBatchWalkEngineReuse(b *testing.B) {
 	g := benchWalkGraph(b, 10_000)
 	n := g.NumVertices()
 	const walks, patterns = 4, 8
-	sources := make([]int, walks)
-	batch, err := cdrw.NewBatchWalkEngine(g, sources)
-	if err != nil {
-		b.Fatal(err)
+	engines := make([]*cdrw.WalkEngine, walks)
+	for w := range engines {
+		engines[w] = cdrw.NewWalkEngine(g)
 	}
 	minSize := benchMinSize(n)
 	serve := func(i int) {
-		for w := range sources {
-			sources[w] = ((i%patterns)*701 + w*2503) % n
-		}
-		if err := batch.Reset(sources); err != nil {
-			b.Fatal(err)
+		for w, e := range engines {
+			if err := e.Reset(((i%patterns)*701 + w*2503) % n); err != nil {
+				b.Fatal(err)
+			}
 		}
 		for s := 0; s < 3; s++ {
-			batch.Step()
-			for w := 0; w < walks; w++ {
-				if _, err := batch.LargestMixingSet(w, minSize, cdrw.MixOptions{}); err != nil {
+			for _, e := range engines {
+				e.Step()
+				if _, err := e.LargestMixingSet(minSize, cdrw.MixOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -881,7 +843,7 @@ func BenchmarkBatchWalkEngineReuse(b *testing.B) {
 }
 
 // BenchmarkDetectorReuseParallel measures repeated whole-graph serving on
-// one long-lived parallel-engine Detector: the batch walk engine, trackers
+// one long-lived parallel-engine Detector: the walk engines, trackers
 // and overlap-resolution scratch are retained and Reset between runs
 // instead of rebuilt. (Unlike single-seed reuse this cannot be
 // allocation-free — each run returns fresh Result slices and spawns walker

@@ -138,7 +138,7 @@ func TestIntegrationFullPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
-	nw.SetObserver(sim.Observer())
+	nw.SetLoadObserver(sim.LoadObserver())
 	ccfg := cdrw.DefaultCongestConfig(256)
 	ccfg.Delta = delta
 	ccfg.Seed = 19

@@ -133,13 +133,6 @@ func (m *WireMetrics) MaxLinkWords() int64 {
 	return m.maxWords
 }
 
-// MaxLinkBytes returns the largest single-pull encoded payload.
-func (m *WireMetrics) MaxLinkBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.maxBytes
-}
-
 // TotalLinkBytes returns all bytes pulled across machine links.
 func (m *WireMetrics) TotalLinkBytes() int64 {
 	m.mu.Lock()

@@ -21,9 +21,9 @@ import (
 // (the conformance suite in coreequiv_test.go pins this). detectBatch is the
 // package's only detection loop: DetectCommunity is a batch of one seed and
 // Detect's pool loop runs one batch per super-step. The per-round flooding
-// of all walks is fused into one pass over the adjacency arrays, and
-// observers receive per-link aggregate word counts per shared round
-// (LinkLoad), which is what the k-machine converter's fast path consumes.
+// of all walks is fused into one pass over the adjacency arrays, and the
+// load observer receives per-link aggregate word counts per shared round
+// (LinkLoad), which is what the k-machine converter consumes.
 
 // BatchDetection is one walk's outcome of a DetectBatch run.
 type BatchDetection struct {
@@ -178,10 +178,10 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 
 // batchFlood performs one shared communication round of probability flooding
 // for every live walk. Accounting: each walk is charged its own round and
-// its own per-neighbour messages (exactly floodStep's), while the observers
-// see the aggregate — link (v,w) carries one word per live walk holding mass
-// at v, reported as a single LinkLoad with that multiplicity. The
-// computation is fused and blocked like floodStep: an interleave pass
+// its own per-neighbour messages (exactly floodStep's), while the load
+// observer sees the aggregate — link (v,w) carries one word per live walk
+// holding mass at v, reported as a single LinkLoad with that multiplicity.
+// The computation is fused and blocked like floodStep: an interleave pass
 // freezes every live walk's outgoing shares into rows of shareAll (row v
 // holds the k walks' shares at v, side by side on one cache line), then a
 // tiled gather pulls each neighbour list once and accumulates every walk
@@ -192,7 +192,7 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 // distributions stay bit-identical to sequential flooding.
 func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int32) {
 	g := nw.Graph()
-	observing := nw.observing()
+	observing := nw.loadObs != nil
 	for i, w := range walks {
 		if w.trk.Done() {
 			continue
@@ -224,7 +224,7 @@ func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int3
 		nw.phaseLoads[0] = loads
 	}
 	if nw.transport != nil {
-		// Pluggable round transport: the lane/observer accounting above
+		// Pluggable round transport: the lane and load accounting above
 		// already happened; hand the live walks' numeric evolution over as
 		// one batch of frames (lane order), which is the coalesced per-round
 		// payload a real network ships.
@@ -317,7 +317,9 @@ func detectBatchedPool(nw *Network, cfg Config) (*Result, error) {
 	for v := range pool {
 		pool[v] = v
 	}
-	seeds := make([]int, 0, cfg.Batch)
+	// A super-step never draws more seeds than the pool holds, so n bounds
+	// the buffer whatever Batch asks for.
+	seeds := make([]int, 0, min(cfg.Batch, n))
 	free := make([]int, 0, n)
 	comp := make([]int, n)
 	queue := make([]int, 0, n)
@@ -329,7 +331,9 @@ func detectBatchedPool(nw *Network, cfg Config) (*Result, error) {
 		}
 		// Draw the super-step's seeds: first uniform, rest ball-spread.
 		seeds = append(seeds[:0], pool[r.Intn(len(pool))])
-		if cfg.Batch > 1 && len(pool) >= cfg.Batch*cfg.MinCommunitySize {
+		// len(pool) ≥ Batch·MinCommunitySize, divided out so that a huge
+		// Batch cannot overflow the product.
+		if cfg.Batch > 1 && len(pool)/cfg.MinCommunitySize >= cfg.Batch {
 			for _, u := range g.Ball(seeds[0], 2) {
 				blocked[u] = true
 			}

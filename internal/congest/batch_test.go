@@ -252,21 +252,20 @@ func TestDetectBatchValidation(t *testing.T) {
 	}
 }
 
-// TestBatchObserversSeeAllMessages: on a batched run, the legacy Traffic
-// observer still sees one entry per message and the load observer the same
-// words in aggregate, both matching the network's global accounting and the
-// per-walk lane totals.
+// TestBatchObserversSeeAllMessages: on a batched run, the load observer sees
+// every message as link words, matching the network's global accounting and
+// the per-walk lane totals, and one call per shared round.
 func TestBatchObserversSeeAllMessages(t *testing.T) {
 	g := gnpGraph(t, 192, 23)
 	nw := NewNetwork(g, 1)
-	var traffic, words int64
-	trafficRounds, loadRounds := 0, 0
-	nw.SetObserver(func(round int, msgs []Traffic) {
-		trafficRounds++
-		traffic += int64(len(msgs))
-	})
+	var words int64
+	loadRounds, lastRound := 0, 0
 	nw.SetLoadObserver(func(round int, loads []LinkLoad) {
 		loadRounds++
+		if round != lastRound+1 {
+			t.Fatalf("load observer saw round %d after %d", round, lastRound)
+		}
+		lastRound = round
 		for _, ld := range loads {
 			words += int64(ld.Words)
 		}
@@ -281,12 +280,11 @@ func TestBatchObserversSeeAllMessages(t *testing.T) {
 		laneSum += det.Stats.Metrics.Messages
 	}
 	m := nw.Metrics()
-	if traffic != m.Messages || words != m.Messages || laneSum != m.Messages {
-		t.Fatalf("observers saw traffic=%d words=%d lanes=%d, metrics say %d",
-			traffic, words, laneSum, m.Messages)
+	if words != m.Messages || laneSum != m.Messages {
+		t.Fatalf("observer saw words=%d lanes=%d, metrics say %d", words, laneSum, m.Messages)
 	}
-	if trafficRounds != m.Rounds || loadRounds != m.Rounds {
-		t.Fatalf("observers saw %d/%d rounds, metrics say %d", trafficRounds, loadRounds, m.Rounds)
+	if loadRounds != m.Rounds {
+		t.Fatalf("observer saw %d rounds, metrics say %d", loadRounds, m.Rounds)
 	}
 }
 

@@ -166,7 +166,8 @@ const floodTile = 1 << 15
 // (Algorithm 1 lines 9–11): every node holding probability mass sends
 // p(v)/d(v) to each neighbour; every node sums what it receives.
 //
-// The kernel is the blocked form of floodStepReference: one sequential pass
+// The kernel is the blocked form of floodStepReference (the unblocked
+// kernel, kept in floodkernel_test.go as its baseline): one sequential pass
 // fuses the send accounting with freezing every node's outgoing share
 // share[v] = p[v]·degInv[v], then a tiled gather accumulates next[u] =
 // Σ share[w] over u's neighbours — a branch-free multiply-free inner loop
@@ -214,31 +215,6 @@ func (nw *Network) floodStep(p, next rw.Dist, degInv []float64) {
 	nw.endRound(round)
 }
 
-// floodStepReference is the unblocked flood kernel floodStep replaced, kept
-// as the equivalence baseline: the flood conformance test asserts the two
-// kernels evolve bit-identical distributions, and the kernel-pair benchmark
-// measures the blocked kernel's speedup against this one.
-func (nw *Network) floodStepReference(p, next rw.Dist, degInv []float64) {
-	g := nw.Graph()
-	round := nw.beginRound()
-	for v, mass := range p {
-		if mass != 0 && g.Degree(v) > 0 {
-			nw.sendAllNeighbors(v)
-		}
-	}
-	nw.parallelFor(len(next), func(u int) {
-		sum := 0.0
-		for _, w := range g.Neighbors(u) {
-			sum += p[w] * degInv[w]
-		}
-		if g.Degree(u) == 0 {
-			sum = p[u] // isolated nodes keep their mass
-		}
-		next[u] = sum
-	})
-	nw.endRound(round)
-}
-
 // largestMixingSet runs the candidate-size sweep of Algorithm 1 lines 12–17
 // over the tree-covered nodes and returns the largest set satisfying the
 // mixing condition (Vertices nil when no size passes). Membership is
@@ -253,8 +229,8 @@ func (nw *Network) floodStepReference(p, next rw.Dist, degInv []float64) {
 // Once p is fixed the sizes are independent, so evalLadder computes every
 // size's selection first, concurrently; the sweep then charges each size's
 // communication in ladder order (replaySelection), so rounds, messages,
-// lanes and observers see the same calls as a sequential sweep. A cancelled
-// run context aborts the sweep with the context's error.
+// lanes and the load observer see the same calls as a sequential sweep. A
+// cancelled run context aborts the sweep with the context's error.
 func (nw *Network) largestMixingSet(tree *Tree, covered []int32, p rw.Dist, ladder []int, mixThreshold float64) (rw.MixingSet, error) {
 	g := nw.Graph()
 	var (
@@ -427,15 +403,6 @@ type Result struct {
 	Detections []Detection
 	// Metrics aggregates rounds/messages over all detections.
 	Metrics Metrics
-}
-
-// Partition returns the Assigned sets.
-func (r *Result) Partition() [][]int {
-	out := make([][]int, len(r.Detections))
-	for i := range r.Detections {
-		out[i] = r.Detections[i].Assigned
-	}
-	return out
 }
 
 // Detect runs the distributed CDRW pool loop (Algorithm 1 lines 1–23),

@@ -296,13 +296,13 @@ func TestObserverSeesAllMessages(t *testing.T) {
 	nw := NewNetwork(g, 1)
 	var observed int64
 	roundsSeen := 0
-	nw.SetObserver(func(round int, msgs []Traffic) {
+	nw.SetLoadObserver(func(round int, loads []LinkLoad) {
 		roundsSeen++
-		observed += int64(len(msgs))
-		for _, m := range msgs {
-			if m.From < 0 || int(m.From) >= 128 || m.To < 0 || int(m.To) >= 128 {
-				t.Fatalf("message with bad endpoints: %+v", m)
+		for _, ld := range loads {
+			if ld.From < 0 || int(ld.From) >= 128 || ld.To < 0 || int(ld.To) >= 128 || ld.Words < 1 {
+				t.Fatalf("load with bad endpoints or words: %+v", ld)
 			}
+			observed += int64(ld.Words)
 		}
 	})
 	_, stats, err := DetectCommunity(nw, 0, DefaultConfig(128))
@@ -310,7 +310,7 @@ func TestObserverSeesAllMessages(t *testing.T) {
 		t.Fatal(err)
 	}
 	if observed != stats.Metrics.Messages {
-		t.Fatalf("observer saw %d messages, metrics say %d", observed, stats.Metrics.Messages)
+		t.Fatalf("observer saw %d words, metrics say %d messages", observed, stats.Metrics.Messages)
 	}
 	if roundsSeen != stats.Metrics.Rounds {
 		t.Fatalf("observer saw %d rounds, metrics say %d", roundsSeen, stats.Metrics.Rounds)

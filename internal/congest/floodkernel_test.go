@@ -28,6 +28,32 @@ func raggedGraph(t *testing.T, n int, seed uint64) *graph.Graph {
 	return g
 }
 
+// floodStepReference is the unblocked flood kernel floodStep replaced, kept
+// as the equivalence baseline: TestFloodStepMatchesReference asserts the two
+// kernels evolve bit-identical distributions, and BenchmarkFloodKernel1M
+// measures the blocked kernel's speedup against this one. It runs its
+// gather sequentially, one vertex at a time.
+func (nw *Network) floodStepReference(p, next rw.Dist, degInv []float64) {
+	g := nw.Graph()
+	round := nw.beginRound()
+	for v, mass := range p {
+		if mass != 0 && g.Degree(v) > 0 {
+			nw.sendAllNeighbors(v)
+		}
+	}
+	for u := range next {
+		sum := 0.0
+		for _, w := range g.Neighbors(u) {
+			sum += p[w] * degInv[w]
+		}
+		if g.Degree(u) == 0 {
+			sum = p[u] // isolated nodes keep their mass
+		}
+		next[u] = sum
+	}
+	nw.endRound(round)
+}
+
 // TestFloodStepMatchesReference: the blocked share-precompute kernel evolves
 // distributions bit-identical to the reference kernel — same floats, same
 // message and round accounting — sequentially and under the tiled parallel
@@ -60,6 +86,29 @@ func TestFloodStepMatchesReference(t *testing.T) {
 		if mb.Rounds != mr.Rounds || mb.Messages != mr.Messages {
 			t.Fatalf("workers=%d: blocked accounting {%d rounds, %d msgs} != reference {%d rounds, %d msgs}",
 				workers, mb.Rounds, mb.Messages, mr.Rounds, mr.Messages)
+		}
+	}
+}
+
+// TestRangeWorkersCapped: parallelRanges starts one goroutine per tile at
+// most, whatever worker count the network was built with (congest_workers
+// is caller input). Only the count is checked; no goroutine is started.
+func TestRangeWorkersCapped(t *testing.T) {
+	g := gnpGraph(t, 64, 1)
+	huge, three := NewNetwork(g, 1<<40), NewNetwork(g, 3)
+	for _, c := range []struct {
+		nw      *Network
+		n, want int
+	}{
+		{huge, 0, 0},
+		{huge, 1, 1},
+		{huge, floodTile, 1},
+		{huge, floodTile + 1, 2},
+		{huge, 32 * floodTile, 32},
+		{three, 32 * floodTile, 3},
+	} {
+		if got := c.nw.rangeWorkers(c.n, floodTile); got != c.want {
+			t.Errorf("workers=%d n=%d: %d range workers, want %d", c.nw.workers, c.n, got, c.want)
 		}
 	}
 }

@@ -8,8 +8,8 @@
 // complexity analysis does (§III): one round per probability-flooding step,
 // depth-of-BFS-tree rounds per broadcast/convergecast, and a
 // broadcast+convergecast pair per binary-search iteration of the
-// |S|-smallest-x_u selection. An optional per-message observer feeds the
-// k-machine conversion (internal/kmachine).
+// |S|-smallest-x_u selection. An optional per-round link-load observer
+// (LoadObserver) feeds the k-machine conversion (internal/kmachine).
 package congest
 
 import (
@@ -37,15 +37,6 @@ func (m *Metrics) Add(other Metrics) {
 	m.Messages += other.Messages
 }
 
-// Traffic identifies one message for the per-message observer.
-type Traffic struct {
-	From, To int32
-}
-
-// RoundObserver receives every message of one communication round. The
-// slice is reused between rounds; implementations must not retain it.
-type RoundObserver func(round int, msgs []Traffic)
-
 // LinkLoad aggregates the words one directed link carried in one round:
 // Words messages of one O(log n)-bit word each from From to To. In a batched
 // round (DetectBatch) a link carries one word per walk whose payload crosses
@@ -57,12 +48,12 @@ type LinkLoad struct {
 	Words    int32
 }
 
-// LoadObserver receives each communication round's aggregate link loads. It
-// carries the same information as RoundObserver but without materialising
-// one Traffic entry per word, which is what makes the k-machine conversion
-// of batched executions cheap (kmachine.Simulator.LoadObserver computes its
-// per-link prefix sums straight from the aggregates). The slice is reused
-// between rounds; implementations must not retain it.
+// LoadObserver receives each communication round's aggregate link loads:
+// the load on every directed link, which is what the k-machine conversion
+// charges (kmachine.Simulator.LoadObserver computes its per-link prefix sums
+// straight from the aggregates). It is called once per round, empty rounds
+// included. The slice is reused between rounds; implementations must not
+// retain it.
 type LoadObserver func(round int, loads []LinkLoad)
 
 // lane is the per-walk accounting of a batched execution: the rounds and
@@ -82,24 +73,21 @@ type lane struct {
 // per-size selections of a mixing-set ladder (evalLadder), whose rounds and
 // messages the caller then charges in ladder order.
 type Network struct {
-	g        *graph.Graph
-	metrics  Metrics
-	observer RoundObserver
-	loadObs  LoadObserver
-	workers  int
-	buf      []Traffic
-	loadBuf  []LinkLoad
+	g       *graph.Graph
+	metrics Metrics
+	loadObs LoadObserver
+	workers int
+	loadBuf []LinkLoad
 
 	// Batched-execution state (DetectBatch): while lanes is non-nil the
 	// network is in batch mode — beginRound and the send helpers charge the
 	// current lane, and rounds of different lanes within one phase overlap
 	// into shared communication rounds that are folded into the global
-	// metrics (and flushed to the observers) at endPhase.
+	// metrics (and flushed to the load observer) at endPhase.
 	lanes      []lane
 	curLane    int
 	phaseMax   int          // max lane phaseRounds this phase
 	phaseLoads [][]LinkLoad // per relative round, only built while observing
-	expandBuf  []Traffic    // legacy-observer expansion scratch
 
 	// ctx is the run context installed by the context-aware entry points
 	// (DetectContext and friends) and done its Done channel, fetched once
@@ -161,25 +149,13 @@ func NewNetworkWithIndex(g *graph.Graph, workers int, ix *rw.SharedIndex) *Netwo
 	return &Network{g: g, workers: workers, shared: ix}
 }
 
-// SetObserver installs a per-round message observer (pass nil to remove).
-// Observing materialises every message and slows simulation down; prefer
-// SetLoadObserver, which receives the same information as per-link
-// aggregates.
-func (nw *Network) SetObserver(obs RoundObserver) { nw.observer = obs }
-
-// Observer returns the currently installed per-round observer (nil if none),
-// so scoped installers (kmachine.Simulator.Run) can restore it afterwards.
-func (nw *Network) Observer() RoundObserver { return nw.observer }
-
 // SetLoadObserver installs a per-round link-load observer (pass nil to
-// remove). It may coexist with a Traffic observer; both see every round.
+// remove).
 func (nw *Network) SetLoadObserver(obs LoadObserver) { nw.loadObs = obs }
 
-// LoadObserver returns the currently installed load observer (nil if none).
+// LoadObserver returns the currently installed load observer (nil if none),
+// so scoped installers (kmachine.Simulator.Run) can restore it afterwards.
 func (nw *Network) LoadObserver() LoadObserver { return nw.loadObs }
-
-// observing reports whether any observer needs per-round load data.
-func (nw *Network) observing() bool { return nw.observer != nil || nw.loadObs != nil }
 
 // setContext installs the run context for the duration of one context-aware
 // entry point. Passing nil clears it. Either direction starts the run (or
@@ -233,9 +209,6 @@ func (nw *Network) Graph() *graph.Graph { return nw.g }
 // Metrics returns the accumulated round/message counts.
 func (nw *Network) Metrics() Metrics { return nw.metrics }
 
-// ResetMetrics zeroes the accumulated counts.
-func (nw *Network) ResetMetrics() { nw.metrics = Metrics{} }
-
 // beginRound opens a new communication round and returns its index. It also
 // polls the run context: rounds already in flight complete (their cost is
 // accounted), but the detection loops check interrupted() between rounds and
@@ -255,7 +228,7 @@ func (nw *Network) beginRound() int {
 		if ln.phaseRounds > nw.phaseMax {
 			nw.phaseMax = ln.phaseRounds
 		}
-		if nw.observing() {
+		if nw.loadObs != nil {
 			for len(nw.phaseLoads) < ln.phaseRounds {
 				nw.phaseLoads = append(nw.phaseLoads, nil)
 			}
@@ -263,9 +236,6 @@ func (nw *Network) beginRound() int {
 		return ln.phaseRounds
 	}
 	nw.metrics.Rounds++
-	if nw.observer != nil {
-		nw.buf = nw.buf[:0]
-	}
 	if nw.loadObs != nil {
 		nw.loadBuf = nw.loadBuf[:0]
 	}
@@ -279,14 +249,11 @@ func (nw *Network) send(from, to int) {
 	if nw.lanes != nil {
 		ln := &nw.lanes[nw.curLane]
 		ln.messages++
-		if nw.observing() {
+		if nw.loadObs != nil {
 			r := ln.phaseRounds - 1
 			nw.phaseLoads[r] = append(nw.phaseLoads[r], LinkLoad{From: int32(from), To: int32(to), Words: 1})
 		}
 		return
-	}
-	if nw.observer != nil {
-		nw.buf = append(nw.buf, Traffic{From: int32(from), To: int32(to)})
 	}
 	if nw.loadObs != nil {
 		nw.loadBuf = append(nw.loadBuf, LinkLoad{From: int32(from), To: int32(to), Words: 1})
@@ -302,18 +269,13 @@ func (nw *Network) sendAllNeighbors(v int) {
 	if nw.lanes != nil {
 		ln := &nw.lanes[nw.curLane]
 		ln.messages += int64(len(ns))
-		if nw.observing() {
+		if nw.loadObs != nil {
 			r := ln.phaseRounds - 1
 			for _, w := range ns {
 				nw.phaseLoads[r] = append(nw.phaseLoads[r], LinkLoad{From: int32(v), To: w, Words: 1})
 			}
 		}
 		return
-	}
-	if nw.observer != nil {
-		for _, w := range ns {
-			nw.buf = append(nw.buf, Traffic{From: int32(v), To: w})
-		}
 	}
 	if nw.loadObs != nil {
 		for _, w := range ns {
@@ -323,8 +285,10 @@ func (nw *Network) sendAllNeighbors(v int) {
 }
 
 // accountMessages charges count messages to the global metrics (and the
-// current lane, in batch mode) without naming their endpoints. Only valid
-// while no observer is installed; observer paths enumerate real sends.
+// current lane, in batch mode) without naming their endpoints. Callers use
+// it where no load observer is installed (Broadcast, Convergecast), or
+// report the links to the observer themselves: batchFlood appends one
+// multi-word LinkLoad per link.
 func (nw *Network) accountMessages(count int) {
 	nw.metrics.Messages += int64(count)
 	if nw.lanes != nil {
@@ -332,14 +296,11 @@ func (nw *Network) accountMessages(count int) {
 	}
 }
 
-// endRound closes the current round, flushing messages to the observers. In
-// batch mode rounds are flushed at endPhase instead.
+// endRound closes the current round, flushing its loads to the load
+// observer. In batch mode rounds are flushed at endPhase instead.
 func (nw *Network) endRound(round int) {
 	if nw.lanes != nil {
 		return
-	}
-	if nw.observer != nil {
-		nw.observer(round, nw.buf)
 	}
 	if nw.loadObs != nil {
 		nw.loadObs(round, nw.loadBuf)
@@ -384,75 +345,38 @@ func (nw *Network) beginPhase() {
 }
 
 // endPhase folds the phase into the global metrics (max over lanes) and
-// flushes its shared rounds to the observers in order.
+// flushes its shared rounds to the load observer in order.
 func (nw *Network) endPhase() {
 	base := nw.metrics.Rounds
 	nw.metrics.Rounds += nw.phaseMax
-	if !nw.observing() {
+	if nw.loadObs == nil {
 		return
 	}
 	for r := 0; r < nw.phaseMax; r++ {
-		loads := nw.phaseLoads[r]
-		if nw.loadObs != nil {
-			nw.loadObs(base+r+1, loads)
-		}
-		if nw.observer != nil {
-			// Legacy per-message view: expand each load into Words entries.
-			buf := nw.expandBuf[:0]
-			for _, ld := range loads {
-				for w := int32(0); w < ld.Words; w++ {
-					buf = append(buf, Traffic{From: ld.From, To: ld.To})
-				}
-			}
-			nw.expandBuf = buf
-			nw.observer(base+r+1, buf)
-		}
-		nw.phaseLoads[r] = loads[:0]
+		nw.loadObs(base+r+1, nw.phaseLoads[r])
+		nw.phaseLoads[r] = nw.phaseLoads[r][:0]
 	}
 }
 
-// parallelFor runs fn(i) for i in [0, n) using the network's worker count.
-// fn must only write to per-index state.
-func (nw *Network) parallelFor(n int, fn func(i int)) {
-	if nw.workers < 2 || n < 64 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + nw.workers - 1) / nw.workers
-	for w := 0; w < nw.workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				fn(i)
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+// rangeWorkers is the number of goroutines parallelRanges starts for n
+// indices in tiles of tile: the network's worker count, but no more than
+// there are tiles, since an extra worker would only find the cursor
+// exhausted.
+func (nw *Network) rangeWorkers(n, tile int) int {
+	return min(nw.workers, (n+tile-1)/tile)
 }
 
 // parallelRanges runs fn over [0, n) split into half-open tiles of at most
-// tile indices, handed to the workers through an atomic cursor. It is the
-// blocked counterpart of parallelFor for kernels whose inner loop is written
-// over a range: the tile bounds the slice of the output array one worker
-// streams through at a time (pick tile so that slice stays L2-resident), and
-// the range form amortises the per-index closure call of parallelFor away.
+// tile indices, handed to the workers through an atomic cursor. The tile
+// bounds the slice of the output array one worker streams through at a time
+// (pick tile so that slice stays L2-resident), and the range form keeps the
+// per-index work in fn's own loop rather than behind a per-index call.
 // fn must only write state owned by its index range; every tile is executed
 // exactly once, so deterministic kernels stay deterministic regardless of
 // which worker draws which tile.
 func (nw *Network) parallelRanges(n, tile int, fn func(lo, hi int)) {
-	if nw.workers < 2 || n <= tile {
+	workers := nw.rangeWorkers(n, tile)
+	if workers < 2 {
 		for lo := 0; lo < n; lo += tile {
 			hi := lo + tile
 			if hi > n {
@@ -464,7 +388,7 @@ func (nw *Network) parallelRanges(n, tile int, fn func(lo, hi int)) {
 	}
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < nw.workers; w++ {
+	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -54,9 +54,6 @@ func (nw *Network) SetFloodTransport(t FloodTransport) {
 	nw.transportErr = nil
 }
 
-// FloodTransport returns the installed transport (nil if none).
-func (nw *Network) FloodTransport() FloodTransport { return nw.transport }
-
 // floodRemote runs one flood round's frames through the installed transport,
 // making any failure sticky. After a failure it is a no-op: the frames' Next
 // contents are garbage either way, and the caller's next interrupted() poll

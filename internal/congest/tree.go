@@ -99,11 +99,12 @@ func (nw *Network) BuildTree(root, depthLimit int) (*Tree, error) {
 // Broadcast models the root sending one O(log n)-bit value down the tree:
 // one round per level, one message per tree edge. The simulated value
 // delivery is implicit (every protocol below knows the broadcast value);
-// only the cost is accounted here. Without an observer the per-node message
-// enumeration is skipped — each level is one round of len(level) messages —
-// so a broadcast costs O(depth) simulator work instead of O(tree).
+// only the cost is accounted here. Without a load observer the per-node
+// message enumeration is skipped — each level is one round of len(level)
+// messages — so a broadcast costs O(depth) simulator work instead of
+// O(tree).
 func (nw *Network) Broadcast(t *Tree) {
-	if !nw.observing() {
+	if nw.loadObs == nil {
 		for d := 0; d < len(t.Levels)-1; d++ {
 			round := nw.beginRound()
 			nw.accountMessages(len(t.Levels[d+1]))
@@ -125,10 +126,10 @@ func (nw *Network) Broadcast(t *Tree) {
 // anything expressible with O(log n)-bit partial aggregates): one round per
 // level, one message per tree edge, deepest level first. The caller
 // performs the actual aggregation on node values; this method accounts the
-// cost, with the same O(depth) fast path as Broadcast when no observer is
-// installed.
+// cost, with the same O(depth) fast path as Broadcast when no load observer
+// is installed.
 func (nw *Network) Convergecast(t *Tree) {
-	if !nw.observing() {
+	if nw.loadObs == nil {
 		for d := len(t.Levels) - 1; d >= 1; d-- {
 			round := nw.beginRound()
 			nw.accountMessages(len(t.Levels[d]))

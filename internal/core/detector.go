@@ -48,12 +48,13 @@ type Detector struct {
 	eng *rw.WalkEngine
 	trk rw.CommunityTracker
 
-	// Parallel-engine state, retained across runs: the batch walk engine is
-	// Reset(seeds) instead of rebuilt, and the trackers, seed-drawing and
-	// overlap-resolution scratch rewind in place. parWork feeds the run's
-	// persistent walker goroutines; the channel is retained so repeat runs
-	// reuse it instead of reallocating.
-	parBatch    *rw.BatchWalkEngine
+	// Parallel-engine state, retained across runs: each walk's engine is
+	// Reset to its seed instead of rebuilt (all of them sweep over the
+	// detector's one degree index), and the trackers, seed-drawing and
+	// overlap-resolution scratch rewind in place.
+	// parWork feeds the run's persistent walker goroutines; the channel is
+	// retained so repeat runs reuse it instead of reallocating.
+	parWalks    []*rw.WalkEngine
 	parTrackers []*rw.CommunityTracker
 	parSeeds    []int
 	parBlocked  []bool
@@ -92,9 +93,6 @@ func NewDetector(g *graph.Graph, opts ...Option) (*Detector, error) {
 	}
 	return &Detector{g: g, cfg: cfg, settings: cfg.snapshot()}, nil
 }
-
-// Graph returns the graph the detector was built over.
-func (d *Detector) Graph() *graph.Graph { return d.g }
 
 // Engine returns the engine the detector dispatches to.
 func (d *Detector) Engine() Engine { return d.cfg.engine }

@@ -19,12 +19,12 @@ type parTask struct{ i, l int }
 // DetectParallel implements the extension sketched in the paper's
 // conclusion: "our algorithm can also be extended to find communities even
 // faster (by finding communities in parallel), assuming we know an
-// (estimate) of r". It draws r seeds and advances all r walks in lockstep
-// on a shared batched walk engine, with a pool of persistent walker
-// goroutines fed walk indices over a retained channel: each task advances
-// one walk (hybrid sparse/dense kernel) and runs its mixing-set search, so
-// stepping and sweeping overlap across cores without spawning a goroutine
-// per walk per step. It then resolves overlaps
+// (estimate) of r". It draws r seeds and advances all r walks in lockstep,
+// one walk engine each over a shared degree index, with a pool of
+// persistent walker goroutines fed walk indices over a retained channel:
+// each task advances one walk (hybrid sparse/dense kernel) and runs its
+// mixing-set search, so stepping and sweeping overlap across cores without
+// spawning a goroutine per walk per step. It then resolves overlaps
 // deterministically: a vertex claimed by several detections goes to the one
 // whose seed drew the lower pool position. Vertices claimed by no detection
 // are attached to the claiming community most frequent among their
@@ -104,23 +104,17 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 	// Detect all seeds' communities in lockstep: per walk length, every
 	// live walk runs one stepAndSweep — the same step DetectCommunity runs
 	// — so the outcome per seed is identical to running the seeds one by
-	// one. The batch engine and trackers are retained by the detector:
+	// one. The walk engines and trackers are retained by the detector:
 	// repeat runs Reset them instead of rebuilding.
-	if d.parBatch == nil {
-		batch, err := rw.NewBatchWalkEngineWithIndex(g, seeds, d.degreeIndex())
-		if err != nil {
-			return nil, err
-		}
-		d.parBatch = batch
-	} else if err := d.parBatch.Reset(seeds); err != nil {
-		return nil, err
-	}
-	batch := d.parBatch
-	for len(d.parTrackers) < r {
+	for len(d.parWalks) < r {
+		d.parWalks = append(d.parWalks, rw.NewWalkEngineWithIndex(g, d.degreeIndex()))
 		d.parTrackers = append(d.parTrackers, &rw.CommunityTracker{})
 	}
-	trackers := d.parTrackers[:r]
+	walks, trackers := d.parWalks[:r], d.parTrackers[:r]
 	for i, s := range seeds {
+		if err := walks[i].Reset(s); err != nil {
+			return nil, err
+		}
 		trackers[i].Reset(s, cfg.stopRule())
 	}
 	if cap(d.parErrs) < r {
@@ -142,7 +136,7 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 			errs[i] = err
 			return
 		}
-		if err := cfg.stepAndSweep(batch.Engine(i), trackers[i], l); err != nil {
+		if err := cfg.stepAndSweep(walks[i], trackers[i], l); err != nil {
 			errs[i] = err
 			cancel() // first error cancels the sibling walkers
 		}

@@ -76,21 +76,6 @@ func (g *Graph) MaxDegree() int {
 	return maxDeg
 }
 
-// MinDegree returns the minimum degree of the graph (0 for empty graphs).
-func (g *Graph) MinDegree() int {
-	n := g.NumVertices()
-	if n == 0 {
-		return 0
-	}
-	minDeg := g.Degree(0)
-	for v := 1; v < n; v++ {
-		if d := g.Degree(v); d < minDeg {
-			minDeg = d
-		}
-	}
-	return minDeg
-}
-
 // AverageDegree returns 2m/n, the mean degree (0 for empty graphs).
 func (g *Graph) AverageDegree() float64 {
 	n := g.NumVertices()
@@ -113,48 +98,6 @@ func (g *Graph) Edges(fn func(u, v int) bool) {
 			}
 		}
 	}
-}
-
-// SetVolume returns µ(S) = Σ_{v∈S} d(v) for the vertex set S.
-func (g *Graph) SetVolume(set []int) int {
-	vol := 0
-	for _, v := range set {
-		vol += g.Degree(v)
-	}
-	return vol
-}
-
-// CutSize returns |E(S, V\S)|, the number of edges with exactly one endpoint
-// in S.
-func (g *Graph) CutSize(set []int) int {
-	in := make([]bool, g.NumVertices())
-	for _, v := range set {
-		in[v] = true
-	}
-	cut := 0
-	for _, v := range set {
-		for _, w := range g.Neighbors(v) {
-			if !in[w] {
-				cut++
-			}
-		}
-	}
-	return cut
-}
-
-// Conductance returns φ(S) = |E(S, V\S)| / min(µ(S), µ(V\S)). It returns 0
-// for empty or full S (no cut exists) and for graphs without edges.
-func (g *Graph) Conductance(set []int) float64 {
-	vol := g.SetVolume(set)
-	rest := g.Volume() - vol
-	denom := vol
-	if rest < denom {
-		denom = rest
-	}
-	if denom == 0 {
-		return 0
-	}
-	return float64(g.CutSize(set)) / float64(denom)
 }
 
 // Validate checks structural invariants: sorted neighbour lists, no
@@ -195,6 +138,11 @@ type Builder struct {
 	us    []int32
 	vs    []int32
 	loose bool // dedupe instead of erroring (used by readers of untrusted input)
+	// badU, badV is the first added edge with an endpoint outside [0, n),
+	// kept as ints: its int32 copies in us and vs may have wrapped into
+	// range.
+	badU, badV int
+	hasBad     bool
 }
 
 // NewBuilder returns a builder for a graph with n vertices.
@@ -208,24 +156,25 @@ func NewDedupBuilder(n int) *Builder {
 	return &Builder{n: n, loose: true}
 }
 
-// NumVertices returns the vertex count the builder was created with.
-func (b *Builder) NumVertices() int { return b.n }
-
-// AddEdge records the undirected edge {u, v}.
+// AddEdge records the undirected edge {u, v}. An endpoint outside [0, n)
+// is recorded too and makes Build fail.
 func (b *Builder) AddEdge(u, v int) {
+	if !b.hasBad && (u < 0 || u >= b.n || v < 0 || v >= b.n) {
+		b.badU, b.badV, b.hasBad = u, v, true
+	}
 	b.us = append(b.us, int32(u))
 	b.vs = append(b.vs, int32(v))
 }
 
 // Build validates the accumulated edges and returns the immutable graph.
 func (b *Builder) Build() (*Graph, error) {
+	if b.hasBad {
+		return nil, fmt.Errorf("%w: edge {%d,%d} with n=%d", ErrVertexOutOfRange, b.badU, b.badV, b.n)
+	}
 	type edge struct{ u, v int32 }
 	edges := make([]edge, 0, len(b.us))
 	for i := range b.us {
 		u, v := b.us[i], b.vs[i]
-		if int(u) < 0 || int(u) >= b.n || int(v) < 0 || int(v) >= b.n {
-			return nil, fmt.Errorf("%w: edge {%d,%d} with n=%d", ErrVertexOutOfRange, u, v, b.n)
-		}
 		if u == v {
 			if b.loose {
 				continue

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -93,6 +94,17 @@ func TestReadEdgeListErrors(t *testing.T) {
 				t.Fatalf("input %q accepted", tc.input)
 			}
 		})
+	}
+}
+
+// TestReadEdgeListRejectsWrappedIDs: an id that narrowing to int32 would
+// wrap into range (2³²+5 and 5−2³² both become 5) is refused as out of
+// range instead of being stored as vertex 5.
+func TestReadEdgeListRejectsWrappedIDs(t *testing.T) {
+	for _, in := range []string{"10 1\n4294967301 0\n", "10 1\n0 -4294967291\n"} {
+		if _, err := ReadEdgeList(strings.NewReader(in)); !errors.Is(err, ErrVertexOutOfRange) {
+			t.Fatalf("input %q: got %v, want ErrVertexOutOfRange", in, err)
+		}
 	}
 }
 

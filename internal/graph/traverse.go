@@ -12,9 +12,6 @@ type BFSResult struct {
 	Order []int
 }
 
-// Reached reports whether v was reached by the search.
-func (r *BFSResult) Reached(v int) bool { return r.Depth[v] >= 0 }
-
 // MaxDepth returns the eccentricity of the source within its component,
 // truncated by any depth limit used during the search.
 func (r *BFSResult) MaxDepth() int {
@@ -25,19 +22,6 @@ func (r *BFSResult) MaxDepth() int {
 		}
 	}
 	return maxD
-}
-
-// Children returns, for every vertex, the list of its BFS-tree children.
-// Useful for convergecast simulations.
-func (r *BFSResult) Children() [][]int {
-	children := make([][]int, len(r.Parent))
-	for _, v := range r.Order {
-		p := r.Parent[v]
-		if p >= 0 {
-			children[p] = append(children[p], v)
-		}
-	}
-	return children
 }
 
 // BFS runs a breadth-first search from source, visiting the entire component.
@@ -148,33 +132,4 @@ func (g *Graph) Diameter() int {
 		}
 	}
 	return diam
-}
-
-// InducedSubgraph returns the subgraph induced by the given vertex set,
-// together with the mapping from new vertex ids (0..len(set)-1) back to the
-// original ids. Vertices in set keep their relative order.
-func (g *Graph) InducedSubgraph(set []int) (*Graph, []int, error) {
-	index := make(map[int]int, len(set))
-	orig := make([]int, len(set))
-	for i, v := range set {
-		if v < 0 || v >= g.NumVertices() {
-			return nil, nil, ErrVertexOutOfRange
-		}
-		index[v] = i
-		orig[i] = v
-	}
-	b := NewBuilder(len(set))
-	for i, v := range set {
-		for _, w := range g.Neighbors(v) {
-			j, ok := index[int(w)]
-			if ok && i < j {
-				b.AddEdge(i, j)
-			}
-		}
-	}
-	sub, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	return sub, orig, nil
 }

@@ -6,11 +6,11 @@
 // by routing every CONGEST message between the home machines of its
 // endpoints.
 //
-// The simulator consumes the per-round message stream of a
-// congest.Network (via its RoundObserver) and charges, for every CONGEST
-// round, ⌈L/B⌉ k-machine rounds where L is the load (in messages of one
-// O(log n)-bit word) of the most congested machine link — exactly the
-// simulation argument of the Conversion Theorem (part a).
+// The simulator consumes the per-round link loads of a congest.Network (via
+// its LoadObserver) and charges, for every CONGEST round, ⌈L/B⌉ k-machine
+// rounds where L is the load (in messages of one O(log n)-bit word) of the
+// most congested machine link — exactly the simulation argument of the
+// Conversion Theorem (part a).
 package kmachine
 
 import (
@@ -106,9 +106,9 @@ type Results struct {
 	MaxLinkLoad int64
 }
 
-// Simulator converts a CONGEST message stream into k-machine rounds.
-// Install its Observer on a congest.Network, run the algorithm, then read
-// Results.
+// Simulator converts a CONGEST execution's link loads into k-machine rounds.
+// Install its LoadObserver on a congest.Network (or wrap the run in Run),
+// run the algorithm, then read Results.
 type Simulator struct {
 	assign  Assignment
 	b       int // link bandwidth in messages (words) per round
@@ -133,39 +133,12 @@ func NewSimulator(assign Assignment, bandwidth int) (*Simulator, error) {
 	}, nil
 }
 
-// Observer returns a congest.RoundObserver consuming one Traffic entry per
-// message. Prefer LoadObserver, which consumes per-link aggregates and is
-// what Run installs; this per-message view remains as the reference
-// implementation the aggregate path is equivalence-tested against.
-func (s *Simulator) Observer() congest.RoundObserver {
-	return func(round int, msgs []congest.Traffic) {
-		s.res.CongestRounds++
-		s.res.TotalMessages += int64(len(msgs))
-		for _, msg := range msgs {
-			mi := s.assign.Home[msg.From]
-			mj := s.assign.Home[msg.To]
-			if mi == mj {
-				continue // co-located endpoints: free
-			}
-			s.res.CrossMessages++
-			idx := mi*s.assign.K + mj
-			if s.loads[idx] == 0 {
-				s.touched = append(s.touched, idx)
-			}
-			s.loads[idx]++
-		}
-		s.closeRound()
-	}
-}
-
 // LoadObserver returns the congest.LoadObserver to install on the network
-// (Network.SetLoadObserver): the fused fast path of the conversion. Each
-// round arrives as per-link aggregate word counts — in a batched CONGEST
-// execution one entry stands for a whole batch's words on that link — so the
-// per-machine-link prefix sums behind Results.Rounds and MaxLinkLoad cost
-// one home lookup per link instead of one per word, and no Traffic entries
-// are ever materialised. Results are identical to the Observer path on the
-// same execution.
+// (Network.SetLoadObserver). Each round arrives as per-link aggregate word
+// counts — in a batched CONGEST execution one entry stands for a whole
+// batch's words on that link — so the per-machine-link prefix sums behind
+// Results.Rounds and MaxLinkLoad cost one home lookup per link instead of
+// one per word.
 func (s *Simulator) LoadObserver() congest.LoadObserver {
 	return func(round int, loads []congest.LinkLoad) {
 		s.res.CongestRounds++
@@ -212,20 +185,14 @@ func (s *Simulator) Results() Results { return s.res }
 // Run installs the simulator's load observer on nw for the duration of one
 // ctx-aware runner — typically a closure over congest.DetectContext or
 // congest.DetectCommunityContext — and forwards ctx so the observed
-// execution is cancellable. Any observer installed before (load or
-// per-message Traffic) is suspended for the run and restored afterwards:
-// leaving a caller's sim.Observer() active alongside the load observer
-// would fold every round into the results twice. Conversion results accumulate across Run calls;
-// read them with Results.
+// execution is cancellable. The load observer installed before (if any) is
+// replaced for the run, so a caller's own sim.LoadObserver() cannot fold
+// every round into the results twice, and restored afterwards. Conversion
+// results accumulate across Run calls; read them with Results.
 func (s *Simulator) Run(ctx context.Context, nw *congest.Network, run func(context.Context) error) error {
-	prevLoad := nw.LoadObserver()
-	prevMsg := nw.Observer()
+	prev := nw.LoadObserver()
 	nw.SetLoadObserver(s.LoadObserver())
-	nw.SetObserver(nil)
-	defer func() {
-		nw.SetLoadObserver(prevLoad)
-		nw.SetObserver(prevMsg)
-	}()
+	defer nw.SetLoadObserver(prev)
 	return run(ctx)
 }
 

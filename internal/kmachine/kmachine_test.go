@@ -54,9 +54,9 @@ func TestObserverAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := sim.Observer()
+	obs := sim.LoadObserver()
 	// Round 1: one local message (0->1) and two cross messages (1->2, 2->0).
-	obs(1, []congest.Traffic{{From: 0, To: 1}, {From: 1, To: 2}, {From: 2, To: 0}})
+	obs(1, []congest.LinkLoad{{From: 0, To: 1, Words: 1}, {From: 1, To: 2, Words: 1}, {From: 2, To: 0, Words: 1}})
 	res := sim.Results()
 	if res.CongestRounds != 1 || res.TotalMessages != 3 || res.CrossMessages != 2 {
 		t.Fatalf("results = %+v", res)
@@ -65,11 +65,15 @@ func TestObserverAccounting(t *testing.T) {
 	if res.Rounds != 1 {
 		t.Fatalf("k-machine rounds = %d, want 1", res.Rounds)
 	}
-	// Round 2: three cross messages on the same directed link → 3 rounds.
-	obs(2, []congest.Traffic{{From: 0, To: 2}, {From: 0, To: 3}, {From: 1, To: 3}})
+	// Round 2: three cross words on the same directed machine link, two of
+	// them one multi-word load → 3 rounds.
+	obs(2, []congest.LinkLoad{{From: 0, To: 2, Words: 2}, {From: 1, To: 3, Words: 1}})
 	res = sim.Results()
 	if res.Rounds != 1+3 {
 		t.Fatalf("k-machine rounds = %d, want 4", res.Rounds)
+	}
+	if res.CongestRounds != 2 || res.TotalMessages != 6 || res.CrossMessages != 5 {
+		t.Fatalf("results = %+v", res)
 	}
 	if res.MaxLinkLoad != 3 {
 		t.Fatalf("max link load = %d, want 3", res.MaxLinkLoad)
@@ -82,12 +86,8 @@ func TestBandwidthDividesLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := sim.Observer()
-	msgs := make([]congest.Traffic, 10)
-	for i := range msgs {
-		msgs[i] = congest.Traffic{From: 0, To: 1}
-	}
-	obs(1, msgs)
+	// Entries for the same link accumulate within a round.
+	sim.LoadObserver()(1, []congest.LinkLoad{{From: 0, To: 1, Words: 7}, {From: 0, To: 1, Words: 3}})
 	// 10 messages over a B=4 link → ⌈10/4⌉ = 3 rounds.
 	if got := sim.Results().Rounds; got != 3 {
 		t.Fatalf("rounds = %d, want 3", got)
@@ -100,8 +100,7 @@ func TestLocalRoundsAreFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs := sim.Observer()
-	obs(1, []congest.Traffic{{From: 0, To: 1}, {From: 1, To: 0}})
+	sim.LoadObserver()(1, []congest.LinkLoad{{From: 0, To: 1, Words: 1}, {From: 1, To: 0, Words: 1}})
 	res := sim.Results()
 	if res.Rounds != 0 {
 		t.Fatalf("co-located traffic cost %d rounds, want 0", res.Rounds)
@@ -111,43 +110,10 @@ func TestLocalRoundsAreFree(t *testing.T) {
 	}
 }
 
-// TestLoadObserverMatchesTraffic: the aggregate-consuming fast path must
-// produce identical Results to the per-message reference on the same rounds,
-// including multi-word loads standing for whole batches.
-func TestLoadObserverMatchesTraffic(t *testing.T) {
-	assign := Assignment{Home: []int{0, 0, 1, 1}, K: 2}
-	ref, err := NewSimulator(assign, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fast, err := NewSimulator(assign, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refObs, fastObs := ref.Observer(), fast.LoadObserver()
-	rounds := [][]congest.LinkLoad{
-		{{From: 0, To: 1, Words: 3}, {From: 1, To: 2, Words: 4}, {From: 2, To: 0, Words: 1}},
-		{}, // empty rounds still count
-		{{From: 0, To: 2, Words: 2}, {From: 0, To: 2, Words: 5}, {From: 3, To: 1, Words: 1}},
-	}
-	for i, loads := range rounds {
-		var msgs []congest.Traffic
-		for _, ld := range loads {
-			for w := int32(0); w < ld.Words; w++ {
-				msgs = append(msgs, congest.Traffic{From: ld.From, To: ld.To})
-			}
-		}
-		refObs(i+1, msgs)
-		fastObs(i+1, loads)
-	}
-	if ref.Results() != fast.Results() {
-		t.Fatalf("load observer diverged: %+v vs reference %+v", fast.Results(), ref.Results())
-	}
-}
-
-// TestLoadObserverEndToEndMatchesTraffic: converting one CONGEST detection
-// through the load observer gives the same Results as the per-message
-// observer, and the batched execution converts to no more k-machine rounds.
+// TestLoadObserverEndToEndMatchesTraffic: the batched execution of a set of
+// CONGEST walks converts, through the load observer, to the same message
+// count as the walks run one at a time and to fewer CONGEST and k-machine
+// rounds.
 func TestLoadObserverEndToEndMatchesTraffic(t *testing.T) {
 	cfgGen := gen.PPMConfig{N: 256, R: 2, P: 2 * gen.Log2(128) / 128, Q: 0.1 / 128}
 	ppm, err := gen.NewPPM(cfgGen, rng.New(5))
@@ -160,23 +126,6 @@ func TestLoadObserverEndToEndMatchesTraffic(t *testing.T) {
 	}
 	ccfg := congest.DefaultConfig(256)
 	ccfg.Delta = cfgGen.ExpectedConductance()
-	runDetect := func(install func(nw *congest.Network, sim *Simulator)) Results {
-		sim, err := NewSimulator(assign, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		nw := congest.NewNetwork(ppm.Graph, 1)
-		install(nw, sim)
-		if _, _, err := congest.DetectCommunity(nw, 0, ccfg); err != nil {
-			t.Fatal(err)
-		}
-		return sim.Results()
-	}
-	ref := runDetect(func(nw *congest.Network, sim *Simulator) { nw.SetObserver(sim.Observer()) })
-	fast := runDetect(func(nw *congest.Network, sim *Simulator) { nw.SetLoadObserver(sim.LoadObserver()) })
-	if ref != fast {
-		t.Fatalf("end-to-end conversion differs: load %+v vs traffic %+v", fast, ref)
-	}
 
 	// Batched CONGEST walks convert in fewer k-machine rounds than the same
 	// walks run one at a time: the per-round max link load grows sublinearly
@@ -214,10 +163,10 @@ func TestLoadObserverEndToEndMatchesTraffic(t *testing.T) {
 	}
 }
 
-// TestRunSuspendsInstalledObservers: Run must not leave a caller-installed
-// per-message observer active alongside its own load observer — that would
-// fold every round into the results twice — and must restore both observers
-// afterwards.
+// TestRunSuspendsInstalledObservers: Run must replace a caller-installed
+// load observer with its own for the run — the caller's sim.LoadObserver()
+// left active as well would fold every round into the results twice — and
+// must restore it afterwards.
 func TestRunSuspendsInstalledObservers(t *testing.T) {
 	g, err := gen.Gnp(64, 0.2, rng.New(3))
 	if err != nil {
@@ -232,8 +181,13 @@ func TestRunSuspendsInstalledObservers(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := congest.NewNetwork(g, 1)
-	// The pre-Run idiom: the caller wired the Traffic observer themselves.
-	nw.SetObserver(sim.Observer())
+	// The pre-Run idiom: the caller wired the load observer themselves.
+	var callerRounds int
+	callerObs := sim.LoadObserver()
+	nw.SetLoadObserver(func(round int, loads []congest.LinkLoad) {
+		callerRounds++
+		callerObs(round, loads)
+	})
 	err = sim.Run(context.Background(), nw, func(ctx context.Context) error {
 		_, _, err := congest.DetectCommunityContext(ctx, nw, 0, congest.DefaultConfig(64))
 		return err
@@ -244,8 +198,15 @@ func TestRunSuspendsInstalledObservers(t *testing.T) {
 	if got, want := sim.Results().CongestRounds, nw.Metrics().Rounds; got != want {
 		t.Fatalf("conversion saw %d rounds for %d simulated — observers double-counted", got, want)
 	}
-	if nw.Observer() == nil || nw.LoadObserver() != nil {
-		t.Fatal("Run did not restore the observers it suspended")
+	if callerRounds != 0 {
+		t.Fatalf("the caller's observer saw %d rounds during Run", callerRounds)
+	}
+	if nw.LoadObserver() == nil {
+		t.Fatal("Run did not restore the observer it suspended")
+	}
+	nw.LoadObserver()(1, nil)
+	if callerRounds != 1 {
+		t.Fatal("the restored observer is not the caller's")
 	}
 }
 
@@ -268,7 +229,7 @@ func TestEndToEndScalingInK(t *testing.T) {
 			t.Fatal(err)
 		}
 		nw := congest.NewNetwork(ppm.Graph, 1)
-		nw.SetObserver(sim.Observer())
+		nw.SetLoadObserver(sim.LoadObserver())
 		cfg := congest.DefaultConfig(256)
 		cfg.Delta = cfgGen.ExpectedConductance()
 		if _, _, err := congest.DetectCommunity(nw, 0, cfg); err != nil {
@@ -310,7 +271,7 @@ func TestSimulatedRoundsRespectConversionBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := congest.NewNetwork(g, 1)
-	nw.SetObserver(sim.Observer())
+	nw.SetLoadObserver(sim.LoadObserver())
 	_, stats, err := congest.DetectCommunity(nw, 0, congest.DefaultConfig(256))
 	if err != nil {
 		t.Fatal(err)

@@ -202,23 +202,3 @@ func BestMatchFScore(detected, truth [][]int) (float64, error) {
 	}
 	return sum / float64(len(detected)), nil
 }
-
-// LabelsFromCommunities converts a community list (vertex sets) into a
-// per-vertex label slice over n vertices. Vertices not covered by any
-// community get label -1; if a vertex appears in several communities the
-// last one wins (detection output assigns each vertex once, so this only
-// matters for malformed input).
-func LabelsFromCommunities(communities [][]int, n int) []int {
-	labels := make([]int, n)
-	for i := range labels {
-		labels[i] = -1
-	}
-	for id, set := range communities {
-		for _, v := range set {
-			if v >= 0 && v < n {
-				labels[v] = id
-			}
-		}
-	}
-	return labels
-}

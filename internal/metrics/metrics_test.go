@@ -219,18 +219,3 @@ func TestARIRangeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestLabelsFromCommunities(t *testing.T) {
-	labels := LabelsFromCommunities([][]int{{0, 2}, {1, 3}}, 5)
-	want := []int{0, 1, 0, 1, -1}
-	for i := range want {
-		if labels[i] != want[i] {
-			t.Fatalf("labels = %v, want %v", labels, want)
-		}
-	}
-	// Out-of-range vertices are ignored.
-	labels = LabelsFromCommunities([][]int{{0, 99, -3}}, 2)
-	if labels[0] != 0 || labels[1] != -1 {
-		t.Fatalf("labels with out-of-range members = %v", labels)
-	}
-}

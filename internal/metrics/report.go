@@ -1,11 +1,6 @@
 package metrics
 
-import (
-	"fmt"
-	"io"
-	"sort"
-	"text/tabwriter"
-)
+import "fmt"
 
 // CommunityScore is the per-detection row of an evaluation report.
 type CommunityScore struct {
@@ -48,33 +43,4 @@ func NewReport(results []DetectionResult) (*Report, error) {
 	}
 	rep.TotalF = sum / float64(len(results))
 	return rep, nil
-}
-
-// Write renders the report as an aligned table.
-func (r *Report) Write(w io.Writer) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "community\t|detected|\t|truth|\toverlap\tprecision\trecall\tF")
-	for _, row := range r.Rows {
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%d\t%.4f\t%.4f\t%.4f\n",
-			row.Index, row.Detected, row.Truth, row.Overlap,
-			row.Precision, row.Recall, row.FScore)
-	}
-	fmt.Fprintf(tw, "total\t\t\t\t\t\t%.4f\n", r.TotalF)
-	return tw.Flush()
-}
-
-// WorstRows returns the k lowest-scoring rows (ties by index), useful for
-// debugging which communities a run got wrong.
-func (r *Report) WorstRows(k int) []CommunityScore {
-	rows := append([]CommunityScore(nil), r.Rows...)
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].FScore != rows[j].FScore {
-			return rows[i].FScore < rows[j].FScore
-		}
-		return rows[i].Index < rows[j].Index
-	})
-	if k > len(rows) {
-		k = len(rows)
-	}
-	return rows[:k]
 }

@@ -1,10 +1,6 @@
 package metrics
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestNewReport(t *testing.T) {
 	results := []DetectionResult{
@@ -34,41 +30,6 @@ func TestNewReport(t *testing.T) {
 func TestNewReportEmpty(t *testing.T) {
 	if _, err := NewReport(nil); err == nil {
 		t.Fatal("empty results accepted")
-	}
-}
-
-func TestReportWrite(t *testing.T) {
-	rep, err := NewReport([]DetectionResult{
-		{Detected: []int{1}, Truth: []int{1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := rep.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "precision") || !strings.Contains(out, "total") {
-		t.Fatalf("report table malformed:\n%s", out)
-	}
-}
-
-func TestWorstRows(t *testing.T) {
-	rep, err := NewReport([]DetectionResult{
-		{Detected: []int{1}, Truth: []int{1}},       // F=1
-		{Detected: []int{1}, Truth: []int{2}},       // F=0
-		{Detected: []int{1, 2}, Truth: []int{1, 3}}, // F=0.5
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	worst := rep.WorstRows(2)
-	if len(worst) != 2 || worst[0].Index != 1 || worst[1].Index != 2 {
-		t.Fatalf("worst = %+v", worst)
-	}
-	if got := rep.WorstRows(99); len(got) != 3 {
-		t.Fatalf("overshoot k gave %d rows", len(got))
 	}
 }
 

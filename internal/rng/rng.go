@@ -159,18 +159,3 @@ func (r *RNG) Geometric(p float64) int {
 func (r *RNG) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
-
-// NormFloat64 returns a standard normal sample using the polar
-// (Marsaglia) method. Used by the averaging-dynamics baseline for symmetric
-// initial values.
-func (r *RNG) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s >= 1 || s == 0 {
-			continue
-		}
-		return u * math.Sqrt(-2*math.Log(s)/s)
-	}
-}

@@ -207,25 +207,6 @@ func TestBernoulliProbability(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(41)
-	const draws = 100000
-	sum, sumSq := 0.0, 0.0
-	for i := 0; i < draws; i++ {
-		x := r.NormFloat64()
-		sum += x
-		sumSq += x * x
-	}
-	mean := sum / draws
-	variance := sumSq/draws - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean = %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance = %v, want ~1", variance)
-	}
-}
-
 func TestMul64MatchesBig(t *testing.T) {
 	// Property: mul64 agrees with the 128-bit product computed via math/bits
 	// style decomposition on random inputs.

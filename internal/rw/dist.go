@@ -1,9 +1,9 @@
 // Package rw implements the random-walk machinery CDRW is built on: exact
 // evolution of the walk's probability distribution (one flooding round per
 // step, as in §III of the paper), stationary distributions, L1 distances,
-// mixing times, spectral estimates, and — the paper's key primitive — the
-// largest local mixing set of a distribution (Definition 2 plus the
-// localised x_u statistic of Algorithm 1).
+// mixing times, and — the paper's key primitive — the largest local mixing
+// set of a distribution (Definition 2 plus the localised x_u statistic of
+// Algorithm 1).
 //
 // SharedIndex bundles the immutable per-graph tables (degree-sorted sweep
 // index, inverse-degree flood table) that detector pools share per graph
@@ -56,17 +56,6 @@ func (d Dist) L1(e Dist) float64 {
 		s += math.Abs(d[i] - e[i])
 	}
 	return s
-}
-
-// Support returns the vertices with non-zero probability.
-func (d Dist) Support() []int {
-	var sup []int
-	for v, p := range d {
-		if p != 0 {
-			sup = append(sup, v)
-		}
-	}
-	return sup
 }
 
 // Step advances the distribution by one step of the simple random walk on g:
@@ -130,30 +119,6 @@ func Stationary(g *graph.Graph) Dist {
 	return d
 }
 
-// RestrictedStationary returns π_S: π restricted and renormalised to the
-// set S, i.e. π_S(v) = d(v)/µ(S) for v ∈ S and 0 elsewhere (§I-C).
-func RestrictedStationary(g *graph.Graph, set []int) Dist {
-	d := make(Dist, g.NumVertices())
-	vol := float64(g.SetVolume(set))
-	if vol == 0 {
-		return d
-	}
-	for _, v := range set {
-		d[v] = float64(g.Degree(v)) / vol
-	}
-	return d
-}
-
-// Restrict zeroes the distribution outside S and returns the result as a
-// fresh vector (p_S^t of §I-C — note the restriction is not renormalised).
-func (d Dist) Restrict(set []int) Dist {
-	out := make(Dist, len(d))
-	for _, v := range set {
-		out[v] = d[v]
-	}
-	return out
-}
-
 // MixingTime returns the ε-near mixing time from source: the first step t
 // at which ||p_t − π||₁ < ε (Definition 1). It returns an error if the walk
 // has not mixed after maxSteps (e.g. bipartite graphs never mix).
@@ -170,73 +135,4 @@ func MixingTime(g *graph.Graph, source int, eps float64, maxSteps int) (int, err
 		e.Step()
 	}
 	return 0, fmt.Errorf("rw: walk from %d not %v-mixed after %d steps", source, eps, maxSteps)
-}
-
-// LazyStep advances the distribution by one step of the lazy random walk
-// (stay put with probability 1/2). Lazy walks mix on bipartite graphs;
-// the baseline experiments use them for robustness comparisons.
-func LazyStep(g *graph.Graph, d, next Dist) Dist {
-	next = Step(g, d, next)
-	for i := range next {
-		next[i] = 0.5*next[i] + 0.5*d[i]
-	}
-	return next
-}
-
-// SecondEigenvalue estimates |λ₂| of the transition matrix of a connected
-// graph by power iteration on the component orthogonal to the stationary
-// left eigenvector. iters controls the number of iterations. The estimate
-// underpins the Equation (1)/(2) sanity tests for Gnp graphs.
-func SecondEigenvalue(g *graph.Graph, iters int) float64 {
-	n := g.NumVertices()
-	if n < 2 || g.Volume() == 0 {
-		return 0
-	}
-	pi := Stationary(g)
-	// Start from a deterministic vector orthogonal to the all-ones right
-	// eigenvector... For the walk operator P acting on distributions
-	// (row vectors), π is the fixed point; we deflate by removing the π
-	// component after each multiplication.
-	x := make(Dist, n)
-	for i := range x {
-		if i%2 == 0 {
-			x[i] = 1
-		} else {
-			x[i] = -1
-		}
-	}
-	deflate := func(v Dist) {
-		s := v.Sum()
-		for i := range v {
-			v[i] -= s * pi[i]
-		}
-	}
-	norm := func(v Dist) float64 {
-		s := 0.0
-		for _, a := range v {
-			s += a * a
-		}
-		return math.Sqrt(s)
-	}
-	deflate(x)
-	if norm(x) == 0 {
-		x[0] += 1
-		deflate(x)
-	}
-	next := make(Dist, n)
-	lambda := 0.0
-	for it := 0; it < iters; it++ {
-		next = Step(g, x, next)
-		deflate(next)
-		nn := norm(next)
-		if nn == 0 {
-			return 0
-		}
-		lambda = nn / norm(x)
-		for i := range next {
-			next[i] /= nn
-		}
-		x, next = next, x
-	}
-	return lambda
 }

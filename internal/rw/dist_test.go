@@ -164,42 +164,6 @@ func TestStationaryEdgeless(t *testing.T) {
 	}
 }
 
-func TestRestrictedStationary(t *testing.T) {
-	g := completeGraph(t, 6) // all degrees 5
-	piS := RestrictedStationary(g, []int{0, 1, 2})
-	for v := 0; v < 3; v++ {
-		if math.Abs(piS[v]-1.0/3.0) > 1e-12 {
-			t.Fatalf("piS[%d] = %v, want 1/3", v, piS[v])
-		}
-	}
-	for v := 3; v < 6; v++ {
-		if piS[v] != 0 {
-			t.Fatalf("piS[%d] = %v, want 0", v, piS[v])
-		}
-	}
-}
-
-func TestRestrict(t *testing.T) {
-	d := Dist{0.25, 0.25, 0.25, 0.25}
-	r := d.Restrict([]int{1, 3})
-	want := Dist{0, 0.25, 0, 0.25}
-	if r.L1(want) > 0 {
-		t.Fatalf("Restrict = %v, want %v", r, want)
-	}
-	// Original untouched.
-	if d[0] != 0.25 {
-		t.Fatal("Restrict mutated its receiver")
-	}
-}
-
-func TestSupport(t *testing.T) {
-	d := Dist{0, 0.5, 0, 0.5}
-	sup := d.Support()
-	if len(sup) != 2 || sup[0] != 1 || sup[1] != 3 {
-		t.Fatalf("support = %v", sup)
-	}
-}
-
 func TestL1Properties(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
@@ -252,72 +216,5 @@ func TestMixingTimeGnpLogarithmic(t *testing.T) {
 	// Expander: mixing time O(log n). Allow a generous constant.
 	if tm > 60 {
 		t.Fatalf("Gnp mixing time %d looks super-logarithmic (n=%d)", tm, n)
-	}
-}
-
-func TestLazyStepMixesBipartite(t *testing.T) {
-	g := cycleGraph(t, 8)
-	pi := Stationary(g)
-	d, err := NewPointDist(8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := make(Dist, 8)
-	for i := 0; i < 300; i++ {
-		d, next = LazyStep(g, d, next), d
-	}
-	if d.L1(pi) > 0.01 {
-		t.Fatalf("lazy walk on C8 not mixed: L1 = %v", d.L1(pi))
-	}
-}
-
-func TestSecondEigenvalueCompleteGraph(t *testing.T) {
-	// K_n has λ₂ = 1/(n−1) in absolute value.
-	g := completeGraph(t, 11)
-	got := SecondEigenvalue(g, 200)
-	want := 0.1
-	if math.Abs(got-want) > 0.02 {
-		t.Fatalf("λ₂(K11) = %v, want ~%v", got, want)
-	}
-}
-
-func TestSecondEigenvalueCycle(t *testing.T) {
-	// Odd cycle C_n (not bipartite) has transition-matrix eigenvalues
-	// cos(2πk/n); the largest non-trivial absolute value is |−cos(π/n)|,
-	// attained near the bipartite end of the spectrum. Even cycles are
-	// bipartite with eigenvalue −1, so |λ₂| = 1 there.
-	n := 9
-	g := cycleGraph(t, n)
-	got := SecondEigenvalue(g, 3000)
-	want := math.Cos(math.Pi / float64(n))
-	if math.Abs(got-want) > 0.05 {
-		t.Fatalf("λ₂(C%d) = %v, want ~%v", n, got, want)
-	}
-}
-
-func TestSecondEigenvalueGnpBound(t *testing.T) {
-	// Equation (2): for a random d-regular-ish graph λ₂ ≈ 1/√d + o(1).
-	n := 1 << 10
-	p := 2 * gen.Log2(n) * gen.Log2(n) / float64(n) // dense enough to concentrate
-	g, err := gen.Gnp(n, p, rng.New(33))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := g.AverageDegree()
-	got := SecondEigenvalue(g, 60)
-	bound := 1/math.Sqrt(d) + 0.15
-	if got > bound {
-		t.Fatalf("λ₂ = %v exceeds spectral bound %v (avg degree %v)", got, bound, d)
-	}
-}
-
-func TestSecondEigenvalueDegenerate(t *testing.T) {
-	b := graph.NewBuilder(1)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := SecondEigenvalue(g, 10); got != 0 {
-		t.Fatalf("λ₂ of single vertex = %v, want 0", got)
 	}
 }

@@ -35,7 +35,7 @@ type WalkEngine struct {
 	sparse    bool
 	threshold int // support size at which the engine goes dense
 	steps     int
-	sweeper   *Sweeper // lazily built; batch engines inject one sharing an index
+	sweeper   *Sweeper // lazily built, or injected sharing a caller's index
 }
 
 // NewWalkEngine returns an engine over g with the default density threshold
@@ -228,124 +228,4 @@ func (e *WalkEngine) LargestMixingSetDense(minSize int, opt MixOptions) (MixingS
 		e.sweeper = NewSweeper(e.g)
 	}
 	return e.sweeper.LargestMixingSet(e.p, nil, minSize, opt)
-}
-
-// BatchWalkEngine advances many walks over the same graph in lockstep, each
-// walk on the hybrid sparse/dense kernel and bit-identical to a solo
-// WalkEngine. Its walks share one degree index for their sparse sweeps.
-type BatchWalkEngine struct {
-	g      *graph.Graph
-	idx    *DegreeIndex // shared by every walk's sparse sweep
-	walks  []*WalkEngine
-	halted []bool
-}
-
-// NewBatchWalkEngine returns a batch of point-source walks, one per source.
-// Duplicate sources are allowed (the walks evolve independently).
-func NewBatchWalkEngine(g *graph.Graph, sources []int) (*BatchWalkEngine, error) {
-	// One degree index serves every walk's sparse sweep: it is read-only
-	// after construction, so per-walk Sweepers sharing it can run from
-	// different goroutines (DetectParallel sweeps all walks concurrently).
-	return NewBatchWalkEngineWithIndex(g, sources, NewDegreeIndex(g))
-}
-
-// NewBatchWalkEngineWithIndex is NewBatchWalkEngine with a caller-owned
-// degree index, letting a reusable Detector keep one index alive across
-// repeated parallel runs instead of rebuilding it per call.
-func NewBatchWalkEngineWithIndex(g *graph.Graph, sources []int, idx *DegreeIndex) (*BatchWalkEngine, error) {
-	b := &BatchWalkEngine{g: g, idx: idx}
-	if err := b.Reset(sources); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// Reset reloads the batch with fresh point-source walks, one per source,
-// reusing every per-walk engine and buffer it already holds: a long-lived
-// caller (core's parallel engine) runs detection after detection on one
-// batch engine instead of rebuilding it per run. The batch may grow or
-// shrink; new walks share the existing degree index. Walks resume
-// unhalted. On an out-of-range source the batch is left unusable for
-// stepping but safe to Reset again.
-func (b *BatchWalkEngine) Reset(sources []int) error {
-	n := b.g.NumVertices()
-	for _, s := range sources {
-		if s < 0 || s >= n {
-			return fmt.Errorf("rw: source %d out of range [0,%d): %w", s, n, graph.ErrVertexOutOfRange)
-		}
-	}
-	// Resize by reslicing up to capacity, so engines built for an earlier,
-	// larger batch survive a shrink and are found again on the next grow;
-	// only never-before-seen slots allocate.
-	for cap(b.walks) < len(sources) {
-		b.walks = append(b.walks[:cap(b.walks)], nil)
-	}
-	b.walks = b.walks[:len(sources)]
-	if cap(b.halted) < len(sources) {
-		b.halted = make([]bool, len(sources))
-	}
-	b.halted = b.halted[:len(sources)]
-	for i, s := range sources {
-		if b.walks[i] == nil {
-			b.walks[i] = NewWalkEngineWithIndex(b.g, b.idx)
-		}
-		if err := b.walks[i].Reset(s); err != nil {
-			return err
-		}
-		b.halted[i] = false
-	}
-	return nil
-}
-
-// LargestMixingSet runs the candidate-size sweep for walk i on its current
-// distribution, sparse-aware like WalkEngine.LargestMixingSet. Like StepWalk
-// it touches only walk i's state plus shared read-only structures, so
-// callers may sweep distinct walks from distinct goroutines.
-func (b *BatchWalkEngine) LargestMixingSet(i, minSize int, opt MixOptions) (MixingSet, error) {
-	return b.walks[i].LargestMixingSet(minSize, opt)
-}
-
-// Size returns the number of walks in the batch, halted or not.
-func (b *BatchWalkEngine) Size() int { return len(b.walks) }
-
-// Dist returns walk i's current distribution as a dense vector. Like
-// WalkEngine.Dist the result aliases engine storage, valid until the next
-// Step.
-func (b *BatchWalkEngine) Dist(i int) Dist { return b.walks[i].Dist() }
-
-// Engine returns walk i's underlying engine.
-func (b *BatchWalkEngine) Engine(i int) *WalkEngine { return b.walks[i] }
-
-// Halt removes walk i from subsequent steps, freezing its distribution at
-// the current state. Detection loops halt walks whose stop rule has fired.
-func (b *BatchWalkEngine) Halt(i int) { b.halted[i] = true }
-
-// Halted reports whether walk i has been halted.
-func (b *BatchWalkEngine) Halted(i int) bool { return b.halted[i] }
-
-// Active returns the number of walks still stepping.
-func (b *BatchWalkEngine) Active() int {
-	n := 0
-	for _, h := range b.halted {
-		if !h {
-			n++
-		}
-	}
-	return n
-}
-
-// StepWalk advances walk i alone by one hybrid step. Distinct walks touch
-// disjoint state, so callers may step different walks from different
-// goroutines.
-func (b *BatchWalkEngine) StepWalk(i int) {
-	if !b.halted[i] {
-		b.walks[i].Step()
-	}
-}
-
-// Step advances every non-halted walk by one step.
-func (b *BatchWalkEngine) Step() {
-	for i := range b.walks {
-		b.StepWalk(i)
-	}
 }

@@ -2,7 +2,6 @@ package rw
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -143,142 +142,6 @@ func TestWalkEngineResetReuse(t *testing.T) {
 	}
 }
 
-// TestBatchWalkEngineMatchesSolo: lockstep batch walks (including duplicate
-// sources and mid-run halts) match independent solo engines entry for
-// entry.
-func TestBatchWalkEngineMatchesSolo(t *testing.T) {
-	ppm := randomPPM(t, 23)
-	n := ppm.Graph.NumVertices()
-	sources := []int{0, n - 1, n / 3, 0, 2 * n / 3}
-	batch, err := NewBatchWalkEngine(ppm.Graph, sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const haltAt, haltIdx = 4, 2
-	solo := make([]*WalkEngine, len(sources))
-	for i, s := range sources {
-		solo[i] = NewWalkEngine(ppm.Graph)
-		if err := solo[i].Reset(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for step := 1; step <= 10; step++ {
-		batch.Step()
-		for i := range sources {
-			if !batch.Halted(i) {
-				solo[i].Step()
-			}
-		}
-		if step == haltAt {
-			batch.Halt(haltIdx)
-		}
-		for i := range sources {
-			got, want := batch.Dist(i), solo[i].Dist()
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("step %d walk %d vertex %d: batch %g solo %g",
-						step, i, v, got[v], want[v])
-				}
-			}
-		}
-	}
-	if batch.Active() != len(sources)-1 {
-		t.Fatalf("Active()=%d want %d", batch.Active(), len(sources)-1)
-	}
-	if batch.Engine(haltIdx).Steps() != haltAt {
-		t.Fatalf("halted walk took %d steps, want %d", batch.Engine(haltIdx).Steps(), haltAt)
-	}
-}
-
-// TestBatchWalkEngineReset: a reused batch engine — after halting and
-// advancing walks — reloads to fresh point walks that evolve exactly like a
-// newly built engine's, including growing and shrinking the batch.
-func TestBatchWalkEngineReset(t *testing.T) {
-	ppm := randomPPM(t, 41)
-	n := ppm.Graph.NumVertices()
-	batch, err := NewBatchWalkEngine(ppm.Graph, []int{0, n / 2, n - 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for step := 0; step < 8; step++ {
-		batch.Step()
-	}
-	batch.Halt(1)
-	for _, sources := range [][]int{
-		{n - 1, 0, n / 3},               // same size
-		{n / 4, 3},                      // shrink
-		{0, 1, n / 2, n - 1, 2 * n / 3}, // grow
-	} {
-		if err := batch.Reset(sources); err != nil {
-			t.Fatal(err)
-		}
-		if batch.Active() != len(sources) {
-			t.Fatalf("Active()=%d after Reset, want %d", batch.Active(), len(sources))
-		}
-		fresh, err := NewBatchWalkEngine(ppm.Graph, sources)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for step := 0; step < 6; step++ {
-			batch.Step()
-			fresh.Step()
-		}
-		for i := range sources {
-			got, want := batch.Dist(i), fresh.Dist(i)
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("walk %d vertex %d: reused %g fresh %g", i, v, got[v], want[v])
-				}
-			}
-		}
-	}
-	if err := batch.Reset([]int{-1}); err == nil {
-		t.Fatal("Reset accepted an out-of-range source")
-	}
-	if err := batch.Reset([]int{5}); err != nil {
-		t.Fatalf("Reset after a failed Reset: %v", err)
-	}
-}
-
-// TestBatchWalkEngineStepWalkConcurrent: stepping each walk from its own
-// goroutine (the DetectParallel pattern) matches solo engines exactly.
-func TestBatchWalkEngineStepWalkConcurrent(t *testing.T) {
-	ppm := randomPPM(t, 31)
-	n := ppm.Graph.NumVertices()
-	sources := []int{2, n / 2, n - 3}
-	batch, err := NewBatchWalkEngine(ppm.Graph, sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo := make([]*WalkEngine, len(sources))
-	for i, s := range sources {
-		solo[i] = NewWalkEngine(ppm.Graph)
-		if err := solo[i].Reset(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for step := 1; step <= 8; step++ {
-		var wg sync.WaitGroup
-		for i := range sources {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				batch.StepWalk(i)
-			}(i)
-		}
-		wg.Wait()
-		for i := range sources {
-			solo[i].Step()
-			got, want := batch.Dist(i), solo[i].Dist()
-			for v := range want {
-				if got[v] != want[v] {
-					t.Fatalf("step %d walk %d vertex %d: batch %g solo %g", step, i, v, got[v], want[v])
-				}
-			}
-		}
-	}
-}
-
 // TestWalkEngineIsolatedVertex: a walk started at an isolated vertex keeps
 // its mass there in both kernels.
 func TestWalkEngineIsolatedVertex(t *testing.T) {
@@ -318,8 +181,5 @@ func TestWalkEngineRejectsBadSource(t *testing.T) {
 	}
 	if err := eng.Reset(ppm.Graph.NumVertices()); err == nil {
 		t.Fatal("Reset(n) succeeded")
-	}
-	if _, err := NewBatchWalkEngine(ppm.Graph, []int{0, -1}); err == nil {
-		t.Fatal("NewBatchWalkEngine with bad source succeeded")
 	}
 }

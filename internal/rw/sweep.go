@@ -48,8 +48,8 @@ import (
 
 // DegreeIndex is an immutable per-graph index: all vertices sorted by
 // (degree, id) with exact prefix degree sums and the inverse permutation.
-// Engines build it once (NewBatchWalkEngine shares one across its walks) and
-// every sparse sweep over the graph reuses it.
+// Engines build it once (core's parallel engine shares one across its walks)
+// and every sparse sweep over the graph reuses it.
 type DegreeIndex struct {
 	order  []int32 // vertices by (degree asc, id asc)
 	degs   []int32 // degs[i] = degree(order[i])
@@ -117,7 +117,7 @@ func entryLess(a, b sweepEntry) bool {
 // fast path when the distribution's support is known. A Sweeper is not safe
 // for concurrent use, but Sweepers of different walks may share one
 // DegreeIndex (it is read-only after construction) — that is how
-// BatchWalkEngine lets DetectParallel sweep all walks from goroutines.
+// DetectParallel sweeps all walks from goroutines.
 type Sweeper struct {
 	g   *graph.Graph
 	idx *DegreeIndex

@@ -257,42 +257,6 @@ func TestWalkEngineLargestMixingSetMatchesOpt(t *testing.T) {
 	}
 }
 
-// TestBatchLargestMixingSetMatchesSolo: the batch engine's per-walk sweep
-// (shared degree index) equals a solo engine's sweep for every walk.
-func TestBatchLargestMixingSetMatchesSolo(t *testing.T) {
-	ppm := sweepPPM(t, 5)
-	g := ppm.Graph
-	sources := []int{0, 3, g.NumVertices() - 1, 3}
-	batch, err := NewBatchWalkEngine(g, sources)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solos := make([]*WalkEngine, len(sources))
-	for i, s := range sources {
-		solos[i] = NewWalkEngine(g)
-		if err := solos[i].Reset(s); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for l := 0; l < 5; l++ {
-		for i := range sources {
-			want, err := solos[i].LargestMixingSet(3, MixOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := batch.LargestMixingSet(i, 3, MixOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got.Vertices, want.Vertices) || got.Sum != want.Sum {
-				t.Fatalf("walk %d step %d: batch sweep differs from solo", i, l)
-			}
-			solos[i].Step()
-		}
-		batch.Step()
-	}
-}
-
 // TestSmallestKSumDeterministic: the reported sum is accumulated over the
 // selected ids in ascending order — a pure function of the selected set —
 // regardless of quickselect's internal permutation. Magnitude-skewed values

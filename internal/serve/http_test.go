@@ -197,6 +197,9 @@ func TestHTTPUploadAndValidation(t *testing.T) {
 	if e.Error == "" {
 		t.Fatal("bad upload produced no error body")
 	}
+	// Vertex 2³²+5 must not pass as vertex 5 of a 10-vertex graph.
+	do(t, "PUT", srv.URL+"/graphs/wrap", strings.NewReader("10 1\n4294967301 0\n"),
+		http.StatusBadRequest, &e)
 	do(t, "POST", srv.URL+"/graphs/tri/detect", strings.NewReader(`{"engine":"warp"}`),
 		http.StatusBadRequest, &e)
 	do(t, "POST", srv.URL+"/graphs/tri/detect", strings.NewReader(`{"unknown_field":1}`),
@@ -205,6 +208,27 @@ func TestHTTPUploadAndValidation(t *testing.T) {
 	do(t, "DELETE", srv.URL+"/graphs/none", nil, http.StatusNotFound, &e)
 	do(t, "POST", srv.URL+"/graphs/g/generate", strings.NewReader(`{"model":"cube","n":8}`),
 		http.StatusBadRequest, &e)
+}
+
+// TestHTTPDetectHugeCongestBatch: a congest_batch far above the vertex count
+// answers what a batch of n answers, since no super-step draws more seeds
+// than the pool holds, instead of sizing a buffer from the option and
+// killing the process (2⁴⁰) or overflowing the pool-size test (2⁶²).
+func TestHTTPDetectHugeCongestBatch(t *testing.T) {
+	srv, _ := newTestServer(t)
+	do(t, "POST", srv.URL+"/graphs/g/generate",
+		strings.NewReader(`{"model":"gnp","n":64,"p":0.1,"seed":1}`), http.StatusCreated, nil)
+	var full detectResponse
+	do(t, "POST", srv.URL+"/graphs/g/detect",
+		strings.NewReader(`{"engine":"congest","seed":3,"congest_batch":64}`), http.StatusOK, &full)
+	for _, batch := range []string{"1099511627776", "4611686018427387904"} {
+		var huge detectResponse
+		do(t, "POST", srv.URL+"/graphs/g/detect",
+			strings.NewReader(`{"engine":"congest","seed":3,"congest_batch":`+batch+`}`), http.StatusOK, &huge)
+		if len(huge.Detections) == 0 || fmt.Sprint(huge.Detections) != fmt.Sprint(full.Detections) {
+			t.Fatalf("congest_batch %s answered %v, congest_batch n answered %v", batch, huge.Detections, full.Detections)
+		}
+	}
 }
 
 // TestHTTPPatchEdges drives PATCH /graphs/{name}/edges: NDJSON deltas swap

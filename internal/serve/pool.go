@@ -44,11 +44,9 @@ import (
 // the pool size: at most Size requests run concurrently, and checkout waits
 // (context-aware) when every handle is lent out.
 type DetectorPool struct {
-	g        *graph.Graph
-	settings core.Settings
-	handles  chan *core.Detector
-	size     int
-	m        *metrics.ServeMetrics
+	handles chan *core.Detector
+	size    int
+	m       *metrics.ServeMetrics
 }
 
 // NewDetectorPool builds size detectors over g with the given options and
@@ -79,7 +77,6 @@ func NewDetectorPoolWithIndex(g *graph.Graph, size int, ix *rw.SharedIndex, opts
 	all = append(all, opts...)
 	all = append(all, core.WithSharedIndex(ix))
 	p := &DetectorPool{
-		g:       g,
 		handles: make(chan *core.Detector, size),
 		size:    size,
 	}
@@ -89,7 +86,6 @@ func NewDetectorPoolWithIndex(g *graph.Graph, size int, ix *rw.SharedIndex, opts
 			return nil, err
 		}
 		d.Warm()
-		p.settings = d.Settings()
 		p.handles <- d
 	}
 	return p, nil
@@ -98,12 +94,6 @@ func NewDetectorPoolWithIndex(g *graph.Graph, size int, ix *rw.SharedIndex, opts
 // SetMetrics points the pool's wait counter at m. Call it before serving
 // (the Registry wires it at pool construction); nil disables counting.
 func (p *DetectorPool) SetMetrics(m *metrics.ServeMetrics) { p.m = m }
-
-// Graph returns the graph every handle serves.
-func (p *DetectorPool) Graph() *graph.Graph { return p.g }
-
-// Settings returns the resolved option snapshot every handle runs with.
-func (p *DetectorPool) Settings() core.Settings { return p.settings }
 
 // Size returns the pool's handle count — its admission bound.
 func (p *DetectorPool) Size() int { return p.size }

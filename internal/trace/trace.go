@@ -175,32 +175,6 @@ func (t *Trace) AddSpan(name string, rank int, start time.Time, d time.Duration,
 	t.mu.Unlock()
 }
 
-// Span is a live span handle from StartSpan. The zero Span (from a nil
-// trace) ends as a no-op.
-type Span struct {
-	t     *Trace
-	name  string
-	rank  int
-	start time.Time
-}
-
-// StartSpan opens a span now. Use rank -1 for spans with no shard
-// identity (single-process serving).
-func (t *Trace) StartSpan(name string, rank int) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, name: name, rank: rank, start: time.Now()}
-}
-
-// End closes the span and records it on its trace.
-func (s Span) End(attrs ...Attr) {
-	if s.t == nil {
-		return
-	}
-	s.t.AddSpan(s.name, s.rank, s.start, time.Since(s.start), attrs...)
-}
-
 type ctxKey struct{}
 
 // traceCtx carries the trace as a dedicated context type rather than a

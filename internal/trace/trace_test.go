@@ -16,7 +16,6 @@ func TestNilTraceIsFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		tr.AddPhase(PhaseWalk, time.Millisecond)
 		tr.AddSpan("x", 0, time.Time{}, time.Millisecond)
-		tr.StartSpan("y", 1).End()
 		tr.Finish(time.Second)
 		_ = tr.ID()
 		_ = tr.PhaseNS(PhaseSweep)
@@ -168,8 +167,7 @@ func TestRecorderConcurrent(t *testing.T) {
 			for i := 0; i < 200; i++ {
 				tr := New(NewID(), "t")
 				tr.AddPhase(Phase(i%int(NumPhases)), time.Microsecond)
-				sp := tr.StartSpan("work", g)
-				sp.End(Attr{"i", "x"})
+				tr.AddSpan("work", g, time.Now(), time.Microsecond, Attr{"i", "x"})
 				tr.Finish(time.Millisecond)
 				r.Add(tr)
 				shared.AddPhase(PhaseFlood, time.Nanosecond)
