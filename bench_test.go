@@ -10,6 +10,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"strconv"
 	"testing"
 	"time"
 
@@ -333,6 +334,47 @@ func BenchmarkMixSweepDense1M(b *testing.B) {
 		b.Skip("1M-vertex benchmark skipped in short mode")
 	}
 	benchMixSweep(b, 1_000_000, false)
+}
+
+// BenchmarkMixSweepCompact2k: one full candidate-size ladder sweep on the
+// sweeper's compact dense path (nil support, the path a walk takes once its
+// support passes n/8) at serving size: community-cold's graph family, PPM
+// n = 2048, r = 4, p = 2·log₂(b)/b, q = 0.1/b. After 3 walk steps the
+// support is about the source's block; after 6 it is about the whole graph.
+// Reports ns/sweep and allocs/op (0 in steady state). The name carries
+// "MixSweep", so CI's bench gate holds it to the relative bound.
+func BenchmarkMixSweepCompact2k(b *testing.B) {
+	const n, blocks = 2048, 4
+	bs := float64(n / blocks)
+	cfg := cdrw.PPMConfig{N: n, R: blocks, P: 2 * math.Log2(bs) / bs, Q: 0.1 / bs}
+	ppm, err := cdrw.NewPPM(cfg, cdrw.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := ppm.Graph
+	minSize := benchMinSize(n)
+	for _, steps := range []int{3, 6} {
+		b.Run("steps"+strconv.Itoa(steps), func(b *testing.B) {
+			eng := cdrw.NewWalkEngine(g)
+			if err := eng.Reset(0); err != nil {
+				b.Fatal(err)
+			}
+			eng.Advance(steps)
+			p := eng.Dist()
+			sw := cdrw.NewMixSweeper(g)
+			if _, err := sw.LargestMixingSet(p, nil, minSize, cdrw.MixOptions{}); err != nil {
+				b.Fatal(err) // warm the retained scratch
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sw.LargestMixingSet(p, nil, minSize, cdrw.MixOptions{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/sweep")
+		})
+	}
 }
 
 // benchDetectStep measures the full detection step — walk step plus whole
@@ -894,8 +936,8 @@ func BenchmarkLPABaseline(b *testing.B) {
 // full-support distribution at n = 10⁶ — the dense regime. reference is the
 // package-level dense sweep (fresh scratch, per-size x-value recomputation);
 // compact is the sweeper's frontier-compacted path (exact support extraction
-// into the degree-sorted index, prefix-summed degrees, quickselect per
-// size), which is bit-identical by the equivalence suites.
+// into the degree-sorted index, prefix-summed degrees, bracket-and-count
+// selection per size), which is bit-identical by the equivalence suites.
 func BenchmarkSweepKernel1M(b *testing.B) {
 	if testing.Short() {
 		b.Skip("1M-vertex benchmark skipped in short mode")

@@ -294,7 +294,7 @@ func (nw *Network) evalLadder(p rw.Dist, covered []int32, ladder []int) []sizeRe
 		nw.sizeRes = make([]sizeResult, len(ladder))
 	}
 	job := &ladderJob{
-		nw: nw, p: p, covered: covered, ladder: ladder,
+		nw: nw, idx: nw.degreeIndex(), p: p, covered: covered, ladder: ladder,
 		// µ' > 0 for every size exactly when the graph has an edge.
 		indexed: n > 0 && len(covered) == n && g.Volume() > 0,
 		res:     nw.sizeRes[:len(ladder)],
@@ -307,7 +307,7 @@ func (nw *Network) evalLadder(p rw.Dist, covered []int32, ladder []int) []sizeRe
 				nw.support = append(nw.support, int32(v))
 			}
 		}
-		nw.off.Reset(nw.degreeIndex(), nw.support)
+		nw.off.Reset(job.idx, nw.support)
 	}
 	job.left.Store(int64(len(ladder)))
 	workers := min(runtime.GOMAXPROCS(0), len(ladder))
@@ -330,6 +330,7 @@ func (nw *Network) evalLadder(p rw.Dist, covered []int32, ladder []int) []sizeRe
 // goroutine wake-up.
 type ladderJob struct {
 	nw      *Network
+	idx     *rw.DegreeIndex // degree tables and, when indexed, the stream
 	p       rw.Dist
 	covered []int32
 	ladder  []int
@@ -376,13 +377,14 @@ func (j *ladderJob) eval(sc *selScratch, size int) sizeResult {
 	case nw.stopped():
 		return sizeResult{}
 	case j.indexed:
-		return nw.selectIndexed(sc, j.p, size, muPrime)
+		return nw.selectIndexed(sc, j.idx, j.p, size, muPrime)
 	}
 	if len(sc.x) < g.NumVertices() {
 		sc.x = make([]float64, g.NumVertices())
 	}
+	t := sc.degreeTable(j.idx, size, muPrime, len(j.covered))
 	for _, v := range j.covered {
-		sc.x[v] = rw.XValueAt(g, j.p, int(v), size, muPrime)
+		sc.x[v] = xValue(j.p, t, int(v), g.Degree(int(v)), muPrime)
 	}
 	r := nw.scanSelect(j.covered, sc.x, size)
 	if r.ok {

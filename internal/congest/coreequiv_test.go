@@ -64,6 +64,21 @@ func TestDetectCommunityMatchesCore(t *testing.T) {
 		check(ppm.Graph, cfgGen.ExpectedConductance(), seed, 0)
 	}
 
+	// The serving workloads' graph at n = 2048, where walk supports pass
+	// the reference sweep's bracket-selection cutoff: the CONGEST bisection
+	// is an independent selection of the same cuts.
+	cfgGen = gen.PPMConfig{N: 2048, R: 4, P: 2 * gen.Log2(512) / 512, Q: 0.1 / 512}
+	ppm, err = gen.NewPPM(cfgGen, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ppm.Graph.IsConnected() {
+		t.Skip("sample disconnected; equivalence only defined on connected graphs")
+	}
+	for _, seed := range []int{5, 1000, 2047} {
+		check(ppm.Graph, cfgGen.ExpectedConductance(), seed, 0)
+	}
+
 	// Walk-length caps from 2 steps to past where the stop rule fires, on
 	// TestDetectMatchesCore's graph. A capped walk's community is its last
 	// mixing set plus the seed, and FinalSetSize counts the seed too.

@@ -177,12 +177,34 @@ func (nw *Network) scanSelect(covered []int32, x []float64, k int) sizeResult {
 // walk step's off-support stream (re-targeted per size by SetMu), the
 // support's x values in ascending vertex order, and the bisection's working
 // set of explicit keys — or, on the covered-scan path, the covered nodes' x
-// values indexed by vertex.
+// values indexed by vertex — plus the size's degree table.
 type selScratch struct {
 	off  rw.OffSupportStream
 	xsup []float64
 	keys []key
 	x    []float64
+	t    []float64
+}
+
+// degreeTable returns the size's degree table (rw.DegreeIndex.DegreeTable)
+// when it saves divisions, that is when fewer distinct degrees exist than
+// count x values are to be computed, and nil otherwise.
+func (sc *selScratch) degreeTable(idx *rw.DegreeIndex, size int, muPrime float64, count int) []float64 {
+	if idx.MaxDegree() >= count {
+		return nil
+	}
+	sc.t = idx.DegreeTable(size, muPrime, sc.t)
+	return sc.t
+}
+
+// xValue is rw.XValueAt for vertex u of degree d, with the degree term read
+// from the size's degree table t, or divided per vertex when t is nil (then
+// the graph has edges, so µ' > 0); both agree with XValueAt bit for bit.
+func xValue(p rw.Dist, t []float64, u, d int, muPrime float64) float64 {
+	if t != nil {
+		return math.Abs(p[u] - t[d])
+	}
+	return math.Abs(p[u] - float64(d)/muPrime)
 }
 
 // selectIndexed is scanSelect for the whole-graph case (the BFS tree covers
@@ -205,7 +227,7 @@ type selScratch struct {
 // one exact integer degree sum divided by µ' — the same summation the
 // in-memory sweeps use, computed without enumerating a single off-support
 // node. µ' = MuPrime(g, size) must be positive.
-func (nw *Network) selectIndexed(sc *selScratch, p rw.Dist, size int, muPrime float64) sizeResult {
+func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, p rw.Dist, size int, muPrime float64) sizeResult {
 	g := nw.g
 	n := g.NumVertices()
 	k := size
@@ -222,10 +244,11 @@ func (nw *Network) selectIndexed(sc *selScratch, p rw.Dist, size int, muPrime fl
 	support := nw.support
 	xs := sc.xsup[:0]
 	keys := sc.keys[:0]
+	t := sc.degreeTable(idx, size, muPrime, len(support))
 	// Initial convergecast: global (min, max) of the keys.
 	lo, hi := plusInfKey, minusInfKey
 	for _, v := range support {
-		kk := key{x: rw.XValueAt(g, p, int(v), size, muPrime), id: v}
+		kk := key{x: xValue(p, t, int(v), g.Degree(int(v)), muPrime), id: v}
 		xs = append(xs, kk.x)
 		keys = append(keys, kk)
 		if keyLess(kk, lo) {

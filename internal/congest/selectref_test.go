@@ -27,7 +27,7 @@ func (nw *Network) selectKSmallest(t *Tree, covered []int32, x []float64, k int)
 func (nw *Network) selectKSmallestIndexed(t *Tree, p rw.Dist, support []int32, off *rw.OffSupportStream, muPrime float64, size int) (key, float64, bool) {
 	nw.support = support
 	sc := &selScratch{off: *off}
-	r := nw.selectIndexed(sc, p, size, muPrime)
+	r := nw.selectIndexed(sc, nw.degreeIndex(), p, size, muPrime)
 	nw.replaySelection(t, r)
 	return r.threshold, r.sum, r.ok
 }

@@ -12,11 +12,12 @@ import (
 // order minus the support — for every µ' at once (dividing by a positive
 // constant preserves the degree order; see the collision note atop sweep.go).
 //
-// The sparse sweep (Sweeper) consumes this structure privately; the stream
-// exposes the same queries for the CONGEST engine's distributed selection,
-// where the root can answer "how many off-support nodes hold a key ≤ T, and
-// which is the largest of them" from the degree index alone instead of
-// aggregating over every covered node per binary-search iteration.
+// Both selections read it: the Sweeper counts the off-support keys below a
+// bracket or pivot and folds in the off-support tail of the sum, and the
+// CONGEST engine's distributed selection answers "how many off-support nodes
+// hold a key ≤ T, and which is the largest of them" from the degree index
+// alone instead of aggregating over every covered node per binary-search
+// iteration.
 //
 // A stream is prepared once per walk step (Reset, O(support·log support))
 // and re-targeted per candidate size (SetMu, O(1)); queries cost
@@ -36,20 +37,48 @@ type OffSupportStream struct {
 // subset of the index's vertex set; the off-support complement is everything
 // else.
 func (s *OffSupportStream) Reset(idx *DegreeIndex, support []int32) {
+	s.begin(idx, len(support))
+	for _, v := range support {
+		s.wpos = append(s.wpos, idx.pos[v])
+	}
+	slices.Sort(s.wpos)
+	s.prefixDegrees()
+}
+
+// resetMarked is Reset for a support that is also marked in bits (bit v set
+// for every support vertex): the positions fall out of one sequential scan
+// of the degree order — O(n) bitmap probes instead of an O(ns·log ns) sort,
+// which wins when the support is a large fraction of the graph. It clears
+// the bitmap behind the scan (whole words: only support vertices ever set
+// bits in them).
+func (s *OffSupportStream) resetMarked(idx *DegreeIndex, bits []uint64, support []int32) {
+	s.begin(idx, len(support))
+	for i, v := range idx.order {
+		if bits[uint(v)>>6]&(1<<(uint(v)&63)) != 0 {
+			s.wpos = append(s.wpos, int32(i))
+		}
+	}
+	for _, v := range support {
+		bits[uint(v)>>6] = 0
+	}
+	s.prefixDegrees()
+}
+
+// begin empties the position table, sized for ns support vertices.
+func (s *OffSupportStream) begin(idx *DegreeIndex, ns int) {
 	s.idx = idx
-	ns := len(support)
 	if cap(s.wpos) < ns {
 		s.wpos = make([]int32, 0, 2*ns)
 		s.wdeg = make([]int64, 0, 2*ns+1)
 	}
 	s.wpos = s.wpos[:0]
-	for _, v := range support {
-		s.wpos = append(s.wpos, idx.pos[v])
-	}
-	slices.Sort(s.wpos)
+}
+
+// prefixDegrees rebuilds the exact prefix degree sums over wpos.
+func (s *OffSupportStream) prefixDegrees() {
 	s.wdeg = append(s.wdeg[:0], 0)
 	for _, p := range s.wpos {
-		s.wdeg = append(s.wdeg, s.wdeg[len(s.wdeg)-1]+int64(idx.degs[p]))
+		s.wdeg = append(s.wdeg, s.wdeg[len(s.wdeg)-1]+int64(s.idx.degs[p]))
 	}
 }
 

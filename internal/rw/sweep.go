@@ -22,22 +22,29 @@ import (
 // (degree, id), for every ladder size at once, because dividing by the
 // positive constant µ' preserves the degree order. A DegreeIndex built once
 // per engine supplies that stream, its exact integer prefix degree sums, and
-// each vertex's position in it; per candidate size the sweep then only has
-// to merge the O(support) explicit x-values against the implicit stream:
+// each vertex's position in it (OffSupportStream answers the queries); per
+// candidate size the sweep then only has to merge the O(support) explicit
+// x-values against the implicit stream:
 //
-//   - the number of explicit values inside the |S| smallest is found by a
-//     quickselect over the support that counts implicit entries below each
-//     pivot by binary search — expected O(support) comparisons plus
-//     O(log support · log n) index probes, never touching the off-support
-//     vertices themselves;
+//   - the explicit values come from a per-size degree table t[d] = d/µ',
+//     one division per distinct degree instead of one per support vertex;
+//   - the number of explicit values inside the |S| smallest is found by
+//     bracket-and-count selection: a strided sample of the explicit values
+//     brackets the target rank, one branch-free pass counts the values below
+//     the bracket and copies the ones inside it, and a quickselect over that
+//     band — counting implicit entries below each pivot by binary search in
+//     the index — finds the exact cut. Small supports, and brackets the
+//     sample misjudges, take that quickselect over the whole support. Either
+//     way the cost is O(support) plus O(log support · log n) index probes,
+//     never touching the off-support vertices themselves;
 //   - the off-support tail of the canonical sum (see mixingSum) is an
 //     integer prefix-degree-sum lookup, O(log n · log support).
 //
 // One walk step's whole ladder costs O(support · ladder + support · log n)
 // instead of O(n · ladder), and the result — set, sum, and the threshold
 // decision — is bit-identical to the dense sweep by construction: explicit
-// values use the exact XValueAt expression, implicit comparisons use the
-// same d/µ' division, and both sweeps fold their selection into the same
+// values use the exact XValueAt division, implicit comparisons use the same
+// d/µ' division, and both sweeps fold their selection into the same
 // canonical mixingSum.
 //
 // Exactness caveat, for the record: the implicit stream's (degree, id) order
@@ -97,13 +104,39 @@ func NewDegreeIndex(g *graph.Graph) *DegreeIndex {
 	return idx
 }
 
-// sweepEntry is one explicit (on-support) value of the sweep: the x
-// statistic, the vertex id (the tie-break dimension), and the vertex's slot
-// in the support slice (for ascending-id accumulation after selection).
+// MaxDegree returns the largest vertex degree, 0 on an empty graph.
+func (idx *DegreeIndex) MaxDegree() int {
+	if len(idx.degs) == 0 {
+		return 0
+	}
+	return int(idx.degs[len(idx.degs)-1])
+}
+
+// DegreeTable returns the table t of candidate size size, with µ' =
+// muPrime = MuPrime(g, size), reusing buf's storage: t[d] is the x value of
+// a degree-d vertex without mass, float64(d)/µ' for every degree d up to
+// MaxDegree, or XValueAt's uniform target 1/size on an edgeless graph
+// (µ' = 0, where every degree is 0). So |p(u) − t[d(u)]| is bit for bit
+// XValueAt(g, p, u, size, muPrime), with one division per distinct degree
+// instead of one per vertex. It pays when more than MaxDegree() x values
+// are computed (always on an edgeless graph); callers computing fewer
+// divide per vertex instead.
+func (idx *DegreeIndex) DegreeTable(size int, muPrime float64, buf []float64) []float64 {
+	if muPrime == 0 {
+		return append(buf[:0], 1/float64(size))
+	}
+	t := slices.Grow(buf[:0], idx.MaxDegree()+1)[:idx.MaxDegree()+1]
+	for d := range t {
+		t[d] = float64(d) / muPrime
+	}
+	return t
+}
+
+// sweepEntry is one explicit (on-support) key of the sweep: the x statistic
+// and the vertex id, the tie-break dimension.
 type sweepEntry struct {
-	x    float64
-	v    int32
-	slot int32
+	x float64
+	v int32
 }
 
 func entryLess(a, b sweepEntry) bool {
@@ -113,6 +146,17 @@ func entryLess(a, b sweepEntry) bool {
 	return a.v < b.v
 }
 
+// Bracket-and-count selection (selectBracket). The sample holds the
+// explicit values at the midpoints of bracketSample equal strata of the
+// support. Supports under bracketMinSupport keep the whole-support
+// quickselect: there the sample sort and the extra index probes cost more
+// than the quickselect's partition passes (the two measure even at about
+// 256 support vertices on n = 2048 and n = 10⁴ PPM walks).
+const (
+	bracketSample     = 32
+	bracketMinSupport = 320
+)
+
 // Sweeper runs largest-mixing-set searches over one graph, with a sparse
 // fast path when the distribution's support is known. A Sweeper is not safe
 // for concurrent use, but Sweepers of different walks may share one
@@ -121,17 +165,17 @@ func entryLess(a, b sweepEntry) bool {
 type Sweeper struct {
 	g   *graph.Graph
 	idx *DegreeIndex
+	off OffSupportStream // the current support's off-support stream
 
 	// Current-size context (set by evalSize for implicitBefore).
 	muPrime float64
 	target  float64 // off-support value 1/size on an edgeless graph
 
-	xsup []float64    // explicit x per support slot
-	ents []sweepEntry // explicit entries, permuted by selection
-	sel  []bool       // per-slot selection marks, cleared after use
-	wpos []int32      // support positions in idx.order, ascending
-	wdeg []int64      // prefix degree sums over wpos
-	out  []int        // result buffer, reused across sweeps
+	xsup   []float64              // explicit x per support slot
+	ents   []sweepEntry           // selection scratch, then the selected keys
+	xdeg   []float64              // per-size degree table (DegreeTable)
+	sample [bracketSample]float64 // selectBracket's strided sample
+	out    []int                  // result buffer, reused across sweeps
 
 	// Dense-path frontier compaction scratch, reused across sweeps so the
 	// dense regime serves allocation-free too: supBuf receives the exact
@@ -189,7 +233,8 @@ func (s *Sweeper) LargestMixingSet(p Dist, support []int32, minSize int, opt Mix
 			return MixingSet{}, fmt.Errorf("rw: support not strictly ascending at index %d", i)
 		}
 	}
-	s.prepare(support)
+	s.off.Reset(s.idx, support)
+	s.ensureSupportBuffers(len(support))
 	return s.sweepLadder(p, support, minSize, opt)
 }
 
@@ -232,17 +277,18 @@ func (s *Sweeper) sizeLadder(minSize int, growth float64) []int {
 // compacts the frontier once — one sequential pass over p extracts the exact
 // support (skipping a zero mass changes nothing: off-support x-values have
 // the closed degree form either way) and marks it in the L2-resident supBits
-// bitmap — and then runs the explicit/implicit merge of the sparse machinery
-// over that support. Every later ladder size touches O(support) explicit
-// values plus index probes, never the n-sized arrays, which is what turns
-// the early-walk dense sweep from a memory-bound O(n·ladder) scan into a
-// cache-resident pass. Outputs are bit-identical to the reference: the
-// extracted support is exactly the support the sparse sweep is equivalence-
-// tested with, explicit values use the exact XValueAt expression, and both
-// paths fold into the canonical mixingSum. All buffers are retained, so
-// steady-state dense sweeps allocate nothing. Like the sparse path, the
-// returned Vertices alias sweeper storage and stay valid only until the
-// sweeper's next sweep.
+// bitmap, from which the off-support stream takes the support's degree-order
+// positions in one scan — and then runs the explicit/implicit merge of the
+// sparse machinery over that support. Every later ladder size touches
+// O(support) explicit values plus index probes, never the n-sized arrays,
+// which is what turns the early-walk dense sweep from a memory-bound
+// O(n·ladder) scan into a cache-resident pass. Outputs are bit-identical to
+// the reference: the extracted support is exactly the support the sparse
+// sweep is equivalence-tested with, explicit values use the exact XValueAt
+// division, and both paths fold into the canonical mixingSum. All buffers
+// are retained, so steady-state dense sweeps allocate nothing. Like the
+// sparse path, the returned Vertices alias sweeper storage and stay valid
+// only until the sweeper's next sweep.
 func (s *Sweeper) denseSweep(p Dist, minSize int, opt MixOptions) (MixingSet, error) {
 	n := s.g.NumVertices()
 	if cap(s.supBuf) < n {
@@ -260,134 +306,51 @@ func (s *Sweeper) denseSweep(p Dist, minSize int, opt MixOptions) (MixingSet, er
 		}
 	}
 	s.supBuf = sup
-	s.prepareDense(sup)
+	s.off.resetMarked(s.idx, bits, sup)
+	s.ensureSupportBuffers(len(sup))
 	return s.sweepLadder(p, sup, minSize, opt)
 }
 
-// prepare derives the per-step support tables: the support's positions in
-// the degree order (ascending) and their prefix degree sums.
-func (s *Sweeper) prepare(support []int32) {
-	ns := len(support)
-	s.ensureSupportBuffers(ns)
-	s.wpos = s.wpos[:ns]
-	for i, v := range support {
-		s.wpos[i] = s.idx.pos[v]
-	}
-	slices.Sort(s.wpos)
-	s.prefixDegrees()
-}
-
-// prepareDense is prepare for the compacted dense path: with every support
-// vertex marked in supBits, the support's positions in the degree order fall
-// out of one sequential scan of idx.order — O(n) bitmap probes instead of
-// the sparse path's O(ns·log ns) position sort, which matters when the
-// support is a large fraction of the graph. The bitmap is cleared behind the
-// scan (whole words: only support vertices ever set bits in them).
-func (s *Sweeper) prepareDense(support []int32) {
-	s.ensureSupportBuffers(len(support))
-	s.wpos = s.wpos[:0]
-	bits := s.supBits
-	for i, v := range s.idx.order {
-		if bits[uint(v)>>6]&(1<<(uint(v)&63)) != 0 {
-			s.wpos = append(s.wpos, int32(i))
-		}
-	}
-	for _, v := range support {
-		bits[uint(v)>>6] = 0
-	}
-	s.prefixDegrees()
-}
-
-// ensureSupportBuffers sizes the per-sweep support scratch for ns entries
-// and clears the selection marks.
+// ensureSupportBuffers sizes the per-size scratch for ns support vertices.
 func (s *Sweeper) ensureSupportBuffers(ns int) {
-	if cap(s.wpos) < ns {
-		s.wpos = make([]int32, 0, 2*ns)
-		s.wdeg = make([]int64, 0, 2*ns+1)
+	if cap(s.xsup) < ns {
 		s.xsup = make([]float64, 0, 2*ns)
 		s.ents = make([]sweepEntry, 0, 2*ns)
-		s.sel = make([]bool, 0, 2*ns)
 	}
 	s.xsup = s.xsup[:ns]
-	s.sel = s.sel[:ns]
-	for i := range s.sel {
-		s.sel[i] = false
-	}
+	s.ents = s.ents[:ns]
 }
 
-// prefixDegrees rebuilds the exact prefix degree sums over the (ascending)
-// support positions in wpos.
-func (s *Sweeper) prefixDegrees() {
-	s.wdeg = append(s.wdeg[:0], 0)
-	for _, posn := range s.wpos {
-		s.wdeg = append(s.wdeg, s.wdeg[len(s.wdeg)-1]+int64(s.idx.degs[posn]))
-	}
-}
-
-// posBelow counts support positions strictly below index position i.
-func (s *Sweeper) posBelow(i int) int {
-	lo, hi := 0, len(s.wpos)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(s.wpos[mid]) < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// implicitBefore counts off-support vertices whose (x, id) key precedes
-// ent's. Off-support values are degs/µ' in index order — the exact XValueAt
+// implicitBefore counts the off-support keys (x', id') that precede (x, v).
+// Off-support values are degs/µ' in index order — the exact XValueAt
 // division — or the constant 1/size on an edgeless graph, where the index
 // order degenerates to plain ascending id because every degree is zero.
-func (s *Sweeper) implicitBefore(ent sweepEntry) int {
-	idx := s.idx
-	n := len(idx.order)
-	var i3 int
-	if s.muPrime == 0 {
-		c := s.target
-		switch {
-		case c < ent.x:
-			i3 = n
-		case c > ent.x:
-			return 0
-		default:
-			i3 = sort.Search(n, func(i int) bool { return idx.order[i] >= ent.v })
-		}
-	} else {
-		mu := s.muPrime
-		i1 := sort.Search(n, func(i int) bool { return float64(idx.degs[i])/mu >= ent.x })
-		i3 = i1
-		if i1 < n && float64(idx.degs[i1])/mu == ent.x {
-			d := idx.degs[i1]
-			runEnd := i1 + sort.Search(n-i1, func(t int) bool { return idx.degs[i1+t] > d })
-			i3 = i1 + sort.Search(runEnd-i1, func(t int) bool { return idx.order[i1+t] >= ent.v })
-		}
-	}
-	return i3 - s.posBelow(i3)
-}
-
-// implicitPrefix returns the exact degree sum of the first j off-support
-// entries of the degree order.
-func (s *Sweeper) implicitPrefix(j int) int64 {
-	if j == 0 {
+func (s *Sweeper) implicitBefore(x float64, v int32) int {
+	off := &s.off
+	if off.Len() == 0 {
 		return 0
 	}
-	idx := s.idx
-	n := len(idx.order)
-	end := sort.Search(n+1, func(i int) bool { return i-s.posBelow(i) >= j })
-	t := s.posBelow(end)
-	return idx.prefix[end] - s.wdeg[t]
+	if s.muPrime == 0 {
+		switch c := s.target; {
+		case c < x:
+			return off.Len()
+		case c > x:
+			return 0
+		}
+		// Every stream value is 0/1 (evalSize sets µ' = 1 there), so the
+		// stream counts the off-support ids below v.
+		return off.CountLE(0, v-1)
+	}
+	return off.CountLE(x, v-1)
 }
 
 // selectExplicit partitions ents so that ents[:eSel] holds exactly the
 // explicit entries that belong to the k smallest keys of the explicit ∪
-// implicit union, returning eSel. It is a quickselect over the explicit
-// entries only: each pivot's union rank adds the implicit count from the
-// index, so off-support vertices are never enumerated. The returned prefix
-// is a set, not sorted.
+// implicit union, returning eSel; ents[eSel], if any, is the smallest entry
+// left out. It is a quickselect over the explicit entries only: each
+// pivot's union rank adds the implicit count from the index, so
+// off-support vertices are never enumerated. The returned prefix is a set,
+// not sorted.
 func (s *Sweeper) selectExplicit(ents []sweepEntry, k int) int {
 	lo, hi := 0, len(ents)
 	for hi-lo > 12 {
@@ -403,74 +366,178 @@ func (s *Sweeper) selectExplicit(ents []sweepEntry, k int) int {
 			}
 		}
 		ents[mid], ents[hi-1] = ents[hi-1], ents[mid]
+		// Branch-free Lomuto: every entry swaps with ents[m], and m advances
+		// past it only if it precedes the pivot.
 		piv := ents[hi-1]
 		m := lo
-		for i := lo; i < hi-1; i++ {
-			if entryLess(ents[i], piv) {
-				ents[i], ents[m] = ents[m], ents[i]
-				m++
-			}
+		part := ents[lo : hi-1]
+		for i, e := range part {
+			part[i] = ents[m]
+			ents[m] = e
+			m += b2i(e.x < piv.x) | b2i(e.x == piv.x)&b2i(e.v < piv.v)
 		}
 		ents[m], ents[hi-1] = ents[hi-1], ents[m]
 		// ents[:lo] are known-selected and smaller than ents[lo:hi], so the
 		// pivot's union rank is its absolute explicit index m plus the
-		// implicit entries below it.
-		if m+s.implicitBefore(ents[m]) < k {
+		// implicit entries below it. ents[hi] stays the smallest of
+		// ents[hi:].
+		if m+s.implicitBefore(piv.x, piv.v) < k {
 			lo = m + 1
 		} else {
 			hi = m
 		}
 	}
-	// Insertion-sort the remaining bracket, then walk it while entries keep
-	// ranking inside the k smallest.
+	// Insertion-sort the remaining bracket; the entries ranking inside the k
+	// smallest form a prefix of it.
 	for i := lo + 1; i < hi; i++ {
 		for j := i; j > lo && entryLess(ents[j], ents[j-1]); j-- {
 			ents[j], ents[j-1] = ents[j-1], ents[j]
 		}
 	}
-	for lo < hi && lo+s.implicitBefore(ents[lo]) < k {
-		lo++
+	return lo + sort.Search(hi-lo, func(i int) bool {
+		e := ents[lo+i]
+		return lo+i+s.implicitBefore(e.x, e.v) >= k
+	})
+}
+
+// selectBracket is bracket-and-count selection over the whole support's x
+// values in xsup: it returns the cut, a key that exactly the explicit keys
+// among the k smallest union keys precede. ok is false when the bracket
+// misses; the caller then falls back to selectExplicit over the whole
+// support.
+//
+// The sorted sample value j stands for explicit quantile q = (j+½)/m, so it
+// estimates union rank q·ns plus the exact implicit count below it. The
+// bracket [ax, bx] reaches g sample gaps past the first sample whose
+// estimate reaches k on either side, where g is one gap plus two standard
+// deviations of a sample quantile's rank, (m·q·(1−q))^½ gaps. One
+// branch-free pass counts the explicit values below ax and copies those in
+// [ax, bx] — the band — into ents. The bracket holds when everything below
+// ax is selected (below + implicit(< ax) ≤ k) and nothing above bx is
+// (below + band + implicit(≤ bx) ≥ k); quickselect inside the band then
+// places the exact cut.
+func (s *Sweeper) selectBracket(support []int32, k int) (cut sweepEntry, ok bool) {
+	xs := s.xsup
+	ns := len(xs)
+	smp := s.sample[:]
+	m := len(smp)
+	for j := range smp {
+		smp[j] = xs[(2*j+1)*ns/(2*m)]
 	}
-	return lo
+	slices.Sort(smp)
+	jc := sort.Search(m, func(j int) bool {
+		return (2*j+1)*ns/(2*m)+s.implicitBefore(smp[j], 0) >= k
+	})
+	q := min((float64(jc)+0.5)/float64(m), 1)
+	g := 1 + int(2*math.Sqrt(float64(m)*q*(1-q)))
+	ax, bx := math.Inf(-1), math.Inf(1)
+	if j := jc - 1 - g; j >= 0 {
+		ax = smp[j]
+	}
+	if j := jc + g; j < m {
+		bx = smp[j]
+	}
+	ents := s.ents[:ns]
+	below, w := 0, 0
+	for i, x := range xs {
+		ents[w] = sweepEntry{x: x, v: support[i]}
+		lt := b2i(x < ax)
+		below += lt
+		w += b2i(x <= bx) - lt
+	}
+	if below+s.implicitBefore(ax, 0) > k || below+w+s.implicitBefore(bx, math.MaxInt32) < k {
+		return sweepEntry{}, false
+	}
+	band := ents[:w]
+	// With the whole band selected, the cut sits just above bx: exactly the
+	// keys with x ≤ bx precede (bx, MaxInt32).
+	if e := s.selectExplicit(band, k-below); e < w {
+		return band[e], true
+	}
+	return sweepEntry{x: bx, v: math.MaxInt32}, true
+}
+
+// b2i is 1 for true and 0 for false; the compiler lowers it to a flag set,
+// which keeps the counting passes free of data-dependent branches.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // evalSize evaluates one candidate size: explicit x-values, the explicit/
 // implicit split of the |S| smallest, and the canonical sum. Returns the sum
-// and the explicit count (ents[:eSel] holds the selected explicit entries).
+// and the explicit count eSel; ents[:eSel] holds the selected explicit keys
+// in ascending id order.
 func (s *Sweeper) evalSize(p Dist, support []int32, size int) (float64, int) {
 	g := s.g
-	s.muPrime = MuPrime(g, size)
-	if s.muPrime == 0 {
+	mu := MuPrime(g, size)
+	s.muPrime = mu
+	if mu == 0 {
+		// Edgeless graph: XValueAt's uniform target, and a stream re-targeted
+		// to µ' = 1, whose values are all 0/1 (see implicitBefore).
 		s.target = 1 / float64(size)
+		s.off.SetMu(1)
 	} else {
-		s.target = 0
+		s.off.SetMu(mu)
 	}
-	s.ents = s.ents[:0]
-	for i, vv := range support {
-		v := int(vv)
-		var xv float64
-		if s.muPrime == 0 {
-			xv = math.Abs(p[v] - s.target)
-		} else {
-			xv = math.Abs(p[v] - float64(g.Degree(v))/s.muPrime)
+	xs := s.xsup
+	if s.idx.MaxDegree() < len(support) {
+		s.xdeg = s.idx.DegreeTable(size, mu, s.xdeg)
+		t := s.xdeg
+		for i, v := range support {
+			xs[i] = math.Abs(p[v] - t[g.Degree(int(v))])
 		}
-		s.xsup[i] = xv
-		s.ents = append(s.ents, sweepEntry{x: xv, v: vv, slot: int32(i)})
+	} else {
+		for i, v := range support {
+			xs[i] = math.Abs(p[v] - float64(g.Degree(int(v)))/mu)
+		}
 	}
-	eSel := s.selectExplicit(s.ents, size)
-	for _, en := range s.ents[:eSel] {
-		s.sel[en.slot] = true
+
+	cut, ok := sweepEntry{}, false
+	if len(support) >= bracketMinSupport {
+		cut, ok = s.selectBracket(support, size)
 	}
+	if !ok {
+		ents := s.ents
+		for i, x := range xs {
+			ents[i] = sweepEntry{x: x, v: support[i]}
+		}
+		cut = sweepEntry{x: math.Inf(1), v: math.MaxInt32}
+		if e := s.selectExplicit(ents, size); e < len(ents) {
+			cut = ents[e]
+		}
+	}
+
+	// Gather the keys that precede the cut in slot (= ascending id) order and
+	// sum them in that order: the canonical on-support accumulation.
+	eSel := gatherBefore(s.ents, xs, support, cut)
 	onSum := 0.0
-	for i := range s.sel {
-		if s.sel[i] {
-			onSum += s.xsup[i]
-			s.sel[i] = false
-		}
+	for _, en := range s.ents[:eSel] {
+		onSum += en.x
 	}
 	j := size - eSel
-	offDeg := s.implicitPrefix(j)
-	return mixingSum(onSum, offDeg, j, s.muPrime, size), eSel
+	return mixingSum(onSum, s.off.PrefixDeg(j), j, mu, size), eSel
+}
+
+// gatherBefore copies the keys (xs[i], support[i]) that precede cut into
+// dst in slot order and returns their count. Slots below h hold ids under
+// cut.v, so there a key precedes the cut iff x ≤ cut.x; from h on, iff
+// x < cut.x: one branch-free comparison per key.
+func gatherBefore(dst []sweepEntry, xs []float64, support []int32, cut sweepEntry) int {
+	h, _ := slices.BinarySearch(support, cut.v)
+	e := 0
+	for i, x := range xs[:h] {
+		dst[e] = sweepEntry{x: x, v: support[i]}
+		e += b2i(x <= cut.x)
+	}
+	tail := support[h:len(xs)]
+	for i, x := range xs[h:] {
+		dst[e] = sweepEntry{x: x, v: tail[i]}
+		e += b2i(x < cut.x)
+	}
+	return e
 }
 
 // materialize re-runs the selection for the accepted size and emits its
@@ -486,9 +553,10 @@ func (s *Sweeper) materialize(p Dist, support []int32, size int) []int {
 		out = append(out, int(en.v))
 	}
 	j := size - eSel
+	wpos := s.off.wpos
 	wi := 0
 	for i := 0; j > 0; i++ {
-		if wi < len(s.wpos) && int(s.wpos[wi]) == i {
+		if wi < len(wpos) && int(wpos[wi]) == i {
 			wi++
 			continue
 		}

@@ -43,28 +43,49 @@ func distSupport(p Dist) []int32 {
 	return sup
 }
 
-// requireSweepsAgree asserts the sparse sweep is bit-identical to the dense
-// reference on (g, p): same vertices, same float sum, same ladder work.
+// requireSweepsAgree asserts the sweeper is bit-identical to the dense
+// reference on (g, p): same vertices, same float sum, same ladder work, on
+// the sparse path (support given) and the compact dense path (nil support).
 func requireSweepsAgree(t *testing.T, g *graph.Graph, sw *Sweeper, p Dist, minSize int, opt MixOptions) {
 	t.Helper()
 	want, err := LargestMixingSetOpt(g, p, minSize, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sw.LargestMixingSet(p, distSupport(p), minSize, opt)
+	for _, support := range [][]int32{distSupport(p), nil} {
+		path := "sparse"
+		if support == nil {
+			path = "compact dense"
+		}
+		got, err := sw.LargestMixingSet(p, support, minSize, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Vertices, want.Vertices) {
+			t.Fatalf("%s sweep selected %d vertices, reference %d; sets differ (minSize=%d)",
+				path, got.Size(), want.Size(), minSize)
+		}
+		if got.Sum != want.Sum {
+			t.Fatalf("%s sum %v != reference sum %v (must be bit-identical)", path, got.Sum, want.Sum)
+		}
+		if got.SizesChecked != want.SizesChecked {
+			t.Fatalf("%s sweep checked %d sizes, reference %d", path, got.SizesChecked, want.SizesChecked)
+		}
+	}
+}
+
+// servingPPM samples the serving workloads' graph family (PPM with r
+// blocks, p = 2·log₂(b)/b, q = 0.1/b for block size b) at sizes where walk
+// supports pass bracketMinSupport, so the bracket selection runs.
+func servingPPM(t testing.TB, n, r int, seed uint64) *graph.Graph {
+	t.Helper()
+	b := n / r
+	cfg := gen.PPMConfig{N: n, R: r, P: 2 * gen.Log2(b) / float64(b), Q: 0.1 / float64(b)}
+	ppm, err := gen.NewPPM(cfg, rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Vertices, want.Vertices) {
-		t.Fatalf("sparse sweep selected %d vertices, dense %d; sets differ (minSize=%d)",
-			got.Size(), want.Size(), minSize)
-	}
-	if got.Sum != want.Sum {
-		t.Fatalf("sparse sum %v != dense sum %v (must be bit-identical)", got.Sum, want.Sum)
-	}
-	if got.SizesChecked != want.SizesChecked {
-		t.Fatalf("sparse checked %d sizes, dense %d", got.SizesChecked, want.SizesChecked)
-	}
+	return ppm.Graph
 }
 
 // TestSparseSweepMatchesDenseProperty: along a point-source walk on random
@@ -92,6 +113,23 @@ func TestSparseSweepMatchesDenseProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+	// Serving-size walks, whose supports grow past bracketMinSupport within
+	// three steps: the engine's own sparse→dense switch (n/8) is kept, and
+	// each distribution goes through both sweeper paths.
+	for _, c := range []struct{ n, r, sources int }{{2048, 4, 2}, {4096, 8, 1}} {
+		g := servingPPM(t, c.n, c.r, uint64(c.n))
+		eng := NewWalkEngine(g)
+		sw := NewSweeper(g)
+		for src := 0; src < c.sources; src++ {
+			if err := eng.Reset(src * c.n / 3); err != nil {
+				t.Fatal(err)
+			}
+			for l := 0; l < 8; l++ {
+				requireSweepsAgree(t, g, sw, eng.Dist(), 12, MixOptions{})
+				eng.Step()
+			}
+		}
 	}
 }
 
@@ -122,6 +160,32 @@ func TestSparseSweepRandomSupportProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
+	}
+	// Supports of 1k–4k vertices on graphs of 8k–16k: the bracket's rank
+	// estimates lean on a large off-support stream of varied degrees.
+	large := func(seed uint64) bool {
+		r := rng.New(seed)
+		n := 8192 + r.Intn(8192)
+		b := graph.NewDedupBuilder(n)
+		for i := 0; i < 4*n; i++ {
+			u, v := r.Intn(n), r.Intn(n)
+			if u != v {
+				b.AddEdge(u, v)
+			}
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := make(Dist, n)
+		for _, v := range r.Perm(n)[:1000+r.Intn(3000)] {
+			p[v] = r.Float64()
+		}
+		requireSweepsAgree(t, g, NewSweeper(g), p, 1+r.Intn(12), MixOptions{})
+		return true
+	}
+	if err := quick.Check(large, &quick.Config{MaxCount: 4}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -155,13 +219,93 @@ func TestSparseSweepTieStress(t *testing.T) {
 			requireSweepsAgree(t, g, sw, q, 2, MixOptions{})
 		}
 	}
+
+	// The same ties on a 6-regular graph at n = 2048, with supports past
+	// bracketMinSupport: every explicit x ties with every other, and at a
+	// ladder size k the masses 2/k put all of them on the plateau 1/k.
+	const n = 2048
+	g, err = gen.RandomRegular(n, 6, r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw = NewSweeper(g)
+	for _, supSize := range []int{400, 1200, n} {
+		p := make(Dist, n)
+		perm := r.Perm(n)
+		for _, v := range perm[:supSize] {
+			p[v] = 1 / float64(supSize)
+		}
+		requireSweepsAgree(t, g, sw, p, 2, MixOptions{})
+		for _, k := range []int{12, 400, 1317} {
+			q := make(Dist, n)
+			for _, v := range perm[:supSize] {
+				q[v] = 2 / float64(k)
+			}
+			q[perm[0]] = 1 / float64(k) // x = 0 at size k
+			requireSweepsAgree(t, g, sw, q, 2, MixOptions{})
+		}
+	}
+}
+
+// TestSparseSweepBracketFallback: inputs whose strided sample misjudges the
+// selection rank, so the bracket misses and the whole-support quickselect
+// decides those sizes. On a regular graph a tiny mass has x ≈ 1/k at size k
+// and mass 10 has x ≈ 10. With tiny masses on the sampled slots only, the
+// sample puts every explicit value near 1/k and the cut lies above the
+// bracket; with the masses swapped, it lies below. At every size, not only
+// the ladder's, a bracket that holds selects exactly what the whole-support
+// quickselect selects.
+func TestSparseSweepBracketFallback(t *testing.T) {
+	const n = 2048
+	g, err := gen.RandomRegular(n, 6, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sampled := make([]bool, n)
+	for j := 0; j < bracketSample; j++ {
+		sampled[(2*j+1)*n/(2*bracketSample)] = true
+	}
+	for _, tinyOnSample := range []bool{true, false} {
+		p := make(Dist, n)
+		for v := range p {
+			p[v] = 10
+			if sampled[v] == tinyOnSample {
+				p[v] = 1e-9 * float64(1+v%7)
+			}
+		}
+		sw := NewSweeper(g)
+		requireSweepsAgree(t, g, sw, p, 2, MixOptions{})
+
+		// The sweep above left the sweeper prepared for p's (full) support;
+		// re-run single sizes and ask the bracket directly.
+		support := distSupport(p)
+		misses := 0
+		for k := 1; k <= n; k++ {
+			sw.evalSize(p, support, k)
+			cut, ok := sw.selectBracket(support, k)
+			if !ok {
+				misses++
+				continue
+			}
+			got := gatherBefore(sw.ents, sw.xsup, support, cut)
+			for i, x := range sw.xsup {
+				sw.ents[i] = sweepEntry{x: x, v: support[i]}
+			}
+			if want := sw.selectExplicit(sw.ents, k); got != want {
+				t.Fatalf("size %d: the bracket selected %d explicit keys, quickselect %d", k, got, want)
+			}
+		}
+		if misses == 0 {
+			t.Fatalf("tiny masses on sampled slots %v: the bracket never missed, so the fallback went unchecked", tinyOnSample)
+		}
+	}
 }
 
 // TestSparseSweepEdgeless covers the µ' = 0 branch: with no edges the
 // off-support statistic degenerates to the uniform target 1/|S|, and the
 // sparse sweep must still match the dense reference bit for bit.
 func TestSparseSweepEdgeless(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 33} {
+	for _, n := range []int{1, 2, 5, 33, 4096} {
 		g, err := graph.NewBuilder(n).Build()
 		if err != nil {
 			t.Fatal(err)
@@ -171,7 +315,8 @@ func TestSparseSweepEdgeless(t *testing.T) {
 		p := make(Dist, n)
 		p[n/2] = 1
 		requireSweepsAgree(t, g, sw, p, 1, MixOptions{})
-		// Spread mass over a few vertices.
+		// Spread mass over a few vertices (over a thousand at n = 4096, past
+		// bracketMinSupport).
 		r := rng.New(uint64(n))
 		q := make(Dist, n)
 		for i := 0; i < 1+n/3; i++ {
