@@ -136,11 +136,12 @@ type (
 	// kernel: a sparse frontier while the support is small, the flat dense
 	// kernel past the density threshold. Its LargestMixingSet method runs
 	// the Algorithm 1 candidate-size sweep the same way — O(support) per
-	// ladder size off a degree-sorted index while the walk is sparse, the
-	// dense reference after the switch, bit-identical either way. The
-	// in-memory detection engines (Detect, DetectParallel) step and sweep
-	// on it; the CONGEST engine keeps its per-round flooding but shares
-	// the rw mixing-set and sweep-cut math.
+	// ladder size off a degree-sorted index, with the support taken from
+	// the frontier while the walk is sparse and extracted by one O(n) scan
+	// after the switch, bit-identical either way. The in-memory detection
+	// engines (Detect, DetectParallel) step and sweep on it; the CONGEST
+	// engine keeps its per-round flooding but shares the rw mixing-set and
+	// sweep-cut math.
 	WalkEngine = rw.WalkEngine
 	// SharedIndex is the immutable per-graph table bundle (degree-sorted
 	// sweep index, inverse-degree flood table) that pooled detectors share:
@@ -339,17 +340,14 @@ var (
 	// loop; the simulated round count drops to the shared-round cost.
 	// In-memory engines ignore it.
 	WithCongestBatch = core.WithCongestBatch
-	// WithCongest is the escape hatch to the full distributed knob set: the
-	// given CongestConfig is used verbatim by the Congest engine, overriding
-	// the translated shared options.
-	WithCongest = core.WithCongest
 	// WithMixingThreshold overrides the 1/2e bound (ablations only).
 	WithMixingThreshold = core.WithMixingThreshold
 	// WithGrowthFactor overrides the 1+1/8e ladder growth (ablations only).
 	WithGrowthFactor = core.WithGrowthFactor
-	// WithDenseSweep forces the O(n·ladder) dense reference sweep on every
-	// step (benchmark baseline; results are bit-identical to the default
-	// sparse-aware sweep). In-memory engines only.
+	// WithDenseSweep forces the dense sweep on every step: one O(n) scan
+	// extracts the support, then the same ladder runs (benchmark baseline;
+	// results are bit-identical to the default sparse-aware sweep).
+	// In-memory engines only.
 	WithDenseSweep = core.WithDenseSweep
 	// WithStepObserver streams per-step timing and sweep-mode diagnostics
 	// to a callback. Goroutine-safety contract: the Reference engine calls
@@ -547,9 +545,9 @@ type (
 	// CongestLinkLoad is one directed link's aggregate word count in one
 	// communication round, as delivered to a CongestLoadObserver.
 	CongestLinkLoad = congest.LinkLoad
-	// CongestLoadObserver receives per-round aggregate link loads — the
-	// batched-execution-friendly alternative to the per-message observer,
-	// and what the k-machine converter's fast path consumes.
+	// CongestLoadObserver receives per-round aggregate link loads — one
+	// entry per link and its word count, which is what the k-machine
+	// converter consumes.
 	CongestLoadObserver = congest.LoadObserver
 	// KMachineAssignment maps vertices to home machines.
 	KMachineAssignment = kmachine.Assignment

@@ -469,11 +469,12 @@ func BenchmarkDetectorReuse(b *testing.B) {
 }
 
 // BenchmarkDetectorReuseDense is BenchmarkDetectorReuse with the dense
-// reference sweep forced (WithDenseSweep): since the dense selection path
-// reuses the sweeper's index/selection buffers, the 0-allocs/op serving
-// contract now extends past the sparse regime, and CI's bench gate enforces
-// it absolutely here too. Smaller n than the sparse twin — every step costs
-// O(n·ladder) by design.
+// sweep forced (WithDenseSweep): every step extracts the support with one
+// O(n) scan of p before the ladder runs. Since that path reuses the
+// sweeper's index/selection buffers, the 0-allocs/op serving contract
+// extends past the sparse regime, and CI's bench gate enforces it
+// absolutely here too. Smaller n than the sparse twin — every step costs
+// an O(n) scan by design.
 func BenchmarkDetectorReuseDense(b *testing.B) {
 	const n = 4096
 	const blocks = 8
@@ -809,21 +810,29 @@ func BenchmarkCongestBatchWalks10k(b *testing.B) {
 	benchCongestWalks(b, 10_000, 10, true)
 }
 
+// kmachineConvWorkload is the CONGEST execution BenchmarkKMachineConvLoads
+// converts: 8 seed walks in shared rounds over an n = 1024 PPM.
+func kmachineConvWorkload(b *testing.B) (*cdrw.PPM, cdrw.CongestConfig, []int) {
+	const n, walks = 1024, 8
+	ppm := benchCongestPPM(b, n, 8)
+	cfg := cdrw.DefaultCongestConfig(n)
+	cfg.Delta = ppm.Config.ExpectedConductance()
+	seeds := make([]int, walks)
+	for i := range seeds {
+		seeds[i] = i * n / walks
+	}
+	return ppm, cfg, seeds
+}
+
 // BenchmarkKMachineConvLoads measures converting one batched CONGEST
 // execution (8 seed walks in shared rounds) into k-machine rounds through
 // the per-link aggregate load observer.
 func BenchmarkKMachineConvLoads(b *testing.B) {
-	const n, k, walks = 1024, 8, 8
-	ppm := benchCongestPPM(b, n, 8)
-	cfg := cdrw.DefaultCongestConfig(n)
-	cfg.Delta = ppm.Config.ExpectedConductance()
-	assign, err := cdrw.RandomVertexPartition(n, k, cdrw.NewRNG(3))
+	const k = 8
+	ppm, cfg, seeds := kmachineConvWorkload(b)
+	assign, err := cdrw.RandomVertexPartition(ppm.Graph.NumVertices(), k, cdrw.NewRNG(3))
 	if err != nil {
 		b.Fatal(err)
-	}
-	seeds := make([]int, walks)
-	for i := range seeds {
-		seeds[i] = i * n / walks
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -841,6 +850,24 @@ func BenchmarkKMachineConvLoads(b *testing.B) {
 			b.Fatal("conversion saw no rounds")
 		}
 	}
+}
+
+// BenchmarkCongestBatchWalks1k runs BenchmarkKMachineConvLoads' execution —
+// same graph, seeds and walks — with no load observer installed: the
+// unobserved baseline that prices what observing the run adds.
+func BenchmarkCongestBatchWalks1k(b *testing.B) {
+	ppm, cfg, seeds := kmachineConvWorkload(b)
+	var rounds int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
+		if _, err := cdrw.CongestDetectBatch(nw, seeds, cfg); err != nil {
+			b.Fatal(err)
+		}
+		rounds += int64(nw.Metrics().Rounds)
+	}
+	b.ReportMetric(float64(rounds)/float64(b.N), "rounds/op")
 }
 
 // BenchmarkBatchWalkEngineReuse pins the rw-layer serving contract behind

@@ -105,7 +105,7 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 	nw.beginPhase()
 	for i, w := range walks {
 		nw.enterLane(i)
-		tree, err := nw.BuildTree(seeds[i], cfg.TreeDepthLimit)
+		tree, err := nw.buildTree(seeds[i], cfg.TreeDepthLimit)
 		if err != nil {
 			nw.endPhase()
 			return nil, err
@@ -176,20 +176,32 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 	return out, nil
 }
 
+// floodTile is the gather tile of batchFlood: each worker streams through
+// tile-sized slices of the output array (8·tile = 256 KiB of next per tile,
+// L2-resident) while reading the share table through the CSR neighbour
+// lists.
+const floodTile = 1 << 15
+
 // batchFlood performs one shared communication round of probability flooding
-// for every live walk. Accounting: each walk is charged its own round and
-// its own per-neighbour messages (exactly floodStep's), while the load
-// observer sees the aggregate — link (v,w) carries one word per live walk
-// holding mass at v, reported as a single LinkLoad with that multiplicity.
-// The computation is fused and blocked like floodStep: an interleave pass
-// freezes every live walk's outgoing shares into rows of shareAll (row v
-// holds the k walks' shares at v, side by side on one cache line), then a
-// tiled gather pulls each neighbour list once and accumulates every walk
-// from the row its neighbour ids address — k walks cost one random-access
-// stream of k-wide rows instead of k scattered (p, degInv) streams. Per walk
-// each share is the exact product the unbatched kernel computes and the
-// accumulation order over neighbours is unchanged, so the evolved
-// distributions stay bit-identical to sequential flooding.
+// (Algorithm 1 lines 9–11) for every live walk: every node holding a walk's
+// mass sends p(v)/d(v) to each neighbour, and every node sums what it
+// receives; isolated nodes keep their mass. It is the package's one flood
+// kernel — a one-walk run (DetectCommunity, EstimateConductance) floods
+// through it with a single walk. Accounting: each walk is charged its own
+// round and its own per-neighbour messages, while the load observer sees
+// the aggregate — link (v,w) carries one word per live walk holding mass at
+// v, reported as a single LinkLoad with that multiplicity.
+//
+// The computation is fused and blocked. An interleave pass freezes every
+// live walk's outgoing shares into rows of shareAll (row v holds the k
+// walks' shares p(v)·(1/d(v)) side by side on one cache line); then a tiled
+// gather pulls each neighbour list once and accumulates every walk from the
+// row its neighbour ids address — k walks cost one random-access stream of
+// k-wide rows where the unblocked kernel (floodStepReference, kept in
+// floodkernel_test.go) chases two scattered streams, p and 1/d, per walk.
+// Each share is the exact product the unblocked kernel computes and the
+// accumulation order over neighbours is the CSR order, so every walk's
+// evolved distribution is bit-identical to flooding it alone.
 func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int32) {
 	g := nw.Graph()
 	observing := nw.loadObs != nil
@@ -198,7 +210,7 @@ func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int3
 			continue
 		}
 		nw.enterLane(i)
-		round := nw.beginRound()
+		nw.beginRound()
 		for v, mass := range w.p {
 			if mass != 0 && g.Degree(v) > 0 {
 				nw.accountMessages(g.Degree(v))
@@ -207,7 +219,6 @@ func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int3
 				}
 			}
 		}
-		nw.endRound(round)
 	}
 	if observing {
 		// All lanes flood in the phase's first shared round.

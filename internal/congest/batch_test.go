@@ -37,9 +37,9 @@ func settleGoroutines(t *testing.T, base int, what string) {
 // observer, while the 4-goroutine per-round worker pool is in use — tears
 // the batched run down with ctx.Err() and no goroutine leaks, for both
 // DetectBatch and the batched pool loop. Cancelling mid-ladder, on 4 ladder
-// workers, does the same: from a load observer while the sweep charges its
-// sizes' rounds (the sweep stops within one broadcast + convergecast pair),
-// and from a timer while the workers compute.
+// workers, does the same: a sweep started under a cancelled context stops
+// within one broadcast + convergecast pair, and a timer cancels while the
+// workers compute.
 func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfgGen := gen.PPMConfig{N: 512, R: 4, P: 2 * gen.Log2(128) / 128, Q: 0.1 / 128}
@@ -90,38 +90,32 @@ func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 		settleGoroutines(t, base, "batched pool cancellation")
 	}
 
-	// Mid-ladder, while the sweep replays its sizes' communication: outside
-	// batch mode the load observer sees every round as it is charged.
+	// Mid-ladder, a lone sweep inside a one-lane phase under a context
+	// cancelled before it starts: the ladder workers abandon their sizes and
+	// the replay charges at most one broadcast + convergecast pair.
 	{
 		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		flood := NewNetwork(ppm.Graph, 1)
-		ws := newWalkState(flood, 0)
+		flood := soloNetwork(ppm.Graph, 1)
+		p, next := make(rw.Dist, 512), make(rw.Dist, 512)
+		p[0] = 1
 		for step := 0; step < 4; step++ {
-			ws.flood(flood)
+			p, next = floodOnce(flood, p, next)
 		}
-		nw := NewNetwork(ppm.Graph, cfg.Workers)
-		tree, err := nw.BuildTree(0, -1)
+		nw := soloNetwork(ppm.Graph, cfg.Workers)
+		tree, err := nw.buildTree(0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		const cancelAt = 200
-		seen, after := 0, 0
-		nw.SetLoadObserver(func(int, []LinkLoad) {
-			if seen++; seen == cancelAt {
-				cancel()
-			} else if seen > cancelAt {
-				after++
-			}
-		})
+		before := soloMetrics(nw).Rounds
+		cancel()
 		nw.setContext(ctx)
 		ladder := rw.SizeLadder(cfg.MinCommunitySize, 512)
-		_, err = nw.largestMixingSet(tree, tree.CoveredVertices(), ws.p, ladder, rw.MixingThreshold)
+		_, err = nw.largestMixingSet(tree, tree.CoveredVertices(), p, ladder, rw.MixingThreshold)
 		nw.setContext(nil)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("sweep cancelled at round %d: error %v, want context.Canceled", cancelAt, err)
+			t.Fatalf("cancelled sweep: error %v, want context.Canceled", err)
 		}
-		if limit := 2 * tree.MaxDepth(); after > limit {
+		if after, limit := soloMetrics(nw).Rounds-before, 2*tree.MaxDepth(); after > limit {
 			t.Fatalf("sweep ran %d rounds after the cancellation, want at most %d", after, limit)
 		}
 		settleGoroutines(t, base, "mid-ladder cancellation")
@@ -145,11 +139,12 @@ func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 
 // TestLadderLoadsMatchSequentialReference: the concurrent ladder charges
 // exactly the communication of the sequential sweep it replaced
-// (largestMixingSetReference). With a load observer on each of two
-// networks and 4 ladder workers, every walk step's sweep — on the indexed
-// path under a spanning tree and on the covered-scan path under a
-// depth-limited one — must return the same mixing set and the same
-// metrics, and the observers must see the same link loads, round by round.
+// (largestMixingSetReference), whose collectives send message by message.
+// With a load observer on each of two one-lane networks and 4 ladder
+// workers, every walk step's sweep — on the indexed path under a spanning
+// tree and on the covered-scan path under a depth-limited one — must return
+// the same mixing set and the same metrics, and the observers must see the
+// same link loads, round by round.
 func TestLadderLoadsMatchSequentialReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfgGen := gen.PPMConfig{N: 256, R: 2, P: 2 * gen.Log2(128) / 128, Q: 0.1 / 128}
@@ -162,27 +157,18 @@ func TestLadderLoadsMatchSequentialReference(t *testing.T) {
 	if !g.IsConnected() {
 		t.Skip("sample disconnected")
 	}
-	type round struct {
-		r     int
-		loads []LinkLoad
-	}
-	record := func(into *[]round) LoadObserver {
-		return func(r int, loads []LinkLoad) {
-			*into = append(*into, round{r, append([]LinkLoad(nil), loads...)})
-		}
-	}
 	ladder := rw.SizeLadder(DefaultConfig(n).MinCommunitySize, n)
 	for _, depth := range []int{-1, 2} {
 		for _, seed := range []int{3, 200} {
-			var got, want []round
-			nw, ref := NewNetwork(g, 1), NewNetwork(g, 1)
-			nw.SetLoadObserver(record(&got))
-			ref.SetLoadObserver(record(&want))
-			tree, err := nw.BuildTree(seed, depth)
+			var got, want []observedRound
+			nw, ref := soloNetwork(g, 1), soloNetwork(g, 1)
+			nw.SetLoadObserver(recordRounds(&got))
+			ref.SetLoadObserver(recordRounds(&want))
+			tree, err := nw.buildTree(seed, depth)
 			if err != nil {
 				t.Fatal(err)
 			}
-			refTree, err := ref.BuildTree(seed, depth)
+			refTree, err := ref.buildTree(seed, depth)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -190,25 +176,26 @@ func TestLadderLoadsMatchSequentialReference(t *testing.T) {
 			if indexed := len(covered) == n; indexed != (depth < 0) {
 				t.Fatalf("depth %d covers %d of %d vertices", depth, len(covered), n)
 			}
-			flood := NewNetwork(g, 1)
-			ws := newWalkState(flood, seed)
+			flood := soloNetwork(g, 1)
+			p, next := make(rw.Dist, n), make(rw.Dist, n)
+			p[seed] = 1
 			x := make([]float64, n)
 			found := 0
 			for step := 1; step <= 10; step++ {
-				ws.flood(flood)
-				set, err := nw.largestMixingSet(tree, covered, ws.p, ladder, rw.MixingThreshold)
+				p, next = floodOnce(flood, p, next)
+				set, err := nw.largestMixingSet(tree, covered, p, ladder, rw.MixingThreshold)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantSet, err := ref.largestMixingSetReference(refTree, covered, ws.p, x, ladder, rw.MixingThreshold)
+				wantSet, err := ref.largestMixingSetReference(refTree, covered, p, x, ladder, rw.MixingThreshold)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !reflect.DeepEqual(set, wantSet) {
 					t.Fatalf("depth %d seed %d step %d: set %v, sequential reference %v", depth, seed, step, set, wantSet)
 				}
-				if nw.Metrics() != ref.Metrics() {
-					t.Fatalf("depth %d seed %d step %d: metrics %+v, sequential reference %+v", depth, seed, step, nw.Metrics(), ref.Metrics())
+				if m, refM := soloMetrics(nw), soloMetrics(ref); m != refM {
+					t.Fatalf("depth %d seed %d step %d: metrics %+v, sequential reference %+v", depth, seed, step, m, refM)
 				}
 				if set.Found() {
 					found++
@@ -299,33 +286,34 @@ func TestSelectIndexedMatchesScan(t *testing.T) {
 	for _, seed := range []uint64{7, 31} {
 		g := gnpGraph(t, 200, seed)
 		n := g.NumVertices()
-		scanNW := NewNetwork(g, 1)
-		idxNW := NewNetwork(g, 1)
-		refNW := NewNetwork(g, 1)
-		tree, err := scanNW.BuildTree(0, -1)
+		scanNW := soloNetwork(g, 1)
+		idxNW := soloNetwork(g, 1)
+		refNW := soloNetwork(g, 1)
+		tree, err := scanNW.buildTree(0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if tree.Size() != n {
 			t.Skip("sample disconnected; the indexed path needs full coverage")
 		}
-		tree2, err := idxNW.BuildTree(0, -1)
+		tree2, err := idxNW.buildTree(0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tree3, err := refNW.BuildTree(0, -1)
+		tree3, err := refNW.buildTree(0, -1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		covered := tree.CoveredVertices()
-		ws := newWalkState(scanNW, 0)
+		p, next := make(rw.Dist, n), make(rw.Dist, n)
+		p[0] = 1
 		x := make([]float64, n)
 		var off rw.OffSupportStream
 		for step := 0; step < 6; step++ {
-			ws.flood(scanNW)
+			p, next = floodOnce(scanNW, p, next)
 			var support []int32
 			for v := 0; v < n; v++ {
-				if ws.p[v] != 0 {
+				if p[v] != 0 {
 					support = append(support, int32(v))
 				}
 			}
@@ -333,28 +321,28 @@ func TestSelectIndexedMatchesScan(t *testing.T) {
 			for _, size := range []int{2, 8, 40, 150, 199, 200} {
 				muPrime := rw.MuPrime(g, size)
 				for u := 0; u < n; u++ {
-					x[u] = rw.XValueAt(g, ws.p, u, size, muPrime)
+					x[u] = rw.XValueAt(g, p, u, size, muPrime)
 				}
-				before := scanNW.Metrics()
+				before := soloMetrics(scanNW)
 				scanTh, _, scanOK := scanNW.selectKSmallest(tree, covered, x, size)
-				scanCost := scanNW.Metrics()
+				scanCost := soloMetrics(scanNW)
 				scanCost.Rounds -= before.Rounds
 				scanCost.Messages -= before.Messages
 
-				before = idxNW.Metrics()
-				idxTh, idxSum, idxOK := idxNW.selectKSmallestIndexed(tree2, ws.p, support, &off, muPrime, size)
-				idxCost := idxNW.Metrics()
+				before = soloMetrics(idxNW)
+				idxTh, idxSum, idxOK := idxNW.selectKSmallestIndexed(tree2, p, support, &off, muPrime, size)
+				idxCost := soloMetrics(idxNW)
 				idxCost.Rounds -= before.Rounds
 				idxCost.Messages -= before.Messages
 
 				off.SetMu(muPrime)
 				xsup := make([]float64, len(support))
 				for i, v := range support {
-					xsup[i] = rw.XValueAt(g, ws.p, int(v), size, muPrime)
+					xsup[i] = rw.XValueAt(g, p, int(v), size, muPrime)
 				}
-				before = refNW.Metrics()
+				before = soloMetrics(refNW)
 				refTh, refSum, refOK := refNW.selectKSmallestIndexedReference(tree3, support, xsup, &off, muPrime, size)
-				refCost := refNW.Metrics()
+				refCost := soloMetrics(refNW)
 				refCost.Rounds -= before.Rounds
 				refCost.Messages -= before.Messages
 				if refTh != idxTh || refSum != idxSum || refOK != idxOK || refCost != idxCost {
@@ -375,7 +363,7 @@ func TestSelectIndexedMatchesScan(t *testing.T) {
 					t.Fatalf("seed %d step %d size %d: cost %+v vs %+v — the searches diverged",
 						seed, step, size, scanCost, idxCost)
 				}
-				wantSum := canonicalCoveredSum(g, ws.p, covered, x, scanTh, muPrime, size)
+				wantSum := canonicalCoveredSum(g, p, covered, x, scanTh, muPrime, size)
 				if idxSum != wantSum {
 					t.Fatalf("seed %d step %d size %d: canonical sum %v vs %v", seed, step, size, idxSum, wantSum)
 				}
@@ -395,8 +383,8 @@ func TestCanonicalSumMatchesSweeper(t *testing.T) {
 		t.Skip("sample disconnected")
 	}
 	n := g.NumVertices()
-	nw := NewNetwork(g, 1)
-	tree, err := nw.BuildTree(0, -1)
+	nw := soloNetwork(g, 1)
+	tree, err := nw.buildTree(0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -130,91 +130,6 @@ func DetectCommunityContext(ctx context.Context, nw *Network, s int, cfg Config)
 	return dets[0].Community, dets[0].Stats, nil
 }
 
-// walkState is the node-local flooding state of a single walk outside the
-// detection loop (EstimateConductance): distribution, spare buffer and
-// inverse-degree table. degInv aliases the network's shared read-only
-// table.
-type walkState struct {
-	p, next rw.Dist
-	degInv  []float64
-}
-
-func newWalkState(nw *Network, source int) *walkState {
-	n := nw.Graph().NumVertices()
-	ws := &walkState{
-		p:      make(rw.Dist, n),
-		next:   make(rw.Dist, n),
-		degInv: nw.degInvTable(),
-	}
-	ws.p[source] = 1
-	return ws
-}
-
-// flood advances the walk by one communication round.
-func (ws *walkState) flood(nw *Network) {
-	nw.floodStep(ws.p, ws.next, ws.degInv)
-	ws.p, ws.next = ws.next, ws.p
-}
-
-// floodTile is the gather tile of the blocked flood kernels: each worker
-// streams through tile-sized slices of the output array (8·tile = 256 KiB of
-// next per tile, L2-resident) while reading the share table through the CSR
-// neighbour lists.
-const floodTile = 1 << 15
-
-// floodStep performs one communication round of probability flooding
-// (Algorithm 1 lines 9–11): every node holding probability mass sends
-// p(v)/d(v) to each neighbour; every node sums what it receives.
-//
-// The kernel is the blocked form of floodStepReference (the unblocked
-// kernel, kept in floodkernel_test.go as its baseline): one sequential pass
-// fuses the send accounting with freezing every node's outgoing share
-// share[v] = p[v]·degInv[v], then a tiled gather accumulates next[u] =
-// Σ share[w] over u's neighbours — a branch-free multiply-free inner loop
-// with a single random-access stream (share) where the reference chased two
-// (p and degInv). Each share is the exact product the reference computes
-// inside its inner loop and the accumulation order over neighbours is
-// unchanged, so the evolved distribution is bit-identical (the equivalence
-// suite enforces it). Isolated nodes keep their mass, as before.
-func (nw *Network) floodStep(p, next rw.Dist, degInv []float64) {
-	g := nw.Graph()
-	round := nw.beginRound()
-	if nw.transport != nil {
-		// Pluggable round transport: account the round's sends exactly as
-		// below (the simulated cost is the same wherever the floats move),
-		// then delegate the numeric evolution.
-		for v, mass := range p {
-			if mass != 0 && g.Degree(v) > 0 {
-				nw.sendAllNeighbors(v)
-			}
-		}
-		nw.frameBuf = append(nw.frameBuf[:0], FloodFrame{P: p, Next: next})
-		nw.floodRemote(nw.frameBuf)
-		nw.endRound(round)
-		return
-	}
-	share := nw.floodShare(len(p))
-	for v, mass := range p {
-		share[v] = mass * degInv[v]
-		if mass != 0 && g.Degree(v) > 0 {
-			nw.sendAllNeighbors(v)
-		}
-	}
-	nw.parallelRanges(len(next), floodTile, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			sum := 0.0
-			for _, w := range g.Neighbors(u) {
-				sum += share[w]
-			}
-			if g.Degree(u) == 0 {
-				sum = p[u] // isolated nodes keep their mass
-			}
-			next[u] = sum
-		}
-	})
-	nw.endRound(round)
-}
-
 // largestMixingSet runs the candidate-size sweep of Algorithm 1 lines 12–17
 // over the tree-covered nodes and returns the largest set satisfying the
 // mixing condition (Vertices nil when no size passes). Membership is
@@ -262,7 +177,7 @@ func (nw *Network) largestMixingSet(tree *Tree, covered []int32, p rw.Dist, ladd
 	// Materialise membership: the root broadcasts the winning (size,
 	// threshold); every covered node recomputes its x for that size and
 	// compares. One broadcast round-trip.
-	nw.Broadcast(tree)
+	nw.broadcast(tree)
 	muPrime := rw.MuPrime(g, bestSize)
 	ms.Vertices = make([]int, 0, bestSize)
 	for _, v := range covered {

@@ -46,7 +46,14 @@ func EstimateConductanceContext(ctx context.Context, nw *Network, source, maxSte
 	if g.NumEdges() == 0 || n < 2 {
 		return 0, fmt.Errorf("congest: conductance undefined without edges")
 	}
-	tree, err := nw.BuildTree(source, depthLimit)
+	// A one-lane batch: the tree build, each flood step and each sweep's
+	// convergecast+broadcast pair are one phase each, so the global round
+	// count advances exactly as the walk's own protocol does.
+	nw.beginBatch(1)
+	defer nw.endBatch()
+	nw.beginPhase()
+	tree, err := nw.buildTree(source, depthLimit)
+	nw.endPhase()
 	if err != nil {
 		return 0, err
 	}
@@ -55,20 +62,28 @@ func EstimateConductanceContext(ctx context.Context, nw *Network, source, maxSte
 	for i, v := range covered32 {
 		covered[i] = int(v)
 	}
-	ws := newWalkState(nw, source)
+	w := &batchWalk{p: make(rw.Dist, n), next: make(rw.Dist, n)}
+	w.p[source] = 1
+	walks := []*batchWalk{w}
+	degInv := nw.degInvTable()
+	counts := make([]int32, n)
 
 	best := math.Inf(1)
 	for t := 1; t <= maxSteps; t++ {
 		if err := nw.interrupted(); err != nil {
 			return 0, err
 		}
-		ws.flood(nw)
+		nw.beginPhase()
+		batchFlood(nw, walks, degInv, counts)
+		nw.endPhase()
 		if t < 2 {
 			continue
 		}
-		nw.Convergecast(tree)
-		nw.Broadcast(tree)
-		if _, phi, err := rw.SweepCutWithin(g, ws.p, covered); err == nil && phi < best {
+		nw.beginPhase()
+		nw.convergecast(tree)
+		nw.broadcast(tree)
+		nw.endPhase()
+		if _, phi, err := rw.SweepCutWithin(g, w.p, covered); err == nil && phi < best {
 			best = phi
 		}
 	}

@@ -56,6 +56,71 @@ func TestEstimateConductanceDepthLimited(t *testing.T) {
 	}
 }
 
+// TestEstimateConductanceCostClosedForm pins the estimate's cost to the
+// protocol it simulates: the BFS tree's rounds, one flood round per step and
+// a convergecast+broadcast pair (2·depth rounds) per sweep after the first
+// step; messages are the tree's announcements, every flood round's sends
+// from the walk's support and 2·(tree size − 1) per pair. The observer sees
+// each of those rounds once, numbered consecutively, carrying every message.
+func TestEstimateConductanceCostClosedForm(t *testing.T) {
+	ppm, err := gen.NewPPM(gen.PPMConfig{N: 128, R: 2, P: 0.25, Q: 0.01}, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := ppm.Graph
+	const source, maxSteps = 0, 8
+	for _, depthLimit := range []int{-1, 1} {
+		tree, err := soloNetwork(g, 1).buildTree(source, depthLimit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Every level announces itself once, unless the limit stops the
+		// build first.
+		treeRounds := len(tree.Levels)
+		if depthLimit >= 0 {
+			treeRounds = min(treeRounds, depthLimit)
+		}
+		var want Metrics
+		want.Rounds = treeRounds + maxSteps + (maxSteps-1)*2*tree.MaxDepth()
+		for _, lvl := range tree.Levels[:treeRounds] {
+			for _, u := range lvl {
+				want.Messages += int64(g.Degree(u))
+			}
+		}
+		want.Messages += int64((maxSteps - 1) * 2 * (tree.Size() - 1))
+		p, next := make(rw.Dist, g.NumVertices()), make(rw.Dist, g.NumVertices())
+		p[source] = 1
+		for step := 0; step < maxSteps; step++ {
+			for v, mass := range p {
+				if mass != 0 {
+					want.Messages += int64(g.Degree(v))
+				}
+			}
+			p, next = rw.Step(g, p, next), p
+		}
+
+		nw := NewNetwork(g, 1)
+		var observed, words int64
+		nw.SetLoadObserver(func(round int, loads []LinkLoad) {
+			if observed++; int64(round) != observed {
+				t.Fatalf("depth %d: observer saw round %d as call %d", depthLimit, round, observed)
+			}
+			for _, ld := range loads {
+				words += int64(ld.Words)
+			}
+		})
+		if _, err := EstimateConductance(nw, source, maxSteps, depthLimit); err != nil {
+			t.Fatal(err)
+		}
+		if got := nw.Metrics(); got != want {
+			t.Fatalf("depth %d: estimate cost %+v, closed form %+v", depthLimit, got, want)
+		}
+		if observed != int64(want.Rounds) || words != want.Messages {
+			t.Fatalf("depth %d: observer saw %d rounds and %d words, closed form %+v", depthLimit, observed, words, want)
+		}
+	}
+}
+
 // TestEstimateConductanceRejectsBadInput: argument validation mirrors the
 // reference estimator.
 func TestEstimateConductanceRejectsBadInput(t *testing.T) {

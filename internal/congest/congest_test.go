@@ -38,8 +38,8 @@ func gnpGraph(t *testing.T, n int, seed uint64) *graph.Graph {
 
 func TestBuildTreeCoversComponent(t *testing.T) {
 	g := gnpGraph(t, 256, 1)
-	nw := NewNetwork(g, 1)
-	tree, err := nw.BuildTree(0, -1)
+	nw := soloNetwork(g, 1)
+	tree, err := nw.buildTree(0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestBuildTreeCoversComponent(t *testing.T) {
 	}
 	// Rounds = number of levels built, plus one final round in which the
 	// deepest frontier's announcements discover nothing new.
-	if got := nw.Metrics().Rounds; got != tree.MaxDepth() && got != tree.MaxDepth()+1 {
+	if got := soloMetrics(nw).Rounds; got != tree.MaxDepth() && got != tree.MaxDepth()+1 {
 		t.Fatalf("BFS took %d rounds for depth %d", got, tree.MaxDepth())
 	}
 	// Parent depths are consistent.
@@ -65,8 +65,8 @@ func TestBuildTreeCoversComponent(t *testing.T) {
 
 func TestBuildTreeDepthLimit(t *testing.T) {
 	g := pathGraph(t, 10)
-	nw := NewNetwork(g, 1)
-	tree, err := nw.BuildTree(0, 3)
+	nw := soloNetwork(g, 1)
+	tree, err := nw.buildTree(0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,29 +81,29 @@ func TestBuildTreeDepthLimit(t *testing.T) {
 func TestBuildTreeBadRoot(t *testing.T) {
 	g := pathGraph(t, 4)
 	nw := NewNetwork(g, 1)
-	if _, err := nw.BuildTree(9, -1); !errors.Is(err, graph.ErrVertexOutOfRange) {
+	if _, err := nw.buildTree(9, -1); !errors.Is(err, graph.ErrVertexOutOfRange) {
 		t.Fatalf("got %v", err)
 	}
 }
 
 func TestBroadcastConvergecastCosts(t *testing.T) {
 	g := pathGraph(t, 8) // tree = path, depth 7
-	nw := NewNetwork(g, 1)
-	tree, err := nw.BuildTree(0, -1)
+	nw := soloNetwork(g, 1)
+	tree, err := nw.buildTree(0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := nw.Metrics()
-	nw.Broadcast(tree)
-	afterB := nw.Metrics()
+	base := soloMetrics(nw)
+	nw.broadcast(tree)
+	afterB := soloMetrics(nw)
 	if rounds := afterB.Rounds - base.Rounds; rounds != 7 {
 		t.Fatalf("broadcast rounds = %d, want 7", rounds)
 	}
 	if msgs := afterB.Messages - base.Messages; msgs != 7 {
 		t.Fatalf("broadcast messages = %d, want 7 (one per tree edge)", msgs)
 	}
-	nw.Convergecast(tree)
-	afterC := nw.Metrics()
+	nw.convergecast(tree)
+	afterC := soloMetrics(nw)
 	if rounds := afterC.Rounds - afterB.Rounds; rounds != 7 {
 		t.Fatalf("convergecast rounds = %d, want 7", rounds)
 	}
@@ -114,25 +114,18 @@ func TestBroadcastConvergecastCosts(t *testing.T) {
 
 func TestFloodStepMatchesRWStep(t *testing.T) {
 	g := gnpGraph(t, 128, 3)
-	nw := NewNetwork(g, 1)
+	nw := soloNetwork(g, 1)
 	n := g.NumVertices()
 	p := make(rw.Dist, n)
 	p[5] = 1
 	next := make(rw.Dist, n)
-	degInv := make([]float64, n)
-	for v := 0; v < n; v++ {
-		if d := g.Degree(v); d > 0 {
-			degInv[v] = 1 / float64(d)
-		}
-	}
 	want, err := rw.NewPointDist(n, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	scratch := make(rw.Dist, n)
 	for step := 0; step < 10; step++ {
-		nw.floodStep(p, next, degInv)
-		p, next = next, p
+		p, next = floodOnce(nw, p, next)
 		want, scratch = rw.Step(g, want, scratch), want
 		if p.L1(want) > 1e-12 {
 			t.Fatalf("flooding diverges from reference at step %d: L1=%v", step+1, p.L1(want))
@@ -142,12 +135,10 @@ func TestFloodStepMatchesRWStep(t *testing.T) {
 
 func TestFloodStepMessageAccounting(t *testing.T) {
 	g := pathGraph(t, 5)
-	nw := NewNetwork(g, 1)
+	nw := soloNetwork(g, 1)
 	p := rw.Dist{0, 0, 1, 0, 0}
-	next := make(rw.Dist, 5)
-	degInv := []float64{1, 0.5, 0.5, 0.5, 1}
-	nw.floodStep(p, next, degInv)
-	m := nw.Metrics()
+	floodOnce(nw, p, make(rw.Dist, 5))
+	m := soloMetrics(nw)
 	if m.Rounds != 1 {
 		t.Fatalf("flood step took %d rounds, want 1", m.Rounds)
 	}
@@ -159,8 +150,8 @@ func TestFloodStepMessageAccounting(t *testing.T) {
 
 func TestSelectKSmallestMatchesReference(t *testing.T) {
 	g := gnpGraph(t, 128, 7)
-	nw := NewNetwork(g, 1)
-	tree, err := nw.BuildTree(0, -1)
+	nw := soloNetwork(g, 1)
+	tree, err := nw.buildTree(0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +197,8 @@ func TestSelectKSmallestMatchesReference(t *testing.T) {
 
 func TestSelectKSmallestEdgeCases(t *testing.T) {
 	g := pathGraph(t, 4)
-	nw := NewNetwork(g, 1)
-	tree, err := nw.BuildTree(0, -1)
+	nw := soloNetwork(g, 1)
+	tree, err := nw.buildTree(0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}

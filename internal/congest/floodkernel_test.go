@@ -28,14 +28,15 @@ func raggedGraph(t *testing.T, n int, seed uint64) *graph.Graph {
 	return g
 }
 
-// floodStepReference is the unblocked flood kernel floodStep replaced, kept
-// as the equivalence baseline: TestFloodStepMatchesReference asserts the two
-// kernels evolve bit-identical distributions, and BenchmarkFloodKernel1M
-// measures the blocked kernel's speedup against this one. It runs its
-// gather sequentially, one vertex at a time.
+// floodStepReference is the unblocked one-walk flood kernel batchFlood
+// replaced, kept as the equivalence baseline: TestFloodStepMatchesReference
+// asserts the two kernels evolve bit-identical distributions, and
+// BenchmarkFloodKernel1M measures the blocked kernel's speedup against this
+// one. It charges one round of the current lane and runs its gather
+// sequentially, one vertex at a time.
 func (nw *Network) floodStepReference(p, next rw.Dist, degInv []float64) {
 	g := nw.Graph()
-	round := nw.beginRound()
+	nw.beginRound()
 	for v, mass := range p {
 		if mass != 0 && g.Degree(v) > 0 {
 			nw.sendAllNeighbors(v)
@@ -51,41 +52,62 @@ func (nw *Network) floodStepReference(p, next rw.Dist, degInv []float64) {
 		}
 		next[u] = sum
 	}
-	nw.endRound(round)
 }
 
-// TestFloodStepMatchesReference: the blocked share-precompute kernel evolves
-// distributions bit-identical to the reference kernel — same floats, same
-// message and round accounting — sequentially and under the tiled parallel
-// executor, across graphs with isolated vertices.
+// TestFloodStepMatchesReference: the blocked kernel, flooding k = 1 or 4
+// walks in one batch, evolves every walk's distribution bit-identical to the
+// unblocked reference run one walk at a time — same floats, same per-walk
+// rounds and messages — sequentially and under the tiled parallel executor,
+// across graphs with isolated vertices.
 func TestFloodStepMatchesReference(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		g := raggedGraph(t, 512, uint64(workers))
 		n := g.NumVertices()
-		blocked := NewNetwork(g, workers)
-		reference := NewNetwork(g, workers)
-		degInv := blocked.degInvTable()
-
-		p1, n1 := make(rw.Dist, n), make(rw.Dist, n)
-		p2, n2 := make(rw.Dist, n), make(rw.Dist, n)
-		p1[3], p2[3] = 1, 1
-
-		for step := 1; step <= 12; step++ {
-			blocked.floodStep(p1, n1, degInv)
-			reference.floodStepReference(p2, n2, degInv)
-			p1, n1 = n1, p1
-			p2, n2 = n2, p2
-			for v := range p1 {
-				if p1[v] != p2[v] {
-					t.Fatalf("workers=%d step %d vertex %d: blocked %g != reference %g",
-						workers, step, v, p1[v], p2[v])
+		for _, k := range []int{1, 4} {
+			blocked := NewNetwork(g, workers)
+			blocked.beginBatch(k)
+			degInv := blocked.degInvTable()
+			walks := make([]*batchWalk, k)
+			refs := make([]*Network, k)
+			refP, refNext := make([]rw.Dist, k), make([]rw.Dist, k)
+			for i := range walks {
+				src := 3 + 97*i
+				walks[i] = &batchWalk{p: make(rw.Dist, n), next: make(rw.Dist, n)}
+				walks[i].p[src] = 1
+				refs[i] = soloNetwork(g, workers)
+				refP[i], refNext[i] = make(rw.Dist, n), make(rw.Dist, n)
+				refP[i][src] = 1
+			}
+			counts := make([]int32, n)
+			const steps = 12
+			for step := 1; step <= steps; step++ {
+				blocked.beginPhase()
+				batchFlood(blocked, walks, degInv, counts)
+				blocked.endPhase()
+				for i, w := range walks {
+					refs[i].floodStepReference(refP[i], refNext[i], degInv)
+					refP[i], refNext[i] = refNext[i], refP[i]
+					for v := range w.p {
+						if w.p[v] != refP[i][v] {
+							t.Fatalf("workers=%d k=%d walk %d step %d vertex %d: blocked %g != reference %g",
+								workers, k, i, step, v, w.p[v], refP[i][v])
+						}
+					}
 				}
 			}
-		}
-		mb, mr := blocked.Metrics(), reference.Metrics()
-		if mb.Rounds != mr.Rounds || mb.Messages != mr.Messages {
-			t.Fatalf("workers=%d: blocked accounting {%d rounds, %d msgs} != reference {%d rounds, %d msgs}",
-				workers, mb.Rounds, mb.Messages, mr.Rounds, mr.Messages)
+			var messages int64
+			for i := range walks {
+				mb, mr := blocked.laneMetrics(i), soloMetrics(refs[i])
+				if mb != mr {
+					t.Fatalf("workers=%d k=%d walk %d: blocked accounting %+v != reference %+v",
+						workers, k, i, mb, mr)
+				}
+				messages += mr.Messages
+			}
+			if m := blocked.Metrics(); m.Rounds != steps || m.Messages != messages {
+				t.Fatalf("workers=%d k=%d: batch charged %+v, want %d shared rounds and %d messages",
+					workers, k, m, steps, messages)
+			}
 		}
 	}
 }

@@ -8,8 +8,10 @@
 // complexity analysis does (§III): one round per probability-flooding step,
 // depth-of-BFS-tree rounds per broadcast/convergecast, and a
 // broadcast+convergecast pair per binary-search iteration of the
-// |S|-smallest-x_u selection. An optional per-round link-load observer
-// (LoadObserver) feeds the k-machine conversion (internal/kmachine).
+// |S|-smallest-x_u selection. Every round is charged to a lane — one walk's
+// protocol instance — and a one-walk run is a batch of one lane. An optional
+// per-round link-load observer (LoadObserver) feeds the k-machine conversion
+// (internal/kmachine).
 package congest
 
 import (
@@ -52,8 +54,8 @@ type LinkLoad struct {
 // the load on every directed link, which is what the k-machine conversion
 // charges (kmachine.Simulator.LoadObserver computes its per-link prefix sums
 // straight from the aggregates). It is called once per round, empty rounds
-// included. The slice is reused between rounds; implementations must not
-// retain it.
+// included, in round order as each phase of lane rounds completes. The
+// slice is reused between rounds; implementations must not retain it.
 type LoadObserver func(round int, loads []LinkLoad)
 
 // lane is the per-walk accounting of a batched execution: the rounds and
@@ -77,13 +79,13 @@ type Network struct {
 	metrics Metrics
 	loadObs LoadObserver
 	workers int
-	loadBuf []LinkLoad
 
-	// Batched-execution state (DetectBatch): while lanes is non-nil the
-	// network is in batch mode — beginRound and the send helpers charge the
-	// current lane, and rounds of different lanes within one phase overlap
-	// into shared communication rounds that are folded into the global
-	// metrics (and flushed to the load observer) at endPhase.
+	// Lane accounting: every entry point opens a batch of lanes
+	// (beginBatch), one per walk, and brackets each group of concurrent lane
+	// rounds with beginPhase/endPhase. beginRound and the charging helpers
+	// charge the current lane; rounds of different lanes within one phase
+	// overlap into shared communication rounds that are folded into the
+	// global metrics (and flushed to the load observer) at endPhase.
 	lanes      []lane
 	curLane    int
 	phaseMax   int          // max lane phaseRounds this phase
@@ -121,10 +123,8 @@ type Network struct {
 	sel     []*selScratch
 	sizeRes []sizeResult
 
-	// Flood-kernel scratch (floodStep/batchFlood), retained across rounds:
-	// shareBuf holds the per-source outgoing shares of a solo flood, shareAll
-	// the vertex-interleaved shares of a batched flood.
-	shareBuf []float64
+	// Flood-kernel scratch (batchFlood), retained across rounds: the
+	// vertex-interleaved outgoing shares of every live walk.
 	shareAll []float64
 }
 
@@ -209,107 +209,63 @@ func (nw *Network) Graph() *graph.Graph { return nw.g }
 // Metrics returns the accumulated round/message counts.
 func (nw *Network) Metrics() Metrics { return nw.metrics }
 
-// beginRound opens a new communication round and returns its index. It also
+// beginRound opens a new communication round of the current lane. It also
 // polls the run context: rounds already in flight complete (their cost is
 // accounted), but the detection loops check interrupted() between rounds and
 // unwind before scheduling more.
 //
-// In batch mode the round belongs to the current lane: it advances that
-// walk's own round count, and its position within the phase decides which
-// shared communication round carries its messages (lane round r of every
-// walk lands in the phase's r-th shared round). The fold into the global
-// round count happens at endPhase.
-func (nw *Network) beginRound() int {
+// The round advances the lane's own round count, and its position within
+// the phase decides which shared communication round carries its messages
+// (lane round r of every walk lands in the phase's r-th shared round). The
+// fold into the global round count happens at endPhase.
+func (nw *Network) beginRound() {
 	nw.interrupted()
-	if nw.lanes != nil {
-		ln := &nw.lanes[nw.curLane]
-		ln.rounds++
-		ln.phaseRounds++
-		if ln.phaseRounds > nw.phaseMax {
-			nw.phaseMax = ln.phaseRounds
-		}
-		if nw.loadObs != nil {
-			for len(nw.phaseLoads) < ln.phaseRounds {
-				nw.phaseLoads = append(nw.phaseLoads, nil)
-			}
-		}
-		return ln.phaseRounds
-	}
-	nw.metrics.Rounds++
-	if nw.loadObs != nil {
-		nw.loadBuf = nw.loadBuf[:0]
-	}
-	return nw.metrics.Rounds
+	nw.advance(1)
 }
 
-// send accounts one message from -> to within the current round (of the
-// current lane, in batch mode).
-func (nw *Network) send(from, to int) {
-	nw.metrics.Messages++
-	if nw.lanes != nil {
-		ln := &nw.lanes[nw.curLane]
-		ln.messages++
-		if nw.loadObs != nil {
-			r := ln.phaseRounds - 1
-			nw.phaseLoads[r] = append(nw.phaseLoads[r], LinkLoad{From: int32(from), To: int32(to), Words: 1})
-		}
-		return
-	}
+// advance moves the current lane forward by rounds rounds and returns the
+// phase-relative index of the first of them, growing the phase's load
+// buffers to cover them when an observer is installed.
+func (nw *Network) advance(rounds int) int {
+	ln := &nw.lanes[nw.curLane]
+	first := ln.phaseRounds
+	ln.rounds += rounds
+	ln.phaseRounds += rounds
+	nw.phaseMax = max(nw.phaseMax, ln.phaseRounds)
 	if nw.loadObs != nil {
-		nw.loadBuf = append(nw.loadBuf, LinkLoad{From: int32(from), To: int32(to), Words: 1})
+		for len(nw.phaseLoads) < ln.phaseRounds {
+			nw.phaseLoads = append(nw.phaseLoads, nil)
+		}
 	}
+	return first
 }
 
 // sendAllNeighbors accounts one message from v to each of its neighbours
-// (used by flooding and tree building, where a node messages every
-// neighbour).
+// in the current lane round (used by tree building, where a frontier node
+// messages every neighbour).
 func (nw *Network) sendAllNeighbors(v int) {
 	ns := nw.g.Neighbors(v)
-	nw.metrics.Messages += int64(len(ns))
-	if nw.lanes != nil {
-		ln := &nw.lanes[nw.curLane]
-		ln.messages += int64(len(ns))
-		if nw.loadObs != nil {
-			r := ln.phaseRounds - 1
-			for _, w := range ns {
-				nw.phaseLoads[r] = append(nw.phaseLoads[r], LinkLoad{From: int32(v), To: w, Words: 1})
-			}
-		}
-		return
-	}
+	nw.accountMessages(len(ns))
 	if nw.loadObs != nil {
+		r := nw.lanes[nw.curLane].phaseRounds - 1
 		for _, w := range ns {
-			nw.loadBuf = append(nw.loadBuf, LinkLoad{From: int32(v), To: w, Words: 1})
+			nw.phaseLoads[r] = append(nw.phaseLoads[r], LinkLoad{From: int32(v), To: w, Words: 1})
 		}
 	}
 }
 
-// accountMessages charges count messages to the global metrics (and the
-// current lane, in batch mode) without naming their endpoints. Callers use
-// it where no load observer is installed (Broadcast, Convergecast), or
-// report the links to the observer themselves: batchFlood appends one
-// multi-word LinkLoad per link.
+// accountMessages charges count messages to the global metrics and the
+// current lane without naming their endpoints. Callers that observe report
+// the links themselves: batchFlood appends one multi-word LinkLoad per link,
+// and the collectives one LinkLoad per tree edge.
 func (nw *Network) accountMessages(count int) {
 	nw.metrics.Messages += int64(count)
-	if nw.lanes != nil {
-		nw.lanes[nw.curLane].messages += int64(count)
-	}
+	nw.lanes[nw.curLane].messages += int64(count)
 }
 
-// endRound closes the current round, flushing its loads to the load
-// observer. In batch mode rounds are flushed at endPhase instead.
-func (nw *Network) endRound(round int) {
-	if nw.lanes != nil {
-		return
-	}
-	if nw.loadObs != nil {
-		nw.loadObs(round, nw.loadBuf)
-	}
-}
-
-// beginBatch enters batch mode with k lanes (one per walk). The caller must
-// pair it with endBatch and bracket every group of concurrent lane rounds
-// with beginPhase/endPhase.
+// beginBatch opens k lanes (one per walk). The caller must pair it with
+// endBatch and bracket every group of concurrent lane rounds with
+// beginPhase/endPhase.
 func (nw *Network) beginBatch(k int) {
 	if cap(nw.lanes) < k {
 		nw.lanes = make([]lane, k)
@@ -322,8 +278,8 @@ func (nw *Network) beginBatch(k int) {
 	nw.phaseMax = 0
 }
 
-// endBatch leaves batch mode.
-func (nw *Network) endBatch() { nw.lanes = nil }
+// endBatch closes the batch's lanes, keeping their storage for the next.
+func (nw *Network) endBatch() { nw.lanes = nw.lanes[:0] }
 
 // laneMetrics returns lane i's accumulated own-protocol cost.
 func (nw *Network) laneMetrics(i int) Metrics {
@@ -445,15 +401,6 @@ func (nw *Network) degInvTable() []float64 {
 		}
 	}
 	return nw.dinv
-}
-
-// floodShare returns the solo flood kernel's per-source share scratch, sized
-// for n vertices and retained across rounds.
-func (nw *Network) floodShare(n int) []float64 {
-	if cap(nw.shareBuf) < n {
-		nw.shareBuf = make([]float64, n)
-	}
-	return nw.shareBuf[:n]
 }
 
 // floodShareAll returns the batched flood kernel's interleaved share

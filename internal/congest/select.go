@@ -55,14 +55,14 @@ type sizeResult struct {
 // cancelled run stops between iterations, as the search itself does.
 func (nw *Network) replaySelection(t *Tree, r sizeResult) {
 	for i := 0; i < r.casts; i++ {
-		nw.Convergecast(t)
+		nw.convergecast(t)
 	}
 	for i := 0; i < r.pairs; i++ {
 		if nw.interrupted() != nil {
 			return
 		}
-		nw.Broadcast(t)
-		nw.Convergecast(t)
+		nw.broadcast(t)
+		nw.convergecast(t)
 	}
 }
 

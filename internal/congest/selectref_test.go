@@ -9,7 +9,8 @@ import (
 // This file keeps the sequential mixing-set sweep the concurrent ladder
 // (evalLadder + replaySelection) replaced, as the reference the ladder's
 // equivalence tests compare against: one selection after another, each
-// charging its broadcasts and convergecasts inline as its bisection runs.
+// charging its broadcasts and convergecasts inline as its bisection runs,
+// message by message through the per-message collectives (lane_test.go).
 // It also holds the thin selection helpers the unit tests drive.
 
 // selectKSmallest runs one covered-scan selection and charges its
@@ -94,7 +95,7 @@ func (nw *Network) largestMixingSetReference(tree *Tree, covered []int32, p rw.D
 	if !found {
 		return ms, nil
 	}
-	nw.Broadcast(tree)
+	nw.broadcastReference(tree)
 	ms.Vertices = make([]int, 0, bestSize)
 	for _, v := range covered {
 		k := key{x: rw.XValueAt(g, p, int(v), bestSize, bestX), id: v}
@@ -111,7 +112,7 @@ func (nw *Network) selectKSmallestReference(t *Tree, covered []int32, x []float6
 	if k <= 0 || k > len(covered) {
 		return key{}, 0, false
 	}
-	nw.Convergecast(t)
+	nw.convergecastReference(t)
 	lo, hi := plusInfKey, minusInfKey
 	for _, v := range covered {
 		kk := key{x: x[v], id: v}
@@ -123,7 +124,7 @@ func (nw *Network) selectKSmallestReference(t *Tree, covered []int32, x []float6
 		}
 	}
 	if k == len(covered) {
-		nw.Convergecast(t)
+		nw.convergecastReference(t)
 		agg := aggregate(covered, x, hi)
 		return hi, agg.sumLe, true
 	}
@@ -132,8 +133,8 @@ func (nw *Network) selectKSmallestReference(t *Tree, covered []int32, x []float6
 			return key{}, 0, false
 		}
 		if lo == hi {
-			nw.Broadcast(t)
-			nw.Convergecast(t)
+			nw.broadcastReference(t)
+			nw.convergecastReference(t)
 			agg := aggregate(covered, x, lo)
 			if agg.countLe != k {
 				return key{}, 0, false
@@ -141,8 +142,8 @@ func (nw *Network) selectKSmallestReference(t *Tree, covered []int32, x []float6
 			return lo, agg.sumLe, true
 		}
 		mid := midKey(lo, hi)
-		nw.Broadcast(t)
-		nw.Convergecast(t)
+		nw.broadcastReference(t)
+		nw.convergecastReference(t)
 		agg := aggregate(covered, x, mid)
 		switch {
 		case agg.countLe == k:
@@ -188,7 +189,7 @@ func (nw *Network) selectKSmallestIndexedReference(t *Tree, support []int32, xsu
 	}
 	cntBelow := 0
 	maxBelow, minAbove := minusInfKey, plusInfKey
-	nw.Convergecast(t)
+	nw.convergecastReference(t)
 	lo, hi := plusInfKey, minusInfKey
 	for _, kk := range ents {
 		if keyLess(kk, lo) {
@@ -207,7 +208,7 @@ func (nw *Network) selectKSmallestIndexedReference(t *Tree, support []int32, xsu
 		}
 	}
 	if k == n {
-		nw.Convergecast(t)
+		nw.convergecastReference(t)
 		return hi, sumLe(hi), true
 	}
 	for iter := 0; iter < 256; iter++ {
@@ -215,8 +216,8 @@ func (nw *Network) selectKSmallestIndexedReference(t *Tree, support []int32, xsu
 			return key{}, 0, false
 		}
 		if lo == hi {
-			nw.Broadcast(t)
-			nw.Convergecast(t)
+			nw.broadcastReference(t)
+			nw.convergecastReference(t)
 			cnt := cntBelow + off.CountLE(lo.x, lo.id)
 			for _, kk := range ents {
 				if keyLess(kk, lo) || kk == lo {
@@ -229,8 +230,8 @@ func (nw *Network) selectKSmallestIndexedReference(t *Tree, support []int32, xsu
 			return lo, sumLe(lo), true
 		}
 		mid := midKey(lo, hi)
-		nw.Broadcast(t)
-		nw.Convergecast(t)
+		nw.broadcastReference(t)
+		nw.convergecastReference(t)
 		cIn := 0
 		maxLe, minGt := maxBelow, minAbove
 		for _, kk := range ents {

@@ -40,14 +40,14 @@ func (t *Tree) CoveredVertices() []int32 {
 	return covered
 }
 
-// BuildTree constructs a BFS tree of bounded depth from root by distributed
+// buildTree constructs a BFS tree of bounded depth from root by distributed
 // flooding: in round d every depth-d node announces itself to all
 // neighbours; unclaimed neighbours join at depth d+1 and pick the announcer
 // with the smallest id as parent (ties are resolved the same way a real
 // execution with id-tagged messages would). A negative depthLimit means
-// unbounded. Cost: one round per level, with every frontier node messaging
-// each neighbour.
-func (nw *Network) BuildTree(root, depthLimit int) (*Tree, error) {
+// unbounded. Cost: one round of the current lane per level, with every
+// frontier node messaging each neighbour.
+func (nw *Network) buildTree(root, depthLimit int) (*Tree, error) {
 	if err := nw.checkVertex(root); err != nil {
 		return nil, err
 	}
@@ -72,7 +72,7 @@ func (nw *Network) BuildTree(root, depthLimit int) (*Tree, error) {
 		if depthLimit >= 0 && d >= depthLimit {
 			break
 		}
-		round := nw.beginRound()
+		nw.beginRound()
 		var next []int
 		for _, u := range frontier {
 			nw.sendAllNeighbors(u)
@@ -87,7 +87,6 @@ func (nw *Network) BuildTree(root, depthLimit int) (*Tree, error) {
 				}
 			}
 		}
-		nw.endRound(round)
 		if len(next) > 0 {
 			t.Levels = append(t.Levels, next)
 		}
@@ -96,52 +95,53 @@ func (nw *Network) BuildTree(root, depthLimit int) (*Tree, error) {
 	return t, nil
 }
 
-// Broadcast models the root sending one O(log n)-bit value down the tree:
+// broadcast models the root sending one O(log n)-bit value down the tree:
 // one round per level, one message per tree edge. The simulated value
 // delivery is implicit (every protocol below knows the broadcast value);
-// only the cost is accounted here. Without a load observer the per-node
-// message enumeration is skipped — each level is one round of len(level)
-// messages — so a broadcast costs O(depth) simulator work instead of
-// O(tree).
-func (nw *Network) Broadcast(t *Tree) {
+// only the cost is accounted, in one call: the current lane advances by the
+// tree depth and the messages grow by the tree's edge count. With a load
+// observer installed, level d's round carries Parent[u]→u for every u in
+// Levels[d+1].
+func (nw *Network) broadcast(t *Tree) {
+	r := nw.chargeCollective(t)
 	if nw.loadObs == nil {
-		for d := 0; d < len(t.Levels)-1; d++ {
-			round := nw.beginRound()
-			nw.accountMessages(len(t.Levels[d+1]))
-			nw.endRound(round)
-		}
 		return
 	}
-	for d := 0; d < len(t.Levels)-1; d++ {
-		round := nw.beginRound()
-		for _, u := range t.Levels[d+1] {
-			// Parent forwards the value to u.
-			nw.send(t.Parent[u], u)
+	for d := 1; d < len(t.Levels); d++ {
+		loads := nw.phaseLoads[r]
+		for _, u := range t.Levels[d] {
+			loads = append(loads, LinkLoad{From: int32(t.Parent[u]), To: int32(u), Words: 1})
 		}
-		nw.endRound(round)
+		nw.phaseLoads[r] = loads
+		r++
 	}
 }
 
-// Convergecast models an aggregation up the tree (min, max, sum, count —
+// convergecast models an aggregation up the tree (min, max, sum, count —
 // anything expressible with O(log n)-bit partial aggregates): one round per
 // level, one message per tree edge, deepest level first. The caller
 // performs the actual aggregation on node values; this method accounts the
-// cost, with the same O(depth) fast path as Broadcast when no load observer
-// is installed.
-func (nw *Network) Convergecast(t *Tree) {
+// cost in one call, like broadcast. With a load observer installed, the
+// round of level d carries u→Parent[u] for every u in Levels[d].
+func (nw *Network) convergecast(t *Tree) {
+	r := nw.chargeCollective(t)
 	if nw.loadObs == nil {
-		for d := len(t.Levels) - 1; d >= 1; d-- {
-			round := nw.beginRound()
-			nw.accountMessages(len(t.Levels[d]))
-			nw.endRound(round)
-		}
 		return
 	}
 	for d := len(t.Levels) - 1; d >= 1; d-- {
-		round := nw.beginRound()
+		loads := nw.phaseLoads[r]
 		for _, u := range t.Levels[d] {
-			nw.send(u, t.Parent[u])
+			loads = append(loads, LinkLoad{From: int32(u), To: int32(t.Parent[u]), Words: 1})
 		}
-		nw.endRound(round)
+		nw.phaseLoads[r] = loads
+		r++
 	}
+}
+
+// chargeCollective charges one broadcast or convergecast over t to the
+// current lane — MaxDepth rounds, one message per tree edge — and returns
+// the phase-relative index of its first round.
+func (nw *Network) chargeCollective(t *Tree) int {
+	nw.accountMessages(t.Size() - 1)
+	return nw.advance(t.MaxDepth())
 }

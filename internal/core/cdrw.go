@@ -45,7 +45,6 @@ type config struct {
 	workers      int             // congest per-round parallelism
 	treeDepth    int             // congest BFS depth limit (negative = unbounded)
 	congestBatch int             // congest batched-pool size (≤ 1 = sequential)
-	congest      *congest.Config // WithCongest escape hatch, used verbatim
 	detObs       func(Detection) // WithDetectionObserver streaming callback
 	shared       *rw.SharedIndex // WithSharedIndex injection (nil = private)
 
@@ -108,10 +107,12 @@ func WithGrowthFactor(growth float64) Option {
 	return func(c *config) { c.mix.Growth = growth }
 }
 
-// WithDenseSweep forces the reference O(n·ladder) dense mixing-set sweep on
-// every step instead of the sparse-aware engine sweep. The two produce
-// bit-identical communities; this option exists as a benchmark baseline and
-// a cross-check, exactly like WalkEngine.SetDenseThreshold(0) for the walk
+// WithDenseSweep forces the dense mixing-set sweep on every step instead of
+// the sparse-aware engine sweep: one O(n) scan of p extracts the support,
+// then the same bracket-and-count ladder runs over it
+// (WalkEngine.LargestMixingSetDense). The two produce bit-identical
+// communities; this option exists as a benchmark baseline and a
+// cross-check, exactly like WalkEngine.SetDenseThreshold(0) for the walk
 // kernel.
 func WithDenseSweep() Option {
 	return func(c *config) { c.denseSweep = true }
@@ -128,8 +129,9 @@ type StepTiming struct {
 	Step int
 	// Support is the walk's support size, or -1 in the dense regime.
 	Support int
-	// SparseSweep reports whether the mixing-set sweep ran its sparse
-	// O(support)-per-size path (false: the dense O(n)-per-size reference).
+	// SparseSweep reports whether the mixing-set sweep took the engine's
+	// frontier as its support (false: the dense path, which first extracts
+	// the support with one O(n) scan of p).
 	SparseSweep bool
 	// StepNS and SweepNS are the durations of the walk step and of the
 	// whole candidate-size sweep, in nanoseconds.
@@ -273,10 +275,10 @@ func DetectCommunityContext(ctx context.Context, g *graph.Graph, s int, opts ...
 }
 
 // sweep runs one mixing-set search over the engine's current distribution:
-// the engine's hybrid sparse/dense sweep by default, or the dense reference
-// when WithDenseSweep was given. Both return bit-identical results, and
-// both run over the engine's retained sweeper buffers, so repeat serving is
-// allocation-free whichever path a step takes.
+// the engine's hybrid sparse/dense sweep by default, or the dense path on
+// every step when WithDenseSweep was given. Both return bit-identical
+// results, and both run over the engine's retained sweeper buffers, so
+// repeat serving is allocation-free whichever path a step takes.
 func (c *config) sweep(eng *rw.WalkEngine) (rw.MixingSet, error) {
 	if c.denseSweep {
 		return eng.LargestMixingSetDense(c.minSize, c.mix)

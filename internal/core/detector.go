@@ -142,38 +142,17 @@ func (d *Detector) walkEngine() *rw.WalkEngine {
 	return d.eng
 }
 
-// network lazily builds the retained CONGEST network, honouring the
-// WithCongest override's Workers. Its metrics accumulate across the
-// detector's runs; CongestMetrics reports per-run deltas.
+// network lazily builds the retained CONGEST network. Its metrics
+// accumulate across the detector's runs; CongestMetrics reports per-run
+// deltas.
 func (d *Detector) network() *congest.Network {
 	if d.nw == nil {
-		d.nw = congest.NewNetworkWithIndex(d.g, d.congestConfig().Workers, d.sharedIndex())
+		d.nw = congest.NewNetworkWithIndex(d.g, d.settings.CongestWorkers, d.sharedIndex())
 		if d.cfg.transport != nil {
 			d.nw.SetFloodTransport(d.cfg.transport)
 		}
 	}
 	return d.nw
-}
-
-// congestConfig returns the distributed config for this run: the verbatim
-// WithCongest override when given, the lossless translation of the shared
-// options otherwise.
-func (d *Detector) congestConfig() congest.Config {
-	if d.cfg.congest != nil {
-		return *d.cfg.congest
-	}
-	return d.settings.CongestConfig()
-}
-
-// poolSeed is the pool-sampling seed of a full Detect run. The WithCongest
-// escape hatch overrides it on the CONGEST engine (the override is
-// documented as verbatim, and congest.Detect samples its pool from
-// cfg.Seed), so the Detector path stays byte-identical to the wrapper.
-func (d *Detector) poolSeed() uint64 {
-	if d.cfg.engine == EngineCongest && d.cfg.congest != nil {
-		return d.cfg.congest.Seed
-	}
-	return d.cfg.seed
 }
 
 // beginRun installs ctx into the detector's reused run config and returns
@@ -221,7 +200,7 @@ func (d *Detector) DetectCommunity(ctx context.Context, s int) ([]int, Community
 	if d.cfg.engine == EngineCongest {
 		nw := d.network()
 		before := nw.Metrics()
-		out, cstats, err := congest.DetectCommunityContext(ctx, nw, s, d.congestConfig())
+		out, cstats, err := congest.DetectCommunityContext(ctx, nw, s, d.settings.CongestConfig())
 		d.noteCongest(before)
 		if err != nil {
 			return nil, cstats.CommunityStats, err
@@ -318,7 +297,7 @@ func (d *Detector) Detect(ctx context.Context) (*Result, error) {
 	case EngineCongest:
 		nw := d.network()
 		before := nw.Metrics()
-		ccfg := d.congestConfig()
+		ccfg := d.settings.CongestConfig()
 		if ccfg.Batch > 1 {
 			// Batched pool loop (WithCongestBatch): the distributed engine
 			// owns the super-step schedule, so run its Detect wholesale and
@@ -390,7 +369,7 @@ type detectOne func(ctx context.Context, s int) ([]int, CommunityStats, bool, er
 // what makes their outputs comparable detection by detection.
 func (d *Detector) detectPool(ctx context.Context, one detectOne) (*Result, error) {
 	n := d.g.NumVertices()
-	r := rng.New(d.poolSeed())
+	r := rng.New(d.cfg.seed)
 
 	if cap(d.assigned) < n {
 		d.assigned = make([]bool, n)

@@ -292,8 +292,7 @@ func TestDetectorEngineAgreement(t *testing.T) {
 }
 
 // TestSettingsCongestTranslation: the shared options translate losslessly
-// into congest.Config, and the WithCongest escape hatch overrides them
-// verbatim.
+// into congest.Config.
 func TestSettingsCongestTranslation(t *testing.T) {
 	s, err := Resolve(1000,
 		WithDelta(0.25), WithMinCommunitySize(7), WithMaxWalkLength(33),
@@ -311,53 +310,6 @@ func TestSettingsCongestTranslation(t *testing.T) {
 	}
 	if got != want {
 		t.Fatalf("translated config %+v, want %+v", got, want)
-	}
-
-	override := congest.DefaultConfig(64)
-	override.Seed = 1234
-	d, err := NewDetector(ppmGraph(t, 64, 2, 3, 0.1, 109).Graph,
-		WithEngine(EngineCongest), WithSeed(1), WithCongest(override))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.congestConfig() != override {
-		t.Fatal("WithCongest override not used verbatim")
-	}
-}
-
-// TestWithCongestOverridesPoolSeed: the escape hatch is verbatim all the
-// way into pool sampling — a Detector run with WithCongest(cfg) matches
-// congest.Detect(nw, cfg) exactly, even when cfg.Seed disagrees with
-// WithSeed.
-func TestWithCongestOverridesPoolSeed(t *testing.T) {
-	ppm := ppmGraph(t, 128, 2, 2.5, 0.1, 113)
-	override := congest.DefaultConfig(ppm.Graph.NumVertices())
-	override.Delta = ppm.Config.ExpectedConductance()
-	override.Seed = 1234
-
-	nw := congest.NewNetwork(ppm.Graph, 1)
-	want, err := congest.Detect(nw, override)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	d, err := NewDetector(ppm.Graph,
-		WithEngine(EngineCongest), WithSeed(1), WithCongest(override))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.Detect(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Detections) != len(want.Detections) {
-		t.Fatalf("detector made %d detections, congest.Detect %d",
-			len(got.Detections), len(want.Detections))
-	}
-	for i := range got.Detections {
-		if !reflect.DeepEqual(got.Detections[i].Raw, want.Detections[i].Raw) {
-			t.Fatalf("detection %d differs: WithCongest seed not honoured", i)
-		}
 	}
 }
 

@@ -103,15 +103,6 @@ func WithCongestBatch(b int) Option {
 	return func(c *config) { c.congestBatch = b }
 }
 
-// WithCongest is the escape hatch to the full distributed knob set: the
-// given congest.Config is used verbatim by the CONGEST engine, overriding
-// every translated shared option (including Delta and Seed). Use the shared
-// options where they suffice — they translate losslessly — and this only
-// for knobs the shared surface does not model.
-func WithCongest(cfg congest.Config) Option {
-	return func(c *config) { c.congest = &cfg }
-}
-
 // WithDetectionObserver streams detections: fn receives each Detection the
 // moment its community is frozen — as the pool loop emits it (reference and
 // congest engines), or at overlap resolution (parallel engine, where

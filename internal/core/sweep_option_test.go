@@ -7,8 +7,9 @@ import (
 )
 
 // TestDetectDenseSweepOptionMatches: WithDenseSweep swaps the engine's
-// sparse-aware sweep for the dense reference without changing a single
-// detection — the whole pool loop is bit-identical either way.
+// sparse-aware sweep for the dense path, which extracts the support with one
+// scan of p on every step, without changing a single detection — the whole
+// pool loop is bit-identical either way.
 func TestDetectDenseSweepOptionMatches(t *testing.T) {
 	ppm := regressPPM(t, 29)
 	delta := ppm.Config.ExpectedConductance()

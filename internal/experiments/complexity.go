@@ -168,8 +168,8 @@ func KMachineScaling(cfg Config) (*Figure, error) {
 			return nil, err
 		}
 		nw := congest.NewNetwork(ppm.Graph, 1)
-		// The load observer is the conversion's fast path; it sees the same
-		// rounds as the per-message observer, as per-link aggregates.
+		// The load observer feeds the conversion every round as per-link
+		// aggregate word counts.
 		nw.SetLoadObserver(sim.LoadObserver())
 		ccfg := congest.DefaultConfig(r * s)
 		ccfg.Delta = gcfg.ExpectedConductance()

@@ -41,8 +41,9 @@ func (f *Figure) WriteJSON(w io.Writer) error {
 // SweepTrajectory traces one community detection step by step on a sparse
 // PPM in the regime the hybrid engine targets, recording for every walk
 // length the support size, which sweep path evaluated the mixing-set ladder
-// (1 = the sparse O(support)-per-size sweep, 0 = the dense reference), and
-// the wall time of the step and of the sweep in microseconds. It is the
+// (1 = the sparse sweep over the engine's frontier, 0 = the dense path,
+// which extracts the support with one O(n) scan first), and the wall time
+// of the step and of the sweep in microseconds. It is the
 // attribution companion to the walk/sweep benchmarks: the per-step series
 // shows exactly where the sparse sweep is buying its speedup and where the
 // engine hands over to the dense kernel. Trials are averaged pointwise

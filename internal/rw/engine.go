@@ -198,12 +198,14 @@ func (e *WalkEngine) Advance(k int) {
 }
 
 // LargestMixingSet runs the Algorithm 1 candidate-size sweep on the walk's
-// current distribution, automatically using the sparse O(support)-per-size
-// sweep while the engine is on the sparse kernel (the support is exactly the
-// frontier) and the dense reference sweep after the switch. Results are
-// bit-identical to LargestMixingSetOpt(g, e.Dist(), minSize, opt) either
-// way. The zero MixOptions selects the paper's constants. The sweeper and
-// its degree index are built lazily on first use and reused across Reset.
+// current distribution. While the engine is on the sparse kernel the
+// support is exactly the frontier; after the switch the sweeper's dense
+// path first extracts it with one O(n) scan of p. Either way the same
+// bracket-and-count ladder then runs over the support, and results are
+// bit-identical to the O(n)-per-size reference LargestMixingSetOpt(g,
+// e.Dist(), minSize, opt). The zero MixOptions selects the paper's
+// constants. The sweeper and its degree index are built lazily on first
+// use and reused across Reset.
 // On the sparse path the returned Vertices alias sweeper storage and stay
 // valid only until this engine's next sweep; copy them to retain a set.
 func (e *WalkEngine) LargestMixingSet(minSize int, opt MixOptions) (MixingSet, error) {
@@ -217,9 +219,10 @@ func (e *WalkEngine) LargestMixingSet(minSize int, opt MixOptions) (MixingSet, e
 	return e.sweeper.LargestMixingSet(e.p, support, minSize, opt)
 }
 
-// LargestMixingSetDense runs the sweep on the dense O(n)-per-size reference
-// path regardless of the engine's regime — the WithDenseSweep baseline of
-// the detection loops. Results are bit-identical to LargestMixingSet; unlike
+// LargestMixingSetDense runs the sweep on the dense path regardless of the
+// engine's regime — the WithDenseSweep baseline of the detection loops: one
+// O(n) scan of p extracts the support, then the same bracket-and-count
+// ladder runs over it. Results are bit-identical to LargestMixingSet; unlike
 // the package-level LargestMixingSetOpt it reuses the engine's sweeper
 // buffers, so repeat serving stays allocation-free. The returned Vertices
 // alias sweeper storage, valid until this engine's next sweep.
