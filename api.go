@@ -34,10 +34,13 @@
 // engine — between pool iterations, walk steps, ladder sizes and simulated
 // CONGEST rounds.
 //
-// The pre-Detector entry points (Detect, DetectParallel, CongestDetect, …)
+// The pre-Detector entry points (Detect, DetectParallel, DetectCommunity, …)
 // remain as thin wrappers over the same machinery and return byte-identical
 // results for fixed seeds; see PAPER.md's "Unified API" section for the
-// old-call → new-call migration table and the deprecation policy.
+// old-call → new-call migration table and the deprecation policy. A full
+// CONGEST run goes through the Detector (WithEngine(Congest)), which owns
+// Algorithm 1's one pool loop; the Congest* functions below run single
+// walks and batches of walks on a caller-held network.
 //
 // The implementation subpackages live under internal/; this package
 // re-exports the stable surface.
@@ -227,8 +230,8 @@ type (
 	// every legacy entry point.
 	Option = core.Option
 	// DetectorSettings is the resolved option snapshot of a run: defaults
-	// filled in, with a stable Fingerprint() for experiment records and a
-	// lossless CongestConfig() translation.
+	// filled in, with a stable Fingerprint() for experiment records and
+	// CongestConfig(), the per-walk CONGEST parameters it resolves to.
 	DetectorSettings = core.Settings
 	// Result is the output of Detect.
 	Result = core.Result
@@ -336,9 +339,9 @@ var (
 	WithTreeDepthLimit = core.WithTreeDepthLimit
 	// WithCongestBatch batches the Congest engine's pool loop: that many
 	// seed walks advance in shared communication rounds per super-step
-	// (≤ 1 = sequential). Detections are bit-identical to the sequential
-	// loop; the simulated round count drops to the shared-round cost.
-	// In-memory engines ignore it.
+	// (≤ 1 = sequential). Each detection is bit-identical to a solo run
+	// of its seed; the simulated round count drops to the shared-round
+	// cost. In-memory engines ignore it.
 	WithCongestBatch = core.WithCongestBatch
 	// WithMixingThreshold overrides the 1/2e bound (ablations only).
 	WithMixingThreshold = core.WithMixingThreshold
@@ -537,8 +540,6 @@ type (
 	CongestConfig = congest.Config
 	// CongestMetrics counts rounds and messages.
 	CongestMetrics = congest.Metrics
-	// CongestResult is the distributed Detect output.
-	CongestResult = congest.Result
 	// CongestBatchDetection is one walk's outcome of CongestDetectBatch:
 	// its community plus stats bit-identical to a sequential run's.
 	CongestBatchDetection = congest.BatchDetection
@@ -563,22 +564,12 @@ func NewCongestNetwork(g *Graph, workers int) *CongestNetwork {
 	return congest.NewNetwork(g, workers)
 }
 
-// DefaultCongestConfig mirrors the reference engine's defaults for an
-// n-vertex graph.
-func DefaultCongestConfig(n int) CongestConfig { return congest.DefaultConfig(n) }
-
-// CongestDetect runs distributed CDRW over the whole network. Prefer
-// NewDetector with WithEngine(Congest) for the unified surface; this
-// remains for callers that need the CONGEST-native result (per-detection
-// round/message metrics in one struct).
-func CongestDetect(nw *CongestNetwork, cfg CongestConfig) (*CongestResult, error) {
-	return congest.Detect(nw, cfg)
-}
-
-// CongestDetectContext is CongestDetect with cancellation, polled by the
-// round scheduler.
-func CongestDetectContext(ctx context.Context, nw *CongestNetwork, cfg CongestConfig) (*CongestResult, error) {
-	return congest.DetectContext(ctx, nw, cfg)
+// DefaultCongestConfig returns the per-walk CONGEST parameters the
+// Detector's defaults resolve to on an n-vertex graph:
+// ResolveOptions(n)'s CongestConfig.
+func DefaultCongestConfig(n int) CongestConfig {
+	s, _ := ResolveOptions(n) // the defaults always validate
+	return s.CongestConfig()
 }
 
 // CongestDetectCommunity runs distributed CDRW for one seed.
@@ -589,9 +580,8 @@ func CongestDetectCommunity(nw *CongestNetwork, s int, cfg CongestConfig) ([]int
 // CongestDetectBatch runs distributed CDRW for several seeds concurrently in
 // shared communication rounds: every walk's community and per-walk cost are
 // bit-identical to CongestDetectCommunity of its seed, while the network's
-// round count grows by the batch's maximum instead of its sum. Set
-// CongestConfig.Batch (or WithCongestBatch on the Detector) to batch the
-// full Detect pool loop the same way.
+// round count grows by the batch's maximum instead of its sum.
+// WithCongestBatch batches a Detector's pool loop the same way.
 func CongestDetectBatch(nw *CongestNetwork, seeds []int, cfg CongestConfig) ([]CongestBatchDetection, error) {
 	return congest.DetectBatch(nw, seeds, cfg)
 }

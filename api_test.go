@@ -98,18 +98,15 @@ func TestPublicAPIWrapperEquivalence(t *testing.T) {
 		t.Fatal("DetectParallel wrapper differs from Detector (parallel engine)")
 	}
 
-	// Congest engine: CongestDetect wrapper vs Detector with
-	// WithEngine(Congest); communities and shared stats must agree.
-	nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
-	ccfg := cdrw.DefaultCongestConfig(ppm.Graph.NumVertices())
-	ccfg.Delta = delta
-	ccfg.Seed = 43
-	wantCong, err := cdrw.CongestDetect(nw, ccfg)
+	// Congest engine: the Detect wrapper vs the Detector, and each
+	// detection vs CongestDetectCommunity of its seed on a caller-held
+	// network, whose metrics must sum to the Detector's.
+	congOpts := []cdrw.Option{cdrw.WithDelta(delta), cdrw.WithSeed(43), cdrw.WithEngine(cdrw.Congest)}
+	wantCong, err := cdrw.Detect(ppm.Graph, congOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc, err := cdrw.NewDetector(ppm.Graph, cdrw.WithDelta(delta), cdrw.WithSeed(43),
-		cdrw.WithEngine(cdrw.Congest))
+	dc, err := cdrw.NewDetector(ppm.Graph, congOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,22 +114,26 @@ func TestPublicAPIWrapperEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(gotCong.Detections) != len(wantCong.Detections) {
-		t.Fatalf("congest: %d vs %d detections",
-			len(gotCong.Detections), len(wantCong.Detections))
+	if !reflect.DeepEqual(gotCong, wantCong) {
+		t.Fatal("Detect wrapper differs from Detector (congest engine)")
 	}
-	for i := range gotCong.Detections {
-		g, w := gotCong.Detections[i], wantCong.Detections[i]
-		if !reflect.DeepEqual(g.Raw, w.Raw) || !reflect.DeepEqual(g.Assigned, w.Assigned) {
-			t.Fatalf("congest detection %d: communities differ", i)
+	ccfg := cdrw.DefaultCongestConfig(ppm.Graph.NumVertices())
+	ccfg.Delta = delta
+	if ccfg != dc.Settings().CongestConfig() {
+		t.Fatalf("DefaultCongestConfig %+v, Detector runs %+v", ccfg, dc.Settings().CongestConfig())
+	}
+	nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
+	for i, det := range gotCong.Detections {
+		raw, stats, err := cdrw.CongestDetectCommunity(nw, det.Stats.Seed, ccfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if g.Stats.Seed != w.Stats.Seed || g.Stats.WalkLength != w.Stats.WalkLength ||
-			g.Stats.Stopped != w.Stats.Stopped || g.Stats.FinalSetSize != w.Stats.FinalSetSize {
-			t.Fatalf("congest detection %d: stats differ (%+v vs %+v)", i, g.Stats, w.Stats)
+		if !reflect.DeepEqual(det.Raw, raw) || det.Stats != stats.CommunityStats {
+			t.Fatalf("congest detection %d: differs from CongestDetectCommunity of seed %d", i, det.Stats.Seed)
 		}
 	}
-	if m, ok := dc.CongestMetrics(); !ok || m.Rounds != wantCong.Metrics.Rounds {
-		t.Fatalf("detector congest metrics %+v (ok=%v), want %+v", m, ok, wantCong.Metrics)
+	if m, ok := dc.CongestMetrics(); !ok || m != nw.Metrics() {
+		t.Fatalf("detector congest metrics %+v (ok=%v), solo runs sum to %+v", m, ok, nw.Metrics())
 	}
 }
 

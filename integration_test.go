@@ -50,10 +50,11 @@ func TestIntegrationCongestDisconnected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
-	ccfg := cdrw.DefaultCongestConfig(256)
-	ccfg.Seed = 9
-	res, err := cdrw.CongestDetect(nw, ccfg)
+	d, err := cdrw.NewDetector(ppm.Graph, cdrw.WithEngine(cdrw.Congest), cdrw.WithSeed(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Detect(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,14 +138,21 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	congRes, err := cdrw.Detect(ppm.Graph, cdrw.WithDelta(delta), cdrw.WithSeed(19),
+		cdrw.WithEngine(cdrw.Congest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Convert the same execution: a sequential pool's traffic is its seeds'
+	// solo walks, one after another.
 	nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
 	nw.SetLoadObserver(sim.LoadObserver())
 	ccfg := cdrw.DefaultCongestConfig(256)
 	ccfg.Delta = delta
-	ccfg.Seed = 19
-	congRes, err := cdrw.CongestDetect(nw, ccfg)
-	if err != nil {
-		t.Fatal(err)
+	for _, det := range congRes.Detections {
+		if _, _, err := cdrw.CongestDetectCommunity(nw, det.Stats.Seed, ccfg); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	// Engines agree detection by detection.

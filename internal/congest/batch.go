@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"cdrw/internal/graph"
-	"cdrw/internal/rng"
 	"cdrw/internal/rw"
 	"cdrw/internal/trace"
 )
@@ -19,11 +17,12 @@ import (
 // their sum, while every walk's own computation, stop rule, and
 // round/message accounting stay bit-identical to a one-lane run of its seed
 // (the conformance suite in coreequiv_test.go pins this). detectBatch is the
-// package's only detection loop: DetectCommunity is a batch of one seed and
-// Detect's pool loop runs one batch per super-step. The per-round flooding
-// of all walks is fused into one pass over the adjacency arrays, and the
-// load observer receives per-link aggregate word counts per shared round
-// (LinkLoad), which is what the k-machine converter consumes.
+// package's only detection loop: DetectCommunity is a batch of one seed, and
+// Algorithm 1's pool loop, which lives in internal/core, runs one batch per
+// super-step. The per-round flooding of all walks is fused into one pass
+// over the adjacency arrays, and the load observer receives per-link
+// aggregate word counts per shared round (LinkLoad), which is what the
+// k-machine converter consumes.
 
 // BatchDetection is one walk's outcome of a DetectBatch run.
 type BatchDetection struct {
@@ -78,9 +77,9 @@ type batchWalk struct {
 	trk     rw.CommunityTracker
 }
 
-// detectBatch is the CONGEST detection loop, behind DetectBatchContext,
-// DetectCommunityContext (a batch of one) and Detect's pool loop; the
-// caller has validated inputs and installed the run context.
+// detectBatch is the CONGEST detection loop, behind DetectBatchContext and
+// DetectCommunityContext (a batch of one); the caller has validated inputs
+// and installed the run context.
 func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error) {
 	if len(seeds) == 0 {
 		return nil, nil
@@ -289,178 +288,4 @@ func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int3
 			w.p, w.next = w.next, w.p
 		}
 	}
-}
-
-// detectBatchedPool is Detect's pool loop: each super-step draws up to
-// max(1, Batch) seeds from the pool of unassigned
-// vertices — the first uniformly, the rest spread outside the 2-hop balls of
-// the seeds already drawn, the same spreading DetectParallel uses — runs
-// them as one DetectBatch, and applies the detections in draw order (a
-// vertex claimed by an earlier detection of the same super-step is simply
-// not re-assigned, exactly as with one seed per super-step). Every
-// detection's community and per-walk stats are bit-identical to
-// DetectCommunity of its seed; the batch only changes the pool schedule —
-// Batch communities leave the pool per super-step instead of one — so the
-// total round count drops by up to the batch factor, while seeds that land
-// in one community cost some duplicated messages. The run is fully
-// deterministic in cfg.Seed. With Batch ≤ 1 every super-step is one
-// uniformly drawn seed: Algorithm 1's sequential pool loop.
-//
-// The pool tail — once the pool is smaller than Batch·MinCommunitySize —
-// sizes its batches from the pool's component structure instead of the
-// fixed guard: a small pool cannot plausibly hold a batch of distinct
-// communities *within one connected piece*, and forcing every straggler
-// vertex to walk would run detections that one seed per super-step absorbs
-// into one another (a straggler's walk can be pathologically long — it is
-// exactly the seed whose community never settles). But when the residual
-// pool splits into several components of its induced subgraph, the
-// sequential schedule must seed each piece separately anyway, so the tail
-// draws up to min(Batch, components) seeds, one per distinct component, and
-// shares their rounds. A single-component tail draws one seed per
-// super-step.
-func detectBatchedPool(nw *Network, cfg Config) (*Result, error) {
-	g := nw.Graph()
-	n := g.NumVertices()
-	r := rng.New(cfg.Seed)
-	assigned := make([]bool, n)
-	blocked := make([]bool, n)
-	pool := make([]int, n)
-	for v := range pool {
-		pool[v] = v
-	}
-	// A super-step never draws more seeds than the pool holds, so n bounds
-	// the buffer whatever Batch asks for.
-	seeds := make([]int, 0, min(cfg.Batch, n))
-	free := make([]int, 0, n)
-	comp := make([]int, n)
-	queue := make([]int, 0, n)
-	res := &Result{}
-	before := nw.Metrics()
-	for len(pool) > 0 {
-		if err := nw.interrupted(); err != nil {
-			return nil, fmt.Errorf("congest: %w", err)
-		}
-		// Draw the super-step's seeds: first uniform, rest ball-spread.
-		seeds = append(seeds[:0], pool[r.Intn(len(pool))])
-		// len(pool) ≥ Batch·MinCommunitySize, divided out so that a huge
-		// Batch cannot overflow the product.
-		if cfg.Batch > 1 && len(pool)/cfg.MinCommunitySize >= cfg.Batch {
-			for _, u := range g.Ball(seeds[0], 2) {
-				blocked[u] = true
-			}
-			for len(seeds) < cfg.Batch && len(seeds) < len(pool) {
-				free = free[:0]
-				for _, v := range pool {
-					if !blocked[v] {
-						free = append(free, v)
-					}
-				}
-				if len(free) == 0 {
-					break // the pool is one big ball; no spread seeds left
-				}
-				s := free[r.Intn(len(free))]
-				seeds = append(seeds, s)
-				for _, u := range g.Ball(s, 2) {
-					blocked[u] = true
-				}
-			}
-			for _, s := range seeds {
-				for _, u := range g.Ball(s, 2) {
-					blocked[u] = false
-				}
-			}
-		} else if cfg.Batch > 1 {
-			// Straggler tail: the batch size follows the pool's component
-			// structure. Disjoint pieces of the pool-induced subgraph need a
-			// seed each regardless of the schedule, so one seed per
-			// component (up to Batch) shares their rounds for free.
-			if comps := poolComponents(g, pool, assigned, comp, queue); comps > 1 {
-				// blocked doubles as the seeded-component mask here: component
-				// labels live in [0, comps) ⊆ [0, n), and the ball-spread
-				// branch (which also uses blocked) is unreachable this
-				// super-step.
-				blocked[comp[seeds[0]]] = true
-				for len(seeds) < cfg.Batch {
-					free = free[:0]
-					for _, v := range pool {
-						if !blocked[comp[v]] {
-							free = append(free, v)
-						}
-					}
-					if len(free) == 0 {
-						break // every component carries a seed already
-					}
-					s := free[r.Intn(len(free))]
-					seeds = append(seeds, s)
-					blocked[comp[s]] = true
-				}
-				for _, s := range seeds {
-					blocked[comp[s]] = false
-				}
-			}
-		}
-		dets, err := detectBatch(nw, seeds, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("congest: batch of seed %d: %w", seeds[0], err)
-		}
-		for i, det := range dets {
-			s := seeds[i]
-			kept := make([]int, 0, len(det.Community))
-			for _, v := range det.Community {
-				if !assigned[v] {
-					kept = append(kept, v)
-					assigned[v] = true
-				}
-			}
-			if !assigned[s] {
-				kept = append(kept, s)
-				assigned[s] = true
-			}
-			res.Detections = append(res.Detections, Detection{Raw: det.Community, Assigned: kept, Stats: det.Stats})
-		}
-		nextPool := pool[:0]
-		for _, v := range pool {
-			if !assigned[v] {
-				nextPool = append(nextPool, v)
-			}
-		}
-		pool = nextPool
-	}
-	res.Metrics = nw.Metrics()
-	res.Metrics.Rounds -= before.Rounds
-	res.Metrics.Messages -= before.Messages
-	return res, nil
-}
-
-// poolComponents labels the connected components of the subgraph induced by
-// the unassigned pool vertices (edges with both endpoints unassigned),
-// writing each pool vertex's component into comp and returning the count.
-// Labels are assigned in pool order, deterministically. Only pool entries of
-// comp are written; queue is BFS scratch. Cost is O(n + vol(pool)) — paid
-// once per tail super-step, where it buys shared rounds for every extra
-// component.
-func poolComponents(g *graph.Graph, pool []int, assigned []bool, comp []int, queue []int) int {
-	for _, v := range pool {
-		comp[v] = -1
-	}
-	comps := 0
-	for _, v := range pool {
-		if comp[v] >= 0 {
-			continue
-		}
-		comp[v] = comps
-		queue = append(queue[:0], v)
-		for len(queue) > 0 {
-			u := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, w := range g.Neighbors(u) {
-				if !assigned[w] && comp[w] < 0 {
-					comp[w] = comps
-					queue = append(queue, int(w))
-				}
-			}
-		}
-		comps++
-	}
-	return comps
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"cdrw/internal/gen"
-	"cdrw/internal/graph"
 	"cdrw/internal/rng"
 	"cdrw/internal/rw"
 )
@@ -35,11 +34,11 @@ func settleGoroutines(t *testing.T, base int, what string) {
 
 // TestBatchCancellationLeaksNoGoroutines: cancelling mid-batch — from a load
 // observer, while the 4-goroutine per-round worker pool is in use — tears
-// the batched run down with ctx.Err() and no goroutine leaks, for both
-// DetectBatch and the batched pool loop. Cancelling mid-ladder, on 4 ladder
-// workers, does the same: a sweep started under a cancelled context stops
-// within one broadcast + convergecast pair, and a timer cancels while the
-// workers compute.
+// the DetectBatch run down with ctx.Err() and no goroutine leaks (core's
+// TestCancellationLeaksNoGoroutines does the same to the batched pool
+// loop). Cancelling mid-ladder, on 4 ladder workers, does the same: a sweep
+// started under a cancelled context stops within one broadcast +
+// convergecast pair, and a timer cancels while the workers compute.
 func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfgGen := gen.PPMConfig{N: 512, R: 4, P: 2 * gen.Log2(128) / 128, Q: 0.1 / 128}
@@ -47,16 +46,16 @@ func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig(512)
+	cfg := testConfig(512)
 	cfg.Delta = cfgGen.ExpectedConductance()
-	cfg.Workers = 4
+	const workers = 4
 	base := runtime.NumGoroutine()
 
 	// DetectBatch: cancel once the batch has a few shared rounds in flight.
 	{
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		nw := NewNetwork(ppm.Graph, cfg.Workers)
+		nw := NewNetwork(ppm.Graph, workers)
 		rounds := 0
 		nw.SetLoadObserver(func(int, []LinkLoad) {
 			if rounds++; rounds == 3 {
@@ -70,26 +69,6 @@ func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 		settleGoroutines(t, base, "DetectBatch cancellation")
 	}
 
-	// Batched pool loop: cancel mid-run the same way.
-	{
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		nw := NewNetwork(ppm.Graph, cfg.Workers)
-		rounds := 0
-		nw.SetLoadObserver(func(int, []LinkLoad) {
-			if rounds++; rounds == 5 {
-				cancel()
-			}
-		})
-		bcfg := cfg
-		bcfg.Batch = 4
-		_, err := DetectContext(ctx, nw, bcfg)
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("batched Detect: error %v, want context.Canceled", err)
-		}
-		settleGoroutines(t, base, "batched pool cancellation")
-	}
-
 	// Mid-ladder, a lone sweep inside a one-lane phase under a context
 	// cancelled before it starts: the ladder workers abandon their sizes and
 	// the replay charges at most one broadcast + convergecast pair.
@@ -101,7 +80,7 @@ func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 		for step := 0; step < 4; step++ {
 			p, next = floodOnce(flood, p, next)
 		}
-		nw := soloNetwork(ppm.Graph, cfg.Workers)
+		nw := soloNetwork(ppm.Graph, workers)
 		tree, err := nw.buildTree(0, -1)
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +105,7 @@ func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 	for _, d := range []time.Duration{100 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond} {
 		ctx, cancel := context.WithCancel(context.Background())
 		timer := time.AfterFunc(d, cancel)
-		nw := NewNetwork(ppm.Graph, cfg.Workers)
+		nw := NewNetwork(ppm.Graph, workers)
 		_, err := DetectBatchContext(ctx, nw, []int{0, 128, 256, 384}, cfg)
 		timer.Stop()
 		cancel()
@@ -157,7 +136,7 @@ func TestLadderLoadsMatchSequentialReference(t *testing.T) {
 	if !g.IsConnected() {
 		t.Skip("sample disconnected")
 	}
-	ladder := rw.SizeLadder(DefaultConfig(n).MinCommunitySize, n)
+	ladder := rw.SizeLadder(testConfig(n).MinCommunitySize, n)
 	for _, depth := range []int{-1, 2} {
 		for _, seed := range []int{3, 200} {
 			var got, want []observedRound
@@ -216,19 +195,15 @@ func TestLadderLoadsMatchSequentialReference(t *testing.T) {
 	}
 }
 
-// TestDetectBatchValidation: bad config and out-of-range seeds are rejected
-// before any round is simulated; an empty batch is a no-op.
+// TestDetectBatchValidation: out-of-range seeds are rejected before any
+// round is simulated (core's TestResolveAndFingerprint rejects a negative
+// batch size); an empty batch is a no-op.
 func TestDetectBatchValidation(t *testing.T) {
 	g := pathGraph(t, 8)
 	nw := NewNetwork(g, 1)
-	cfg := DefaultConfig(8)
+	cfg := testConfig(8)
 	if _, err := DetectBatch(nw, []int{0, 99}, cfg); err == nil {
 		t.Fatal("out-of-range batch seed accepted")
-	}
-	bad := cfg
-	bad.Batch = -1
-	if _, err := Detect(nw, bad); err == nil {
-		t.Fatal("negative batch size accepted")
 	}
 	dets, err := DetectBatch(nw, nil, cfg)
 	if err != nil || dets != nil {
@@ -257,7 +232,7 @@ func TestBatchObserversSeeAllMessages(t *testing.T) {
 			words += int64(ld.Words)
 		}
 	})
-	cfg := DefaultConfig(192)
+	cfg := testConfig(192)
 	dets, err := DetectBatch(nw, []int{0, 50, 100}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -423,116 +398,5 @@ func TestCanonicalSumMatchesSweeper(t *testing.T) {
 				t.Fatalf("steps %d: sets differ at %d: %d vs %d", steps, i, v, want.Vertices[i])
 			}
 		}
-	}
-}
-
-// cliqueRow builds k disjoint cliques of c vertices each (clique i holds
-// vertices [i·c, (i+1)·c)) — the straggler-tail fixture: a pool that is
-// small in total but splits into many components.
-func cliqueRow(t *testing.T, k, c int) *graph.Graph {
-	t.Helper()
-	b := graph.NewBuilder(k * c)
-	for blk := 0; blk < k; blk++ {
-		base := blk * c
-		for u := 0; u < c; u++ {
-			for v := u + 1; v < c; v++ {
-				b.AddEdge(base+u, base+v)
-			}
-		}
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-// TestPoolComponents: the tail's component labelling respects the assigned
-// mask — assigned vertices neither receive labels nor connect pool pieces.
-func TestPoolComponents(t *testing.T) {
-	// Path 0-1-2-3-4: assigning the middle vertex splits the pool in two.
-	b := graph.NewBuilder(5)
-	for v := 0; v < 4; v++ {
-		b.AddEdge(v, v+1)
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	assigned := make([]bool, 5)
-	comp := make([]int, 5)
-	var queue []int
-	if comps := poolComponents(g, []int{0, 1, 2, 3, 4}, assigned, comp, queue); comps != 1 {
-		t.Fatalf("intact path: %d components, want 1", comps)
-	}
-	assigned[2] = true
-	pool := []int{0, 1, 3, 4}
-	if comps := poolComponents(g, pool, assigned, comp, queue); comps != 2 {
-		t.Fatalf("split path: %d components, want 2", comps)
-	}
-	if comp[0] != comp[1] || comp[3] != comp[4] || comp[0] == comp[3] {
-		t.Fatalf("split path labels %v, want {0,1} and {3,4} in distinct components", comp)
-	}
-}
-
-// TestBatchedPoolComponentTail: when the whole pool sits below the
-// Batch·MinCommunitySize guard but splits into disconnected components, the
-// tail batches one seed per component instead of going sequential — every
-// detection still bit-identical to a solo run of its seed, the partition
-// complete, and the global round count strictly below the sequential loop's.
-func TestBatchedPoolComponentTail(t *testing.T) {
-	const k, c = 8, 8
-	g := cliqueRow(t, k, c)
-	cfg := DefaultConfig(k * c)
-	cfg.Delta = 0.05
-
-	seq, err := Detect(NewNetwork(g, 1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Batch far above the pool size: every super-step is a tail super-step.
-	cfg.Batch = 32
-	bat, err := Detect(NewNetwork(g, 1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bat.Metrics.Rounds >= seq.Metrics.Rounds {
-		t.Fatalf("component tail took %d rounds, sequential %d — no round win",
-			bat.Metrics.Rounds, seq.Metrics.Rounds)
-	}
-
-	seen := make([]bool, k*c)
-	refNW := NewNetwork(g, 1)
-	for _, det := range bat.Detections {
-		for _, v := range det.Assigned {
-			if seen[v] {
-				t.Fatalf("vertex %d assigned twice", v)
-			}
-			seen[v] = true
-		}
-		want, wantStats, err := DetectCommunity(refNW, det.Stats.Seed, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(det.Raw, want) {
-			t.Fatalf("seed %d: tail community %v != sequential %v", det.Stats.Seed, det.Raw, want)
-		}
-		if !reflect.DeepEqual(det.Stats, wantStats) {
-			t.Fatalf("seed %d: tail stats %+v != sequential %+v", det.Stats.Seed, det.Stats, wantStats)
-		}
-	}
-	for v, ok := range seen {
-		if !ok {
-			t.Fatalf("vertex %d unassigned", v)
-		}
-	}
-
-	again, err := Detect(NewNetwork(g, 1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(bat.Detections, again.Detections) || bat.Metrics != again.Metrics {
-		t.Fatal("component-tail pool loop not deterministic")
 	}
 }

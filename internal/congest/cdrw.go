@@ -3,17 +3,19 @@ package congest
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync/atomic"
 
 	"cdrw/internal/rw"
 )
 
-// Config parameterises a distributed CDRW run. The zero value is not valid;
-// start from DefaultConfig. Every knob of the unified Detector option set
-// (internal/core) translates losslessly into this struct; core.Settings.
-// CongestConfig performs that translation.
+// Config holds the per-walk parameters of a distributed CDRW run: Algorithm
+// 1 lines 5–20 for one seed, as DetectCommunity and DetectBatch run it. The
+// pool loop around the walks (lines 1–4 and 21–23: seed sampling, batching)
+// and the network's worker count belong to the unified Detector
+// (internal/core), whose Settings.CongestConfig builds this struct from the
+// resolved options, defaults included (publicly, cdrw.DefaultCongestConfig).
+// The zero value is not valid.
 type Config struct {
 	// Delta is the stop-rule slack δ (paper: the graph conductance Φ_G).
 	Delta float64
@@ -24,10 +26,6 @@ type Config struct {
 	// Patience is the number of consecutive stalled steps that trigger the
 	// stop rule (1 = the paper's rule).
 	Patience int
-	// Seed drives pool sampling in Detect.
-	Seed uint64
-	// Workers sets the per-round parallelism of node-local computation.
-	Workers int
 	// TreeDepthLimit bounds the BFS tree depth; negative means unbounded
 	// (cover the seed's whole component). The paper uses depth O(log n),
 	// which covers the graph when it is connected with logarithmic
@@ -40,15 +38,6 @@ type Config struct {
 	// GrowthFactor overrides the 1+1/8e candidate-size ladder growth;
 	// values ≤ 1 select the paper's constant.
 	GrowthFactor float64
-	// Batch is the number of seed walks Detect advances in shared
-	// communication rounds per pool super-step (values ≤ 1 draw one seed
-	// per super-step: the sequential pool loop). Batching never changes the
-	// detected communities or any per-walk statistic — each walk's protocol,
-	// including its own round/message cost, is bit-identical to a solo run —
-	// it only lets independent walks share rounds (and speculate ahead of
-	// the pool), so Result.Metrics.Rounds drops while total messages may
-	// grow by the speculative walks that end up unused.
-	Batch int
 }
 
 // mixResolved returns the effective mixing threshold and ladder growth,
@@ -65,25 +54,6 @@ func (c Config) mixResolved() (threshold, growth float64) {
 	return threshold, growth
 }
 
-// DefaultConfig mirrors internal/core's defaults so that the two engines
-// produce identical communities on the same input.
-func DefaultConfig(n int) Config {
-	logN := int(math.Ceil(math.Log2(float64(n + 1))))
-	if logN < 1 {
-		logN = 1
-	}
-	return Config{
-		Delta:            0.1,
-		MinCommunitySize: logN,
-		MaxWalkLength:    4*logN + 4,
-		Patience:         1,
-		Seed:             1,
-		Workers:          1,
-		TreeDepthLimit:   -1,
-		Batch:            1,
-	}
-}
-
 func (c Config) validate() error {
 	if c.Delta < 0 {
 		return fmt.Errorf("congest: negative delta %v", c.Delta)
@@ -91,9 +61,6 @@ func (c Config) validate() error {
 	if c.MinCommunitySize < 1 || c.MaxWalkLength < 1 || c.Patience < 1 {
 		return fmt.Errorf("congest: config must be positive (minSize=%d maxLen=%d patience=%d)",
 			c.MinCommunitySize, c.MaxWalkLength, c.Patience)
-	}
-	if c.Batch < 0 {
-		return fmt.Errorf("congest: negative batch size %d", c.Batch)
 	}
 	return nil
 }
@@ -306,41 +273,4 @@ func (j *ladderJob) eval(sc *selScratch, size int) sizeResult {
 		r.sum = canonicalCoveredSum(g, j.p, j.covered, sc.x, r.threshold, muPrime, size)
 	}
 	return r
-}
-
-// Detection mirrors core.Detection for the distributed engine.
-type Detection struct {
-	Raw      []int
-	Assigned []int
-	Stats    CommunityStats
-}
-
-// Result is the output of a full distributed Detect run.
-type Result struct {
-	Detections []Detection
-	// Metrics aggregates rounds/messages over all detections.
-	Metrics Metrics
-}
-
-// Detect runs the distributed CDRW pool loop (Algorithm 1 lines 1–23),
-// detecting communities until every vertex is assigned. With cfg.Batch ≤ 1
-// each super-step is one seed, sampled exactly like internal/core.Detect,
-// so on a connected graph the two engines emit identical communities; with
-// cfg.Batch > 1 each super-step advances a batch of seed walks in shared
-// communication rounds (see DetectBatch and detectBatchedPool), every
-// individual detection still bit-identical to a solo run of its seed.
-func Detect(nw *Network, cfg Config) (*Result, error) {
-	return DetectContext(context.Background(), nw, cfg)
-}
-
-// DetectContext is Detect with cancellation: ctx is polled by the round
-// scheduler and between pool iterations, so a cancelled caller gets
-// ctx.Err() back without waiting for the pool to drain.
-func DetectContext(ctx context.Context, nw *Network, cfg Config) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	nw.setContext(ctx)
-	defer nw.setContext(nil)
-	return detectBatchedPool(nw, cfg)
 }

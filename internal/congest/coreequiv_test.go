@@ -1,7 +1,8 @@
 // Cross-engine equivalence and batched-conformance tests live in an external
 // test package: the core package imports congest (the unified Detector
-// dispatches to it), so an internal congest test importing core would form a
-// test-only import cycle.
+// dispatches to it, and runs Algorithm 1's pool loop around its walks), so
+// an internal congest test importing core would form a test-only import
+// cycle.
 package congest_test
 
 import (
@@ -13,8 +14,73 @@ import (
 	"cdrw/internal/core"
 	"cdrw/internal/gen"
 	"cdrw/internal/graph"
+	"cdrw/internal/metrics"
 	"cdrw/internal/rng"
 )
+
+// walkConfig returns the per-walk parameters a Detector resolves opts to on
+// an n-vertex graph.
+func walkConfig(t *testing.T, n int, opts ...core.Option) congest.Config {
+	t.Helper()
+	s, err := core.Resolve(n, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.CongestConfig()
+}
+
+// detectCongest runs a full Detect on g on the CONGEST engine and returns
+// the result and the rounds and messages it consumed.
+func detectCongest(t *testing.T, g *graph.Graph, opts ...core.Option) (*core.Result, congest.Metrics) {
+	t.Helper()
+	d, err := core.NewDetector(g, append([]core.Option{core.WithEngine(core.EngineCongest)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := d.Detect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, ran := d.CongestMetrics()
+	if !ran {
+		t.Fatal("detector reports no congest run")
+	}
+	return res, m
+}
+
+// checkSoloDetections fails unless the detections' Assigned sets partition
+// g's vertices and every detection's community and stats equal a solo
+// DetectCommunity of its seed under cfg.
+func checkSoloDetections(t *testing.T, name string, g *graph.Graph, res *core.Result, cfg congest.Config) {
+	t.Helper()
+	seen := make([]bool, g.NumVertices())
+	refNW := congest.NewNetwork(g, 1)
+	for i, det := range res.Detections {
+		for _, v := range det.Assigned {
+			if seen[v] {
+				t.Fatalf("%s: vertex %d assigned twice", name, v)
+			}
+			seen[v] = true
+		}
+		want, wantStats, err := congest.DetectCommunity(refNW, det.Stats.Seed, cfg)
+		if err != nil {
+			t.Fatalf("%s: solo run of seed %d: %v", name, det.Stats.Seed, err)
+		}
+		if !reflect.DeepEqual(det.Raw, want) {
+			t.Fatalf("%s: detection %d (seed %d): community %v, solo run %v",
+				name, i, det.Stats.Seed, det.Raw, want)
+		}
+		if det.Stats != wantStats.CommunityStats {
+			t.Fatalf("%s: detection %d (seed %d): stats %+v, solo run %+v",
+				name, i, det.Stats.Seed, det.Stats, wantStats.CommunityStats)
+		}
+	}
+	for v, ok := range seen {
+		if !ok {
+			t.Fatalf("%s: vertex %d unassigned", name, v)
+		}
+	}
+}
 
 // TestDetectCommunityMatchesCore: on a connected graph the distributed
 // engine returns exactly the reference engine's community and stats, whole
@@ -24,12 +90,10 @@ func TestDetectCommunityMatchesCore(t *testing.T) {
 	check := func(g *graph.Graph, delta float64, seed, maxLen int) {
 		t.Helper()
 		opts := []core.Option{core.WithDelta(delta)}
-		cfg := congest.DefaultConfig(g.NumVertices())
-		cfg.Delta = delta
 		if maxLen > 0 {
 			opts = append(opts, core.WithMaxWalkLength(maxLen))
-			cfg.MaxWalkLength = maxLen
 		}
+		cfg := walkConfig(t, g.NumVertices(), opts...)
 		want, wantStats, err := core.DetectCommunity(g, seed, opts...)
 		if err != nil {
 			t.Fatal(err)
@@ -100,6 +164,8 @@ func TestDetectCommunityMatchesCore(t *testing.T) {
 	}
 }
 
+// TestDetectMatchesCore: on a connected graph the CONGEST engine's full
+// Detect emits the reference engine's detections, one by one.
 func TestDetectMatchesCore(t *testing.T) {
 	cfgGen := gen.PPMConfig{N: 256, R: 2, P: 2 * gen.Log2(128) / 128, Q: 0.1 / 128}
 	ppm, err := gen.NewPPM(cfgGen, rng.New(13))
@@ -114,14 +180,7 @@ func TestDetectMatchesCore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := congest.NewNetwork(ppm.Graph, 1)
-	cfg := congest.DefaultConfig(256)
-	cfg.Delta = delta
-	cfg.Seed = 5
-	got, err := congest.Detect(nw, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	got, m := detectCongest(t, ppm.Graph, core.WithDelta(delta), core.WithSeed(5))
 	if len(got.Detections) != len(want.Detections) {
 		t.Fatalf("congest made %d detections, core %d", len(got.Detections), len(want.Detections))
 	}
@@ -136,7 +195,7 @@ func TestDetectMatchesCore(t *testing.T) {
 			}
 		}
 	}
-	if got.Metrics.Rounds <= 0 {
+	if m.Rounds <= 0 {
 		t.Fatal("no rounds recorded")
 	}
 }
@@ -179,8 +238,7 @@ func conformanceGraphs(t *testing.T) map[string]*graph.Graph {
 func TestDetectBatchMatchesSequential(t *testing.T) {
 	for name, g := range conformanceGraphs(t) {
 		n := g.NumVertices()
-		cfg := congest.DefaultConfig(n)
-		cfg.Delta = 0.05
+		cfg := walkConfig(t, n, core.WithDelta(0.05))
 		seeds := []int{0, n / 3, n / 2, n - 1}
 
 		seqNW := congest.NewNetwork(g, 1)
@@ -234,56 +292,20 @@ func TestDetectBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestDetectBatchedPoolConformance: the full pool loop with Batch > 1 emits,
-// for every seed it draws, the community a sequential DetectCommunity of
-// that seed computes (bit-identical, per-walk stats included), its Assigned
-// sets still partition the vertex set, and the run is deterministic in the
-// config seed. The pool schedule itself legitimately differs from the
-// sequential loop — a super-step removes up to Batch communities at once —
-// which is exactly where the round win comes from.
+// TestDetectBatchedPoolConformance: the Detector's pool loop with
+// WithCongestBatch(3) emits, for every seed it draws, the community a solo
+// DetectCommunity of that seed computes (bit-identical, stats included), its
+// Assigned sets still partition the vertex set, and the run is
+// deterministic in WithSeed. The pool schedule itself legitimately differs
+// from the sequential loop — a super-step removes up to 3 communities at
+// once — which is exactly where the round win comes from.
 func TestDetectBatchedPoolConformance(t *testing.T) {
 	for name, g := range conformanceGraphs(t) {
-		n := g.NumVertices()
-		cfg := congest.DefaultConfig(n)
-		cfg.Delta = 0.05
-		cfg.Seed = 9
-		cfg.Batch = 3
-		got, err := congest.Detect(congest.NewNetwork(g, 1), cfg)
-		if err != nil {
-			t.Fatalf("%s: batched: %v", name, err)
-		}
-		seen := make([]bool, n)
-		refNW := congest.NewNetwork(g, 1)
-		for i, det := range got.Detections {
-			for _, v := range det.Assigned {
-				if seen[v] {
-					t.Fatalf("%s: vertex %d assigned twice", name, v)
-				}
-				seen[v] = true
-			}
-			want, wantStats, err := congest.DetectCommunity(refNW, det.Stats.Seed, cfg)
-			if err != nil {
-				t.Fatalf("%s: reference run of seed %d: %v", name, det.Stats.Seed, err)
-			}
-			if !reflect.DeepEqual(det.Raw, want) {
-				t.Fatalf("%s: detection %d (seed %d) differs from a sequential run of the same seed",
-					name, i, det.Stats.Seed)
-			}
-			if !reflect.DeepEqual(det.Stats, wantStats) {
-				t.Fatalf("%s: detection %d stats %+v differ from sequential %+v",
-					name, i, det.Stats, wantStats)
-			}
-		}
-		for v, ok := range seen {
-			if !ok {
-				t.Fatalf("%s: vertex %d unassigned", name, v)
-			}
-		}
-		again, err := congest.Detect(congest.NewNetwork(g, 1), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Detections, again.Detections) || got.Metrics != again.Metrics {
+		opts := []core.Option{core.WithDelta(0.05), core.WithSeed(9), core.WithCongestBatch(3)}
+		got, gotM := detectCongest(t, g, opts...)
+		checkSoloDetections(t, name, g, got, walkConfig(t, g.NumVertices(), opts...))
+		again, againM := detectCongest(t, g, opts...)
+		if !reflect.DeepEqual(got, again) || gotM != againM {
 			t.Fatalf("%s: batched pool not deterministic", name)
 		}
 	}
@@ -298,20 +320,12 @@ func TestDetectBatchedPoolFewerRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := congest.DefaultConfig(512)
-	cfg.Delta = cfgGen.ExpectedConductance()
-	seq, err := congest.Detect(congest.NewNetwork(ppm.Graph, 1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Batch = 4
-	bat, err := congest.Detect(congest.NewNetwork(ppm.Graph, 1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bat.Metrics.Rounds >= seq.Metrics.Rounds {
+	delta := core.WithDelta(cfgGen.ExpectedConductance())
+	_, seq := detectCongest(t, ppm.Graph, delta)
+	_, bat := detectCongest(t, ppm.Graph, delta, core.WithCongestBatch(4))
+	if bat.Rounds >= seq.Rounds {
 		t.Fatalf("batched pool took %d rounds, sequential %d — no round win",
-			bat.Metrics.Rounds, seq.Metrics.Rounds)
+			bat.Rounds, seq.Rounds)
 	}
 }
 
@@ -325,26 +339,9 @@ func TestDetectorCongestBatchOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta := cfgGen.ExpectedConductance()
-	runRounds := func(opts ...core.Option) (*core.Result, int) {
-		t.Helper()
-		d, err := core.NewDetector(ppm.Graph, append([]core.Option{
-			core.WithEngine(core.EngineCongest), core.WithDelta(delta)}, opts...)...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := d.Detect(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		m, ran := d.CongestMetrics()
-		if !ran {
-			t.Fatal("detector reports no congest run")
-		}
-		return res, m.Rounds
-	}
-	_, seqRounds := runRounds()
-	batched, batRounds := runRounds(core.WithCongestBatch(4))
+	delta := core.WithDelta(cfgGen.ExpectedConductance())
+	_, seq := detectCongest(t, ppm.Graph, delta)
+	batched, bat := detectCongest(t, ppm.Graph, delta, core.WithCongestBatch(4))
 	seen := make([]bool, 512)
 	for _, det := range batched.Detections {
 		for _, v := range det.Assigned {
@@ -359,7 +356,80 @@ func TestDetectorCongestBatchOption(t *testing.T) {
 			t.Fatalf("vertex %d unassigned", v)
 		}
 	}
-	if batRounds >= seqRounds {
-		t.Fatalf("WithCongestBatch(4) took %d rounds, sequential %d", batRounds, seqRounds)
+	if bat.Rounds >= seq.Rounds {
+		t.Fatalf("WithCongestBatch(4) took %d rounds, sequential %d", bat.Rounds, seq.Rounds)
+	}
+}
+
+// cliqueRow builds k disjoint cliques of c vertices each (clique i holds
+// vertices [i·c, (i+1)·c)) — the straggler-tail fixture: a pool that is
+// small in total but splits into many components.
+func cliqueRow(t *testing.T, k, c int) *graph.Graph {
+	t.Helper()
+	b := graph.NewBuilder(k * c)
+	for blk := 0; blk < k; blk++ {
+		base := blk * c
+		for u := 0; u < c; u++ {
+			for v := u + 1; v < c; v++ {
+				b.AddEdge(base+u, base+v)
+			}
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestBatchedPoolComponentTail: when the whole pool sits below the
+// batch·R guard but splits into disconnected components, the tail batches
+// one seed per component instead of going sequential — every detection
+// still bit-identical to a solo run of its seed, the partition complete,
+// and the global round count strictly below the sequential loop's.
+func TestBatchedPoolComponentTail(t *testing.T) {
+	const k, c = 8, 8
+	g := cliqueRow(t, k, c)
+	delta := core.WithDelta(0.05)
+	_, seq := detectCongest(t, g, delta)
+
+	// Batch far above the pool size: every super-step is a tail super-step.
+	opts := []core.Option{delta, core.WithCongestBatch(32)}
+	bat, batM := detectCongest(t, g, opts...)
+	if batM.Rounds >= seq.Rounds {
+		t.Fatalf("component tail took %d rounds, sequential %d — no round win",
+			batM.Rounds, seq.Rounds)
+	}
+	checkSoloDetections(t, "clique row", g, bat, walkConfig(t, k*c, opts...))
+
+	again, againM := detectCongest(t, g, opts...)
+	if !reflect.DeepEqual(bat, again) || batM != againM {
+		t.Fatal("component-tail pool loop not deterministic")
+	}
+}
+
+// TestDetectAccuracy: the CONGEST engine's full Detect recovers the planted
+// blocks of a sparse two-block PPM.
+func TestDetectAccuracy(t *testing.T) {
+	cfgGen := gen.PPMConfig{N: 256, R: 2, P: 2 * gen.Log2(128) / 128, Q: 0.1 / 128}
+	ppm, err := gen.NewPPM(cfgGen, rng.New(29))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _ := detectCongest(t, ppm.Graph, core.WithDelta(cfgGen.ExpectedConductance()))
+	truth := ppm.TruthCommunities()
+	var drs []metrics.DetectionResult
+	for _, det := range res.Detections {
+		drs = append(drs, metrics.DetectionResult{
+			Detected: det.Raw,
+			Truth:    truth[ppm.Truth[det.Stats.Seed]],
+		})
+	}
+	f, err := metrics.TotalFScore(drs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f < 0.8 {
+		t.Fatalf("distributed detection F-score %v, want ≥0.8", f)
 	}
 }

@@ -21,7 +21,7 @@ func TestDepthLimitedDetectionMatchesUnbounded(t *testing.T) {
 		t.Skip("sample disconnected")
 	}
 	diam := ppm.Graph.Diameter()
-	cfg := DefaultConfig(256)
+	cfg := testConfig(256)
 	cfg.Delta = cfgGen.ExpectedConductance()
 
 	unbounded, _, err := DetectCommunity(NewNetwork(ppm.Graph, 1), 7, cfg)
@@ -56,7 +56,7 @@ func TestDepthLimitTooSmallStillTerminates(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw := NewNetwork(ppm.Graph, 1)
-	cfg := DefaultConfig(256)
+	cfg := testConfig(256)
 	cfg.Delta = cfgGen.ExpectedConductance()
 	cfg.TreeDepthLimit = 1 // only the seed's direct neighbourhood
 	com, stats, err := DetectCommunity(nw, 0, cfg)

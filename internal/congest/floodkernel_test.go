@@ -149,8 +149,7 @@ func TestNetworkSharedIndexRouting(t *testing.T) {
 		t.Fatal("network built a private degInv table despite the shared bundle")
 	}
 
-	cfg := DefaultConfig(g.NumVertices())
-	cfg.Seed = 11
+	cfg := testConfig(g.NumVertices())
 	want, wantStats, err := DetectCommunity(NewNetwork(g, 1), 4, cfg)
 	if err != nil {
 		t.Fatal(err)

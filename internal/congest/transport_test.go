@@ -1,4 +1,7 @@
-package congest
+// The transport tests run in the external test package so that the pool
+// loop's case can install the loopback transport on a core.Detector
+// (core.WithCongestTransport).
+package congest_test
 
 import (
 	"context"
@@ -6,24 +9,28 @@ import (
 	"reflect"
 	"testing"
 
+	"cdrw/internal/congest"
+	"cdrw/internal/core"
 	"cdrw/internal/gen"
+	"cdrw/internal/graph"
 	"cdrw/internal/rng"
 )
 
-// loopbackTransport is an in-process FloodTransport that evolves the frames
-// with its own independent implementation of the flood contract (freeze
-// shares p(w)/d(w), accumulate per receiver in CSR neighbour order) — the
-// same arithmetic a cluster shard performs over its owned vertices. It
-// stands in for a real network in the equivalence tests below.
+// loopbackTransport is an in-process FloodTransport over graph g that
+// evolves the frames with its own independent implementation of the flood
+// contract (freeze shares p(w)/d(w), accumulate per receiver in CSR
+// neighbour order) — the same arithmetic a cluster shard performs over its
+// owned vertices. It stands in for a real network in the equivalence tests
+// below; rounds counts the floods it served.
 type loopbackTransport struct {
-	nw     *Network
+	g      *graph.Graph
 	rounds int
 	share  []float64
 }
 
-func (t *loopbackTransport) Flood(_ context.Context, frames []FloodFrame) error {
+func (t *loopbackTransport) Flood(_ context.Context, frames []congest.FloodFrame) error {
 	t.rounds++
-	g := t.nw.Graph()
+	g := t.g
 	n := g.NumVertices()
 	if cap(t.share) < n {
 		t.share = make([]float64, n)
@@ -66,19 +73,19 @@ func transportTestGraph(t *testing.T) *gen.PPM {
 // in-memory run.
 func TestFloodTransportCommunityEquivalence(t *testing.T) {
 	ppm := transportTestGraph(t)
-	cfg := DefaultConfig(ppm.Graph.NumVertices())
+	cfg := walkConfig(t, ppm.Graph.NumVertices())
 
 	for _, seed := range []int{0, 57, 399} {
-		base := NewNetwork(ppm.Graph, 1)
-		wantSet, wantStats, err := DetectCommunity(base, seed, cfg)
+		base := congest.NewNetwork(ppm.Graph, 1)
+		wantSet, wantStats, err := congest.DetectCommunity(base, seed, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		nw := NewNetwork(ppm.Graph, 1)
-		tr := &loopbackTransport{nw: nw}
+		nw := congest.NewNetwork(ppm.Graph, 1)
+		tr := &loopbackTransport{g: ppm.Graph}
 		nw.SetFloodTransport(tr)
-		gotSet, gotStats, err := DetectCommunity(nw, seed, cfg)
+		gotSet, gotStats, err := congest.DetectCommunity(nw, seed, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,24 +104,23 @@ func TestFloodTransportCommunityEquivalence(t *testing.T) {
 	}
 }
 
-// TestFloodTransportBatchEquivalence pins the contract on the batched path:
-// DetectBatch and the batched Detect pool loop stay bit-identical when the
-// fused flood kernel is replaced by the transport.
+// TestFloodTransportBatchEquivalence pins the transport contract on the
+// batched path: DetectBatch and the Detector's batched pool loop stay
+// bit-identical when the fused flood kernel is replaced by the transport
+// (core.WithCongestTransport).
 func TestFloodTransportBatchEquivalence(t *testing.T) {
-	ppm := transportTestGraph(t)
-	cfg := DefaultConfig(ppm.Graph.NumVertices())
+	g := transportTestGraph(t).Graph
+	cfg := walkConfig(t, g.NumVertices())
 	seeds := []int{3, 120, 250, 398}
 
-	base := NewNetwork(ppm.Graph, 1)
-	want, err := DetectBatch(base, seeds, cfg)
+	want, err := congest.DetectBatch(congest.NewNetwork(g, 1), seeds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	nw := NewNetwork(ppm.Graph, 1)
-	tr := &loopbackTransport{nw: nw}
+	nw := congest.NewNetwork(g, 1)
+	tr := &loopbackTransport{g: g}
 	nw.SetFloodTransport(tr)
-	got, err := DetectBatch(nw, seeds, cfg)
+	got, err := congest.DetectBatch(nw, seeds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,19 +131,14 @@ func TestFloodTransportBatchEquivalence(t *testing.T) {
 		t.Fatalf("batched detections diverged:\n got %+v\nwant %+v", got, want)
 	}
 
-	cfg.Batch = 3
-	base2 := NewNetwork(ppm.Graph, 1)
-	wantRes, err := Detect(base2, cfg)
-	if err != nil {
-		t.Fatal(err)
+	batch := core.WithCongestBatch(3)
+	wantRes, wantM := detectCongest(t, g, batch)
+	pooled := &loopbackTransport{g: g}
+	gotRes, gotM := detectCongest(t, g, batch, core.WithCongestTransport(pooled))
+	if pooled.rounds == 0 {
+		t.Fatal("transport never invoked by the pool loop")
 	}
-	nw2 := NewNetwork(ppm.Graph, 1)
-	nw2.SetFloodTransport(&loopbackTransport{nw: nw2})
-	gotRes, err := Detect(nw2, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotRes, wantRes) {
+	if !reflect.DeepEqual(gotRes, wantRes) || gotM != wantM {
 		t.Fatal("batched pool results diverged under transport")
 	}
 }
@@ -151,7 +152,7 @@ type failingTransport struct {
 
 var errLinkDown = errors.New("link down")
 
-func (t *failingTransport) Flood(ctx context.Context, frames []FloodFrame) error {
+func (t *failingTransport) Flood(ctx context.Context, frames []congest.FloodFrame) error {
 	t.calls++
 	if t.calls > t.after {
 		return errLinkDown
@@ -165,22 +166,22 @@ func (t *failingTransport) Flood(ctx context.Context, frames []FloodFrame) error
 // once the transport is healthy again.
 func TestFloodTransportErrorPropagates(t *testing.T) {
 	ppm := transportTestGraph(t)
-	cfg := DefaultConfig(ppm.Graph.NumVertices())
+	cfg := walkConfig(t, ppm.Graph.NumVertices())
 
-	nw := NewNetwork(ppm.Graph, 1)
-	nw.SetFloodTransport(&failingTransport{ok: &loopbackTransport{nw: nw}, after: 2})
-	if _, _, err := DetectCommunity(nw, 0, cfg); !errors.Is(err, errLinkDown) {
+	nw := congest.NewNetwork(ppm.Graph, 1)
+	nw.SetFloodTransport(&failingTransport{ok: &loopbackTransport{g: ppm.Graph}, after: 2})
+	if _, _, err := congest.DetectCommunity(nw, 0, cfg); !errors.Is(err, errLinkDown) {
 		t.Fatalf("solo path: want errLinkDown, got %v", err)
 	}
 
-	nw.SetFloodTransport(&failingTransport{ok: &loopbackTransport{nw: nw}, after: 1})
-	if _, err := DetectBatch(nw, []int{0, 57}, cfg); !errors.Is(err, errLinkDown) {
+	nw.SetFloodTransport(&failingTransport{ok: &loopbackTransport{g: ppm.Graph}, after: 1})
+	if _, err := congest.DetectBatch(nw, []int{0, 57}, cfg); !errors.Is(err, errLinkDown) {
 		t.Fatalf("batched path: want errLinkDown, got %v", err)
 	}
 
 	// Healthy transport again: the sticky error must not leak into new runs.
-	nw.SetFloodTransport(&loopbackTransport{nw: nw})
-	if _, _, err := DetectCommunity(nw, 0, cfg); err != nil {
+	nw.SetFloodTransport(&loopbackTransport{g: ppm.Graph})
+	if _, _, err := congest.DetectCommunity(nw, 0, cfg); err != nil {
 		t.Fatalf("recovered run failed: %v", err)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"cdrw/internal/congest"
 	"cdrw/internal/graph"
-	"cdrw/internal/rng"
 	"cdrw/internal/rw"
 	"cdrw/internal/trace"
 )
@@ -287,8 +286,9 @@ func (d *Detector) ReverifyCommunity(ctx context.Context, s int, community []int
 }
 
 // Detect partitions the whole graph on this detector's engine: the
-// Algorithm 1 pool loop for the reference and CONGEST engines, the
-// multi-seed lockstep run for the parallel engine. Detections stream to the
+// Algorithm 1 pool loop for the reference and CONGEST engines (detectPool,
+// batched by WithCongestBatch on the CONGEST engine), the multi-seed
+// lockstep run for the parallel engine. Detections stream to the
 // WithDetectionObserver callback as they freeze.
 func (d *Detector) Detect(ctx context.Context) (*Result, error) {
 	switch d.cfg.engine {
@@ -298,18 +298,12 @@ func (d *Detector) Detect(ctx context.Context) (*Result, error) {
 		nw := d.network()
 		before := nw.Metrics()
 		ccfg := d.settings.CongestConfig()
-		if ccfg.Batch > 1 {
-			// Batched pool loop (WithCongestBatch): the distributed engine
-			// owns the super-step schedule, so run its Detect wholesale and
-			// emit the frozen detections afterwards (like the parallel
-			// engine, communities are only final per super-step).
-			res, err := d.detectCongestBatched(ctx, ccfg)
-			d.noteCongest(before)
-			return res, err
-		}
-		res, err := d.detectPool(ctx, func(ctx context.Context, s int) ([]int, CommunityStats, bool, error) {
-			out, cstats, err := congest.DetectCommunityContext(ctx, nw, s, ccfg)
-			return out, cstats.CommunityStats, true, err
+		res, err := d.detectPool(ctx, d.cfg.congestBatch, func(ctx context.Context, seeds []int, dst []Detection) ([]Detection, error) {
+			dets, err := congest.DetectBatchContext(ctx, nw, seeds, ccfg)
+			for _, det := range dets {
+				dst = append(dst, Detection{Raw: det.Community, Stats: det.Stats.CommunityStats})
+			}
+			return dst, err
 		})
 		d.noteCongest(before)
 		return res, err
@@ -317,32 +311,18 @@ func (d *Detector) Detect(ctx context.Context) (*Result, error) {
 		cfg := d.beginRun(ctx)
 		defer d.endRun()
 		eng := d.walkEngine()
-		return d.detectPool(ctx, func(ctx context.Context, s int) ([]int, CommunityStats, bool, error) {
-			out, stats, err := detectCommunity(ctx, eng, &d.trk, s, cfg)
-			// out is the tracker's buffer, overwritten next iteration.
-			return out, stats, false, err
+		return d.detectPool(ctx, 1, func(ctx context.Context, seeds []int, dst []Detection) ([]Detection, error) {
+			for _, s := range seeds {
+				out, stats, err := detectCommunity(ctx, eng, &d.trk, s, cfg)
+				if err != nil {
+					return dst, err
+				}
+				// out is the tracker's buffer, overwritten by the next walk.
+				dst = append(dst, Detection{Raw: append([]int(nil), out...), Stats: stats})
+			}
+			return dst, nil
 		})
 	}
-}
-
-// detectCongestBatched runs the distributed engine's batched pool loop and
-// projects its result onto the unified shape, emitting each detection to the
-// observer/stream hooks in pool order.
-func (d *Detector) detectCongestBatched(ctx context.Context, ccfg congest.Config) (*Result, error) {
-	cres, err := congest.DetectContext(ctx, d.network(), ccfg)
-	if err != nil {
-		return nil, err
-	}
-	res := &Result{Detections: make([]Detection, len(cres.Detections))}
-	for i, det := range cres.Detections {
-		res.Detections[i] = Detection{Raw: det.Raw, Assigned: det.Assigned, Stats: det.Stats.CommunityStats}
-	}
-	for _, det := range res.Detections {
-		if !d.emit(det) {
-			return res, errStreamStop
-		}
-	}
-	return res, nil
 }
 
 // noteCongest records the metrics delta of the congest run that started at
@@ -354,76 +334,6 @@ func (d *Detector) noteCongest(before congest.Metrics) {
 		Messages: after.Messages - before.Messages,
 	}
 	d.ranCongest = true
-}
-
-// detectOne computes one seed's community. owned reports whether the
-// returned slice is freshly allocated (true) or a reused buffer the pool
-// loop must copy before retaining (false).
-type detectOne func(ctx context.Context, s int) ([]int, CommunityStats, bool, error)
-
-// detectPool is the engine-agnostic Algorithm 1 pool loop (lines 1–23),
-// shared by the reference and CONGEST engines: repeatedly draw a seed from
-// the pool of unassigned vertices, detect its community, emit the
-// detection, and remove the community from the pool. Seed sampling is
-// identical across engines (and to the pre-Detector entry points), which is
-// what makes their outputs comparable detection by detection.
-func (d *Detector) detectPool(ctx context.Context, one detectOne) (*Result, error) {
-	n := d.g.NumVertices()
-	r := rng.New(d.cfg.seed)
-
-	if cap(d.assigned) < n {
-		d.assigned = make([]bool, n)
-		d.pool = make([]int, n)
-	}
-	assigned := d.assigned[:n]
-	pool := d.pool[:n]
-	for v := range pool {
-		assigned[v] = false
-		pool[v] = v
-	}
-
-	res := &Result{}
-	for len(pool) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		s := pool[r.Intn(len(pool))]
-		community, stats, owned, err := one(ctx, s)
-		if err != nil {
-			return nil, fmt.Errorf("core: community of seed %d: %w", s, err)
-		}
-		if !owned {
-			community = append([]int(nil), community...)
-		}
-		// The assigned piece keeps only vertices not already claimed; the
-		// seed is always kept (it was drawn from the pool, so it is free).
-		kept := make([]int, 0, len(community))
-		for _, v := range community {
-			if !assigned[v] {
-				kept = append(kept, v)
-				assigned[v] = true
-			}
-		}
-		if !assigned[s] {
-			kept = append(kept, s)
-			assigned[s] = true
-		}
-		det := Detection{Raw: community, Assigned: kept, Stats: stats}
-		res.Detections = append(res.Detections, det)
-		if !d.emit(det) {
-			return res, errStreamStop
-		}
-
-		// Rebuild the pool without the newly assigned vertices.
-		nextPool := pool[:0]
-		for _, v := range pool {
-			if !assigned[v] {
-				nextPool = append(nextPool, v)
-			}
-		}
-		pool = nextPool
-	}
-	return res, nil
 }
 
 // emit delivers one frozen detection to the observer and stream hooks,
@@ -444,8 +354,10 @@ func (d *Detector) emit(det Detection) bool {
 // Detection, non-nil error) pair. Breaking out of the range stops the
 // underlying run (reference/congest engines abandon the remaining pool;
 // the parallel engine stops emitting an already-computed result) without
-// surfacing an error. The parallel engine freezes all communities at
-// overlap resolution, so its detections arrive in a burst at the end.
+// surfacing an error. A batched CONGEST run (WithCongestBatch) freezes a
+// super-step's communities together, so they arrive together as soon as
+// that super-step completes. The parallel engine freezes all communities
+// at overlap resolution, so its detections arrive in a burst at the end.
 //
 //	for det, err := range d.Stream(ctx) {
 //		if err != nil { ... }

@@ -91,24 +91,19 @@ func TestDetectorParallelMatchesWrapper(t *testing.T) {
 	}
 }
 
-// TestDetectorCongestMatchesWrapper: Detector with EngineCongest emits the
-// same communities as congest.Detect, converts the stats faithfully, and
-// reports the run's round/message metrics.
-func TestDetectorCongestMatchesWrapper(t *testing.T) {
+// TestDetectorCongestMatchesSoloRuns: the CONGEST engine's pool loop draws
+// the reference engine's seeds for the same WithSeed, each detection is
+// what congest.DetectCommunity computes for its seed alone (community and
+// stats), the Assigned pieces partition the graph, and the run's reported
+// rounds and messages are exactly the sum of those solo runs.
+func TestDetectorCongestMatchesSoloRuns(t *testing.T) {
 	ppm := ppmGraph(t, 128, 2, 2.5, 0.1, 83)
-	delta := ppm.Config.ExpectedConductance()
-
-	nw := congest.NewNetwork(ppm.Graph, 1)
-	cfg := congest.DefaultConfig(ppm.Graph.NumVertices())
-	cfg.Delta = delta
-	cfg.Seed = 7
-	want, err := congest.Detect(nw, cfg)
+	opts := []Option{WithDelta(ppm.Config.ExpectedConductance()), WithSeed(7)}
+	ref, err := Detect(ppm.Graph, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	d, err := NewDetector(ppm.Graph,
-		WithEngine(EngineCongest), WithDelta(delta), WithSeed(7))
+	d, err := NewDetector(ppm.Graph, append(opts, WithEngine(EngineCongest))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,22 +111,42 @@ func TestDetectorCongestMatchesWrapper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Detections) != len(want.Detections) {
-		t.Fatalf("detector made %d detections, congest.Detect %d",
-			len(got.Detections), len(want.Detections))
+	if len(got.Detections) < 2 {
+		t.Fatalf("%d detections; the pool loop never iterated", len(got.Detections))
 	}
-	for i := range got.Detections {
-		g, w := got.Detections[i], want.Detections[i]
-		if !reflect.DeepEqual(g.Raw, w.Raw) || !reflect.DeepEqual(g.Assigned, w.Assigned) {
-			t.Fatalf("detection %d: communities differ", i)
+	nw := congest.NewNetwork(ppm.Graph, 1)
+	cfg := d.Settings().CongestConfig()
+	seen := make([]bool, ppm.Graph.NumVertices())
+	if len(got.Detections) != len(ref.Detections) {
+		t.Fatalf("%d detections, reference engine %d", len(got.Detections), len(ref.Detections))
+	}
+	for i, det := range got.Detections {
+		if det.Stats.Seed != ref.Detections[i].Stats.Seed {
+			t.Fatalf("detection %d: seed %d, reference engine drew %d", i, det.Stats.Seed, ref.Detections[i].Stats.Seed)
 		}
-		if g.Stats != w.Stats.CommunityStats {
-			t.Fatalf("detection %d: stats %+v vs %+v", i, g.Stats, w.Stats.CommunityStats)
+		want, wantStats, err := congest.DetectCommunity(nw, det.Stats.Seed, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(det.Raw, want) || det.Stats != wantStats.CommunityStats {
+			t.Fatalf("detection %d (seed %d) differs from a solo run: stats %+v vs %+v",
+				i, det.Stats.Seed, det.Stats, wantStats.CommunityStats)
+		}
+		for _, v := range det.Assigned {
+			if seen[v] {
+				t.Fatalf("vertex %d assigned twice", v)
+			}
+			seen[v] = true
+		}
+	}
+	for v, ok := range seen {
+		if !ok {
+			t.Fatalf("vertex %d unassigned", v)
 		}
 	}
 	m, ok := d.CongestMetrics()
-	if !ok || m.Rounds != want.Metrics.Rounds || m.Messages != want.Metrics.Messages {
-		t.Fatalf("congest metrics %+v (ok=%v), want %+v", m, ok, want.Metrics)
+	if !ok || m != nw.Metrics() {
+		t.Fatalf("congest metrics %+v (ok=%v), solo runs sum to %+v", m, ok, nw.Metrics())
 	}
 }
 
@@ -200,6 +215,46 @@ func TestDetectorStreamCongest(t *testing.T) {
 	}
 	if count == 0 {
 		t.Fatal("congest stream yielded nothing")
+	}
+}
+
+// TestDetectorStreamCongestBatched: a batched CONGEST run emits each
+// super-step's detections as soon as the super-step completes, so breaking
+// out of Stream after the first detection stops the run early — fewer
+// rounds than a full run with the same options — and the detection that
+// arrived is the full run's first.
+func TestDetectorStreamCongestBatched(t *testing.T) {
+	ppm := ppmGraph(t, 128, 4, 2, 0.1, 13)
+	opts := []Option{WithEngine(EngineCongest), WithCongestBatch(4),
+		WithDelta(ppm.Config.ExpectedConductance())}
+	full, err := NewDetector(ppm.Graph, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := full.Detect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullM, _ := full.CongestMetrics()
+
+	d, err := NewDetector(ppm.Graph, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []Detection
+	for det, err := range d.Stream(context.Background()) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, det)
+		break
+	}
+	m, ok := d.CongestMetrics()
+	if !ok || m.Rounds >= fullM.Rounds {
+		t.Fatalf("stopped stream took %d rounds (ran=%v), full run %d", m.Rounds, ok, fullM.Rounds)
+	}
+	if len(got) != 1 || !reflect.DeepEqual(got, want.Detections[:1]) {
+		t.Fatalf("streamed %+v, full run's first detection %+v", got, want.Detections[0])
 	}
 }
 
@@ -291,8 +346,9 @@ func TestDetectorEngineAgreement(t *testing.T) {
 	}
 }
 
-// TestSettingsCongestTranslation: the shared options translate losslessly
-// into congest.Config.
+// TestSettingsCongestTranslation: the shared options translate into every
+// field of congest.Config, while the pool's seed and batch and the
+// network's worker count stay in the settings.
 func TestSettingsCongestTranslation(t *testing.T) {
 	s, err := Resolve(1000,
 		WithDelta(0.25), WithMinCommunitySize(7), WithMaxWalkLength(33),
@@ -305,11 +361,14 @@ func TestSettingsCongestTranslation(t *testing.T) {
 	got := s.CongestConfig()
 	want := congest.Config{
 		Delta: 0.25, MinCommunitySize: 7, MaxWalkLength: 33, Patience: 2,
-		Seed: 99, Workers: 3, TreeDepthLimit: 12,
-		MixingThreshold: 0.2, GrowthFactor: 1.5, Batch: 6,
+		TreeDepthLimit: 12, MixingThreshold: 0.2, GrowthFactor: 1.5,
 	}
 	if got != want {
 		t.Fatalf("translated config %+v, want %+v", got, want)
+	}
+	if s.Seed != 99 || s.CongestWorkers != 3 || s.CongestBatch != 6 {
+		t.Fatalf("pool settings seed=%d workers=%d batch=%d, want 99, 3, 6",
+			s.Seed, s.CongestWorkers, s.CongestBatch)
 	}
 }
 
@@ -335,6 +394,9 @@ func TestResolveAndFingerprint(t *testing.T) {
 	}
 	if _, err := Resolve(8, WithEngine(Engine(42))); err == nil {
 		t.Fatal("unknown engine accepted")
+	}
+	if _, err := Resolve(8, WithEngine(EngineCongest), WithCongestBatch(-1)); err == nil {
+		t.Fatal("negative congest batch size accepted")
 	}
 }
 

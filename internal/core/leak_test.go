@@ -6,6 +6,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"cdrw/internal/congest"
 )
 
 // settleGoroutines polls until the goroutine count drops back to the
@@ -69,5 +71,31 @@ func TestCancellationLeaksNoGoroutines(t *testing.T) {
 		}
 		cancel()
 		settleGoroutines(t, base, "CONGEST worker-pool cancellation")
+	}
+
+	// Batched CONGEST pool (WithCongestBatch(4)) on 4 per-round workers
+	// and 4 ladder cores: cancel from the network's load observer once the
+	// first super-step's walks have a few shared rounds in flight.
+	{
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+		small := ppmGraph(t, 128, 4, 2, 0.1, 211)
+		ctx, cancel := context.WithCancel(context.Background())
+		d, err := NewDetector(small.Graph,
+			WithEngine(EngineCongest), WithCongestWorkers(4), WithCongestBatch(4),
+			WithDelta(small.Config.ExpectedConductance()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := 0
+		d.network().SetLoadObserver(func(int, []congest.LinkLoad) {
+			if rounds++; rounds == 5 {
+				cancel()
+			}
+		})
+		if _, err := d.Detect(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("batched congest: error %v, want context.Canceled", err)
+		}
+		cancel()
+		settleGoroutines(t, base, "batched CONGEST pool cancellation")
 	}
 }

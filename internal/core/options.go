@@ -80,7 +80,8 @@ func WithCommunityEstimate(r int) Option {
 }
 
 // WithCongestWorkers sets the CONGEST simulator's per-round node-local
-// parallelism (congest.Config.Workers). Ignored by the in-memory engines.
+// parallelism (the worker count of the detector's congest.Network). Ignored
+// by the in-memory engines.
 func WithCongestWorkers(w int) Option {
 	return func(c *config) { c.workers = w }
 }
@@ -93,12 +94,12 @@ func WithTreeDepthLimit(d int) Option {
 }
 
 // WithCongestBatch sets how many seed walks the CONGEST engine's pool loop
-// advances in shared communication rounds per super-step
-// (congest.Config.Batch); values ≤ 1 keep the sequential one-seed-at-a-time
-// loop. Batching never changes the emitted detections — every walk stays
-// bit-identical to a sequential run of its seed — it reduces the simulated
-// round count (shared rounds cost max, not sum, over the batch) at the price
-// of speculative messages. Ignored by the in-memory engines.
+// draws per super-step and advances in shared communication rounds; values
+// ≤ 1 keep the sequential one-seed-at-a-time loop. Every detection stays
+// bit-identical to a solo run of its seed — batching changes only which
+// seeds the pool draws — and the simulated round count drops (shared rounds
+// cost max, not sum, over the batch) at the price of speculative messages.
+// Ignored by the in-memory engines.
 func WithCongestBatch(b int) Option {
 	return func(c *config) { c.congestBatch = b }
 }
@@ -244,22 +245,20 @@ func (s Settings) Fingerprint() string {
 		s.Communities, s.CongestWorkers, s.TreeDepthLimit, s.CongestBatch)
 }
 
-// CongestConfig translates the shared option set into the distributed
-// engine's config. The translation is lossless: every field of
-// congest.Config is driven by a shared option. Options without a CONGEST
-// counterpart (WithDenseSweep, WithStepObserver — diagnostics of the
-// in-memory sweep) do not appear here and are documented as in-memory-only.
+// CongestConfig translates the resolved options into the CONGEST engine's
+// per-walk parameters; every field of congest.Config comes from a shared
+// option. Seed and CongestBatch stay here, since core runs the pool loop,
+// and CongestWorkers sizes the detector's network. Options without a
+// CONGEST counterpart (WithDenseSweep, WithStepObserver — diagnostics of
+// the in-memory sweep) are documented as in-memory-only.
 func (s Settings) CongestConfig() congest.Config {
 	return congest.Config{
 		Delta:            s.Delta,
 		MinCommunitySize: s.MinCommunitySize,
 		MaxWalkLength:    s.MaxWalkLength,
 		Patience:         s.Patience,
-		Seed:             s.Seed,
-		Workers:          s.CongestWorkers,
 		TreeDepthLimit:   s.TreeDepthLimit,
 		MixingThreshold:  s.MixingThreshold,
 		GrowthFactor:     s.GrowthFactor,
-		Batch:            s.CongestBatch,
 	}
 }

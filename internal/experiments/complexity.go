@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -12,6 +13,16 @@ import (
 	"cdrw/internal/metrics"
 	"cdrw/internal/rng"
 )
+
+// congestConfig resolves opts on an n-vertex graph into the per-walk
+// CONGEST parameters a Detector with those options runs.
+func congestConfig(n int, opts ...core.Option) (congest.Config, error) {
+	s, err := core.Resolve(n, opts...)
+	if err != nil {
+		return congest.Config{}, err
+	}
+	return s.CongestConfig(), nil
+}
 
 // CongestRounds validates Theorem 5 empirically: the CONGEST round and
 // message complexity of detecting one community as n grows. Series report
@@ -48,16 +59,18 @@ func CongestRounds(cfg Config) (*Figure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("congest-rounds n=%d: %w", r*s, err)
 		}
+		opts := []core.Option{core.WithEngine(core.EngineCongest), core.WithDelta(gcfg.ExpectedConductance())}
+		ccfg, err := congestConfig(r*s, opts...)
+		if err != nil {
+			return nil, fmt.Errorf("congest-rounds n=%d: %w", r*s, err)
+		}
 		nw := congest.NewNetwork(ppm.Graph, 1)
-		ccfg := congest.DefaultConfig(r * s)
-		ccfg.Delta = gcfg.ExpectedConductance()
 		_, stats, err := congest.DetectCommunity(nw, 0, ccfg)
 		if err != nil {
 			return nil, fmt.Errorf("congest-rounds n=%d: %w", r*s, err)
 		}
 		if i == 0 {
-			fig.stamp(r*s, core.WithEngine(core.EngineCongest),
-				core.WithDelta(ccfg.Delta), core.WithSeed(ccfg.Seed))
+			fig.stamp(r*s, opts...)
 		}
 		n := float64(r * s)
 		log4 := math.Pow(math.Log2(n), 4)
@@ -80,12 +93,12 @@ func CongestRounds(cfg Config) (*Figure, error) {
 }
 
 // CongestBatchRounds measures the batched CONGEST pool loop: total rounds
-// and messages of a full Detect as the batch size grows, batch 1 being the
-// sequential one-seed-at-a-time loop. The emitted detections are
-// bit-identical at every batch size (the conformance suite enforces this);
-// the figure shows the trade the batching buys — shared rounds shrink the
-// round count by up to the batch factor while speculative walks can add
-// messages.
+// and messages of a full CONGEST-engine Detect as WithCongestBatch grows,
+// batch 1 being the sequential one-seed-at-a-time loop. At every batch size
+// each detection is bit-identical to a solo run of its seed (the
+// conformance suite enforces this); the figure shows the trade the batching
+// buys — shared rounds shrink the round count by up to the batch factor
+// while speculative walks can add messages.
 func CongestBatchRounds(cfg Config) (*Figure, error) {
 	cfg = cfg.withDefaults()
 	s := 256
@@ -109,23 +122,24 @@ func CongestBatchRounds(cfg Config) (*Figure, error) {
 	rounds.Label = "rounds"
 	msgs.Label = "messages"
 	for _, batch := range []int{1, 2, 4, 8} {
-		nw := congest.NewNetwork(ppm.Graph, 1)
-		ccfg := congest.DefaultConfig(r * s)
-		ccfg.Delta = gcfg.ExpectedConductance()
-		ccfg.Batch = batch
-		res, err := congest.Detect(nw, ccfg)
+		opts := []core.Option{core.WithEngine(core.EngineCongest),
+			core.WithDelta(gcfg.ExpectedConductance()), core.WithCongestBatch(batch)}
+		d, err := core.NewDetector(ppm.Graph, opts...)
 		if err != nil {
+			return nil, fmt.Errorf("congest-batch b=%d: %w", batch, err)
+		}
+		if _, err := d.Detect(context.Background()); err != nil {
 			return nil, fmt.Errorf("congest-batch b=%d: %w", batch, err)
 		}
 		if batch == 1 {
 			// The stamp records the baseline; the X axis carries the sweep.
-			fig.stamp(r*s, core.WithEngine(core.EngineCongest),
-				core.WithDelta(ccfg.Delta), core.WithSeed(ccfg.Seed))
+			fig.stamp(r*s, opts...)
 		}
+		m, _ := d.CongestMetrics()
 		rounds.X = append(rounds.X, float64(batch))
-		rounds.Y = append(rounds.Y, float64(res.Metrics.Rounds))
+		rounds.Y = append(rounds.Y, float64(m.Rounds))
 		msgs.X = append(msgs.X, float64(batch))
-		msgs.Y = append(msgs.Y, float64(res.Metrics.Messages))
+		msgs.Y = append(msgs.Y, float64(m.Messages))
 	}
 	fig.Series = []Series{rounds, msgs}
 	return fig, nil
@@ -156,8 +170,12 @@ func KMachineScaling(cfg Config) (*Figure, error) {
 	var measured, bound Series
 	measured.Label = "measured"
 	bound.Label = "M/k^2+dT/k"
-	fig.stamp(r*s, core.WithEngine(core.EngineCongest),
-		core.WithDelta(gcfg.ExpectedConductance()))
+	opts := []core.Option{core.WithEngine(core.EngineCongest), core.WithDelta(gcfg.ExpectedConductance())}
+	ccfg, err := congestConfig(r*s, opts...)
+	if err != nil {
+		return nil, fmt.Errorf("kmachine: %w", err)
+	}
+	fig.stamp(r*s, opts...)
 	for _, k := range []int{2, 4, 8, 16} {
 		assign, err := kmachine.RandomVertexPartition(r*s, k, rng.New(cfg.Seed+uint64(k)))
 		if err != nil {
@@ -171,8 +189,6 @@ func KMachineScaling(cfg Config) (*Figure, error) {
 		// The load observer feeds the conversion every round as per-link
 		// aggregate word counts.
 		nw.SetLoadObserver(sim.LoadObserver())
-		ccfg := congest.DefaultConfig(r * s)
-		ccfg.Delta = gcfg.ExpectedConductance()
 		_, stats, err := congest.DetectCommunity(nw, 0, ccfg)
 		if err != nil {
 			return nil, fmt.Errorf("kmachine k=%d: %w", k, err)

@@ -183,8 +183,8 @@ func (s *Simulator) closeRound() {
 func (s *Simulator) Results() Results { return s.res }
 
 // Run installs the simulator's load observer on nw for the duration of one
-// ctx-aware runner — typically a closure over congest.DetectContext or
-// congest.DetectCommunityContext — and forwards ctx so the observed
+// ctx-aware runner — typically a closure over congest.DetectCommunityContext
+// or congest.DetectBatchContext — and forwards ctx so the observed
 // execution is cancellable. The load observer installed before (if any) is
 // replaced for the run, so a caller's own sim.LoadObserver() cannot fold
 // every round into the results twice, and restored afterwards. Conversion

@@ -6,9 +6,21 @@ import (
 	"testing"
 
 	"cdrw/internal/congest"
+	"cdrw/internal/core"
 	"cdrw/internal/gen"
 	"cdrw/internal/rng"
 )
+
+// walkConfig returns the per-walk CONGEST parameters the Detector's
+// defaults resolve to on an n-vertex graph.
+func walkConfig(t *testing.T, n int) congest.Config {
+	t.Helper()
+	s, err := core.Resolve(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s.CongestConfig()
+}
 
 func TestRandomVertexPartition(t *testing.T) {
 	r := rng.New(1)
@@ -124,7 +136,7 @@ func TestLoadObserverEndToEndMatchesTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ccfg := congest.DefaultConfig(256)
+	ccfg := walkConfig(t, 256)
 	ccfg.Delta = cfgGen.ExpectedConductance()
 
 	// Batched CONGEST walks convert in fewer k-machine rounds than the same
@@ -188,8 +200,9 @@ func TestRunSuspendsInstalledObservers(t *testing.T) {
 		callerRounds++
 		callerObs(round, loads)
 	})
+	cfg := walkConfig(t, 64)
 	err = sim.Run(context.Background(), nw, func(ctx context.Context) error {
-		_, _, err := congest.DetectCommunityContext(ctx, nw, 0, congest.DefaultConfig(64))
+		_, _, err := congest.DetectCommunityContext(ctx, nw, 0, cfg)
 		return err
 	})
 	if err != nil {
@@ -230,7 +243,7 @@ func TestEndToEndScalingInK(t *testing.T) {
 		}
 		nw := congest.NewNetwork(ppm.Graph, 1)
 		nw.SetLoadObserver(sim.LoadObserver())
-		cfg := congest.DefaultConfig(256)
+		cfg := walkConfig(t, 256)
 		cfg.Delta = cfgGen.ExpectedConductance()
 		if _, _, err := congest.DetectCommunity(nw, 0, cfg); err != nil {
 			t.Fatal(err)
@@ -272,7 +285,7 @@ func TestSimulatedRoundsRespectConversionBound(t *testing.T) {
 	}
 	nw := congest.NewNetwork(g, 1)
 	nw.SetLoadObserver(sim.LoadObserver())
-	_, stats, err := congest.DetectCommunity(nw, 0, congest.DefaultConfig(256))
+	_, stats, err := congest.DetectCommunity(nw, 0, walkConfig(t, 256))
 	if err != nil {
 		t.Fatal(err)
 	}
