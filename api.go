@@ -240,8 +240,9 @@ type (
 	// CommunityStats carries per-seed diagnostics.
 	CommunityStats = core.CommunityStats
 	// StepTiming is the per-step diagnostic record delivered to a
-	// WithStepObserver callback: support size, sweep mode (sparse vs
-	// dense), and step/sweep wall times.
+	// WithStepObserver callback: support size (-1 once the dense kernel,
+	// and with it the dense sweep, has taken over) and step/sweep wall
+	// times.
 	StepTiming = core.StepTiming
 )
 
@@ -347,12 +348,7 @@ var (
 	WithMixingThreshold = core.WithMixingThreshold
 	// WithGrowthFactor overrides the 1+1/8e ladder growth (ablations only).
 	WithGrowthFactor = core.WithGrowthFactor
-	// WithDenseSweep forces the dense sweep on every step: one O(n) scan
-	// extracts the support, then the same ladder runs (benchmark baseline;
-	// results are bit-identical to the default sparse-aware sweep).
-	// In-memory engines only.
-	WithDenseSweep = core.WithDenseSweep
-	// WithStepObserver streams per-step timing and sweep-mode diagnostics
+	// WithStepObserver streams per-step support and timing diagnostics
 	// to a callback. Goroutine-safety contract: the Reference engine calls
 	// it from one goroutine, the Parallel engine from one goroutine per
 	// live walk — wrap with SynchronizedObserver (or make fn lock itself)

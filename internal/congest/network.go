@@ -110,18 +110,21 @@ type Network struct {
 	transportErr error
 	frameBuf     []FloodFrame
 
-	// Selection fast-path state (selectIndexed), built lazily and retained
-	// across runs. When shared is non-nil the degree index and the
-	// inverse-degree table come from it instead of being built per network.
-	// off is the current walk step's off-support stream over support; sel
-	// holds one scratch per ladder worker and sizeRes the ladder's results.
-	shared  *rw.SharedIndex
-	degIdx  *rw.DegreeIndex
-	dinv    []float64
-	off     rw.OffSupportStream
-	support []int32
-	sel     []*selScratch
-	sizeRes []sizeResult
+	// Selection state (selectIndexed), built lazily and retained across
+	// runs. When shared is non-nil the degree index and the inverse-degree
+	// table come from it instead of being built per network. For the
+	// current walk step, support lists the covered nodes that hold mass,
+	// offMembers those that hold none, and off is the stream over
+	// offMembers. sel holds one scratch per ladder worker and sizeRes the
+	// ladder's results.
+	shared     *rw.SharedIndex
+	degIdx     *rw.DegreeIndex
+	dinv       []float64
+	off        rw.OffSupportStream
+	support    []int32
+	offMembers []int32
+	sel        []*selScratch
+	sizeRes    []sizeResult
 
 	// Flood-kernel scratch (batchFlood), retained across rounds: the
 	// vertex-interleaved outgoing shares of every live walk.
@@ -364,8 +367,8 @@ func (nw *Network) parallelRanges(n, tile int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// degreeIndex returns the degree-sorted index behind the selection fast path
-// (selectIndexed): the injected shared index's copy when one was
+// degreeIndex returns the degree-sorted index behind the mixing-set
+// selection (selectIndexed): the injected shared index's copy when one was
 // provided, a private lazily-built one otherwise. It models node-local
 // knowledge — every node knows its own degree, and the root learns the
 // degree distribution once during setup — so it costs no simulated

@@ -3,7 +3,6 @@ package congest
 import (
 	"math"
 
-	"cdrw/internal/graph"
 	"cdrw/internal/rw"
 )
 
@@ -66,36 +65,6 @@ func (nw *Network) replaySelection(t *Tree, r sizeResult) {
 	}
 }
 
-// selectionAggregate is the O(1)-word partial aggregate convergecast up the
-// tree in one binary-search iteration: the count and x-sum of keys ≤ mid,
-// the largest key ≤ mid and the smallest key > mid.
-type selectionAggregate struct {
-	countLe int
-	sumLe   float64
-	maxLe   key
-	minGt   key
-}
-
-// aggregate scans the covered nodes and computes the iteration's aggregate.
-// In the real protocol every node contributes its O(1)-word partial result
-// up the BFS tree; the simulation computes the same answer centrally.
-func aggregate(covered []int32, x []float64, mid key) selectionAggregate {
-	agg := selectionAggregate{maxLe: minusInfKey, minGt: plusInfKey}
-	for _, v := range covered {
-		k := key{x: x[v], id: v}
-		if keyLE(k, mid) {
-			agg.countLe++
-			agg.sumLe += k.x
-			if keyLess(agg.maxLe, k) {
-				agg.maxLe = k
-			}
-		} else if keyLess(k, agg.minGt) {
-			agg.minGt = k
-		}
-	}
-	return agg
-}
-
 // midKey bisects the search bracket: while the value range is open it
 // splits on x; once the bracket collapses to a single x value it splits on
 // node ids (the tie-break dimension).
@@ -110,79 +79,14 @@ func midKey(lo, hi key) key {
 	return key{x: lo.x, id: lo.id + (hi.id-lo.id)/2}
 }
 
-// scanSelect runs the distributed binary search of Algorithm 1 line 14 over
-// the covered nodes: the root finds the threshold key T such that exactly k
-// covered nodes have key ≤ T, along with the sum of their x values. Every
-// iteration costs one broadcast (the root ships mid down the tree) plus one
-// convergecast (the partial aggregates flow up), 2·depth rounds in total,
-// and the iteration count is O(log n) because each step halves either the
-// candidate value range or the candidate id range. Fewer than k covered
-// nodes fail the search.
-func (nw *Network) scanSelect(covered []int32, x []float64, k int) sizeResult {
-	if k <= 0 || k > len(covered) {
-		return sizeResult{}
-	}
-	// Initial convergecast: global (min, max) of the keys (§III: "All the
-	// nodes send xmin and xmax to the root through a convergecast").
-	res := sizeResult{casts: 1}
-	lo, hi := plusInfKey, minusInfKey
-	for _, v := range covered {
-		kk := key{x: x[v], id: v}
-		if keyLess(kk, lo) {
-			lo = kk
-		}
-		if keyLess(hi, kk) {
-			hi = kk
-		}
-	}
-	if k == len(covered) {
-		// Every covered node is selected; one more convergecast ships the
-		// total sum to the root.
-		res.casts++
-		res.threshold, res.sum, res.ok = hi, aggregate(covered, x, hi).sumLe, true
-		return res
-	}
-	// Iterate: broadcast mid, convergecast the aggregate, shrink the
-	// bracket towards the k-th smallest key. The invariant is
-	// count(≤ lo) ≤ k ≤ count(≤ hi). A stopped run abandons the search.
-	for iter := 0; iter < 256; iter++ {
-		if nw.stopped() {
-			return res
-		}
-		res.pairs++
-		if lo == hi {
-			agg := aggregate(covered, x, lo)
-			// countLe ≠ k cannot happen with distinct keys; it guards
-			// against misuse.
-			res.threshold, res.sum, res.ok = lo, agg.sumLe, agg.countLe == k
-			return res
-		}
-		agg := aggregate(covered, x, midKey(lo, hi))
-		switch {
-		case agg.countLe == k:
-			res.threshold, res.sum, res.ok = agg.maxLe, agg.sumLe, true
-			return res
-		case agg.countLe > k:
-			hi = agg.maxLe
-		default:
-			lo = agg.minGt
-		}
-	}
-	// 256 iterations bound the bisection of a 64-bit float range plus a
-	// 32-bit id range many times over; reaching this is a bug.
-	return res
-}
-
 // selScratch is one ladder worker's selection state: its own copy of the
 // walk step's off-support stream (re-targeted per size by SetMu), the
-// support's x values in ascending vertex order, and the bisection's working
-// set of explicit keys — or, on the covered-scan path, the covered nodes' x
-// values indexed by vertex — plus the size's degree table.
+// support's x values in ascending vertex order, the bisection's working set
+// of explicit keys, and the size's degree table.
 type selScratch struct {
 	off  rw.OffSupportStream
 	xsup []float64
 	keys []key
-	x    []float64
 	t    []float64
 }
 
@@ -199,7 +103,8 @@ func (sc *selScratch) degreeTable(idx *rw.DegreeIndex, size int, muPrime float64
 
 // xValue is rw.XValueAt for vertex u of degree d, with the degree term read
 // from the size's degree table t, or divided per vertex when t is nil (then
-// the graph has edges, so µ' > 0); both agree with XValueAt bit for bit.
+// the maximum degree is at least 1, so µ' > 0); both agree with XValueAt
+// bit for bit.
 func xValue(p rw.Dist, t []float64, u, d int, muPrime float64) float64 {
 	if t != nil {
 		return math.Abs(p[u] - t[d])
@@ -207,15 +112,23 @@ func xValue(p rw.Dist, t []float64, u, d int, muPrime float64) float64 {
 	return math.Abs(p[u] - float64(d)/muPrime)
 }
 
-// selectIndexed is scanSelect for the whole-graph case (the BFS tree covers
-// every vertex, so the off-support population is exactly the complement of
-// the walk's support nw.support): on-support nodes are aggregated from
-// their explicit keys and off-support nodes answer the root from the degree
-// index (sc.off) — their x_u = d(u)/µ' depends on their degree alone, so
-// an iteration costs O(support + log²n) instead of a scan over every node.
-// The search visits exactly scanSelect's iteration sequence, because every
-// aggregate the bisection branches on (count-≤, max-≤, min->) ranges over
-// the same key set.
+// selectIndexed runs the distributed binary search of Algorithm 1 line 14
+// over the nodes the BFS tree covers: the root finds the threshold key T
+// such that exactly k = size covered nodes have key ≤ T, along with the sum
+// of their x values. Every iteration costs one broadcast (the root ships
+// mid down the tree) plus one convergecast (the O(1)-word partial
+// aggregates flow up: the count and x-sum of the keys ≤ mid, the largest
+// key ≤ mid and the smallest key > mid), 2·depth rounds in total, and the
+// iteration count is O(log n) because each step halves either the candidate
+// value range or the candidate id range. Fewer than k covered nodes fail
+// the search.
+//
+// The simulator computes each aggregate centrally from two populations that
+// together are the covered nodes. The covered nodes that hold mass
+// (nw.support) contribute their explicit keys. The covered nodes that hold
+// none answer from the degree index (sc.off): their x_u = d(u)/µ' depends on
+// their degree alone, so an iteration costs O(support + log²n) instead of a
+// scan over every covered node.
 //
 // It only reads the network, so ladder workers run it concurrently, each
 // with its own scratch. One pass computes the support's x values, their
@@ -226,26 +139,28 @@ func xValue(p rw.Dist, t []float64, u, d int, muPrime float64) float64 {
 // terms accumulated in ascending vertex order plus the off-support tail as
 // one exact integer degree sum divided by µ' — the same summation the
 // in-memory sweeps use, computed without enumerating a single off-support
-// node. µ' = MuPrime(g, size) must be positive.
+// node. µ' = MuPrime(g, size) is positive unless the graph has no edge; the
+// tree then holds only its root, which keeps its mass, so the stream is
+// empty and never divides.
 func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, p rw.Dist, size int, muPrime float64) sizeResult {
 	g := nw.g
-	n := g.NumVertices()
-	k := size
-	if k <= 0 || k > n {
-		return sizeResult{}
-	}
 	off := &sc.off
 	off.SetMu(muPrime)
 	nOff := off.Len()
+	support := nw.support
+	k, covered := size, len(support)+nOff
+	if k <= 0 || k > covered {
+		return sizeResult{}
+	}
 	offKey := func(j int) key {
 		x, id := off.KeyAt(j)
 		return key{x: x, id: id}
 	}
-	support := nw.support
 	xs := sc.xsup[:0]
 	keys := sc.keys[:0]
 	t := sc.degreeTable(idx, size, muPrime, len(support))
-	// Initial convergecast: global (min, max) of the keys.
+	// Initial convergecast: global (min, max) of the keys (§III: "All the
+	// nodes send xmin and xmax to the root through a convergecast").
 	lo, hi := plusInfKey, minusInfKey
 	for _, v := range support {
 		kk := key{x: xValue(p, t, int(v), g.Degree(int(v)), muPrime), id: v}
@@ -281,8 +196,9 @@ func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, p rw.Dist,
 		res.sum = rw.MixingSum(onSum, off.PrefixDeg(cOff), cOff, muPrime, size)
 		return res
 	}
-	if k == n {
-		// Every node is selected; one more convergecast ships the sum.
+	if k == covered {
+		// Every covered node is selected; one more convergecast ships the
+		// sum.
 		res.casts++
 		return done(hi)
 	}
@@ -373,30 +289,7 @@ func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, p rw.Dist,
 			keys = keys[w:]
 		}
 	}
-	// See the iteration bound note on scanSelect.
+	// 256 iterations bound the bisection of a 64-bit float range plus a
+	// 32-bit id range many times over; reaching this is a bug.
 	return res
-}
-
-// canonicalCoveredSum folds the keys ≤ threshold into the canonical mixing
-// sum shared with the in-memory sweeps (rw.MixingSum): on-support terms
-// individually in ascending vertex order, the off-support tail as one exact
-// integer degree sum. The covered-scan selection path uses it so that both
-// selection implementations — and both engines — decide the mixing condition
-// on bit-identical sums.
-func canonicalCoveredSum(g *graph.Graph, p rw.Dist, covered []int32, x []float64, threshold key, muPrime float64, size int) float64 {
-	onSum := 0.0
-	var offDeg int64
-	offCount := 0
-	for _, v := range covered {
-		kk := key{x: x[v], id: v}
-		if keyLE(kk, threshold) {
-			if p[v] != 0 {
-				onSum += x[v]
-			} else {
-				offDeg += int64(g.Degree(int(v)))
-				offCount++
-			}
-		}
-	}
-	return rw.MixingSum(onSum, offDeg, offCount, muPrime, size)
 }

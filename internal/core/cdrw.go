@@ -30,14 +30,13 @@ import (
 const DefaultDelta = 0.1
 
 type config struct {
-	delta      float64
-	minSize    int
-	maxLen     int
-	patience   int
-	seed       uint64
-	mix        rw.MixOptions
-	denseSweep bool
-	observer   func(StepTiming)
+	delta    float64
+	minSize  int
+	maxLen   int
+	patience int
+	seed     uint64
+	mix      rw.MixOptions
+	observer func(StepTiming)
 
 	// Unified-surface fields (see options.go).
 	engine       Engine
@@ -107,38 +106,26 @@ func WithGrowthFactor(growth float64) Option {
 	return func(c *config) { c.mix.Growth = growth }
 }
 
-// WithDenseSweep forces the dense mixing-set sweep on every step instead of
-// the sparse-aware engine sweep: one O(n) scan of p extracts the support,
-// then the same bracket-and-count ladder runs over it
-// (WalkEngine.LargestMixingSetDense). The two produce bit-identical
-// communities; this option exists as a benchmark baseline and a
-// cross-check, exactly like WalkEngine.SetDenseThreshold(0) for the walk
-// kernel.
-func WithDenseSweep() Option {
-	return func(c *config) { c.denseSweep = true }
-}
-
 // StepTiming is one walk step's diagnostics as seen by a WithStepObserver
 // callback: which seed, which step, the support size (-1 once the engine's
-// dense kernel has taken over), whether the mixing-set sweep took the sparse
-// fast path, and the wall time of the step and of the sweep.
+// dense kernel has taken over), and the wall time of the step and of the
+// sweep.
 type StepTiming struct {
 	// Seed is the walk's source vertex.
 	Seed int
 	// Step is the walk length after this step (1-based).
 	Step int
-	// Support is the walk's support size, or -1 in the dense regime.
+	// Support is the walk's support size, or -1 in the dense regime. The
+	// mixing-set sweep follows the kernel: while Support ≥ 0 it takes the
+	// engine's frontier as its support, and afterwards the dense path first
+	// extracts the support with one O(n) scan of p.
 	Support int
-	// SparseSweep reports whether the mixing-set sweep took the engine's
-	// frontier as its support (false: the dense path, which first extracts
-	// the support with one O(n) scan of p).
-	SparseSweep bool
 	// StepNS and SweepNS are the durations of the walk step and of the
 	// whole candidate-size sweep, in nanoseconds.
 	StepNS, SweepNS int64
 }
 
-// WithStepObserver registers fn to receive per-step timing and sweep-mode
+// WithStepObserver registers fn to receive per-step support and timing
 // diagnostics from every detection walk. DetectParallel invokes fn from one
 // goroutine per live walk, so fn must be safe for concurrent use. Timing is
 // only measured when an observer is installed; the default hot path takes
@@ -274,18 +261,6 @@ func DetectCommunityContext(ctx context.Context, g *graph.Graph, s int, opts ...
 	return d.DetectCommunity(ctx, s)
 }
 
-// sweep runs one mixing-set search over the engine's current distribution:
-// the engine's hybrid sparse/dense sweep by default, or the dense path on
-// every step when WithDenseSweep was given. Both return bit-identical
-// results, and both run over the engine's retained sweeper buffers, so
-// repeat serving is allocation-free whichever path a step takes.
-func (c *config) sweep(eng *rw.WalkEngine) (rw.MixingSet, error) {
-	if c.denseSweep {
-		return eng.LargestMixingSetDense(c.minSize, c.mix)
-	}
-	return eng.LargestMixingSet(c.minSize, c.mix)
-}
-
 // stepAndSweep runs step l of Algorithm 1 for the walk on eng: advance the
 // walk, sweep for the largest mixing set, and feed the set to trk, which
 // decides whether the walk has ended. The solo loop and every walker of the
@@ -303,7 +278,7 @@ func (c *config) stepAndSweep(eng *rw.WalkEngine, trk *rw.CommunityTracker, l in
 	if timed {
 		t1 = time.Now()
 	}
-	cur, err := c.sweep(eng)
+	cur, err := eng.LargestMixingSet(c.minSize, c.mix)
 	if err != nil {
 		return err
 	}
@@ -314,12 +289,11 @@ func (c *config) stepAndSweep(eng *rw.WalkEngine, trk *rw.CommunityTracker, l in
 		c.tr.AddPhase(trace.PhaseSweep, time.Duration(sweepNS))
 		if c.observer != nil {
 			c.observer(StepTiming{
-				Seed:        trk.Stats().Seed,
-				Step:        l,
-				Support:     eng.SupportSize(),
-				SparseSweep: eng.Sparse() && !c.denseSweep,
-				StepNS:      t1.Sub(t0).Nanoseconds(),
-				SweepNS:     sweepNS,
+				Seed:    trk.Stats().Seed,
+				Step:    l,
+				Support: eng.SupportSize(),
+				StepNS:  t1.Sub(t0).Nanoseconds(),
+				SweepNS: sweepNS,
 			})
 		}
 	}

@@ -254,7 +254,7 @@ func (d *Detector) ReverifyCommunity(ctx context.Context, s int, community []int
 		}
 		eng.Step()
 	}
-	cur, err := cfg.sweep(eng)
+	cur, err := eng.LargestMixingSet(cfg.minSize, cfg.mix)
 	if err != nil {
 		return false, err
 	}

@@ -184,7 +184,6 @@ type Settings struct {
 	Seed             uint64
 	MixingThreshold  float64
 	GrowthFactor     float64
-	DenseSweep       bool
 	// Communities is the parallel engine's r estimate (0 when unset).
 	Communities int
 	// CongestWorkers, TreeDepthLimit and CongestBatch are the CONGEST
@@ -226,7 +225,6 @@ func (c *config) snapshot() Settings {
 		Seed:             c.seed,
 		MixingThreshold:  threshold,
 		GrowthFactor:     growth,
-		DenseSweep:       c.denseSweep,
 		Communities:      c.communities,
 		CongestWorkers:   c.workers,
 		TreeDepthLimit:   c.treeDepth,
@@ -239,18 +237,18 @@ func (c *config) snapshot() Settings {
 // option sets stay distinguishable after the fact.
 func (s Settings) Fingerprint() string {
 	return fmt.Sprintf(
-		"engine=%s delta=%g R=%d L=%d patience=%d seed=%d threshold=%.6g growth=%.6g dense-sweep=%t r=%d workers=%d tree-depth=%d congest-batch=%d",
+		"engine=%s delta=%g R=%d L=%d patience=%d seed=%d threshold=%.6g growth=%.6g r=%d workers=%d tree-depth=%d congest-batch=%d",
 		s.Engine, s.Delta, s.MinCommunitySize, s.MaxWalkLength, s.Patience,
-		s.Seed, s.MixingThreshold, s.GrowthFactor, s.DenseSweep,
+		s.Seed, s.MixingThreshold, s.GrowthFactor,
 		s.Communities, s.CongestWorkers, s.TreeDepthLimit, s.CongestBatch)
 }
 
 // CongestConfig translates the resolved options into the CONGEST engine's
 // per-walk parameters; every field of congest.Config comes from a shared
 // option. Seed and CongestBatch stay here, since core runs the pool loop,
-// and CongestWorkers sizes the detector's network. Options without a
-// CONGEST counterpart (WithDenseSweep, WithStepObserver — diagnostics of
-// the in-memory sweep) are documented as in-memory-only.
+// and CongestWorkers sizes the detector's network. WithStepObserver, a
+// diagnostic of the in-memory sweep, has no CONGEST counterpart and is
+// documented as in-memory-only.
 func (s Settings) CongestConfig() congest.Config {
 	return congest.Config{
 		Delta:            s.Delta,

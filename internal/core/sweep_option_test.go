@@ -6,30 +6,11 @@ import (
 	"testing"
 )
 
-// TestDetectDenseSweepOptionMatches: WithDenseSweep swaps the engine's
-// sparse-aware sweep for the dense path, which extracts the support with one
-// scan of p on every step, without changing a single detection — the whole
-// pool loop is bit-identical either way.
-func TestDetectDenseSweepOptionMatches(t *testing.T) {
-	ppm := regressPPM(t, 29)
-	delta := ppm.Config.ExpectedConductance()
-	def, err := Detect(ppm.Graph, WithDelta(delta), WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, err := Detect(ppm.Graph, WithDelta(delta), WithSeed(3), WithDenseSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(def, dense) {
-		t.Fatal("sparse-aware and dense-sweep Detect results differ")
-	}
-}
-
 // TestStepObserverReportsSweepModes: the observer sees every walk step with
-// a coherent trajectory — sparse sweeps while the support is small, support
-// reported as -1 exactly when the engine has gone dense — and installing it
-// does not perturb the detection.
+// a coherent trajectory — a support size while the engine is sparse (its
+// sweep then takes the frontier), and -1 from the step the engine goes
+// dense on, never sparse again — and installing it does not perturb the
+// detection.
 func TestStepObserverReportsSweepModes(t *testing.T) {
 	ppm := regressPPM(t, 31)
 	delta := ppm.Config.ExpectedConductance()
@@ -53,14 +34,17 @@ func TestStepObserverReportsSweepModes(t *testing.T) {
 		if st.Seed != 2 || st.Step != i+1 {
 			t.Fatalf("step %d: unexpected identity %+v", i, st)
 		}
-		if st.SparseSweep != (st.Support >= 0) {
-			t.Fatalf("step %d: sweep mode %v inconsistent with support %d", i, st.SparseSweep, st.Support)
+		if st.Support < -1 || st.Support == 0 {
+			t.Fatalf("step %d: support %d", i, st.Support)
+		}
+		if i > 0 && steps[i-1].Support < 0 && st.Support >= 0 {
+			t.Fatalf("step %d: sparse again after the dense kernel took over", i)
 		}
 		if st.StepNS < 0 || st.SweepNS < 0 {
 			t.Fatalf("step %d: negative timing %+v", i, st)
 		}
 	}
-	if !steps[0].SparseSweep {
+	if steps[0].Support < 0 {
 		t.Fatal("first step of a point-source walk was not sparse")
 	}
 }

@@ -92,11 +92,9 @@ func SweepTrajectory(cfg Config) (*Figure, error) {
 				a := &trace[st.Step-1]
 				if st.Support >= 0 {
 					a.support += float64(st.Support)
+					a.mode++ // the sweep takes the engine's frontier
 				} else {
 					a.support += float64(n) // dense kernel: support is the whole graph
-				}
-				if st.SparseSweep {
-					a.mode++
 				}
 				a.stepUS += float64(st.StepNS) / 1e3
 				a.sweepUS += float64(st.SweepNS) / 1e3

@@ -118,9 +118,6 @@ func (e *WalkEngine) SupportSize() int {
 	return len(e.frontier)
 }
 
-// Sparse reports whether the engine is still on the sparse-frontier kernel.
-func (e *WalkEngine) Sparse() bool { return e.sparse }
-
 // Step advances the walk by one step of the simple random walk, picking the
 // kernel by the current support density.
 func (e *WalkEngine) Step() {
@@ -217,18 +214,4 @@ func (e *WalkEngine) LargestMixingSet(minSize int, opt MixOptions) (MixingSet, e
 		support = e.frontier
 	}
 	return e.sweeper.LargestMixingSet(e.p, support, minSize, opt)
-}
-
-// LargestMixingSetDense runs the sweep on the dense path regardless of the
-// engine's regime — the WithDenseSweep baseline of the detection loops: one
-// O(n) scan of p extracts the support, then the same bracket-and-count
-// ladder runs over it. Results are bit-identical to LargestMixingSet; unlike
-// the package-level LargestMixingSetOpt it reuses the engine's sweeper
-// buffers, so repeat serving stays allocation-free. The returned Vertices
-// alias sweeper storage, valid until this engine's next sweep.
-func (e *WalkEngine) LargestMixingSetDense(minSize int, opt MixOptions) (MixingSet, error) {
-	if e.sweeper == nil {
-		e.sweeper = NewSweeper(e.g)
-	}
-	return e.sweeper.LargestMixingSet(e.p, nil, minSize, opt)
 }

@@ -96,7 +96,7 @@ func TestWalkEngineSparseOnlyMatchesDense(t *testing.T) {
 			t.Fatal(err)
 		}
 		eng.Advance(steps)
-		if !eng.Sparse() {
+		if eng.SupportSize() < 0 {
 			t.Fatalf("steps=%d: engine left sparse mode despite threshold %d", steps, sparseForever)
 		}
 		got := eng.Dist()

@@ -37,7 +37,7 @@ func LocalMixingTime(g *graph.Graph, source int, beta float64, minSize, maxSteps
 	}
 	for t := 1; t <= maxSteps; t++ {
 		e.Step()
-		ms, err := LargestMixingSet(g, e.Dist(), minSize)
+		ms, err := e.LargestMixingSet(minSize, MixOptions{})
 		if err != nil {
 			return 0, MixingSet{}, err
 		}

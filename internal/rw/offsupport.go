@@ -19,17 +19,22 @@ import (
 // alone instead of aggregating over every covered node per binary-search
 // iteration.
 //
-// A stream is prepared once per walk step (Reset, O(support·log support))
-// and re-targeted per candidate size (SetMu, O(1)); queries cost
-// O(log n · log support). It is not safe for concurrent use, but copies of
-// a prepared stream share its support tables read-only: each copy may take
-// its own SetMu and answer queries concurrently with the others until the
-// original is Reset. The zero value is ready for Reset.
+// The stream keeps one sorted list of degree-order positions: those of the
+// vertices it excludes (Reset, for the in-memory sweeps, whose supports are
+// small next to the graph), or its own (ResetMembers, for the CONGEST
+// engine, whose BFS tree may cover a few nodes of a large graph). A stream
+// is prepared once per walk step (O(w·log w) for w listed vertices) and
+// re-targeted per candidate size (SetMu, O(1)); queries cost O(log² n). It
+// is not safe for concurrent use, but copies of a prepared stream share its
+// tables read-only: each copy may take its own SetMu and answer queries
+// concurrently with the others until the original is Reset. The zero value
+// is ready for Reset.
 type OffSupportStream struct {
-	idx  *DegreeIndex
-	mu   float64
-	wpos []int32 // support positions in idx.order, ascending
-	wdeg []int64 // prefix degree sums over wpos
+	idx     *DegreeIndex
+	mu      float64
+	members bool    // wpos lists the stream itself (ResetMembers), not its complement
+	wpos    []int32 // listed positions in idx.order, ascending
+	wdeg    []int64 // prefix degree sums over wpos
 }
 
 // Reset prepares the stream for a support (the vertices with p(u) ≠ 0,
@@ -37,8 +42,24 @@ type OffSupportStream struct {
 // subset of the index's vertex set; the off-support complement is everything
 // else.
 func (s *OffSupportStream) Reset(idx *DegreeIndex, support []int32) {
-	s.begin(idx, len(support))
-	for _, v := range support {
+	s.list(idx, support, false)
+}
+
+// ResetMembers prepares the stream over exactly the listed vertices, which
+// must hold no mass; every other vertex, the support included, is excluded.
+// It is the CONGEST engine's stream, the covered nodes without mass, and
+// its cost depends on the members alone: a depth-limited tree that covers
+// a few nodes of a large graph prepares its stream without touching the
+// rest.
+func (s *OffSupportStream) ResetMembers(idx *DegreeIndex, members []int32) {
+	s.list(idx, members, true)
+}
+
+// list fills wpos with the degree-order positions of vs, sorted.
+func (s *OffSupportStream) list(idx *DegreeIndex, vs []int32, members bool) {
+	s.begin(idx, len(vs))
+	s.members = members
+	for _, v := range vs {
 		s.wpos = append(s.wpos, idx.pos[v])
 	}
 	slices.Sort(s.wpos)
@@ -64,9 +85,10 @@ func (s *OffSupportStream) resetMarked(idx *DegreeIndex, bits []uint64, support 
 	s.prefixDegrees()
 }
 
-// begin empties the position table, sized for ns support vertices.
+// begin empties the position table, sized for ns listed vertices, and
+// makes it list the excluded ones.
 func (s *OffSupportStream) begin(idx *DegreeIndex, ns int) {
-	s.idx = idx
+	s.idx, s.members = idx, false
 	if cap(s.wpos) < ns {
 		s.wpos = make([]int32, 0, 2*ns)
 		s.wdeg = make([]int64, 0, 2*ns+1)
@@ -82,15 +104,21 @@ func (s *OffSupportStream) prefixDegrees() {
 	}
 }
 
-// SetMu sets µ' for subsequent queries. It must be positive: on an edgeless
-// graph (µ' = 0) the off-support values collapse to the constant 1/|S| and
-// callers handle that regime themselves.
+// SetMu sets µ' for subsequent queries. It must be positive while the
+// stream is non-empty: on an edgeless graph (µ' = 0) the off-support values
+// collapse to the constant 1/|S| and callers handle that regime themselves.
+// An empty stream answers every query without dividing, so any µ' will do.
 func (s *OffSupportStream) SetMu(mu float64) { s.mu = mu }
 
 // Len returns the number of off-support vertices.
-func (s *OffSupportStream) Len() int { return len(s.idx.order) - len(s.wpos) }
+func (s *OffSupportStream) Len() int {
+	if s.members {
+		return len(s.wpos)
+	}
+	return len(s.idx.order) - len(s.wpos)
+}
 
-// posBelow counts support positions strictly below index position i.
+// posBelow counts listed positions strictly below index position i.
 func (s *OffSupportStream) posBelow(i int) int {
 	lo, hi := 0, len(s.wpos)
 	for lo < hi {
@@ -107,8 +135,12 @@ func (s *OffSupportStream) posBelow(i int) int {
 // CountLE returns the number of off-support keys (d(u)/µ', u) that are ≤
 // (x, id) under the sweep's lexicographic order. The comparisons use the
 // exact d/µ' division of XValueAt, so the count agrees bit for bit with a
-// scan that materialises every off-support value.
+// scan that materialises every off-support value. An empty stream returns
+// 0 before any division.
 func (s *OffSupportStream) CountLE(x float64, id int32) int {
+	if s.Len() == 0 {
+		return 0
+	}
 	idx := s.idx
 	n := len(idx.order)
 	mu := s.mu
@@ -122,6 +154,9 @@ func (s *OffSupportStream) CountLE(x float64, id int32) int {
 	if start < i1 {
 		j = start + sort.Search(i1-start, func(t int) bool { return idx.order[start+t] > id })
 	}
+	if s.members {
+		return s.posBelow(j)
+	}
 	return j - s.posBelow(j)
 }
 
@@ -129,10 +164,14 @@ func (s *OffSupportStream) CountLE(x float64, id int32) int {
 // vertex id. j must be in [0, Len()).
 func (s *OffSupportStream) KeyAt(j int) (x float64, id int32) {
 	idx := s.idx
-	n := len(idx.order)
-	// Smallest index position i such that positions [0, i] contain j+1
-	// off-support entries; that position holds the j-th entry.
-	end := sort.Search(n, func(i int) bool { return i+1-s.posBelow(i+1) >= j+1 })
+	end := 0
+	if s.members {
+		end = int(s.wpos[j])
+	} else {
+		// Smallest index position i such that positions [0, i] contain j+1
+		// off-support entries; that position holds the j-th entry.
+		end = sort.Search(len(idx.order), func(i int) bool { return i+1-s.posBelow(i+1) >= j+1 })
+	}
 	return float64(idx.degs[end]) / s.mu, idx.order[end]
 }
 
@@ -140,6 +179,9 @@ func (s *OffSupportStream) KeyAt(j int) (x float64, id int32) {
 // off-support entries — the off-support tail of the canonical mixing sum
 // (mixingSum folds it in as one division by µ').
 func (s *OffSupportStream) PrefixDeg(j int) int64 {
+	if s.members {
+		return s.wdeg[j]
+	}
 	if j == 0 {
 		return 0
 	}

@@ -293,27 +293,73 @@ func (p *program) eachUse(n ast.Node, info *types.Info, fn func(*declNode)) {
 }
 
 // checkTests type-checks src's in-package tests together with its
-// production files, then its external tests, and marks every declaration a
-// test file names. External tests import the production packages: none of
-// them names a declaration of an in-package test file.
+// production files, then its external tests the way go test builds them:
+// against that test variant of the package, so a name an in-package test
+// file declares for the external tests (the export_test.go idiom) resolves.
+// It marks every declaration a test file names.
 func (p *program) checkTests(src *srcPackage) error {
-	check := func(pkgPath string, files, tests []*ast.File) error {
-		if len(tests) == 0 {
-			return nil
-		}
+	check := func(imp types.Importer, pkgPath string, files, tests []*ast.File) (*types.Package, error) {
 		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
-		if _, err := (&types.Config{Importer: p}).Check(pkgPath, p.fset, append(files[:len(files):len(files)], tests...), info); err != nil {
-			return err
+		pkg, err := (&types.Config{Importer: imp}).Check(pkgPath, p.fset, append(files[:len(files):len(files)], tests...), info)
+		if err != nil {
+			return nil, err
 		}
 		for _, f := range tests {
 			p.eachUse(f, info, func(d *declNode) { d.testUse = true })
 		}
+		return pkg, nil
+	}
+	var imp types.Importer = p
+	if len(src.tests) > 0 {
+		variant, err := check(p, src.path, src.files, src.tests)
+		if err != nil {
+			return err
+		}
+		imp = &testImporter{p: p, under: src.path, pkgs: map[string]*types.Package{src.path: variant}}
+	}
+	if len(src.xtst) == 0 {
 		return nil
 	}
-	if err := check(src.path, src.files, src.tests); err != nil {
-		return err
+	_, err := check(imp, src.path+"_test", nil, src.xtst)
+	return err
+}
+
+// testImporter resolves the imports of a package's external tests the way
+// go test links them: the package under test is its test variant (its
+// production plus its in-package test files), every module package that
+// imports it, directly or not, is re-checked against that variant, and
+// every other path is the program's production package.
+type testImporter struct {
+	p     *program
+	under string
+	pkgs  map[string]*types.Package
+}
+
+func (ti *testImporter) Import(ip string) (*types.Package, error) {
+	if pkg := ti.pkgs[ip]; pkg != nil {
+		return pkg, nil
 	}
-	return check(src.path+"_test", nil, src.xtst)
+	src := ti.p.pkgs[ip]
+	if src == nil || !ti.p.imports(ip, ti.under) {
+		return ti.p.Import(ip)
+	}
+	pkg, err := (&types.Config{Importer: ti}).Check(ip, ti.p.fset, src.files, nil)
+	if err != nil {
+		return nil, err
+	}
+	ti.pkgs[ip] = pkg
+	return pkg, nil
+}
+
+// imports reports whether the module package at ip imports the one at
+// under, directly or through other module packages.
+func (p *program) imports(ip, under string) bool {
+	for _, dep := range p.prod[ip].Imports() {
+		if dep.Path() == under || p.pkgs[dep.Path()] != nil && p.imports(dep.Path(), under) {
+			return true
+		}
+	}
+	return false
 }
 
 // dynamicInterfaces are the interfaces errors.Is and errors.As assert
