@@ -250,7 +250,8 @@ type (
 const (
 	// Reference is the sequential in-memory pool loop (the default).
 	Reference = core.EngineReference
-	// Parallel is the conclusion's multi-seed lockstep extension; set the
+	// Parallel is the conclusion's multi-seed extension: the r seeds'
+	// walks run concurrently, each the solo detection of its seed; set the
 	// community estimate with WithCommunityEstimate.
 	Parallel = core.EngineParallel
 	// Congest is the §III distributed simulation with round/message
@@ -305,7 +306,7 @@ func DetectParallel(g *Graph, r int, opts ...Option) (*Result, error) {
 }
 
 // DetectParallelContext is DetectParallel with cancellation; the first
-// walker error (or the caller's cancellation) cancels the sibling walkers.
+// worker error (or the caller's cancellation) cancels the other workers.
 func DetectParallelContext(ctx context.Context, g *Graph, r int, opts ...Option) (*Result, error) {
 	return core.DetectParallelContext(ctx, g, r, opts...)
 }
@@ -332,9 +333,6 @@ var (
 	WithEngine = core.WithEngine
 	// WithCommunityEstimate sets the Parallel engine's r estimate.
 	WithCommunityEstimate = core.WithCommunityEstimate
-	// WithCongestWorkers sets the CONGEST simulator's per-round node-local
-	// parallelism (in-memory engines ignore it).
-	WithCongestWorkers = core.WithCongestWorkers
 	// WithTreeDepthLimit bounds the CONGEST BFS tree depth (negative =
 	// unbounded; in-memory engines ignore it).
 	WithTreeDepthLimit = core.WithTreeDepthLimit
@@ -350,9 +348,10 @@ var (
 	WithGrowthFactor = core.WithGrowthFactor
 	// WithStepObserver streams per-step support and timing diagnostics
 	// to a callback. Goroutine-safety contract: the Reference engine calls
-	// it from one goroutine, the Parallel engine from one goroutine per
-	// live walk — wrap with SynchronizedObserver (or make fn lock itself)
-	// before passing it to a Parallel run. In-memory engines only.
+	// it from one goroutine, the Parallel engine from up to
+	// min(r, GOMAXPROCS) worker goroutines at once — wrap with
+	// SynchronizedObserver (or make fn lock itself) before passing it to a
+	// Parallel run. In-memory engines only.
 	WithStepObserver = core.WithStepObserver
 	// WithDetectionObserver streams each Detection the moment its
 	// community freezes (pool emission on Reference/Congest, overlap
@@ -554,10 +553,9 @@ type (
 	KMachineResults = kmachine.Results
 )
 
-// NewCongestNetwork wraps g in a CONGEST simulator with the given per-round
-// worker parallelism.
-func NewCongestNetwork(g *Graph, workers int) *CongestNetwork {
-	return congest.NewNetwork(g, workers)
+// NewCongestNetwork wraps g in a CONGEST simulator.
+func NewCongestNetwork(g *Graph) *CongestNetwork {
+	return congest.NewNetwork(g)
 }
 
 // DefaultCongestConfig returns the per-walk CONGEST parameters the

@@ -122,7 +122,7 @@ func TestPublicAPIWrapperEquivalence(t *testing.T) {
 	if ccfg != dc.Settings().CongestConfig() {
 		t.Fatalf("DefaultCongestConfig %+v, Detector runs %+v", ccfg, dc.Settings().CongestConfig())
 	}
-	nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
+	nw := cdrw.NewCongestNetwork(ppm.Graph)
 	for i, det := range gotCong.Detections {
 		raw, stats, err := cdrw.CongestDetectCommunity(nw, det.Stats.Seed, ccfg)
 		if err != nil {
@@ -218,7 +218,7 @@ func TestPublicAPICongestAndKMachine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := cdrw.NewCongestNetwork(g, 1)
+	nw := cdrw.NewCongestNetwork(g)
 	nw.SetLoadObserver(sim.LoadObserver())
 	com, stats, err := cdrw.CongestDetectCommunity(nw, 0, cdrw.DefaultCongestConfig(128))
 	if err != nil {

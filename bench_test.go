@@ -727,7 +727,7 @@ func BenchmarkCongestDetectCommunity(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
+		nw := cdrw.NewCongestNetwork(ppm.Graph)
 		if _, _, err := cdrw.CongestDetectCommunity(nw, i%512, cfg); err != nil {
 			b.Fatal(err)
 		}
@@ -772,7 +772,7 @@ func benchCongestWalks(b *testing.B, n, blocks int, batched bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
+		nw := cdrw.NewCongestNetwork(ppm.Graph)
 		if batched {
 			if _, err := cdrw.CongestDetectBatch(nw, seeds, cfg); err != nil {
 				b.Fatal(err)
@@ -845,7 +845,7 @@ func BenchmarkKMachineConvLoads(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
+		nw := cdrw.NewCongestNetwork(ppm.Graph)
 		nw.SetLoadObserver(sim.LoadObserver())
 		if _, err := cdrw.CongestDetectBatch(nw, seeds, cfg); err != nil {
 			b.Fatal(err)
@@ -865,7 +865,7 @@ func BenchmarkCongestBatchWalks1k(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
+		nw := cdrw.NewCongestNetwork(ppm.Graph)
 		if _, err := cdrw.CongestDetectBatch(nw, seeds, cfg); err != nil {
 			b.Fatal(err)
 		}
@@ -875,10 +875,10 @@ func BenchmarkCongestBatchWalks1k(b *testing.B) {
 }
 
 // BenchmarkBatchWalkEngineReuse pins the rw-layer serving contract behind
-// the parallel engine, which retains one WalkEngine per walk: Reset-ing 4
-// retained engines and running a short lockstep detection (3 steps, each
-// followed by a sparse sweep per walk) allocates nothing in steady state.
-// CI's bench gate enforces 0 allocs/op absolutely.
+// the parallel engine, which retains one WalkEngine per worker and Resets it
+// to every seed the worker claims: Reset-ing 4 retained engines and
+// advancing each 3 steps, each followed by a sparse sweep, allocates
+// nothing in steady state. CI's bench gate enforces 0 allocs/op absolutely.
 func BenchmarkBatchWalkEngineReuse(b *testing.B) {
 	g := benchWalkGraph(b, 10_000)
 	n := g.NumVertices()
@@ -919,7 +919,7 @@ func BenchmarkBatchWalkEngineReuse(b *testing.B) {
 // one long-lived parallel-engine Detector: the walk engines, trackers
 // and overlap-resolution scratch are retained and Reset between runs
 // instead of rebuilt. (Unlike single-seed reuse this cannot be
-// allocation-free — each run returns fresh Result slices and spawns walker
+// allocation-free — each run returns fresh Result slices and starts worker
 // goroutines — so it is gated on time, not allocations.)
 func BenchmarkDetectorReuseParallel(b *testing.B) {
 	ppm := benchCongestPPM(b, 4096, 8)

@@ -41,7 +41,7 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
+		nw := cdrw.NewCongestNetwork(ppm.Graph)
 		ccfg := cdrw.DefaultCongestConfig(2 * blockSize)
 		ccfg.Delta = cfg.ExpectedConductance()
 		err = sim.Run(context.Background(), nw, func(ctx context.Context) error {

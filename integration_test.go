@@ -145,7 +145,7 @@ func TestIntegrationFullPipeline(t *testing.T) {
 	}
 	// Convert the same execution: a sequential pool's traffic is its seeds'
 	// solo walks, one after another.
-	nw := cdrw.NewCongestNetwork(ppm.Graph, 1)
+	nw := cdrw.NewCongestNetwork(ppm.Graph)
 	nw.SetLoadObserver(sim.LoadObserver())
 	ccfg := cdrw.DefaultCongestConfig(256)
 	ccfg.Delta = delta

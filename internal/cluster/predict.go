@@ -25,7 +25,7 @@ func PredictCommunity(ctx context.Context, g *graph.Graph, assign kmachine.Assig
 	if err != nil {
 		return kmachine.Results{}, err
 	}
-	nw := congest.NewNetwork(g, settings.CongestWorkers)
+	nw := congest.NewNetwork(g)
 	cfg := settings.CongestConfig()
 	err = sim.Run(ctx, nw, func(ctx context.Context) error {
 		_, _, runErr := congest.DetectCommunityContext(ctx, nw, seed, cfg)

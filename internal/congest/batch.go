@@ -265,7 +265,7 @@ func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int3
 			}
 		}
 	}
-	nw.parallelRanges(n, floodTile, func(lo, hi int) {
+	parallelRanges(n, floodTile, func(lo, hi int) {
 		for u := lo; u < hi; u++ {
 			ns := g.Neighbors(u)
 			for j, w := range walks {

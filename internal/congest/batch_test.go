@@ -16,7 +16,8 @@ import (
 )
 
 // settleGoroutines polls until the goroutine count drops back to the
-// baseline (cancelled worker pools need a moment to observe ctx and unwind).
+// baseline (cancelled ladder workers need a moment to observe ctx and
+// unwind).
 // Same pattern as internal/core/leak_test.go.
 func settleGoroutines(t *testing.T, base int, what string) {
 	t.Helper()
@@ -34,13 +35,13 @@ func settleGoroutines(t *testing.T, base int, what string) {
 	}
 }
 
-// TestBatchCancellationLeaksNoGoroutines: cancelling mid-batch — from a load
-// observer, while the 4-goroutine per-round worker pool is in use — tears
-// the DetectBatch run down with ctx.Err() and no goroutine leaks (core's
-// TestCancellationLeaksNoGoroutines does the same to the batched pool
-// loop). Cancelling mid-ladder, on 4 ladder workers, does the same: a sweep
-// started under a cancelled context stops within one broadcast +
-// convergecast pair, and a timer cancels while the workers compute.
+// TestBatchCancellationLeaksNoGoroutines: cancelling mid-batch from a load
+// observer tears the DetectBatch run down with ctx.Err() and no goroutine
+// leaks (core's TestCancellationLeaksNoGoroutines does the same to the
+// batched pool loop). Cancelling mid-ladder, on 4 ladder workers, does the
+// same: a sweep started under a cancelled context stops within one
+// broadcast + convergecast pair, and a timer cancels while the workers
+// compute.
 func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	cfgGen := gen.PPMConfig{N: 512, R: 4, P: 2 * gen.Log2(128) / 128, Q: 0.1 / 128}
@@ -50,14 +51,13 @@ func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 	}
 	cfg := testConfig(512)
 	cfg.Delta = cfgGen.ExpectedConductance()
-	const workers = 4
 	base := runtime.NumGoroutine()
 
 	// DetectBatch: cancel once the batch has a few shared rounds in flight.
 	{
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		nw := NewNetwork(ppm.Graph, workers)
+		nw := NewNetwork(ppm.Graph)
 		rounds := 0
 		nw.SetLoadObserver(func(int, []LinkLoad) {
 			if rounds++; rounds == 3 {
@@ -76,13 +76,13 @@ func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 	// the replay charges at most one broadcast + convergecast pair.
 	{
 		ctx, cancel := context.WithCancel(context.Background())
-		flood := soloNetwork(ppm.Graph, 1)
+		flood := soloNetwork(ppm.Graph)
 		p, next := make(rw.Dist, 512), make(rw.Dist, 512)
 		p[0] = 1
 		for step := 0; step < 4; step++ {
 			p, next = floodOnce(flood, p, next)
 		}
-		nw := soloNetwork(ppm.Graph, workers)
+		nw := soloNetwork(ppm.Graph)
 		tree, err := nw.buildTree(0, -1)
 		if err != nil {
 			t.Fatal(err)
@@ -107,7 +107,7 @@ func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 	for _, d := range []time.Duration{100 * time.Microsecond, 500 * time.Microsecond, 2 * time.Millisecond} {
 		ctx, cancel := context.WithCancel(context.Background())
 		timer := time.AfterFunc(d, cancel)
-		nw := NewNetwork(ppm.Graph, workers)
+		nw := NewNetwork(ppm.Graph)
 		_, err := DetectBatchContext(ctx, nw, []int{0, 128, 256, 384}, cfg)
 		timer.Stop()
 		cancel()
@@ -219,7 +219,7 @@ func TestLadderLoadsMatchSequentialReference(t *testing.T) {
 			component := 0 // set by the unlimited tree, which comes first
 			for depth := -1; depth <= 3; depth++ {
 				var got, want []observedRound
-				nw, ref := soloNetwork(g, 1), soloNetwork(g, 1)
+				nw, ref := soloNetwork(g), soloNetwork(g)
 				nw.SetLoadObserver(recordRounds(&got))
 				ref.SetLoadObserver(recordRounds(&want))
 				tree, err := nw.buildTree(seed, depth)
@@ -234,7 +234,7 @@ func TestLadderLoadsMatchSequentialReference(t *testing.T) {
 				if depth < 0 {
 					component = len(covered)
 				}
-				flood := soloNetwork(g, 1)
+				flood := soloNetwork(g)
 				p, next := make(rw.Dist, n), make(rw.Dist, n)
 				p[seed] = 1
 				x := make([]float64, n)
@@ -278,7 +278,7 @@ func TestLadderLoadsMatchSequentialReference(t *testing.T) {
 // batch size); an empty batch is a no-op.
 func TestDetectBatchValidation(t *testing.T) {
 	g := pathGraph(t, 8)
-	nw := NewNetwork(g, 1)
+	nw := NewNetwork(g)
 	cfg := testConfig(8)
 	if _, err := DetectBatch(nw, []int{0, 99}, cfg); err == nil {
 		t.Fatal("out-of-range batch seed accepted")
@@ -297,7 +297,7 @@ func TestDetectBatchValidation(t *testing.T) {
 // the per-walk lane totals, and one call per shared round.
 func TestBatchObserversSeeAllMessages(t *testing.T) {
 	g := gnpGraph(t, 192, 23)
-	nw := NewNetwork(g, 1)
+	nw := NewNetwork(g)
 	var words int64
 	loadRounds, lastRound := 0, 0
 	nw.SetLoadObserver(func(round int, loads []LinkLoad) {
@@ -353,7 +353,7 @@ func TestSelectIndexedMatchesScan(t *testing.T) {
 		for _, root := range c.roots {
 			for depth := -1; depth <= 3; depth++ {
 				var scanLoads, idxLoads, refLoads []observedRound
-				scanNW, idxNW, refNW := soloNetwork(g, 1), soloNetwork(g, 1), soloNetwork(g, 1)
+				scanNW, idxNW, refNW := soloNetwork(g), soloNetwork(g), soloNetwork(g)
 				scanNW.SetLoadObserver(recordRounds(&scanLoads))
 				idxNW.SetLoadObserver(recordRounds(&idxLoads))
 				refNW.SetLoadObserver(recordRounds(&refLoads))
@@ -366,7 +366,7 @@ func TestSelectIndexedMatchesScan(t *testing.T) {
 					trees[i] = tree
 				}
 				covered := trees[0].CoveredVertices()
-				flood := soloNetwork(g, 1)
+				flood := soloNetwork(g)
 				p, next := make(rw.Dist, n), make(rw.Dist, n)
 				p[root] = 1
 				x := make([]float64, n)
@@ -459,7 +459,7 @@ func TestCanonicalSumMatchesSweeper(t *testing.T) {
 		t.Skip("sample disconnected")
 	}
 	n := g.NumVertices()
-	nw := soloNetwork(g, 1)
+	nw := soloNetwork(g)
 	tree, err := nw.buildTree(0, -1)
 	if err != nil {
 		t.Fatal(err)

@@ -23,7 +23,7 @@ func TestEstimateConductanceMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := NewNetwork(ppm.Graph, 1)
+	nw := NewNetwork(ppm.Graph)
 	got, err := EstimateConductance(nw, source, steps, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestEstimateConductanceDepthLimited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := NewNetwork(ppm.Graph, 1)
+	nw := NewNetwork(ppm.Graph)
 	phi, err := EstimateConductance(nw, 0, 6, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestEstimateConductanceCostClosedForm(t *testing.T) {
 	g := ppm.Graph
 	const source, maxSteps = 0, 8
 	for _, depthLimit := range []int{-1, 1} {
-		tree, err := soloNetwork(g, 1).buildTree(source, depthLimit)
+		tree, err := soloNetwork(g).buildTree(source, depthLimit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,7 +99,7 @@ func TestEstimateConductanceCostClosedForm(t *testing.T) {
 			p, next = rw.Step(g, p, next), p
 		}
 
-		nw := NewNetwork(g, 1)
+		nw := NewNetwork(g)
 		var observed, words int64
 		nw.SetLoadObserver(func(round int, loads []LinkLoad) {
 			if observed++; int64(round) != observed {
@@ -128,7 +128,7 @@ func TestEstimateConductanceRejectsBadInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := NewNetwork(ppm.Graph, 1)
+	nw := NewNetwork(ppm.Graph)
 	if _, err := EstimateConductance(nw, -1, 5, -1); err == nil {
 		t.Fatal("negative source accepted")
 	}

@@ -53,7 +53,7 @@ func testConfig(n int) Config {
 
 func TestBuildTreeCoversComponent(t *testing.T) {
 	g := gnpGraph(t, 256, 1)
-	nw := soloNetwork(g, 1)
+	nw := soloNetwork(g)
 	tree, err := nw.buildTree(0, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -80,7 +80,7 @@ func TestBuildTreeCoversComponent(t *testing.T) {
 
 func TestBuildTreeDepthLimit(t *testing.T) {
 	g := pathGraph(t, 10)
-	nw := soloNetwork(g, 1)
+	nw := soloNetwork(g)
 	tree, err := nw.buildTree(0, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestBuildTreeDepthLimit(t *testing.T) {
 
 func TestBuildTreeBadRoot(t *testing.T) {
 	g := pathGraph(t, 4)
-	nw := NewNetwork(g, 1)
+	nw := NewNetwork(g)
 	if _, err := nw.buildTree(9, -1); !errors.Is(err, graph.ErrVertexOutOfRange) {
 		t.Fatalf("got %v", err)
 	}
@@ -103,7 +103,7 @@ func TestBuildTreeBadRoot(t *testing.T) {
 
 func TestBroadcastConvergecastCosts(t *testing.T) {
 	g := pathGraph(t, 8) // tree = path, depth 7
-	nw := soloNetwork(g, 1)
+	nw := soloNetwork(g)
 	tree, err := nw.buildTree(0, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestBroadcastConvergecastCosts(t *testing.T) {
 
 func TestFloodStepMatchesRWStep(t *testing.T) {
 	g := gnpGraph(t, 128, 3)
-	nw := soloNetwork(g, 1)
+	nw := soloNetwork(g)
 	n := g.NumVertices()
 	p := make(rw.Dist, n)
 	p[5] = 1
@@ -150,7 +150,7 @@ func TestFloodStepMatchesRWStep(t *testing.T) {
 
 func TestFloodStepMessageAccounting(t *testing.T) {
 	g := pathGraph(t, 5)
-	nw := soloNetwork(g, 1)
+	nw := soloNetwork(g)
 	p := rw.Dist{0, 0, 1, 0, 0}
 	floodOnce(nw, p, make(rw.Dist, 5))
 	m := soloMetrics(nw)
@@ -165,7 +165,7 @@ func TestFloodStepMessageAccounting(t *testing.T) {
 
 func TestSelectKSmallestMatchesReference(t *testing.T) {
 	g := gnpGraph(t, 128, 7)
-	nw := soloNetwork(g, 1)
+	nw := soloNetwork(g)
 	tree, err := nw.buildTree(0, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestSelectKSmallestMatchesReference(t *testing.T) {
 
 func TestSelectKSmallestEdgeCases(t *testing.T) {
 	g := pathGraph(t, 4)
-	nw := soloNetwork(g, 1)
+	nw := soloNetwork(g)
 	tree, err := nw.buildTree(0, -1)
 	if err != nil {
 		t.Fatal(err)
@@ -234,30 +234,6 @@ func TestSelectKSmallestEdgeCases(t *testing.T) {
 	}
 }
 
-func TestParallelExecutorMatchesSequential(t *testing.T) {
-	g := gnpGraph(t, 256, 17)
-	if !g.IsConnected() {
-		t.Skip("sample disconnected")
-	}
-	cfg := testConfig(256)
-	seq, _, err := DetectCommunity(NewNetwork(g, 1), 3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, _, err := DetectCommunity(NewNetwork(g, 4), 3, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq) != len(par) {
-		t.Fatalf("parallel |C|=%d, sequential |C|=%d", len(par), len(seq))
-	}
-	for i := range seq {
-		if seq[i] != par[i] {
-			t.Fatalf("parallel executor changed the result at %d", i)
-		}
-	}
-}
-
 func TestRoundComplexityPolylog(t *testing.T) {
 	// Theorem 5: one community costs O(log⁴ n) rounds. Check that measured
 	// rounds grow far slower than linearly: quadrupling n should much less
@@ -265,7 +241,7 @@ func TestRoundComplexityPolylog(t *testing.T) {
 	rounds := make(map[int]int)
 	for _, n := range []int{256, 1024} {
 		g := gnpGraph(t, n, 19)
-		nw := NewNetwork(g, 1)
+		nw := NewNetwork(g)
 		_, stats, err := DetectCommunity(nw, 0, testConfig(n))
 		if err != nil {
 			t.Fatal(err)
@@ -280,7 +256,7 @@ func TestRoundComplexityPolylog(t *testing.T) {
 
 func TestDetectCommunityConfigValidation(t *testing.T) {
 	g := pathGraph(t, 4)
-	nw := NewNetwork(g, 1)
+	nw := NewNetwork(g)
 	bad := testConfig(4)
 	bad.Delta = -1
 	if _, _, err := DetectCommunity(nw, 0, bad); err == nil {
@@ -298,7 +274,7 @@ func TestDetectCommunityConfigValidation(t *testing.T) {
 
 func TestObserverSeesAllMessages(t *testing.T) {
 	g := gnpGraph(t, 128, 23)
-	nw := NewNetwork(g, 1)
+	nw := NewNetwork(g)
 	var observed int64
 	roundsSeen := 0
 	nw.SetLoadObserver(func(round int, loads []LinkLoad) {

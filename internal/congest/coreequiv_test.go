@@ -54,7 +54,7 @@ func detectCongest(t *testing.T, g *graph.Graph, opts ...core.Option) (*core.Res
 func checkSoloDetections(t *testing.T, name string, g *graph.Graph, res *core.Result, cfg congest.Config) {
 	t.Helper()
 	seen := make([]bool, g.NumVertices())
-	refNW := congest.NewNetwork(g, 1)
+	refNW := congest.NewNetwork(g)
 	for i, det := range res.Detections {
 		for _, v := range det.Assigned {
 			if seen[v] {
@@ -98,7 +98,7 @@ func TestDetectCommunityMatchesCore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, stats, err := congest.DetectCommunity(congest.NewNetwork(g, 1), seed, cfg)
+		got, stats, err := congest.DetectCommunity(congest.NewNetwork(g), seed, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestDetectBatchMatchesSequential(t *testing.T) {
 		cfg := walkConfig(t, n, core.WithDelta(0.05))
 		seeds := []int{0, n / 3, n / 2, n - 1}
 
-		seqNW := congest.NewNetwork(g, 1)
+		seqNW := congest.NewNetwork(g)
 		type seqRun struct {
 			community []int
 			stats     congest.CommunityStats
@@ -256,7 +256,7 @@ func TestDetectBatchMatchesSequential(t *testing.T) {
 		}
 		seqTotal := seqNW.Metrics()
 
-		batchNW := congest.NewNetwork(g, 1)
+		batchNW := congest.NewNetwork(g)
 		dets, err := congest.DetectBatch(batchNW, seeds, cfg)
 		if err != nil {
 			t.Fatalf("%s: batch: %v", name, err)

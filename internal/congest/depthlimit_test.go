@@ -24,12 +24,12 @@ func TestDepthLimitedDetectionMatchesUnbounded(t *testing.T) {
 	cfg := testConfig(256)
 	cfg.Delta = cfgGen.ExpectedConductance()
 
-	unbounded, _, err := DetectCommunity(NewNetwork(ppm.Graph, 1), 7, cfg)
+	unbounded, _, err := DetectCommunity(NewNetwork(ppm.Graph), 7, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg.TreeDepthLimit = diam + 1 // "O(log n)" in the PPM regime
-	limited, stats, err := DetectCommunity(NewNetwork(ppm.Graph, 1), 7, cfg)
+	limited, stats, err := DetectCommunity(NewNetwork(ppm.Graph), 7, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestDepthLimitTooSmallStillTerminates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := NewNetwork(ppm.Graph, 1)
+	nw := NewNetwork(ppm.Graph)
 	cfg := testConfig(256)
 	cfg.Delta = cfgGen.ExpectedConductance()
 	cfg.TreeDepthLimit = 1 // only the seed's direct neighbourhood

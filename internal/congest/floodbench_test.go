@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"runtime"
 	"testing"
 
 	"cdrw/internal/gen"
@@ -13,8 +14,10 @@ import (
 // lines 9–11. reference chases two random-access streams (p and degInv)
 // through the CSR neighbour lists; blocked is batchFlood with one walk,
 // which freezes each node's outgoing share once and gathers through a
-// single stream in L2-sized output tiles. Both kernels run the
-// single-worker path so the comparison isolates the memory hierarchy, not
+// single stream in L2-sized output tiles. Each sub-benchmark pins
+// GOMAXPROCS to 1 for its duration (the testing package resets it to the
+// -cpu value before every sub-benchmark), so both kernels run the
+// single-worker path and the comparison isolates the memory hierarchy, not
 // parallelism; CI gates blocked >= 1.3x reference (head-only,
 // .github/bench_gate.py). Skipped with -short.
 func BenchmarkFloodKernel1M(b *testing.B) {
@@ -26,7 +29,7 @@ func BenchmarkFloodKernel1M(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	nw := soloNetwork(g, 1)
+	nw := soloNetwork(g)
 	degInv := nw.degInvTable()
 	p := make(rw.Dist, n)
 	next := make(rw.Dist, n)
@@ -35,6 +38,7 @@ func BenchmarkFloodKernel1M(b *testing.B) {
 	}
 
 	b.Run("reference", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -43,6 +47,7 @@ func BenchmarkFloodKernel1M(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/step")
 	})
 	b.Run("blocked", func(b *testing.B) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		walks := []*batchWalk{{p: p, next: next}}
 		counts := make([]int32, n)
 		batchFlood(nw, walks, degInv, counts) // warm the retained share scratch

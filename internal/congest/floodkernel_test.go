@@ -1,6 +1,7 @@
 package congest
 
 import (
+	"runtime"
 	"testing"
 
 	"cdrw/internal/graph"
@@ -57,80 +58,111 @@ func (nw *Network) floodStepReference(p, next rw.Dist, degInv []float64) {
 // TestFloodStepMatchesReference: the blocked kernel, flooding k = 1 or 4
 // walks in one batch, evolves every walk's distribution bit-identical to the
 // unblocked reference run one walk at a time — same floats, same per-walk
-// rounds and messages — sequentially and under the tiled parallel executor,
-// across graphs with isolated vertices.
+// rounds and messages — on a one-tile graph with isolated vertices, from
+// point sources.
 func TestFloodStepMatchesReference(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		g := raggedGraph(t, 512, uint64(workers))
-		n := g.NumVertices()
-		for _, k := range []int{1, 4} {
-			blocked := NewNetwork(g, workers)
-			blocked.beginBatch(k)
-			degInv := blocked.degInvTable()
-			walks := make([]*batchWalk, k)
-			refs := make([]*Network, k)
-			refP, refNext := make([]rw.Dist, k), make([]rw.Dist, k)
-			for i := range walks {
-				src := 3 + 97*i
-				walks[i] = &batchWalk{p: make(rw.Dist, n), next: make(rw.Dist, n)}
-				walks[i].p[src] = 1
-				refs[i] = soloNetwork(g, workers)
-				refP[i], refNext[i] = make(rw.Dist, n), make(rw.Dist, n)
-				refP[i][src] = 1
-			}
-			counts := make([]int32, n)
-			const steps = 12
-			for step := 1; step <= steps; step++ {
-				blocked.beginPhase()
-				batchFlood(blocked, walks, degInv, counts)
-				blocked.endPhase()
-				for i, w := range walks {
-					refs[i].floodStepReference(refP[i], refNext[i], degInv)
-					refP[i], refNext[i] = refNext[i], refP[i]
-					for v := range w.p {
-						if w.p[v] != refP[i][v] {
-							t.Fatalf("workers=%d k=%d walk %d step %d vertex %d: blocked %g != reference %g",
-								workers, k, i, step, v, w.p[v], refP[i][v])
-						}
-					}
-				}
-			}
-			var messages int64
-			for i := range walks {
-				mb, mr := blocked.laneMetrics(i), soloMetrics(refs[i])
-				if mb != mr {
-					t.Fatalf("workers=%d k=%d walk %d: blocked accounting %+v != reference %+v",
-						workers, k, i, mb, mr)
-				}
-				messages += mr.Messages
-			}
-			if m := blocked.Metrics(); m.Rounds != steps || m.Messages != messages {
-				t.Fatalf("workers=%d k=%d: batch charged %+v, want %d shared rounds and %d messages",
-					workers, k, m, steps, messages)
-			}
+	g := raggedGraph(t, 512, 1)
+	for _, k := range []int{1, 4} {
+		starts := make([]rw.Dist, k)
+		for i := range starts {
+			starts[i] = make(rw.Dist, g.NumVertices())
+			starts[i][3+97*i] = 1
 		}
+		checkFloodMatchesReference(t, g, starts, 12)
 	}
 }
 
-// TestRangeWorkersCapped: parallelRanges starts one goroutine per tile at
-// most, whatever worker count the network was built with (congest_workers
-// is caller input). Only the count is checked; no goroutine is started.
+// TestFloodTilesMatchReference: on a graph of four flood tiles, the last one
+// ragged, the gather runs on 4 goroutines that claim tiles in any order, and
+// every walk still evolves bit-identical to the sequential reference. The
+// walks start with random mass on every vertex, so every tile and every
+// tile boundary carries mass from the first round.
+func TestFloodTilesMatchReference(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	g := raggedGraph(t, 3*floodTile+77, 5)
+	n := g.NumVertices()
+	if w := rangeWorkers(n, floodTile); w != 4 {
+		t.Fatalf("%d range workers, want 4: the tiled gather would not run in parallel", w)
+	}
+	r := rng.New(7)
+	for _, k := range []int{1, 3} {
+		starts := make([]rw.Dist, k)
+		for i := range starts {
+			starts[i] = make(rw.Dist, n)
+			for v := range starts[i] {
+				starts[i][v] = r.Float64()
+			}
+		}
+		checkFloodMatchesReference(t, g, starts, 3)
+	}
+}
+
+// checkFloodMatchesReference floods one walk per start distribution through
+// batchFlood for steps rounds and checks, after every round, each walk's
+// distribution against floodStepReference run on that walk alone, then each
+// walk's rounds and messages against its reference network's and the
+// batch's shared total.
+func checkFloodMatchesReference(t *testing.T, g *graph.Graph, starts []rw.Dist, steps int) {
+	t.Helper()
+	n, k := g.NumVertices(), len(starts)
+	blocked := NewNetwork(g)
+	blocked.beginBatch(k)
+	degInv := blocked.degInvTable()
+	walks := make([]*batchWalk, k)
+	refs := make([]*Network, k)
+	refP, refNext := make([]rw.Dist, k), make([]rw.Dist, k)
+	for i, start := range starts {
+		walks[i] = &batchWalk{p: append(rw.Dist(nil), start...), next: make(rw.Dist, n)}
+		refs[i] = soloNetwork(g)
+		refP[i], refNext[i] = append(rw.Dist(nil), start...), make(rw.Dist, n)
+	}
+	counts := make([]int32, n)
+	for step := 1; step <= steps; step++ {
+		blocked.beginPhase()
+		batchFlood(blocked, walks, degInv, counts)
+		blocked.endPhase()
+		for i, w := range walks {
+			refs[i].floodStepReference(refP[i], refNext[i], degInv)
+			refP[i], refNext[i] = refNext[i], refP[i]
+			for v := range w.p {
+				if w.p[v] != refP[i][v] {
+					t.Fatalf("n=%d k=%d walk %d step %d vertex %d: blocked %g != reference %g",
+						n, k, i, step, v, w.p[v], refP[i][v])
+				}
+			}
+		}
+	}
+	var messages int64
+	for i := range walks {
+		mb, mr := blocked.laneMetrics(i), soloMetrics(refs[i])
+		if mb != mr {
+			t.Fatalf("n=%d k=%d walk %d: blocked accounting %+v != reference %+v", n, k, i, mb, mr)
+		}
+		messages += mr.Messages
+	}
+	if m := blocked.Metrics(); m.Rounds != steps || m.Messages != messages {
+		t.Fatalf("n=%d k=%d: batch charged %+v, want %d shared rounds and %d messages",
+			n, k, m, steps, messages)
+	}
+}
+
+// TestRangeWorkersCapped: parallelRanges runs min(GOMAXPROCS, tiles)
+// workers, so a graph of one tile floods on the calling goroutine. Only the
+// count is checked; no goroutine is started.
 func TestRangeWorkersCapped(t *testing.T) {
-	g := gnpGraph(t, 64, 1)
-	huge, three := NewNetwork(g, 1<<40), NewNetwork(g, 3)
-	for _, c := range []struct {
-		nw      *Network
-		n, want int
-	}{
-		{huge, 0, 0},
-		{huge, 1, 1},
-		{huge, floodTile, 1},
-		{huge, floodTile + 1, 2},
-		{huge, 32 * floodTile, 32},
-		{three, 32 * floodTile, 3},
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, c := range []struct{ procs, n, want int }{
+		{1, floodTile + 1, 1},
+		{1, 32 * floodTile, 1},
+		{3, 0, 0},
+		{3, 1, 1},
+		{3, floodTile, 1},
+		{3, floodTile + 1, 2},
+		{3, 32 * floodTile, 3},
 	} {
-		if got := c.nw.rangeWorkers(c.n, floodTile); got != c.want {
-			t.Errorf("workers=%d n=%d: %d range workers, want %d", c.nw.workers, c.n, got, c.want)
+		runtime.GOMAXPROCS(c.procs)
+		if got := rangeWorkers(c.n, floodTile); got != c.want {
+			t.Errorf("GOMAXPROCS=%d n=%d: %d range workers, want %d", c.procs, c.n, got, c.want)
 		}
 	}
 }
@@ -141,7 +173,7 @@ func TestRangeWorkersCapped(t *testing.T) {
 func TestNetworkSharedIndexRouting(t *testing.T) {
 	g := gnpGraph(t, 256, 9)
 	ix := rw.NewSharedIndex(g).Warm()
-	shared := NewNetworkWithIndex(g, 1, ix)
+	shared := NewNetworkWithIndex(g, ix)
 	if shared.degreeIndex() != ix.Degree() {
 		t.Fatal("network built a private degree index despite the shared bundle")
 	}
@@ -150,11 +182,11 @@ func TestNetworkSharedIndexRouting(t *testing.T) {
 	}
 
 	cfg := testConfig(g.NumVertices())
-	want, wantStats, err := DetectCommunity(NewNetwork(g, 1), 4, cfg)
+	want, wantStats, err := DetectCommunity(NewNetwork(g), 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gotStats, err := DetectCommunity(NewNetworkWithIndex(g, 1, ix), 4, cfg)
+	got, gotStats, err := DetectCommunity(NewNetworkWithIndex(g, ix), 4, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,8 +19,8 @@ import (
 
 // soloNetwork returns a network over g with one lane open inside an open
 // phase: the state in which a one-walk run charges its rounds.
-func soloNetwork(g *graph.Graph, workers int) *Network {
-	nw := NewNetwork(g, workers)
+func soloNetwork(g *graph.Graph) *Network {
+	nw := NewNetwork(g)
 	nw.beginBatch(1)
 	nw.beginPhase()
 	return nw
@@ -125,7 +125,7 @@ func TestCollectivesMatchPerMessageReference(t *testing.T) {
 	for _, c := range cases {
 		exec := func(reference bool) run {
 			var out run
-			nw := NewNetwork(g, 1)
+			nw := NewNetwork(g)
 			nw.SetLoadObserver(recordRounds(&out.rounds))
 			nw.beginBatch(len(c.lanes))
 			trees := make([]*Tree, len(c.lanes))

@@ -17,6 +17,7 @@ package congest
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -70,15 +71,15 @@ type lane struct {
 
 // Network wraps the input graph with round/message accounting. A Network is
 // not safe for concurrent use. Internally it runs two kinds of work in
-// parallel, neither of which touches the accounting: per-node local
-// computation inside a round (Workers goroutines), and the independent
-// per-size selections of a mixing-set ladder (evalLadder), whose rounds and
-// messages the caller then charges in ladder order.
+// parallel, neither of which touches the accounting and each on
+// min(GOMAXPROCS, units of work) goroutines: a flood round's per-node
+// gather, tile by tile (parallelRanges), and the independent per-size
+// selections of a mixing-set ladder (evalLadder), whose rounds and messages
+// the caller then charges in ladder order.
 type Network struct {
 	g       *graph.Graph
 	metrics Metrics
 	loadObs LoadObserver
-	workers int
 
 	// Lane accounting: every entry point opens a batch of lanes
 	// (beginBatch), one per walk, and brackets each group of concurrent lane
@@ -131,12 +132,9 @@ type Network struct {
 	shareAll []float64
 }
 
-// NewNetwork returns a CONGEST network over g. workers controls how many
-// goroutines run per-node computations inside each round; values below 2
-// select the sequential executor. Results are identical either way — nodes
-// only read the previous round's state and write their own slot.
-func NewNetwork(g *graph.Graph, workers int) *Network {
-	return NewNetworkWithIndex(g, workers, nil)
+// NewNetwork returns a CONGEST network over g.
+func NewNetwork(g *graph.Graph) *Network {
+	return NewNetworkWithIndex(g, nil)
 }
 
 // NewNetworkWithIndex is NewNetwork with a caller-owned shared index bundle:
@@ -145,11 +143,8 @@ func NewNetwork(g *graph.Graph, workers int) *Network {
 // detector pool, or repeated runs on one registry generation) share one set
 // of immutable tables. ix nil selects private lazily-built tables; ix must
 // otherwise index the same graph g.
-func NewNetworkWithIndex(g *graph.Graph, workers int, ix *rw.SharedIndex) *Network {
-	if workers < 1 {
-		workers = 1
-	}
-	return &Network{g: g, workers: workers, shared: ix}
+func NewNetworkWithIndex(g *graph.Graph, ix *rw.SharedIndex) *Network {
+	return &Network{g: g, shared: ix}
 }
 
 // SetLoadObserver installs a per-round link-load observer (pass nil to
@@ -317,12 +312,12 @@ func (nw *Network) endPhase() {
 	}
 }
 
-// rangeWorkers is the number of goroutines parallelRanges starts for n
-// indices in tiles of tile: the network's worker count, but no more than
-// there are tiles, since an extra worker would only find the cursor
-// exhausted.
-func (nw *Network) rangeWorkers(n, tile int) int {
-	return min(nw.workers, (n+tile-1)/tile)
+// rangeWorkers is the number of goroutines parallelRanges runs for n
+// indices in tiles of tile: GOMAXPROCS, but no more than there are tiles,
+// since an extra worker would only find the cursor exhausted. A graph of
+// one tile floods on the calling goroutine alone.
+func rangeWorkers(n, tile int) int {
+	return min(runtime.GOMAXPROCS(0), (n+tile-1)/tile)
 }
 
 // parallelRanges runs fn over [0, n) split into half-open tiles of at most
@@ -333,8 +328,8 @@ func (nw *Network) rangeWorkers(n, tile int) int {
 // fn must only write state owned by its index range; every tile is executed
 // exactly once, so deterministic kernels stay deterministic regardless of
 // which worker draws which tile.
-func (nw *Network) parallelRanges(n, tile int, fn func(lo, hi int)) {
-	workers := nw.rangeWorkers(n, tile)
+func parallelRanges(n, tile int, fn func(lo, hi int)) {
+	workers := rangeWorkers(n, tile)
 	if workers < 2 {
 		for lo := 0; lo < n; lo += tile {
 			hi := lo + tile

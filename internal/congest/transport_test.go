@@ -76,13 +76,13 @@ func TestFloodTransportCommunityEquivalence(t *testing.T) {
 	cfg := walkConfig(t, ppm.Graph.NumVertices())
 
 	for _, seed := range []int{0, 57, 399} {
-		base := congest.NewNetwork(ppm.Graph, 1)
+		base := congest.NewNetwork(ppm.Graph)
 		wantSet, wantStats, err := congest.DetectCommunity(base, seed, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 
-		nw := congest.NewNetwork(ppm.Graph, 1)
+		nw := congest.NewNetwork(ppm.Graph)
 		tr := &loopbackTransport{g: ppm.Graph}
 		nw.SetFloodTransport(tr)
 		gotSet, gotStats, err := congest.DetectCommunity(nw, seed, cfg)
@@ -113,11 +113,11 @@ func TestFloodTransportBatchEquivalence(t *testing.T) {
 	cfg := walkConfig(t, g.NumVertices())
 	seeds := []int{3, 120, 250, 398}
 
-	want, err := congest.DetectBatch(congest.NewNetwork(g, 1), seeds, cfg)
+	want, err := congest.DetectBatch(congest.NewNetwork(g), seeds, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := congest.NewNetwork(g, 1)
+	nw := congest.NewNetwork(g)
 	tr := &loopbackTransport{g: g}
 	nw.SetFloodTransport(tr)
 	got, err := congest.DetectBatch(nw, seeds, cfg)
@@ -168,7 +168,7 @@ func TestFloodTransportErrorPropagates(t *testing.T) {
 	ppm := transportTestGraph(t)
 	cfg := walkConfig(t, ppm.Graph.NumVertices())
 
-	nw := congest.NewNetwork(ppm.Graph, 1)
+	nw := congest.NewNetwork(ppm.Graph)
 	nw.SetFloodTransport(&failingTransport{ok: &loopbackTransport{g: ppm.Graph}, after: 2})
 	if _, _, err := congest.DetectCommunity(nw, 0, cfg); !errors.Is(err, errLinkDown) {
 		t.Fatalf("solo path: want errLinkDown, got %v", err)

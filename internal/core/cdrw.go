@@ -41,7 +41,6 @@ type config struct {
 	// Unified-surface fields (see options.go).
 	engine       Engine
 	communities  int             // parallel engine's r estimate (0 = unset)
-	workers      int             // congest per-round parallelism
 	treeDepth    int             // congest BFS depth limit (negative = unbounded)
 	congestBatch int             // congest batched-pool size (≤ 1 = sequential)
 	detObs       func(Detection) // WithDetectionObserver streaming callback
@@ -126,10 +125,10 @@ type StepTiming struct {
 }
 
 // WithStepObserver registers fn to receive per-step support and timing
-// diagnostics from every detection walk. DetectParallel invokes fn from one
-// goroutine per live walk, so fn must be safe for concurrent use. Timing is
-// only measured when an observer is installed; the default hot path takes
-// no clock readings.
+// diagnostics from every detection walk. DetectParallel invokes fn from up
+// to min(r, GOMAXPROCS) worker goroutines at once, so fn must be safe for
+// concurrent use. Timing is only measured when an observer is installed;
+// the default hot path takes no clock readings.
 func WithStepObserver(fn func(StepTiming)) Option {
 	return func(c *config) { c.observer = fn }
 }
@@ -146,7 +145,6 @@ func defaultConfig(n int) config {
 		patience:     1,
 		seed:         1,
 		engine:       EngineReference,
-		workers:      1,
 		treeDepth:    -1,
 		congestBatch: 1,
 	}
@@ -224,9 +222,6 @@ func (c *config) validate(n int) error {
 	default:
 		return fmt.Errorf("core: unknown engine %v", c.engine)
 	}
-	if c.workers < 1 {
-		return fmt.Errorf("core: congest workers %d must be positive", c.workers)
-	}
 	if c.congestBatch < 0 {
 		return fmt.Errorf("core: negative congest batch size %d", c.congestBatch)
 	}
@@ -263,10 +258,10 @@ func DetectCommunityContext(ctx context.Context, g *graph.Graph, s int, opts ...
 
 // stepAndSweep runs step l of Algorithm 1 for the walk on eng: advance the
 // walk, sweep for the largest mixing set, and feed the set to trk, which
-// decides whether the walk has ended. The solo loop and every walker of the
-// parallel engine run this one function, so the step's timing, trace
-// phases and observer report exist once. The sweep polls
-// cfg.mix.Interrupt between ladder sizes.
+// decides whether the walk has ended. detectCommunity, the one in-memory
+// walk loop, runs it for every seed of every in-memory engine, so the
+// step's timing, trace phases and observer report exist once. The sweep
+// polls cfg.mix.Interrupt between ladder sizes.
 func (c *config) stepAndSweep(eng *rw.WalkEngine, trk *rw.CommunityTracker, l int) error {
 	timed := c.observer != nil || c.tr != nil
 	var t0 time.Time
@@ -302,10 +297,11 @@ func (c *config) stepAndSweep(eng *rw.WalkEngine, trk *rw.CommunityTracker, l in
 }
 
 // detectCommunity is the solo detection loop shared by
-// Detector.DetectCommunity and the pool loop, both of which reuse one
-// WalkEngine and one tracker across all their seeds instead of reallocating
-// per seed. ctx is polled once per walk step. The returned community slice
-// is the tracker's buffer: valid until the tracker's next Reset.
+// Detector.DetectCommunity, the pool loop and the parallel engine's
+// workers, each of which reuses one WalkEngine and one tracker across all
+// its seeds instead of reallocating per seed. ctx is polled once per walk
+// step. The returned community slice is the tracker's buffer: valid until
+// the tracker's next Reset.
 func detectCommunity(ctx context.Context, eng *rw.WalkEngine, trk *rw.CommunityTracker, s int, cfg *config) ([]int, CommunityStats, error) {
 	if err := eng.Reset(s); err != nil {
 		return nil, CommunityStats{Seed: s}, err

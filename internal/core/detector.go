@@ -47,12 +47,10 @@ type Detector struct {
 	eng *rw.WalkEngine
 	trk rw.CommunityTracker
 
-	// Parallel-engine state, retained across runs: each walk's engine is
-	// Reset to its seed instead of rebuilt (all of them sweep over the
-	// detector's one degree index), and the trackers, seed-drawing and
-	// overlap-resolution scratch rewind in place.
-	// parWork feeds the run's persistent walker goroutines; the channel is
-	// retained so repeat runs reuse it instead of reallocating.
+	// Parallel-engine state, retained across runs: each worker's engine is
+	// Reset to every seed it claims instead of rebuilt (all of them sweep
+	// over the detector's one degree index), and the trackers, seed-drawing
+	// and overlap-resolution scratch rewind in place.
 	parWalks    []*rw.WalkEngine
 	parTrackers []*rw.CommunityTracker
 	parSeeds    []int
@@ -60,7 +58,6 @@ type Detector struct {
 	parFree     []int
 	parErrs     []error
 	parOwner    []int
-	parWork     chan parTask
 
 	// Pool-loop scratch, retained.
 	assigned []bool
@@ -146,7 +143,7 @@ func (d *Detector) walkEngine() *rw.WalkEngine {
 // deltas.
 func (d *Detector) network() *congest.Network {
 	if d.nw == nil {
-		d.nw = congest.NewNetworkWithIndex(d.g, d.settings.CongestWorkers, d.sharedIndex())
+		d.nw = congest.NewNetworkWithIndex(d.g, d.sharedIndex())
 		if d.cfg.transport != nil {
 			d.nw.SetFloodTransport(d.cfg.transport)
 		}
@@ -287,8 +284,8 @@ func (d *Detector) ReverifyCommunity(ctx context.Context, s int, community []int
 
 // Detect partitions the whole graph on this detector's engine: the
 // Algorithm 1 pool loop for the reference and CONGEST engines (detectPool,
-// batched by WithCongestBatch on the CONGEST engine), the multi-seed
-// lockstep run for the parallel engine. Detections stream to the
+// batched by WithCongestBatch on the CONGEST engine), the concurrent
+// multi-seed run for the parallel engine. Detections stream to the
 // WithDetectionObserver callback as they freeze.
 func (d *Detector) Detect(ctx context.Context) (*Result, error) {
 	switch d.cfg.engine {

@@ -114,7 +114,7 @@ func TestDetectorCongestMatchesSoloRuns(t *testing.T) {
 	if len(got.Detections) < 2 {
 		t.Fatalf("%d detections; the pool loop never iterated", len(got.Detections))
 	}
-	nw := congest.NewNetwork(ppm.Graph, 1)
+	nw := congest.NewNetwork(ppm.Graph)
 	cfg := d.Settings().CongestConfig()
 	seen := make([]bool, ppm.Graph.NumVertices())
 	if len(got.Detections) != len(ref.Detections) {
@@ -284,7 +284,7 @@ func TestDetectorCancellation(t *testing.T) {
 
 // TestDetectorMidRunCancellation: cancelling from inside a step observer
 // lands mid-run (between steps or ladder sizes) and surfaces
-// context.Canceled, on the solo and the parallel walkers.
+// context.Canceled, on the solo loop and the parallel engine's workers.
 func TestDetectorMidRunCancellation(t *testing.T) {
 	ppm := ppmGraph(t, 256, 2, 2, 0.1, 103)
 	for _, parallel := range []bool{false, true} {
@@ -347,12 +347,12 @@ func TestDetectorEngineAgreement(t *testing.T) {
 }
 
 // TestSettingsCongestTranslation: the shared options translate into every
-// field of congest.Config, while the pool's seed and batch and the
-// network's worker count stay in the settings.
+// field of congest.Config, while the pool's seed and batch stay in the
+// settings.
 func TestSettingsCongestTranslation(t *testing.T) {
 	s, err := Resolve(1000,
 		WithDelta(0.25), WithMinCommunitySize(7), WithMaxWalkLength(33),
-		WithPatience(2), WithSeed(99), WithCongestWorkers(3),
+		WithPatience(2), WithSeed(99),
 		WithTreeDepthLimit(12), WithMixingThreshold(0.2), WithGrowthFactor(1.5),
 		WithCongestBatch(6))
 	if err != nil {
@@ -366,9 +366,8 @@ func TestSettingsCongestTranslation(t *testing.T) {
 	if got != want {
 		t.Fatalf("translated config %+v, want %+v", got, want)
 	}
-	if s.Seed != 99 || s.CongestWorkers != 3 || s.CongestBatch != 6 {
-		t.Fatalf("pool settings seed=%d workers=%d batch=%d, want 99, 3, 6",
-			s.Seed, s.CongestWorkers, s.CongestBatch)
+	if s.Seed != 99 || s.CongestBatch != 6 {
+		t.Fatalf("pool settings seed=%d batch=%d, want 99, 6", s.Seed, s.CongestBatch)
 	}
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -110,35 +112,61 @@ func TestDetectCommunityMatchesLegacyProperty(t *testing.T) {
 	}
 }
 
-// TestDetectParallelMatchesSoloDetections: every detection of the lockstep
-// batched DetectParallel equals what DetectCommunity returns for the same
-// seed — the batch engine and per-walk trackers change the schedule, never
-// the result.
+// TestDetectParallelMatchesSoloDetections: the parallel engine's schedule
+// never changes a Result, and each walk's detection is the solo one of its
+// seed. At GOMAXPROCS 1, 2 and 4 — also with r = 8, more seeds than
+// workers, so one worker claims several — the whole Result (Raw, Assigned
+// and Stats of every detection) is the same on fresh detectors and on one
+// detector reused across the three. Its first r detections equal what
+// DetectCommunity returns for their seeds; any further ones are singleton
+// fillers for unclaimed vertices.
 func TestDetectParallelMatchesSoloDetections(t *testing.T) {
 	ppm := regressPPM(t, 17)
 	delta := ppm.Config.ExpectedConductance()
-	res, err := DetectParallel(ppm.Graph, ppm.Config.R, WithDelta(delta), WithSeed(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checked := 0
-	for _, det := range res.Detections {
-		if len(det.Raw) == 1 && det.Stats.WalkLength == 0 {
-			continue // singleton filler for an unclaimed vertex, no walk ran
-		}
-		solo, stats, err := DetectCommunity(ppm.Graph, det.Stats.Seed, WithDelta(delta))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for _, r := range []int{ppm.Config.R, 8} {
+		opts := []Option{WithDelta(delta), WithSeed(5)}
+		reused, err := NewDetector(ppm.Graph, append(opts, WithEngine(EngineParallel), WithCommunityEstimate(r))...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(det.Raw, solo) {
-			t.Fatalf("seed %d: batched raw community differs from solo", det.Stats.Seed)
+		var want *Result
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			fresh, err := DetectParallel(ppm.Graph, r, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			again, err := reused.Detect(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want == nil {
+				want = fresh
+			}
+			if !reflect.DeepEqual(fresh, want) || !reflect.DeepEqual(again, want) {
+				t.Fatalf("r=%d GOMAXPROCS=%d: Result differs from the GOMAXPROCS=1 run", r, procs)
+			}
 		}
-		if det.Stats != stats {
-			t.Fatalf("seed %d: batched stats %+v differ from solo %+v", det.Stats.Seed, det.Stats, stats)
+		for i, det := range want.Detections {
+			if i >= r {
+				v := det.Stats.Seed
+				filler := Detection{Raw: []int{v}, Assigned: []int{v}, Stats: CommunityStats{Seed: v, FinalSetSize: 1}}
+				if !reflect.DeepEqual(det, filler) {
+					t.Fatalf("r=%d detection %d: %+v is no singleton filler", r, i, det)
+				}
+				continue
+			}
+			solo, stats, err := DetectCommunity(ppm.Graph, det.Stats.Seed, WithDelta(delta))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(det.Raw, solo) {
+				t.Fatalf("r=%d seed %d: parallel raw community differs from solo", r, det.Stats.Seed)
+			}
+			if det.Stats != stats {
+				t.Fatalf("r=%d seed %d: parallel stats %+v differ from solo %+v", r, det.Stats.Seed, det.Stats, stats)
+			}
 		}
-		checked++
-	}
-	if checked == 0 {
-		t.Fatal("no real detections to compare")
 	}
 }

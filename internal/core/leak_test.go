@@ -11,7 +11,7 @@ import (
 )
 
 // settleGoroutines polls until the goroutine count drops back to the
-// baseline (cancelled walkers need a moment to observe ctx and unwind).
+// baseline (cancelled workers need a moment to observe ctx and unwind).
 func settleGoroutines(t *testing.T, base int, what string) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -29,15 +29,15 @@ func settleGoroutines(t *testing.T, base int, what string) {
 }
 
 // TestCancellationLeaksNoGoroutines: cancelling mid-run tears down the
-// DetectParallel walker goroutines and the CONGEST per-round worker pool
-// without leaving anything running — runtime.NumGoroutine returns to its
-// pre-run baseline after every cancelled run.
+// DetectParallel workers and the CONGEST ladder workers without leaving
+// anything running — runtime.NumGoroutine returns to its pre-run baseline
+// after every cancelled run.
 func TestCancellationLeaksNoGoroutines(t *testing.T) {
 	ppm := ppmGraph(t, 512, 4, 2, 0.1, 211)
 	base := runtime.NumGoroutine()
 
-	// Parallel engine: cancel from a walker's own step observer, so the
-	// cancellation lands while sibling walker goroutines are live.
+	// Parallel engine: cancel from a worker's own step observer, so the
+	// cancellation lands while the other workers are live.
 	{
 		ctx, cancel := context.WithCancel(context.Background())
 		steps := 0
@@ -55,12 +55,12 @@ func TestCancellationLeaksNoGoroutines(t *testing.T) {
 		settleGoroutines(t, base, "DetectParallel cancellation")
 	}
 
-	// CONGEST engine with a 4-goroutine per-round worker pool: cancel from
-	// the detection observer after the first community freezes.
+	// CONGEST engine: cancel from the detection observer after the first
+	// community freezes.
 	{
 		ctx, cancel := context.WithCancel(context.Background())
 		d, err := NewDetector(ppm.Graph,
-			WithEngine(EngineCongest), WithCongestWorkers(4),
+			WithEngine(EngineCongest),
 			WithDelta(ppm.Config.ExpectedConductance()),
 			WithDetectionObserver(func(Detection) { cancel() }))
 		if err != nil {
@@ -70,18 +70,18 @@ func TestCancellationLeaksNoGoroutines(t *testing.T) {
 			t.Fatalf("congest: error %v, want context.Canceled", err)
 		}
 		cancel()
-		settleGoroutines(t, base, "CONGEST worker-pool cancellation")
+		settleGoroutines(t, base, "CONGEST cancellation")
 	}
 
-	// Batched CONGEST pool (WithCongestBatch(4)) on 4 per-round workers
-	// and 4 ladder cores: cancel from the network's load observer once the
-	// first super-step's walks have a few shared rounds in flight.
+	// Batched CONGEST pool (WithCongestBatch(4)) on 4 ladder cores: cancel
+	// from the network's load observer once the first super-step's walks
+	// have a few shared rounds in flight.
 	{
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 		small := ppmGraph(t, 128, 4, 2, 0.1, 211)
 		ctx, cancel := context.WithCancel(context.Background())
 		d, err := NewDetector(small.Graph,
-			WithEngine(EngineCongest), WithCongestWorkers(4), WithCongestBatch(4),
+			WithEngine(EngineCongest), WithCongestBatch(4),
 			WithDelta(small.Config.ExpectedConductance()))
 		if err != nil {
 			t.Fatal(err)

@@ -24,8 +24,9 @@ const (
 	EngineReference Engine = iota
 	// EngineParallel is the multi-seed extension from the paper's
 	// conclusion: given an estimate r of the number of communities (set it
-	// with WithCommunityEstimate), all r walks advance in lockstep with one
-	// goroutine per live walk.
+	// with WithCommunityEstimate), the r seeds' walks run concurrently on
+	// min(r, GOMAXPROCS) goroutines, each walk the solo detection of its
+	// seed.
 	EngineParallel
 	// EngineCongest simulates the paper's §III distributed realisation:
 	// per-round probability flooding over a CONGEST network with exact
@@ -79,13 +80,6 @@ func WithCommunityEstimate(r int) Option {
 	return func(c *config) { c.communities = r }
 }
 
-// WithCongestWorkers sets the CONGEST simulator's per-round node-local
-// parallelism (the worker count of the detector's congest.Network). Ignored
-// by the in-memory engines.
-func WithCongestWorkers(w int) Option {
-	return func(c *config) { c.workers = w }
-}
-
 // WithTreeDepthLimit bounds the CONGEST engine's BFS tree depth
 // (congest.Config.TreeDepthLimit); negative means unbounded. Ignored by the
 // in-memory engines.
@@ -110,7 +104,7 @@ func WithCongestBatch(b int) Option {
 // communities are only final once every walk has stopped). The Detection's
 // slices are owned by the result; fn must not mutate them. The reference
 // and congest engines invoke fn from the calling goroutine; the parallel
-// engine emits sequentially after its walkers join, so fn never needs to be
+// engine emits sequentially after its workers join, so fn never needs to be
 // goroutine-safe. Detector.Stream is built on this hook.
 func WithDetectionObserver(fn func(Detection)) Option {
 	return func(c *config) { c.detObs = fn }
@@ -147,9 +141,10 @@ func WithCongestTransport(t congest.FloodTransport) Option {
 
 // SynchronizedObserver wraps a step observer in a mutex so it can be passed
 // to WithStepObserver under DetectParallel (which invokes the observer from
-// one goroutine per live walk) without hand-rolling locking in the callback.
-// The reference engine calls observers from a single goroutine, where the
-// uncontended lock costs a few nanoseconds per step.
+// up to min(r, GOMAXPROCS) worker goroutines at once) without hand-rolling
+// locking in the callback. The reference engine calls observers from a
+// single goroutine, where the uncontended lock costs a few nanoseconds per
+// step.
 func SynchronizedObserver(fn func(StepTiming)) func(StepTiming) {
 	return synchronized(fn)
 }
@@ -186,9 +181,7 @@ type Settings struct {
 	GrowthFactor     float64
 	// Communities is the parallel engine's r estimate (0 when unset).
 	Communities int
-	// CongestWorkers, TreeDepthLimit and CongestBatch are the CONGEST
-	// engine's knobs.
-	CongestWorkers int
+	// TreeDepthLimit and CongestBatch are the CONGEST engine's knobs.
 	TreeDepthLimit int
 	CongestBatch   int
 }
@@ -226,7 +219,6 @@ func (c *config) snapshot() Settings {
 		MixingThreshold:  threshold,
 		GrowthFactor:     growth,
 		Communities:      c.communities,
-		CongestWorkers:   c.workers,
 		TreeDepthLimit:   c.treeDepth,
 		CongestBatch:     c.congestBatch,
 	}
@@ -237,18 +229,17 @@ func (c *config) snapshot() Settings {
 // option sets stay distinguishable after the fact.
 func (s Settings) Fingerprint() string {
 	return fmt.Sprintf(
-		"engine=%s delta=%g R=%d L=%d patience=%d seed=%d threshold=%.6g growth=%.6g r=%d workers=%d tree-depth=%d congest-batch=%d",
+		"engine=%s delta=%g R=%d L=%d patience=%d seed=%d threshold=%.6g growth=%.6g r=%d tree-depth=%d congest-batch=%d",
 		s.Engine, s.Delta, s.MinCommunitySize, s.MaxWalkLength, s.Patience,
 		s.Seed, s.MixingThreshold, s.GrowthFactor,
-		s.Communities, s.CongestWorkers, s.TreeDepthLimit, s.CongestBatch)
+		s.Communities, s.TreeDepthLimit, s.CongestBatch)
 }
 
 // CongestConfig translates the resolved options into the CONGEST engine's
 // per-walk parameters; every field of congest.Config comes from a shared
-// option. Seed and CongestBatch stay here, since core runs the pool loop,
-// and CongestWorkers sizes the detector's network. WithStepObserver, a
-// diagnostic of the in-memory sweep, has no CONGEST counterpart and is
-// documented as in-memory-only.
+// option. Seed and CongestBatch stay here, since core runs the pool loop.
+// WithStepObserver, a diagnostic of the in-memory sweep, has no CONGEST
+// counterpart and is documented as in-memory-only.
 func (s Settings) CongestConfig() congest.Config {
 	return congest.Config{
 		Delta:            s.Delta,

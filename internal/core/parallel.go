@@ -6,30 +6,27 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"cdrw/internal/graph"
 	"cdrw/internal/rng"
 	"cdrw/internal/rw"
 )
 
-// parTask is one unit of walker work: advance walk i at walk length l. A
-// negative i is the stop sentinel that retires a worker at the end of a run.
-type parTask struct{ i, l int }
-
 // DetectParallel implements the extension sketched in the paper's
 // conclusion: "our algorithm can also be extended to find communities even
 // faster (by finding communities in parallel), assuming we know an
-// (estimate) of r". It draws r seeds and advances all r walks in lockstep,
-// one walk engine each over a shared degree index, with a pool of
-// persistent walker goroutines fed walk indices over a retained channel:
-// each task advances one walk (hybrid sparse/dense kernel) and runs its
-// mixing-set search, so stepping and sweeping overlap across cores without
-// spawning a goroutine per walk per step. It then resolves overlaps
+// (estimate) of r". It draws r seeds and detects their communities
+// concurrently: min(r, GOMAXPROCS) workers claim seeds from a shared cursor
+// and run each seed's whole solo detection — the walk loop DetectCommunity
+// and the pool loop run — each on its own walk engine over the detector's
+// one degree index, so every walk's detection equals DetectCommunity of its
+// seed whichever worker ran it. It then resolves overlaps
 // deterministically: a vertex claimed by several detections goes to the one
-// whose seed drew the lower pool position. Vertices claimed by no detection
-// are attached to the claiming community most frequent among their
-// neighbours (one label-propagation step), or form singletons if they have
-// no claimed neighbour.
+// whose seed was drawn first. Vertices claimed by no detection are attached
+// to the claiming community most frequent among their neighbours (one
+// label-propagation step), or form singletons if they have no claimed
+// neighbour.
 //
 // Seeds are spread apart: after the first uniform draw, each subsequent
 // seed is drawn from the vertices not yet covered by earlier seeds' balls
@@ -42,10 +39,10 @@ func DetectParallel(g *graph.Graph, r int, opts ...Option) (*Result, error) {
 	return DetectParallelContext(context.Background(), g, r, opts...)
 }
 
-// DetectParallelContext is DetectParallel with cancellation: ctx is polled
-// by every walker goroutine between steps and between ladder sizes, and the
-// first walker error (or the caller's cancellation) cancels the sibling
-// walkers before the run unwinds.
+// DetectParallelContext is DetectParallel with cancellation: every worker
+// polls ctx between walk steps and between ladder sizes, and the first
+// worker error (or the caller's cancellation) cancels the other workers
+// before the run unwinds.
 func DetectParallelContext(ctx context.Context, g *graph.Graph, r int, opts ...Option) (*Result, error) {
 	opts = append(opts[:len(opts):len(opts)],
 		WithEngine(EngineParallel), WithCommunityEstimate(r))
@@ -62,14 +59,6 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 	n := g.NumVertices()
 	r := d.cfg.communities
 	rnd := rng.New(d.cfg.seed)
-
-	// A cancelled sibling tears the whole run down: the first walker error
-	// cancels sctx, which every other walker polls between walk steps and
-	// between ladder sizes of its sweep.
-	sctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	cfg := d.cfg
-	cfg.mix.Interrupt = sctx.Err
 
 	// Draw spread-out seeds, reusing the detector's scratch.
 	if cap(d.parBlocked) < n {
@@ -101,121 +90,75 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 	}
 	d.parSeeds = seeds
 
-	// Detect all seeds' communities in lockstep: per walk length, every
-	// live walk runs one stepAndSweep — the same step DetectCommunity runs
-	// — so the outcome per seed is identical to running the seeds one by
-	// one. The walk engines and trackers are retained by the detector:
-	// repeat runs Reset them instead of rebuilding.
-	for len(d.parWalks) < r {
+	// Detect every seed's community on min(r, GOMAXPROCS) workers, the
+	// caller's goroutine being worker 0. The first worker error cancels
+	// sctx, which the other workers poll between walk steps and between
+	// ladder sizes; the run's trace rides sctx too. The detector retains
+	// the workers' walk engines and trackers: repeat runs Reset them
+	// instead of rebuilding.
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	cfg := d.beginRun(sctx)
+	defer d.endRun()
+	workers := min(r, runtime.GOMAXPROCS(0))
+	for len(d.parWalks) < workers {
 		d.parWalks = append(d.parWalks, rw.NewWalkEngineWithIndex(g, d.degreeIndex()))
 		d.parTrackers = append(d.parTrackers, &rw.CommunityTracker{})
-	}
-	walks, trackers := d.parWalks[:r], d.parTrackers[:r]
-	for i, s := range seeds {
-		if err := walks[i].Reset(s); err != nil {
-			return nil, err
-		}
-		trackers[i].Reset(s, cfg.stopRule())
 	}
 	if cap(d.parErrs) < r {
 		d.parErrs = make([]error, r)
 	}
 	errs := d.parErrs[:r]
-	for i := range errs {
-		errs[i] = nil
-	}
-	// Persistent walkers: one task runs step l of walk i (stepAndSweep).
-	// Instead of spawning a goroutine per live walk per step — whose
-	// creation cost dominates short steps under DetectorPool load — the run
-	// spawns min(r, GOMAXPROCS) workers once and feeds them walk indices
-	// over a channel the detector retains across runs.
+	clear(errs)
+	res := &Result{Detections: make([]Detection, r)}
+	var cursor atomic.Int64
 	var wg sync.WaitGroup
-	step := func(i, l int) {
+	work := func(w int) {
 		defer wg.Done()
-		if err := sctx.Err(); err != nil {
-			errs[i] = err
-			return
-		}
-		if err := cfg.stepAndSweep(walks[i], trackers[i], l); err != nil {
-			errs[i] = err
-			cancel() // first error cancels the sibling walkers
+		for {
+			i := int(cursor.Add(1) - 1)
+			if i >= r {
+				return
+			}
+			raw, stats, err := detectCommunity(sctx, d.parWalks[w], d.parTrackers[w], seeds[i], cfg)
+			if err != nil {
+				errs[i] = err
+				cancel()
+				return
+			}
+			// raw is the tracker's buffer, which the worker's next seed
+			// rewinds; Result slices stay safe to retain.
+			res.Detections[i] = Detection{Raw: append([]int(nil), raw...), Stats: stats}
 		}
 	}
-	if cap(d.parWork) < r {
-		d.parWork = make(chan parTask, r)
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work(w)
 	}
-	work := d.parWork
-	workers := r
-	if mp := runtime.GOMAXPROCS(0); workers > mp {
-		workers = mp
+	work(0)
+	wg.Wait()
+	// The first genuine worker error wins: once one worker fails and
+	// cancels sctx, the others abort with the induced context error, which
+	// must not mask the root cause. Pure context errors (the caller
+	// cancelled) surface as such.
+	var ctxErr error
+	ctxSeed := 0
+	for i, err := range errs {
+		if err == nil {
+			continue
+		}
+		if !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
+			return nil, fmt.Errorf("core: parallel community of seed %d: %w", seeds[i], err)
+		}
+		if ctxErr == nil {
+			ctxErr, ctxSeed = err, seeds[i]
+		}
 	}
-	var workerWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		workerWG.Add(1)
-		go func() {
-			defer workerWG.Done()
-			for t := range work {
-				if t.i < 0 {
-					return
-				}
-				step(t.i, t.l)
-			}
-		}()
-	}
-	// Stop the workers on every exit path and join them before returning:
-	// the channel is retained across runs, so a worker left alive here
-	// could steal the next run's tasks (or its stop sentinels) and run this
-	// run's stale closure. The channel's capacity is at least r ≥ workers
-	// and the dispatch loop always joins (wg.Wait) before returning, so the
-	// sentinel sends cannot block, and every worker consumes exactly one
-	// sentinel — the channel is empty once workerWG settles.
-	defer func() {
-		for w := 0; w < workers; w++ {
-			work <- parTask{i: -1}
-		}
-		workerWG.Wait()
-	}()
-	// Each round dispatches step l of every walk whose tracker has not
-	// ended it; the run ends when no walk is live (every tracker ends its
-	// walk by the length cap at the latest).
-	for l := 1; ; l++ {
-		live := 0
-		for i := range trackers {
-			if !trackers[i].Done() {
-				live++
-				wg.Add(1)
-				work <- parTask{i: i, l: l}
-			}
-		}
-		if live == 0 {
-			break
-		}
-		wg.Wait()
-		// The first genuine walker error wins: once one walker fails and
-		// cancels sctx, its siblings abort with the induced context error,
-		// which must not mask the root cause. Pure context errors (the
-		// caller cancelled) surface as such.
-		var ctxErr error
-		ctxSeed := 0
-		for i := range trackers {
-			if errs[i] == nil {
-				continue
-			}
-			if !errors.Is(errs[i], context.Canceled) && !errors.Is(errs[i], context.DeadlineExceeded) {
-				return nil, fmt.Errorf("core: parallel community of seed %d: %w", seeds[i], errs[i])
-			}
-			if ctxErr == nil {
-				ctxErr, ctxSeed = errs[i], seeds[i]
-			}
-		}
-		if ctxErr != nil {
-			return nil, fmt.Errorf("core: parallel community of seed %d: %w", ctxSeed, ctxErr)
-		}
+	if ctxErr != nil {
+		return nil, fmt.Errorf("core: parallel community of seed %d: %w", ctxSeed, ctxErr)
 	}
 
-	// Resolve overlaps: earlier seed index wins. Raw is copied out of the
-	// tracker (its buffer rewinds on the detector's next run); Result slices
-	// stay safe to retain, per the Detector contract.
+	// Resolve overlaps: earlier seed index wins.
 	if cap(d.parOwner) < n {
 		d.parOwner = make([]int, n)
 	}
@@ -223,17 +166,15 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 	for v := range owner {
 		owner[v] = -1
 	}
-	res := &Result{Detections: make([]Detection, r)}
-	for i, t := range trackers {
-		raw := append([]int(nil), t.Community()...)
-		kept := make([]int, 0, len(raw))
-		for _, v := range raw {
+	for i := range res.Detections {
+		det := &res.Detections[i]
+		det.Assigned = make([]int, 0, len(det.Raw))
+		for _, v := range det.Raw {
 			if owner[v] < 0 {
 				owner[v] = i
-				kept = append(kept, v)
+				det.Assigned = append(det.Assigned, v)
 			}
 		}
-		res.Detections[i] = Detection{Raw: raw, Assigned: kept, Stats: t.Stats()}
 	}
 
 	// Attach unclaimed vertices by neighbour majority (repeat until stable

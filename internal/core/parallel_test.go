@@ -6,10 +6,11 @@ import (
 	"testing"
 
 	"cdrw/internal/metrics"
+	"cdrw/internal/trace"
 )
 
 // TestDetectorParallelReuse: repeat Detect runs on one parallel-engine
-// Detector (which Resets its retained batch engine and trackers instead of
+// Detector (which Resets its retained walk engines and trackers instead of
 // rebuilding them) return results identical to fresh Detectors, and earlier
 // Results stay intact after later runs — Raw/Assigned must not alias the
 // retained tracker buffers.
@@ -191,5 +192,26 @@ func TestDetectParallelSingleSeed(t *testing.T) {
 	if len(res.Detections[0].Assigned) < 250 {
 		t.Fatalf("single-seed parallel detection assigned %d of 256",
 			len(res.Detections[0].Assigned))
+	}
+}
+
+// TestDetectTracesWalkAndSweep: a traced Detect attributes walk and sweep
+// time to the request's trace on both in-memory engines, the parallel
+// engine's concurrent workers included.
+func TestDetectTracesWalkAndSweep(t *testing.T) {
+	ppm := ppmGraph(t, 256, 4, 2, 0.1, 51)
+	for _, e := range []Engine{EngineReference, EngineParallel} {
+		d, err := NewDetector(ppm.Graph, WithDelta(ppm.Config.ExpectedConductance()),
+			WithEngine(e), WithCommunityEstimate(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr := trace.New("detect", "detect")
+		if _, err := d.Detect(trace.NewContext(context.Background(), tr)); err != nil {
+			t.Fatal(err)
+		}
+		if walk, sweep := tr.PhaseNS(trace.PhaseWalk), tr.PhaseNS(trace.PhaseSweep); walk <= 0 || sweep <= 0 {
+			t.Fatalf("%v engine: traced walk %d ns and sweep %d ns, want both positive", e, walk, sweep)
+		}
 	}
 }

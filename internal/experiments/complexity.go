@@ -64,7 +64,7 @@ func CongestRounds(cfg Config) (*Figure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("congest-rounds n=%d: %w", r*s, err)
 		}
-		nw := congest.NewNetwork(ppm.Graph, 1)
+		nw := congest.NewNetwork(ppm.Graph)
 		_, stats, err := congest.DetectCommunity(nw, 0, ccfg)
 		if err != nil {
 			return nil, fmt.Errorf("congest-rounds n=%d: %w", r*s, err)
@@ -185,7 +185,7 @@ func KMachineScaling(cfg Config) (*Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		nw := congest.NewNetwork(ppm.Graph, 1)
+		nw := congest.NewNetwork(ppm.Graph)
 		// The load observer feeds the conversion every round as per-link
 		// aggregate word counts.
 		nw.SetLoadObserver(sim.LoadObserver())

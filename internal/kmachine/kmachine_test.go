@@ -147,7 +147,7 @@ func TestLoadObserverEndToEndMatchesTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := congest.NewNetwork(ppm.Graph, 1)
+	nw := congest.NewNetwork(ppm.Graph)
 	nw.SetLoadObserver(seqSim.LoadObserver())
 	for _, s := range seeds {
 		if _, _, err := congest.DetectCommunity(nw, s, ccfg); err != nil {
@@ -158,7 +158,7 @@ func TestLoadObserverEndToEndMatchesTraffic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw2 := congest.NewNetwork(ppm.Graph, 1)
+	nw2 := congest.NewNetwork(ppm.Graph)
 	nw2.SetLoadObserver(batSim.LoadObserver())
 	if _, err := congest.DetectBatch(nw2, seeds, ccfg); err != nil {
 		t.Fatal(err)
@@ -192,7 +192,7 @@ func TestRunSuspendsInstalledObservers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := congest.NewNetwork(g, 1)
+	nw := congest.NewNetwork(g)
 	// The pre-Run idiom: the caller wired the load observer themselves.
 	var callerRounds int
 	callerObs := sim.LoadObserver()
@@ -241,7 +241,7 @@ func TestEndToEndScalingInK(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		nw := congest.NewNetwork(ppm.Graph, 1)
+		nw := congest.NewNetwork(ppm.Graph)
 		nw.SetLoadObserver(sim.LoadObserver())
 		cfg := walkConfig(t, 256)
 		cfg.Delta = cfgGen.ExpectedConductance()
@@ -283,7 +283,7 @@ func TestSimulatedRoundsRespectConversionBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nw := congest.NewNetwork(g, 1)
+	nw := congest.NewNetwork(g)
 	nw.SetLoadObserver(sim.LoadObserver())
 	_, stats, err := congest.DetectCommunity(nw, 0, walkConfig(t, 256))
 	if err != nil {

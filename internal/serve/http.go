@@ -43,8 +43,7 @@ type OptionsJSON struct {
 	Seed *uint64 `json:"seed,omitempty"`
 	// Communities is the parallel engine's r estimate.
 	Communities *int `json:"communities,omitempty"`
-	// CongestWorkers, TreeDepthLimit and CongestBatch are the CONGEST knobs.
-	CongestWorkers *int `json:"congest_workers,omitempty"`
+	// TreeDepthLimit and CongestBatch are the CONGEST knobs.
 	TreeDepthLimit *int `json:"tree_depth_limit,omitempty"`
 	CongestBatch   *int `json:"congest_batch,omitempty"`
 }
@@ -76,9 +75,6 @@ func (o OptionsJSON) Options() ([]core.Option, error) {
 	}
 	if o.Communities != nil {
 		opts = append(opts, core.WithCommunityEstimate(*o.Communities))
-	}
-	if o.CongestWorkers != nil {
-		opts = append(opts, core.WithCongestWorkers(*o.CongestWorkers))
 	}
 	if o.TreeDepthLimit != nil {
 		opts = append(opts, core.WithTreeDepthLimit(*o.TreeDepthLimit))

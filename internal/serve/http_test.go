@@ -204,6 +204,9 @@ func TestHTTPUploadAndValidation(t *testing.T) {
 		http.StatusBadRequest, &e)
 	do(t, "POST", srv.URL+"/graphs/tri/detect", strings.NewReader(`{"unknown_field":1}`),
 		http.StatusBadRequest, &e)
+	// A removed option is refused like any unknown field, not ignored.
+	do(t, "POST", srv.URL+"/graphs/tri/detect", strings.NewReader(`{"engine":"congest","congest_workers":4}`),
+		http.StatusBadRequest, &e)
 	do(t, "POST", srv.URL+"/graphs/none/detect", nil, http.StatusNotFound, &e)
 	do(t, "DELETE", srv.URL+"/graphs/none", nil, http.StatusNotFound, &e)
 	do(t, "POST", srv.URL+"/graphs/g/generate", strings.NewReader(`{"model":"cube","n":8}`),
