@@ -9,8 +9,11 @@ import (
 	"context"
 	"io"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -700,6 +703,61 @@ func BenchmarkDetectorPoolThroughput(b *testing.B) {
 		}
 		reportReqPerSec(b)
 	})
+
+	// warm-http: the warm tier through the daemon's handler — routing, body
+	// decode, the request trace, the registry hit and the writing of the
+	// line's stored detections — into a ResponseWriter that discards them,
+	// so no socket or client cost enters ns/op and B/op.
+	b.Run("warm-http", func(b *testing.B) {
+		g, opts := benchServeGraph(b)
+		reg := cdrw.NewGraphRegistry(2, nil)
+		if err := reg.Register("g", g, opts...); err != nil {
+			b.Fatal(err)
+		}
+		h := cdrw.NewServeHandler(reg, nil)
+		w := &discardResponse{header: make(http.Header)}
+		serve := func() {
+			w.reset()
+			h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/graphs/g/detect", strings.NewReader("{}")))
+			if w.status != http.StatusOK || w.written == 0 {
+				b.Fatalf("warm-http: status %d, %d bytes", w.status, w.written)
+			}
+		}
+		serve() // fill the line and encode its detections
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			serve()
+		}
+		reportReqPerSec(b)
+	})
+}
+
+// discardResponse is an http.ResponseWriter that keeps the status and the
+// body's size and drops the body.
+type discardResponse struct {
+	header  http.Header
+	status  int
+	written int
+}
+
+func (w *discardResponse) reset() {
+	clear(w.header)
+	w.status, w.written = 0, 0
+}
+
+func (w *discardResponse) Header() http.Header { return w.header }
+
+func (w *discardResponse) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
+	}
+}
+
+func (w *discardResponse) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	w.written += len(p)
+	return len(p), nil
 }
 
 // BenchmarkDetectCommunity measures the end-to-end single-seed detection on

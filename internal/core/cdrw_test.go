@@ -144,7 +144,12 @@ func TestDetectPartitionsGraph(t *testing.T) {
 	}
 	n := ppm.Graph.NumVertices()
 	seen := make([]bool, n)
-	for _, det := range res.Detections {
+	for i, det := range res.Detections {
+		// A cached Result retains every piece, so none carries spare
+		// capacity.
+		if cap(det.Assigned) != len(det.Assigned) {
+			t.Fatalf("detection %d: assigned piece has cap %d for %d vertices", i, cap(det.Assigned), len(det.Assigned))
+		}
 		for _, v := range det.Assigned {
 			if seen[v] {
 				t.Fatalf("vertex %d assigned twice", v)

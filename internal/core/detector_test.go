@@ -132,6 +132,9 @@ func TestDetectorCongestMatchesSoloRuns(t *testing.T) {
 			t.Fatalf("detection %d (seed %d) differs from a solo run: stats %+v vs %+v",
 				i, det.Stats.Seed, det.Stats, wantStats.CommunityStats)
 		}
+		if cap(det.Assigned) != len(det.Assigned) {
+			t.Fatalf("detection %d: assigned piece has cap %d for %d vertices", i, cap(det.Assigned), len(det.Assigned))
+		}
 		for _, v := range det.Assigned {
 			if seen[v] {
 				t.Fatalf("vertex %d assigned twice", v)

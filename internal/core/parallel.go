@@ -84,9 +84,7 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 		}
 		s := free[rnd.Intn(len(free))]
 		seeds = append(seeds, s)
-		for _, v := range g.Ball(s, 2) {
-			blocked[v] = true
-		}
+		g.MarkBall2(s, blocked, true)
 	}
 	d.parSeeds = seeds
 

@@ -55,6 +55,7 @@ func (d *Detector) detectPool(ctx context.Context, batch int, detect detectSeeds
 	// the buffer whatever batch asks for.
 	seeds := make([]int, 0, min(max(batch, 1), n))
 	var step []Detection
+	var piece []int // one detection's assigned vertices, before the copy
 
 	res := &Result{}
 	for len(pool) > 0 {
@@ -75,18 +76,20 @@ func (d *Detector) detectPool(ctx context.Context, batch int, detect detectSeeds
 			// The assigned piece keeps only vertices not already claimed;
 			// the seed is kept unless an earlier detection of this
 			// super-step claimed it.
-			kept := make([]int, 0, len(det.Raw))
+			piece = piece[:0]
 			for _, v := range det.Raw {
 				if !assigned[v] {
-					kept = append(kept, v)
+					piece = append(piece, v)
 					assigned[v] = true
 				}
 			}
 			if !assigned[s] {
-				kept = append(kept, s)
+				piece = append(piece, s)
 				assigned[s] = true
 			}
-			det.Assigned = kept
+			// A cached Result retains every piece, so each is copied out
+			// at its exact size.
+			det.Assigned = append(make([]int, 0, len(piece)), piece...)
 			res.Detections = append(res.Detections, det)
 			if !d.emit(det) {
 				return res, errStreamStop
@@ -149,9 +152,7 @@ func (b *batchDraw) extend(r *rng.RNG, pool []int, assigned []bool, seeds []int)
 	// len(pool) ≥ batch·R, divided out so that a huge batch cannot overflow
 	// the product.
 	if len(pool)/b.minSize >= b.batch {
-		for _, u := range g.Ball(seeds[0], 2) {
-			b.blocked[u] = true
-		}
+		g.MarkBall2(seeds[0], b.blocked, true)
 		for len(seeds) < b.batch && len(seeds) < len(pool) {
 			b.free = b.free[:0]
 			for _, v := range pool {
@@ -164,14 +165,10 @@ func (b *batchDraw) extend(r *rng.RNG, pool []int, assigned []bool, seeds []int)
 			}
 			s := b.free[r.Intn(len(b.free))]
 			seeds = append(seeds, s)
-			for _, u := range g.Ball(s, 2) {
-				b.blocked[u] = true
-			}
+			g.MarkBall2(s, b.blocked, true)
 		}
 		for _, s := range seeds {
-			for _, u := range g.Ball(s, 2) {
-				b.blocked[u] = false
-			}
+			g.MarkBall2(s, b.blocked, false)
 		}
 		return seeds
 	}

@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"testing"
+
+	"cdrw/internal/rng"
 )
 
 // path returns the path graph 0-1-2-...-(n-1).
@@ -227,20 +229,49 @@ func TestBFSLimitedDepth(t *testing.T) {
 	}
 }
 
+// TestBall: MarkBall2 marks exactly the vertices a depth-2 BFS reaches —
+// on a path, where B_2(4) = {2..6}, and on random graphs — and unmarking
+// the same ball leaves the mask clear.
 func TestBall(t *testing.T) {
 	g := path(t, 9)
-	ball := g.Ball(4, 2)
-	if len(ball) != 5 {
-		t.Fatalf("|B_2(4)| = %d, want 5", len(ball))
-	}
-	want := map[int]bool{2: true, 3: true, 4: true, 5: true, 6: true}
-	for _, v := range ball {
-		if !want[v] {
-			t.Errorf("unexpected ball member %d", v)
+	mask := make([]bool, 9)
+	g.MarkBall2(4, mask, true)
+	for v, in := range mask {
+		if want := v >= 2 && v <= 6; in != want {
+			t.Errorf("vertex %d marked %v, want %v", v, in, want)
 		}
 	}
-	if got := g.Ball(4, 0); len(got) != 1 || got[0] != 4 {
-		t.Fatalf("B_0(4) = %v, want [4]", got)
+
+	r := rng.New(0xba11)
+	for trial := 0; trial < 20; trial++ {
+		n := 8 + r.Intn(40)
+		b := NewBuilder(n)
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				if r.Float64() < 3/float64(n) {
+					b.AddEdge(u, v)
+				}
+			}
+		}
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := make([]bool, n)
+		s := r.Intn(n)
+		g.MarkBall2(s, mask, true)
+		bfs := g.BFSLimited(s, 2)
+		for v, in := range mask {
+			if want := bfs.Depth[v] >= 0; in != want {
+				t.Fatalf("trial %d: vertex %d marked %v, depth %d from %d", trial, v, in, bfs.Depth[v], s)
+			}
+		}
+		g.MarkBall2(s, mask, false)
+		for v, in := range mask {
+			if in {
+				t.Fatalf("trial %d: vertex %d still marked after unmarking", trial, v)
+			}
+		}
 	}
 }
 

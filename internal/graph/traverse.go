@@ -69,13 +69,18 @@ func (g *Graph) BFSLimited(source, depthLimit int) *BFSResult {
 	return res
 }
 
-// Ball returns the set of vertices within radius hops of source, in BFS
-// order. Radius 0 returns just the source. This is the B_ℓ ball of Lemma 1.
-func (g *Graph) Ball(source, radius int) []int {
-	res := g.BFSLimited(source, radius)
-	ball := make([]int, len(res.Order))
-	copy(ball, res.Order)
-	return ball
+// MarkBall2 sets mask[u] = v for every vertex u within two hops of source —
+// the source, its neighbours and theirs: the B_2 ball of Lemma 1. It
+// allocates nothing, so a caller blocks and unblocks balls in one retained
+// mask.
+func (g *Graph) MarkBall2(source int, mask []bool, v bool) {
+	mask[source] = v
+	for _, u := range g.Neighbors(source) {
+		mask[u] = v
+		for _, w := range g.Neighbors(int(u)) {
+			mask[w] = v
+		}
+	}
 }
 
 // ConnectedComponents returns a label per vertex (components numbered from 0

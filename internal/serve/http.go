@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -495,14 +496,6 @@ func (s *server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, graphInfoJSON{Name: name, Vertices: g.NumVertices(), Edges: g.NumEdges()})
 }
 
-// detectResponse is the full-run answer.
-type detectResponse struct {
-	Graph       string          `json:"graph"`
-	Fingerprint string          `json:"fingerprint"`
-	Cached      bool            `json:"cached"`
-	Detections  []detectionJSON `json:"detections"`
-}
-
 func (s *server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	var req OptionsJSON
@@ -516,16 +509,18 @@ func (s *server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var (
-		res      *core.Result
+		line     *detectLine
 		settings core.Settings
 		cached   bool
 	)
 	handled := false
 	if s.cluster != nil {
+		var res *core.Result
 		res, settings, handled, err = s.cluster.Detect(r.Context(), name, opts...)
+		line = &detectLine{res: res} // cluster runs are not cached
 	}
 	if !handled {
-		res, settings, cached, err = s.reg.Detect(r.Context(), name, opts...)
+		line, settings, cached, err = s.reg.detect(r.Context(), name, opts...)
 	}
 	if err != nil {
 		s.writeError(w, errStatus(err), err)
@@ -533,16 +528,33 @@ func (s *server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	}
 	slog.Debug("detection served", "request_id", trace.FromContext(r.Context()).ID(),
 		"graph", name, "engine", settings.Engine.String(), "cached", cached, "cluster", handled)
-	out := detectResponse{
-		Graph:       name,
-		Fingerprint: settings.Fingerprint(),
-		Cached:      cached,
-		Detections:  make([]detectionJSON, len(res.Detections)),
-	}
-	for i, det := range res.Detections {
-		out.Detections[i] = toDetectionJSON(det)
-	}
-	writeJSON(w, out)
+	writeDetect(w, name, settings.Fingerprint(), cached, line.detectionsJSON())
+}
+
+// detectHead is the full-run answer's fields before its detections.
+type detectHead struct {
+	Graph       string `json:"graph"`
+	Fingerprint string `json:"fingerprint"`
+	Cached      bool   `json:"cached"`
+}
+
+// writeDetect writes a full-run answer, {"graph","fingerprint","cached",
+// "detections"} in that order: the head encoded as json.Encoder encodes it
+// (HTML escaping included), then the line's stored detections, so a fresh,
+// collapsed and cached answer differ only in "cached", and a hit costs a
+// copy instead of an encoding.
+func writeDetect(w http.ResponseWriter, name, fp string, cached bool, detections []byte) {
+	// Two strings and a bool: the encoding cannot fail.
+	head, _ := json.Marshal(detectHead{Graph: name, Fingerprint: fp, Cached: cached})
+	head = append(head[:len(head)-1], `,"detections":`...) // reopen the object
+	const tail = "}\n"
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(head)+len(detections)+len(tail)))
+	// A failed write means the client is gone; no one is left to answer.
+	_, _ = w.Write(head)
+	_, _ = w.Write(detections)
+	_, _ = io.WriteString(w, tail)
 }
 
 // communityRequest is a single-seed detection request.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -45,7 +46,7 @@ const defaultCacheCap = 256
 //     requests collapse onto one run instead of each burning a handle.
 //
 // Cached results are shared between callers and must be treated as
-// read-only; the daemon only marshals them.
+// read-only; the daemon only encodes them, each full-run line once.
 //
 // All methods are safe for concurrent use.
 type Registry struct {
@@ -59,7 +60,7 @@ type Registry struct {
 
 	mu      sync.Mutex
 	entries map[string]*entry
-	cache   map[string]*core.Result
+	cache   map[string]*detectLine
 	comm    map[string]commCached
 	order   []string // cache+comm insertion order, for FIFO eviction
 	flights map[string]*flight
@@ -98,10 +99,36 @@ type commCached struct {
 	fp        string
 }
 
-// flight is one in-flight Detect run identical requests collapse onto.
+// detectLine is one cached full run. Its detections are encoded once, the
+// first time the HTTP layer serves the line, and the bytes live and die with
+// the line: eviction, ApplyDelta and a replacing Register drop both. The
+// line is immutable under its (generation, fingerprint) key, so every later
+// /detect answer writes the same bytes.
+type detectLine struct {
+	res  *core.Result
+	once sync.Once
+	body []byte // the JSON detections array, set by once
+}
+
+// detectionsJSON returns the line's detections as a JSON array, encoding
+// them on the first call.
+func (l *detectLine) detectionsJSON() []byte {
+	l.once.Do(func() {
+		dets := make([]detectionJSON, len(l.res.Detections))
+		for i, det := range l.res.Detections {
+			dets[i] = toDetectionJSON(det)
+		}
+		// Ints and bools only: the encoding cannot fail.
+		l.body, _ = json.Marshal(dets)
+	})
+	return l.body
+}
+
+// flight is one in-flight Detect run identical requests collapse onto; line
+// is set when the run succeeds.
 type flight struct {
 	done chan struct{}
-	res  *core.Result
+	line *detectLine
 	err  error
 }
 
@@ -116,7 +143,7 @@ func NewRegistry(poolSize int, m *metrics.ServeMetrics) *Registry {
 		poolSize: poolSize,
 		m:        m,
 		entries:  make(map[string]*entry),
-		cache:    make(map[string]*core.Result),
+		cache:    make(map[string]*detectLine),
 		comm:     make(map[string]commCached),
 		flights:  make(map[string]*flight),
 	}
@@ -292,6 +319,16 @@ func (r *Registry) rememberLocked(key string) {
 // of inheriting the foreign cancellation. The returned Result is shared;
 // treat it as read-only.
 func (r *Registry) Detect(ctx context.Context, name string, opts ...core.Option) (*core.Result, core.Settings, bool, error) {
+	line, settings, cached, err := r.detect(ctx, name, opts...)
+	if err != nil {
+		return nil, settings, false, err
+	}
+	return line.res, settings, cached, nil
+}
+
+// detect is Detect returning the cache line, which the HTTP layer answers
+// from. On error the line is nil.
+func (r *Registry) detect(ctx context.Context, name string, opts ...core.Option) (*detectLine, core.Settings, bool, error) {
 	// Cache-phase attribution: everything from the request's start until
 	// this request either answers from the cache layer or commits to a
 	// live run — routing, body decode, pool resolution and the
@@ -313,7 +350,7 @@ func (r *Registry) Detect(ctx context.Context, name string, opts ...core.Option)
 	var f *flight
 	for {
 		r.mu.Lock()
-		if res, ok := r.cache[key]; ok {
+		if line, ok := r.cache[key]; ok {
 			r.mu.Unlock()
 			if tr != nil {
 				tr.AddPhase(trace.PhaseCache, time.Since(cacheStart))
@@ -321,7 +358,7 @@ func (r *Registry) Detect(ctx context.Context, name string, opts ...core.Option)
 			if r.m != nil {
 				r.m.IncCacheHit()
 			}
-			return res, settings, true, nil
+			return line, settings, true, nil
 		}
 		lead, inFlight := r.flights[key]
 		if !inFlight {
@@ -342,7 +379,7 @@ func (r *Registry) Detect(ctx context.Context, name string, opts ...core.Option)
 			if tr != nil {
 				tr.AddPhase(trace.PhaseCache, time.Since(cacheStart))
 			}
-			return lead.res, settings, false, lead.err
+			return lead.line, settings, false, lead.err
 		case <-ctx.Done():
 			return nil, settings, false, fmt.Errorf("serve: %w", ctx.Err())
 		}
@@ -355,19 +392,24 @@ func (r *Registry) Detect(ctx context.Context, name string, opts ...core.Option)
 	}
 
 	res, err := p.Detect(ctx)
-	f.res, f.err = res, err
+	f.err = err
 
 	r.mu.Lock()
 	delete(r.flights, key)
 	if err == nil {
-		if _, dup := r.cache[key]; !dup {
-			r.cache[key] = res
+		// A stream may have filled the line meanwhile; answer from it, so
+		// its detections are encoded once.
+		if line, dup := r.cache[key]; dup {
+			f.line = line
+		} else {
+			f.line = &detectLine{res: res}
+			r.cache[key] = f.line
 			r.rememberLocked(key)
 		}
 	}
 	r.mu.Unlock()
 	close(f.done)
-	return res, settings, false, err
+	return f.line, settings, false, err
 }
 
 // leaderCancelled reports whether a flight failed with its leader's context
@@ -441,14 +483,14 @@ func (r *Registry) Stream(ctx context.Context, name string, opts ...core.Option)
 	key := cacheKey(name, gen, "detect", fp)
 
 	r.mu.Lock()
-	res, hit := r.cache[key]
+	line, hit := r.cache[key]
 	r.mu.Unlock()
 	if hit {
 		if r.m != nil {
 			r.m.IncCacheHit()
 		}
 		return func(yield func(core.Detection, error) bool) {
-			for _, det := range res.Detections {
+			for _, det := range line.res.Detections {
 				if !yield(det, nil) {
 					return
 				}
@@ -486,7 +528,7 @@ func (r *Registry) Stream(ctx context.Context, name string, opts ...core.Option)
 		}
 		r.mu.Lock()
 		if _, dup := r.cache[key]; !dup {
-			r.cache[key] = &core.Result{Detections: dets}
+			r.cache[key] = &detectLine{res: &core.Result{Detections: dets}}
 			r.rememberLocked(key)
 		}
 		r.mu.Unlock()
