@@ -60,7 +60,10 @@ func startCluster(t testing.TB, k int, placementSeed uint64) *testCluster {
 		}
 		srv := &http.Server{Handler: serve.NewClusterHandler(reg, m, node)}
 		go func(ln net.Listener) { _ = srv.Serve(ln) }(lns[i])
+		// Cleanups run newest first: the node closes its links (which
+		// http.Server.Close leaves open) before its server closes.
 		t.Cleanup(func() { _ = srv.Close() })
+		t.Cleanup(node.Stop)
 		tc.nodes = append(tc.nodes, node)
 		tc.regs = append(tc.regs, reg)
 	}
@@ -269,7 +272,7 @@ func TestClusterSessionErrors(t *testing.T) {
 		Session: "t1", Graph: "ppm", Members: ranks,
 		Vertices: g.NumVertices(), Edges: g.NumEdges(), PlacementSeed: 1,
 	}
-	if err := node.createSession(sreq); err != nil {
+	if _, err := node.createSession(sreq, ""); err != nil {
 		t.Fatal(err)
 	}
 	defer node.dropSession("t1")
@@ -289,7 +292,7 @@ func TestClusterSessionErrors(t *testing.T) {
 	bad := sreq
 	bad.Session = "t2"
 	bad.Vertices++
-	if err := node.createSession(bad); err == nil || !strings.Contains(err.Error(), "identical graphs") {
+	if _, err := node.createSession(bad, ""); err == nil || !strings.Contains(err.Error(), "identical graphs") {
 		t.Fatalf("mismatched graph: got %v", err)
 	}
 
@@ -297,7 +300,7 @@ func TestClusterSessionErrors(t *testing.T) {
 	bad = sreq
 	bad.Session = "t3"
 	bad.Graph = "missing"
-	if err := node.createSession(bad); !errors.Is(err, serve.ErrCluster) {
+	if _, err := node.createSession(bad, ""); !errors.Is(err, serve.ErrCluster) {
 		t.Fatalf("missing graph: want ErrCluster, got %v", err)
 	}
 }

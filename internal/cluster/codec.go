@@ -3,16 +3,17 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 )
 
 // The binary round codec: the wire form of every per-round message — the
 // shares one shard freezes for one peer (shard → shard), the owned support
-// the driver routes to a shard (advance request), and the shard's
-// next-step support (advance reply). All three carry, per walk, sparse
-// (vertex, value) entries in ascending vertex order. Layout, integers
-// LEB128 varints (unsigned, except the reply's signed timings), floats
-// little-endian IEEE 754:
+// the driver routes to a shard (advance request), the shard's next-step
+// support (advance reply) and a shard's failed round (error). The first
+// three carry, per walk, sparse (vertex, value) entries in ascending vertex
+// order. Layout, integers LEB128 varints in their shortest form (unsigned,
+// except the reply's signed timings), floats little-endian IEEE 754:
 //
 //	byte    magic           0xC5 shares, 0xC6 advance request, 0xC7 advance reply
 //	byte    0x01            version
@@ -25,26 +26,37 @@ import (
 //	reply only:
 //	  3 × varint           freeze, pull and gather nanoseconds
 //
+// An error payload is 0xC8 0x01, a uvarint HTTP status the failure would
+// have answered with, and its message (at most maxErrorText bytes).
+//
 // Delta coding leans on an invariant every sender guarantees: entries are
 // emitted in ascending vertex order (boundary lists, owned lists and
 // support scans all ascend), so every delta after the first is ≥ 1 and
 // small — typically one or two bytes against the 8-byte float it labels.
 // The float bits cross the wire verbatim, so the codec is numerically exact
-// and the bit-identity contract of congest.FloodTransport survives. The
-// puller of a shares payload counts its encoded size as the measured wire
-// load of that machine link for the round.
+// and the bit-identity contract of congest.FloodTransport survives. Every
+// payload travels in one frame on a link (link.go):
+//
+//	byte    session id length (1 to maxSessionID)
+//	bytes   session id
+//	uint32  payload length, big-endian
+//	bytes   payload
+//
+// The receiver of a shares frame counts its size as the measured wire load
+// of that machine link for the round.
 const (
 	shareMagic        = 0xC5
 	advanceMagic      = 0xC6
 	advanceReplyMagic = 0xC7
+	errorMagic        = 0xC8
 	codecVersion      = 0x01
 
-	// The content types name the codec on the wire; the version is part of
-	// the name so a future layout change is a new content type, not a parse
-	// ambiguity. Advance requests and replies share one, told apart by
-	// their magic.
-	shareContentType   = "application/x-cdrw-shares-v1"
-	advanceContentType = "application/x-cdrw-advance-v1"
+	// maxSessionID bounds a session id, so a frame header fits a fixed
+	// buffer; frameOverhead is the header's size besides the id.
+	maxSessionID  = 64
+	frameOverhead = 1 + 4
+	// maxErrorText bounds an error frame's message.
+	maxErrorText = 512
 )
 
 // codecName names a message class in errors.
@@ -166,8 +178,8 @@ func decodeRound(magic byte, b []byte, trailer ...*int64) (round int, walks [][]
 	}
 	for _, v := range trailer {
 		var n int
-		if *v, n = binary.Varint(b); n <= 0 {
-			return 0, nil, fmt.Errorf("%w: decode %s: truncated trailer", errCluster, name)
+		if *v, n = binary.Varint(b); n <= 0 || n > 1 && b[n-1] == 0 {
+			return 0, nil, fmt.Errorf("%w: decode %s: truncated or overlong trailer", errCluster, name)
 		}
 		b = b[n:]
 	}
@@ -209,11 +221,62 @@ func decodeAdvanceReply(b []byte) (resp advanceResponse, err error) {
 	return resp, err
 }
 
-// readUvarint is binary.Uvarint with explicit error reporting.
+// encodeError encodes a failed round: the status clusterError maps err to,
+// then its message, cut to maxErrorText bytes.
+func encodeError(err error) []byte {
+	text := err.Error()
+	buf := binary.AppendUvarint([]byte{errorMagic, codecVersion}, uint64(errStatus(err)))
+	return append(buf, text[:min(len(text), maxErrorText)]...)
+}
+
+// decodeError parses an encodeError payload.
+func decodeError(b []byte) (*remoteError, error) {
+	if len(b) > 2 && b[0] == errorMagic && b[1] == codecVersion {
+		if status, msg, err := readUvarint(b[2:]); err == nil && status <= 999 && len(msg) <= maxErrorText {
+			return &remoteError{status: int(status), msg: string(msg)}, nil
+		}
+	}
+	return nil, fmt.Errorf("%w: decode error: malformed error payload", errCluster)
+}
+
+// remoteError is a shard's failed round as its error frame reports it.
+type remoteError struct {
+	status int // the HTTP status clusterError maps the failure to
+	msg    string
+}
+
+func (e *remoteError) Error() string { return e.msg }
+
+// appendFrame appends one frame carrying payload for session sid.
+func appendFrame(dst []byte, sid string, payload []byte) []byte {
+	dst = append(append(dst, byte(len(sid))), sid...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	return append(dst, payload...)
+}
+
+// readFrameHead reads a frame's session id and payload length, leaving r at
+// the payload, which the caller bounds before it reads.
+func readFrameHead(r io.Reader) (sid string, size uint32, err error) {
+	var head [maxSessionID + frameOverhead]byte
+	if _, err := io.ReadFull(r, head[:1]); err != nil {
+		return "", 0, err
+	}
+	n := int(head[0])
+	if n == 0 || n > maxSessionID {
+		return "", 0, fmt.Errorf("%w: frame session id of %d bytes", errCluster, n)
+	}
+	if _, err := io.ReadFull(r, head[1:n+frameOverhead]); err != nil {
+		return "", 0, err
+	}
+	return string(head[1 : n+1]), binary.BigEndian.Uint32(head[n+1:]), nil
+}
+
+// readUvarint is binary.Uvarint with explicit error reporting, refusing
+// non-shortest encodings.
 func readUvarint(b []byte) (uint64, []byte, error) {
 	v, n := binary.Uvarint(b)
-	if n <= 0 {
-		return 0, nil, fmt.Errorf("truncated varint")
+	if n <= 0 || n > 1 && b[n-1] == 0 {
+		return 0, nil, fmt.Errorf("truncated or overlong varint")
 	}
 	return v, b[n:], nil
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"cdrw/internal/core"
@@ -92,50 +93,50 @@ func (n *Node) newDriver(ctx context.Context, name string, opts []core.Option) (
 		PlacementSeed: n.cfg.PlacementSeed,
 		Walks:         max(settings.CongestBatch, 1),
 	}
+	local, err := n.createSession(sreq, trace.FromContext(ctx).ID())
+	if err != nil {
+		return nil, nil, settings, nil, true, err
+	}
 	dctx, dcancel := context.WithCancelCause(ctx)
 	stopHB := make(chan struct{})
-	created := make([]int, 0, len(ranks))
+	// The remote sessions open concurrently; created marks the ranks whose
+	// session exists, and the first failure in rank order is returned.
+	created := make([]bool, len(ranks))
+	errs := make([]error, len(ranks))
+	eachPeer(ranks, self, func(m int, peer string) {
+		var coord int64
+		cctx, ccancel := context.WithTimeout(ctx, n.peerTimeout)
+		_, err := n.postJSON(cctx, peer+"/cluster/sessions", sreq, nil, &coord)
+		ccancel()
+		n.metrics.addCoord(coord, 0)
+		if err != nil {
+			errs[m] = &PeerError{Peer: peer, Err: err}
+			return
+		}
+		created[m] = true
+	})
 	// cleanup is deferred by the callers for the whole detection — success,
 	// engine error or heartbeat abort alike — so no error path leaves
-	// session state (parked shares waiters, frozen buffers) on any shard.
-	// The per-shard reaper is only the backstop for a driver that dies
-	// before this runs.
+	// session state (parked waiters, undelivered frames) on any shard. The
+	// per-shard reaper is only the backstop for a driver that dies before
+	// this runs.
 	cleanup := func() {
 		close(stopHB)
 		dcancel(context.Canceled)
-		for _, m := range created {
-			if m == self {
-				n.dropSession(sid)
-				continue
+		n.dropSession(sid)
+		eachPeer(ranks, self, func(m int, peer string) {
+			if created[m] {
+				cctx, cancel := context.WithTimeout(context.Background(), n.peerTimeout)
+				_ = n.deleteSession(cctx, peer, sid)
+				cancel()
 			}
-			cctx, cancel := context.WithTimeout(context.Background(), n.peerTimeout)
-			_ = n.deleteSession(cctx, ranks[m], sid)
-			cancel()
-		}
+		})
 	}
-	for m, peer := range ranks {
-		if m == self {
-			if err := n.createSession(sreq); err != nil {
-				cleanup()
-				return nil, nil, settings, nil, true, err
-			}
-		} else {
-			var coord int64
-			cctx, ccancel := context.WithTimeout(ctx, n.peerTimeout)
-			_, err := n.postJSON(cctx, peer+"/cluster/sessions", sreq, nil, &coord)
-			ccancel()
-			n.metrics.addCoord(coord, 0)
-			if err != nil {
-				cleanup()
-				return nil, nil, settings, nil, true, &PeerError{Peer: peer, Err: err}
-			}
+	for _, err := range errs {
+		if err != nil {
+			cleanup()
+			return nil, nil, settings, nil, true, err
 		}
-		created = append(created, m)
-	}
-	local, err := n.session(sid)
-	if err != nil {
-		cleanup()
-		return nil, nil, settings, nil, true, err
 	}
 
 	// Per-peer session heartbeats: each remote shard must answer a beat
@@ -186,10 +187,10 @@ func (n *Node) newDriver(ctx context.Context, name string, opts []core.Option) (
 
 // recordShardSpans emits one span per shard rank into the request trace,
 // covering the whole detection with the rank's accumulated freeze/pull/
-// gather nanoseconds as attributes, and books the summed cross-shard pull
-// time as the peer_pull phase (nested inside flood: pulls happen while the
-// driver waits on advances, so peer_pull explains flood time rather than
-// adding to the request total).
+// gather nanoseconds as attributes, and books the summed wait for peers'
+// share frames as the peer_pull phase (nested inside flood: the waits
+// happen while the driver waits on replies, so peer_pull explains flood
+// time rather than adding to the request total).
 func recordShardSpans(t *trace.Trace, rt *roundTransport, started time.Time) {
 	total := time.Since(started)
 	var pullNS int64
@@ -245,6 +246,22 @@ func (n *Node) sessionHeartbeat(dctx context.Context, stop <-chan struct{}, peer
 			return
 		}
 	}
+}
+
+// eachPeer runs fn for every rank but self, concurrently, and waits for all
+// of them.
+func eachPeer(ranks []string, self int, fn func(m int, peer string)) {
+	var wg sync.WaitGroup
+	for m, peer := range ranks {
+		if m != self {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fn(m, peer)
+			}()
+		}
+	}
+	wg.Wait()
 }
 
 // deleteSession tears one remote session down, best-effort.

@@ -11,13 +11,13 @@ import (
 
 // WireMetrics counts what actually crossed the sockets, per machine link —
 // the measured side of the Conversion-Theorem validation. Links are counted
-// at the puller (the receiving shard), so every byte is counted exactly once
-// and only real HTTP transfers count (a shard never pulls from itself).
+// at the receiving shard, so every byte is counted exactly once and only
+// real socket transfers count (a shard never sends to itself).
 //
 // Words count share entries — one probability value routed to a vertex
 // owner, the unit the kmachine simulator's link loads are expressed in —
-// while bytes count the encoded payload including its framing. Because one
-// pull carries a link's entire round, the per-pull word count IS that link's
+// while bytes count the whole frame, header included. Because one share
+// frame carries a link's entire round, its word count IS that link's
 // per-round load, and MaxLinkWords is directly comparable to the simulated
 // Results.MaxLinkLoad.
 type WireMetrics struct {
@@ -25,14 +25,13 @@ type WireMetrics struct {
 	k          int
 	linkBytes  []int64 // k*k, from*k+to
 	linkWords  []int64
-	pulls      int64
+	pulls      int64 // share frames received
 	rounds     int64
 	coordBytes int64
 	coordWords int64 // walk-state entries routed in advance requests and replies
 	evictions  int64 // members evicted after missed heartbeats
 	reaped     int64 // sessions dropped for a silent driver
-	retries    int64 // share-pull attempts retried after transient failures
-	maxWords   int64 // largest single-pull word count: measured max per-round link load
+	maxWords   int64 // largest single-frame word count: measured max per-round link load
 	maxBytes   int64
 
 	// Per-advance stage timing on this shard. Histograms are internally
@@ -61,7 +60,7 @@ func (m *WireMetrics) init(k int) {
 	}
 }
 
-// addPull records one shares pull over the from→to machine link.
+// addPull records one share frame received over the from→to machine link.
 func (m *WireMetrics) addPull(from, to int, bytes, words int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -111,13 +110,6 @@ func (m *WireMetrics) addReaped() {
 	m.mu.Unlock()
 }
 
-// addRetry records one share-pull attempt retried after a transient failure.
-func (m *WireMetrics) addRetry() {
-	m.mu.Lock()
-	m.retries++
-	m.mu.Unlock()
-}
-
 // Evictions returns members evicted after missed heartbeats.
 func (m *WireMetrics) Evictions() int64 {
 	m.mu.Lock()
@@ -133,7 +125,7 @@ func (m *WireMetrics) MaxLinkWords() int64 {
 	return m.maxWords
 }
 
-// TotalLinkBytes returns all bytes pulled across machine links.
+// TotalLinkBytes returns all share-frame bytes received across machine links.
 func (m *WireMetrics) TotalLinkBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -144,7 +136,7 @@ func (m *WireMetrics) TotalLinkBytes() int64 {
 	return sum
 }
 
-// TotalLinkWords returns all share words pulled across machine links; the
+// TotalLinkWords returns all share words received across machine links; the
 // bytes/word quotient against TotalLinkBytes is the codec's framing cost.
 func (m *WireMetrics) TotalLinkWords() int64 {
 	m.mu.Lock()
@@ -156,15 +148,16 @@ func (m *WireMetrics) TotalLinkWords() int64 {
 	return sum
 }
 
-// CoordBytes returns the driver↔shard coordination bytes sent and received.
+// CoordBytes returns the driver↔shard coordination bytes sent and received:
+// advance and reply frames with their headers, and the control bodies.
 func (m *WireMetrics) CoordBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.coordBytes
 }
 
-// CoordWords returns the walk-state entries routed in advance requests and
-// replies; the CoordBytes/CoordWords quotient is the advance codec's
+// CoordWords returns the walk-state entries routed in advance and reply
+// frames; the CoordBytes/CoordWords quotient is the advance codec's
 // framing cost (control messages add a few hundred bytes per detection).
 func (m *WireMetrics) CoordWords() int64 {
 	m.mu.Lock()
@@ -185,7 +178,7 @@ func (m *WireMetrics) WritePrometheus(w io.Writer) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, err := fmt.Fprintf(w,
-		"# HELP cdrw_cluster_pulls_total Share payloads pulled across machine links.\n"+
+		"# HELP cdrw_cluster_pulls_total Share frames received across machine links.\n"+
 			"# TYPE cdrw_cluster_pulls_total counter\n"+
 			"cdrw_cluster_pulls_total %d\n"+
 			"# HELP cdrw_cluster_rounds_total Flood rounds driven through this shard.\n"+
@@ -205,16 +198,13 @@ func (m *WireMetrics) WritePrometheus(w io.Writer) error {
 			"cdrw_cluster_evictions_total %d\n"+
 			"# HELP cdrw_cluster_sessions_reaped_total Sessions dropped because their driver went silent.\n"+
 			"# TYPE cdrw_cluster_sessions_reaped_total counter\n"+
-			"cdrw_cluster_sessions_reaped_total %d\n"+
-			"# HELP cdrw_cluster_pull_retries_total Share-pull attempts retried after transient failures.\n"+
-			"# TYPE cdrw_cluster_pull_retries_total counter\n"+
-			"cdrw_cluster_pull_retries_total %d\n",
+			"cdrw_cluster_sessions_reaped_total %d\n",
 		m.pulls, m.rounds, m.coordBytes, m.maxWords, m.maxBytes,
-		m.evictions, m.reaped, m.retries); err != nil {
+		m.evictions, m.reaped); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w,
-		"# HELP cdrw_cluster_round_seconds Per-stage advance time on this shard (freeze outgoing shares, pull ghost shares, gather next-step mass).\n"+
+		"# HELP cdrw_cluster_round_seconds Per-stage advance time on this shard (freeze and send outgoing shares, wait for peers' share frames, gather next-step mass).\n"+
 			"# TYPE cdrw_cluster_round_seconds summary\n"); err != nil {
 		return err
 	}
@@ -229,7 +219,7 @@ func (m *WireMetrics) WritePrometheus(w io.Writer) error {
 	}
 	if m.k > 0 {
 		if _, err := fmt.Fprintf(w,
-			"# HELP cdrw_cluster_wire_bytes_total Bytes pulled over each machine link.\n"+
+			"# HELP cdrw_cluster_wire_bytes_total Share-frame bytes received over each machine link.\n"+
 				"# TYPE cdrw_cluster_wire_bytes_total counter\n"); err != nil {
 			return err
 		}
@@ -243,7 +233,7 @@ func (m *WireMetrics) WritePrometheus(w io.Writer) error {
 			}
 		}
 		if _, err := fmt.Fprintf(w,
-			"# HELP cdrw_cluster_wire_words_total Share words pulled over each machine link.\n"+
+			"# HELP cdrw_cluster_wire_words_total Share words received over each machine link.\n"+
 				"# TYPE cdrw_cluster_wire_words_total counter\n"); err != nil {
 			return err
 		}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net"
 	"net/http"
 	"sort"
 	"sync"
@@ -78,17 +77,17 @@ type Config struct {
 	// PlacementSeed keys the deterministic hash placement
 	// (kmachine.HashPartition). Every shard must use the same seed.
 	PlacementSeed uint64
-	// PeerTimeout bounds every peer RPC attempt, the freeze wait inside a
-	// shares pull, and the per-probe liveness deadline. An advance RPC —
-	// which nests a freeze wait and a pull on the remote side — is allowed
-	// 3× this. 0 means 2 s.
+	// PeerTimeout bounds every control RPC, every link dial and frame
+	// write, a shard's wait for its peers' share frames, and the per-probe
+	// liveness deadline. The driver's wait for a round's replies — which
+	// nests the shards' share waits — is allowed 3× this. 0 means 2 s.
 	PeerTimeout time.Duration
 	// HeartbeatInterval paces the driver's per-session heartbeats and the
 	// settled shard's peer liveness probes. heartbeatMisses consecutive
 	// failures evict the peer. 0 means 500 ms.
 	HeartbeatInterval time.Duration
-	// Client issues all peer HTTP requests; nil uses a private default with
-	// transport-level dial and response-header timeouts derived from
+	// Client issues the control-plane requests (join, sessions,
+	// heartbeats, probes); nil uses a default whose timeout is
 	// PeerTimeout, so no peer RPC can hang past its deadline even when a
 	// request context carries none.
 	Client *http.Client
@@ -116,6 +115,17 @@ type Node struct {
 	seq     atomic.Int64
 	metrics WireMetrics
 
+	// Links (link.go): every open link in both directions, and the
+	// goroutines of both plus the advances the readers start. linksOff is
+	// set by Stop; no link opens after it. sendMu guards outbound, the
+	// link each peer's frames go out on.
+	linkMu   sync.Mutex
+	links    map[*link]struct{}
+	linksOff bool
+	linkWG   sync.WaitGroup
+	sendMu   sync.Mutex
+	outbound map[string]*link
+
 	stop chan struct{}
 	done chan struct{}
 }
@@ -136,17 +146,7 @@ func New(reg *serve.Registry, cfg Config) (*Node, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		// Transport-level timeouts are the backstop for contexts without
-		// deadlines: no dial and no response-header wait may outlive the
-		// advance budget. (Request bodies still stream unbounded — advance
-		// responses can be large — so every RPC also sets a context
-		// deadline at the call site.)
-		client = &http.Client{Transport: &http.Transport{
-			DialContext:           (&net.Dialer{Timeout: cfg.PeerTimeout}).DialContext,
-			ResponseHeaderTimeout: 3 * cfg.PeerTimeout,
-			MaxIdleConnsPerHost:   4,
-			IdleConnTimeout:       90 * time.Second,
-		}}
+		client = &http.Client{Timeout: cfg.PeerTimeout}
 	}
 	n := &Node{
 		reg:         reg,
@@ -156,6 +156,8 @@ func New(reg *serve.Registry, cfg Config) (*Node, error) {
 		hbInterval:  cfg.HeartbeatInterval,
 		members:     map[string]struct{}{cfg.Advertise: {}},
 		sessions:    make(map[string]*session),
+		links:       make(map[*link]struct{}),
+		outbound:    make(map[string]*link),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -186,21 +188,35 @@ func (n *Node) Start() {
 	go n.loop()
 }
 
-// Stop terminates the background loop.
+// Stop terminates the background loop, closes every session and every
+// link, and waits for the links' goroutines (http.Server.Close leaves
+// hijacked connections open).
 func (n *Node) Stop() {
 	n.mu.Lock()
 	started := n.started
-	open := len(n.sessions)
+	open := make([]*session, 0, len(n.sessions))
+	for id, s := range n.sessions {
+		open = append(open, s)
+		delete(n.sessions, id)
+	}
 	n.mu.Unlock()
 	select {
 	case <-n.stop:
 	default:
 		close(n.stop)
-		slog.Info("cluster node stopping", "advertise", n.cfg.Advertise, "open_sessions", open)
+		slog.Info("cluster node stopping", "advertise", n.cfg.Advertise, "open_sessions", len(open))
 	}
 	if started {
 		<-n.done
 	}
+	for _, s := range open {
+		s.close()
+	}
+	n.linkMu.Lock()
+	n.linksOff = true
+	n.linkMu.Unlock()
+	n.closeLinks("")
+	n.linkWG.Wait()
 }
 
 // loop is the shard's background heartbeat: one goroutine that gossips
@@ -305,6 +321,7 @@ func (n *Node) evict(peer, reason string) {
 		s.close()
 		slog.Info("cluster session closed", "session", s.id, "reason", "peer evicted", "peer", peer)
 	}
+	n.closeLinks(peer)
 	n.metrics.addEviction()
 	slog.Warn("cluster peer evicted", "peer", peer, "reason", reason,
 		"orphaned_sessions", len(orphans), "advertise", n.cfg.Advertise)
@@ -458,46 +475,74 @@ func (n *Node) session(id string) (*session, error) {
 	return s, nil
 }
 
+// linkSession returns the live session a frame from peer names and peer's
+// rank in it, or nil unless peer is one of its other members.
+func (n *Node) linkSession(id, peer string) (*session, int) {
+	n.mu.Lock()
+	s := n.sessions[id]
+	n.mu.Unlock()
+	if j := s.rankOf(peer); j >= 0 && j != s.self {
+		return s, j
+	}
+	return nil, -1
+}
+
+// failPeer fails every wait on peer in this shard's sessions: a link to or
+// from it closed, so frames between the two are lost.
+func (n *Node) failPeer(peer string, err error) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	for _, s := range n.sessions {
+		if j := s.rankOf(peer); j >= 0 {
+			s.fail(j, &PeerError{Peer: peer, Err: err})
+		}
+	}
+}
+
 // createSession installs the shard-local state for one detection after
 // validating that this shard agrees on membership and holds the same graph.
-func (n *Node) createSession(req sessionRequest) error {
+// requestID is the driver's request id, logged with the session's rounds.
+func (n *Node) createSession(req sessionRequest, requestID string) (*session, error) {
+	if len(req.Session) == 0 || len(req.Session) > maxSessionID {
+		return nil, fmt.Errorf("%w: session id of %d bytes, want 1 to %d", errBadRequest, len(req.Session), maxSessionID)
+	}
 	ranks, self, err := n.roster()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(req.Members) != len(ranks) {
-		return fmt.Errorf("%w: session %s: driver sees %d members, shard sees %d", errCluster, req.Session, len(req.Members), len(ranks))
+		return nil, fmt.Errorf("%w: session %s: driver sees %d members, shard sees %d", errCluster, req.Session, len(req.Members), len(ranks))
 	}
 	for i := range ranks {
 		if req.Members[i] != ranks[i] {
-			return fmt.Errorf("%w: session %s: member %d is %q here, %q at driver", errCluster, req.Session, i, ranks[i], req.Members[i])
+			return nil, fmt.Errorf("%w: session %s: member %d is %q here, %q at driver", errCluster, req.Session, i, ranks[i], req.Members[i])
 		}
 	}
 	g, ok := n.reg.Graph(req.Graph)
 	if !ok {
-		return fmt.Errorf("%w: session %s: graph %q not registered on shard %d", errCluster, req.Session, req.Graph, self)
+		return nil, fmt.Errorf("%w: session %s: graph %q not registered on shard %d", errCluster, req.Session, req.Graph, self)
 	}
 	if g.NumVertices() != req.Vertices || g.NumEdges() != req.Edges {
-		return fmt.Errorf("%w: session %s: graph %q is %dv/%de here, %dv/%de at driver — shards must register identical graphs",
+		return nil, fmt.Errorf("%w: session %s: graph %q is %dv/%de here, %dv/%de at driver — shards must register identical graphs",
 			errCluster, req.Session, req.Graph, g.NumVertices(), g.NumEdges(), req.Vertices, req.Edges)
 	}
 	assign, err := hashAssign(g.NumVertices(), len(ranks), req.PlacementSeed)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	store, err := NewStore(g, assign, self)
 	if err != nil {
-		return fmt.Errorf("%w: session %s: %v", errCluster, req.Session, err)
+		return nil, fmt.Errorf("%w: session %s: %v", errCluster, req.Session, err)
 	}
-	s := newSession(n, req.Session, g, store, ranks, self, req.Walks)
+	s := newSession(n, req.Session, requestID, g, store, ranks, self, req.Walks)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if _, dup := n.sessions[req.Session]; dup {
-		return fmt.Errorf("%w: duplicate session %q", errCluster, req.Session)
+		return nil, fmt.Errorf("%w: duplicate session %q", errCluster, req.Session)
 	}
 	n.sessions[req.Session] = s
 	slog.Debug("cluster session created", "session", req.Session, "graph", req.Graph, "rank", self)
-	return nil
+	return s, nil
 }
 
 // dropSession removes a session and unparks anything waiting on it; missing
@@ -511,79 +556,6 @@ func (n *Node) dropSession(id string) {
 		s.close()
 		slog.Debug("cluster session closed", "session", id, "reason", "dropped")
 	}
-}
-
-// pullRetryBackoff is the initial backoff between share-pull attempts; it
-// doubles per retry. All attempts share one PeerTimeout budget, so the
-// worst-case pull latency stays bounded by the peer deadline.
-const pullRetryBackoff = 50 * time.Millisecond
-
-// pullShares fetches one peer's frozen boundary shares for one round and
-// counts the transfer against the from→to machine link. The pull is
-// idempotent (the payload stays frozen until the next round), so transient
-// failures retry with backoff inside one PeerTimeout budget; a peer that
-// stays unreachable yields a typed *PeerError within the deadline.
-func (n *Node) pullShares(ctx context.Context, peer, sid string, round, self, from, walks int) ([][]entry, error) {
-	ctx, cancel := context.WithTimeout(ctx, n.peerTimeout)
-	defer cancel()
-	backoff := pullRetryBackoff
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		if attempt > 0 {
-			n.metrics.addRetry()
-			select {
-			case <-time.After(backoff):
-				backoff *= 2
-			case <-ctx.Done():
-				return nil, &PeerError{Peer: peer, Err: fmt.Errorf("pull shares round %d: %w (last: %v)", round, ctx.Err(), lastErr)}
-			}
-		}
-		shares, retriable, err := n.pullSharesOnce(ctx, peer, sid, round, self, from, walks)
-		if err == nil {
-			return shares, nil
-		}
-		lastErr = err
-		if !retriable || ctx.Err() != nil {
-			return nil, &PeerError{Peer: peer, Err: err}
-		}
-	}
-}
-
-// pullSharesOnce is one pull attempt. retriable=true marks transport-level
-// failures (dial, reset, timeout) where a retry within the deadline can
-// still succeed; protocol-level rejections are final.
-func (n *Node) pullSharesOnce(ctx context.Context, peer, sid string, round, self, from, walks int) (_ [][]entry, retriable bool, _ error) {
-	url := fmt.Sprintf("%s/cluster/sessions/%s/shares?round=%d&to=%d", peer, sid, round, self)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: %v", errCluster, err)
-	}
-	req.Header.Set("Accept", shareContentType)
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, true, fmt.Errorf("%w: pull shares from %s: %v", errCluster, peer, err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
-	if err != nil {
-		return nil, true, fmt.Errorf("%w: pull shares from %s: %v", errCluster, peer, err)
-	}
-	if resp.StatusCode != http.StatusOK {
-		return nil, false, fmt.Errorf("%w: pull shares from %s: %s: %s", errCluster, peer, resp.Status, firstLine(body))
-	}
-	gotRound, shares, err := decodeShares(body)
-	if err != nil {
-		return nil, false, fmt.Errorf("%w: pull shares from %s: %v", errCluster, peer, err)
-	}
-	if gotRound != round || len(shares) != walks {
-		return nil, false, fmt.Errorf("%w: pull shares from %s: got round %d/%d walks, want %d/%d", errCluster, peer, gotRound, len(shares), round, walks)
-	}
-	var words int64
-	for _, sh := range shares {
-		words += int64(len(sh))
-	}
-	n.metrics.addPull(from, self, int64(len(body)), words)
-	return shares, false, nil
 }
 
 // postJSON posts v as JSON to url and decodes the response into out (which

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,28 +13,32 @@ import (
 )
 
 // session is one detection's shard-local state. Sessions are almost
-// stateless: each advance request carries the full owned support, so the
-// only state crossing rounds is the round counter and the frozen per-peer
-// shares the other shards pull.
+// stateless: each advance carries the full owned support, so the only state
+// crossing rounds is the round counter and the frames the link readers have
+// delivered but no round has taken yet.
 //
-// The round protocol is deadlock-free by construction: advance FREEZES this
-// shard's outgoing shares (under mu, briefly) before it starts pulling
-// from peers, so two shards pulling from each other both find frozen
-// shares waiting — no advance ever blocks on another advance.
+// The round protocol is deadlock-free by per-link FIFO order. A shard that
+// receives its round-r advance writes its share frames to every bordering
+// peer before it waits for any, and a link reader only files frames into
+// mailboxes, so every share frame a gather waits for arrives. A shard
+// replies after its gather and the driver starts round r+1 after every
+// reply of round r, so on every link the frames of round r precede those
+// of round r+1: a mailbox slot holds at most one frame per sender.
 //
 // Lifecycle: the driver heartbeats every session it opened at the cluster's
 // heartbeat interval; lastBeat records the latest heartbeat or advance, and
 // the node's reaper drops sessions whose driver has gone silent past the
-// TTL. close() — reached via DELETE, eviction or the reaper — unparks every
-// shares waiter immediately instead of letting it sit out a freeze wait.
+// TTL. close() — reached via DELETE, eviction, Stop or the reaper — unparks
+// every waiter immediately.
 type session struct {
-	node  *Node
-	id    string
-	g     *graph.Graph
-	store *Store
-	peers []string // rank-ordered advertise URLs
-	self  int
-	walks int // most walks one advance may carry
+	node      *Node
+	id        string
+	g         *graph.Graph
+	store     *Store
+	peers     []string // rank-ordered advertise URLs
+	self      int
+	walks     int    // most walks one advance may carry
+	requestID string // the driver's request id, for round logs
 
 	lastBeat atomic.Int64 // unix nanos of the last heartbeat or advance
 
@@ -41,14 +46,18 @@ type session struct {
 	// advance is ever in flight per session, but the lock keeps a confused
 	// driver from corrupting state.
 	advanceMu sync.Mutex
+	round     int // last completed round
 
-	mu          sync.Mutex
-	round       int // last completed round
-	frozenRound int
-	frozen      [][][]entry // per peer rank, per walk; encoded per pull
-	frozenC     chan struct{}
-	closed      chan struct{}
-	closeOnce   sync.Once
+	// The mailbox the link readers fill: per kind (shares, replies) and
+	// sender rank a one-frame slot, and per sender the error that fails
+	// every wait on it (a closed link, an error frame, a protocol breach),
+	// announced by closing gone.
+	box       [2][]chan *advanceResponse
+	mu        sync.Mutex
+	failed    []error
+	gone      []chan struct{}
+	closed    chan struct{}
+	closeOnce sync.Once
 
 	// scratch, reused across rounds (advanceMu makes them single-writer)
 	share []float64
@@ -56,21 +65,32 @@ type session struct {
 	mark  []int32
 }
 
-func newSession(node *Node, id string, g *graph.Graph, store *Store, peers []string, self, walks int) *session {
+// Mailbox kinds.
+const (
+	boxShares = iota
+	boxReplies
+)
+
+func newSession(node *Node, id, requestID string, g *graph.Graph, store *Store, peers []string, self, walks int) *session {
 	n := g.NumVertices()
 	s := &session{
-		node:    node,
-		id:      id,
-		g:       g,
-		store:   store,
-		peers:   peers,
-		self:    self,
-		walks:   max(walks, 1),
-		frozen:  make([][][]entry, len(peers)),
-		frozenC: make(chan struct{}),
-		closed:  make(chan struct{}),
-		share:   make([]float64, n),
-		iso:     make([]float64, n),
+		node:      node,
+		id:        id,
+		g:         g,
+		store:     store,
+		peers:     peers,
+		self:      self,
+		walks:     max(walks, 1),
+		requestID: requestID,
+		failed:    make([]error, len(peers)),
+		closed:    make(chan struct{}),
+		share:     make([]float64, n),
+		iso:       make([]float64, n),
+	}
+	for range peers {
+		s.box[boxShares] = append(s.box[boxShares], make(chan *advanceResponse, 1))
+		s.box[boxReplies] = append(s.box[boxReplies], make(chan *advanceResponse, 1))
+		s.gone = append(s.gone, make(chan struct{}))
 	}
 	s.touch()
 	return s
@@ -84,22 +104,169 @@ func (s *session) idle() time.Duration {
 	return time.Duration(time.Now().UnixNano() - s.lastBeat.Load())
 }
 
-// close tears the session down: every parked shares waiter returns
-// immediately with a cluster error. Idempotent.
+// close tears the session down: every parked waiter returns immediately
+// with a cluster error. Idempotent.
 func (s *session) close() { s.closeOnce.Do(func() { close(s.closed) }) }
 
-// maxAdvanceBytes bounds an advance request body: the codec header plus,
-// for each of the session's walks, an entry count and one entry — a vertex
-// delta of at most five bytes and eight float bytes — per owned vertex.
-func (s *session) maxAdvanceBytes() int64 {
-	perWalk := binary.MaxVarintLen64 + len(s.store.owned)*(binary.MaxVarintLen32+8)
-	return int64(2 + 2*binary.MaxVarintLen64 + s.walks*perWalk)
+// rankOf returns peer's rank in the session, or -1 (also for no session).
+func (s *session) rankOf(peer string) int {
+	if s == nil {
+		return -1
+	}
+	for j, p := range s.peers {
+		if p == peer {
+			return j
+		}
+	}
+	return -1
+}
+
+// maxFrameBytes bounds a frame's payload from rank j: the codec header and
+// trailer plus, for each of the session's walks, an entry count and one
+// entry — a vertex delta of at most five bytes and eight float bytes — per
+// vertex the sender may name: this shard's owned vertices in an advance,
+// the sender's own in shares and replies. An error frame is smaller.
+func (s *session) maxFrameBytes(j int) int64 {
+	names := max(s.store.ownedBy[s.self], s.store.ownedBy[j])
+	perWalk := binary.MaxVarintLen64 + names*(binary.MaxVarintLen32+8)
+	return int64(max(2+5*binary.MaxVarintLen64+s.walks*perWalk, 2+3*binary.MaxVarintLen64+maxErrorText))
+}
+
+// deliver files one frame from rank from: an advance starts on its own
+// goroutine, shares and replies wait in their mailbox slot, and an error
+// frame or a frame for a full slot fails every wait on the sender.
+func (s *session) deliver(from int, payload []byte, size int64) {
+	var resp advanceResponse
+	var err error
+	kind := boxShares
+	switch payload[0] {
+	case advanceMagic:
+		s.node.linkWG.Add(1)
+		go s.serveAdvance(from, payload)
+		return
+	case shareMagic:
+		if resp.Round, resp.Support, err = decodeShares(payload); err == nil {
+			err = s.checkHomed(resp.Support, from)
+		}
+		if err == nil {
+			s.node.metrics.addPull(from, s.self, size, entries(resp.Support))
+		}
+	case advanceReplyMagic:
+		kind = boxReplies
+		if resp, err = decodeAdvanceReply(payload); err == nil {
+			err = s.checkHomed(resp.Support, from)
+		}
+		if err == nil {
+			s.node.metrics.addCoord(size, entries(resp.Support))
+		}
+	case errorMagic:
+		var re *remoteError
+		if re, err = decodeError(payload); err == nil {
+			err = re
+		}
+	default:
+		err = fmt.Errorf("%w: unknown frame magic %#x", errCluster, payload[0])
+	}
+	if err == nil {
+		select {
+		case s.box[kind][from] <- &resp:
+			return
+		default:
+			err = fmt.Errorf("%w: round %d frame before the last was read", errCluster, resp.Round)
+		}
+	}
+	s.fail(from, &PeerError{Peer: s.peers[from], Err: err})
+}
+
+// checkHomed rejects a frame from rank j naming a vertex not homed on j: a
+// shard sends shares of, and replies for, only its own vertices.
+func (s *session) checkHomed(walks [][]entry, j int) error {
+	home := s.store.assign.Home
+	for _, walk := range walks {
+		for _, e := range walk {
+			if int(e.V) >= len(home) || home[e.V] != j {
+				return fmt.Errorf("%w: session %s: vertex %d is not homed on rank %d", errCluster, s.id, e.V, j)
+			}
+		}
+	}
+	return nil
+}
+
+// fail dooms every wait on rank j with err (the first cause sticks).
+func (s *session) fail(j int, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.failed[j] == nil {
+		s.failed[j] = err
+		close(s.gone[j])
+	}
+}
+
+// collect waits until every rank want accepts has filed its frame of the
+// kind for round, and takes them. It fails at once when a wanted rank
+// fails or the session closes, and with a *PeerError naming a missing rank
+// once limit passes.
+func (s *session) collect(ctx context.Context, kind, round int, want func(int) bool, limit time.Duration) ([]*advanceResponse, error) {
+	got := make([]*advanceResponse, len(s.peers))
+	timeout := time.NewTimer(limit)
+	defer timeout.Stop()
+	for j := range got {
+		if !want(j) {
+			continue
+		}
+		select {
+		case got[j] = <-s.box[kind][j]:
+			if got[j].Round == round {
+				continue
+			}
+			return nil, &PeerError{Peer: s.peers[j], Err: fmt.Errorf("%w: session %s: round %d frame while waiting for round %d", errCluster, s.id, got[j].Round, round)}
+		case <-s.gone[j]:
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return nil, s.failed[j]
+		case <-s.closed:
+			return nil, fmt.Errorf("%w: session %s: closed while waiting for round %d", errCluster, s.id, round)
+		case <-ctx.Done():
+			return nil, fmt.Errorf("%w: session %s: waiting for round %d: %w", errCluster, s.id, round, ctx.Err())
+		case <-timeout.C:
+			return nil, &PeerError{Peer: s.peers[j], Err: fmt.Errorf("no round %d frame within %v", round, limit)}
+		}
+	}
+	return got, nil
+}
+
+// serveAdvance runs the advance frame the driver at rank driver sent and
+// answers with the reply frame, or with an error frame carrying the
+// failure's status class.
+func (s *session) serveAdvance(driver int, payload []byte) {
+	defer s.node.linkWG.Done()
+	req, err := decodeAdvance(payload)
+	var resp advanceResponse
+	if err != nil {
+		err = fmt.Errorf("%w: bad advance frame: %v", errBadRequest, err)
+	} else {
+		resp, err = s.advance(context.Background(), req)
+	}
+	if err == nil {
+		payload, err = resp.encode()
+	}
+	if err != nil {
+		payload = encodeError(err)
+	} else if s.requestID != "" {
+		// A traced detection's session carries the driver's request id;
+		// logging it ties this shard's round work to the driver's trace.
+		slog.Debug("cluster round advanced", "request_id", s.requestID, "session", s.id,
+			"round", req.Round, "freeze_ns", resp.T.FreezeNS, "pull_ns", resp.T.PullNS, "gather_ns", resp.T.GatherNS)
+	}
+	// A lost reply fails the driver's wait through the link's close.
+	_, _ = s.node.send(s.peers[driver], s.id, payload)
 }
 
 // advance executes one flood round for this shard: freeze outgoing boundary
-// shares, pull the ghost shares this shard's owned vertices read, then
-// gather next-step mass for every owned vertex in CSR neighbour order —
-// bit-identical to the in-memory kernel's arithmetic.
+// shares and write them to the bordering peers, wait for the share frames
+// this shard's owned vertices read, then gather next-step mass for every
+// owned vertex in CSR neighbour order — bit-identical to the in-memory
+// kernel's arithmetic.
 func (s *session) advance(ctx context.Context, req advanceRequest) (advanceResponse, error) {
 	s.advanceMu.Lock()
 	defer s.advanceMu.Unlock()
@@ -119,39 +286,35 @@ func (s *session) advance(ctx context.Context, req advanceRequest) (advanceRespo
 	start := time.Now()
 
 	// Freeze: per peer with a shared link, the shares of our boundary
-	// vertices that carry mass this round. Shares are frozen as
-	// p(v)·(1/d(v)) — the exact product the in-memory kernel computes.
+	// vertices that carry mass this round, written as one frame. Shares
+	// are frozen as p(v)·(1/d(v)) — the exact product the in-memory kernel
+	// computes.
 	payloads, err := s.freeze(req)
 	if err != nil {
 		return advanceResponse{}, err
 	}
-	s.mu.Lock()
-	copy(s.frozen, payloads)
-	s.frozenRound = req.Round
-	close(s.frozenC)
-	s.frozenC = make(chan struct{})
-	s.mu.Unlock()
-	frozenAt := time.Now()
-
-	// Pull ghost shares from every peer we share a boundary with, in
-	// parallel. The pull count is the measured link load.
-	remote := make([][][]entry, len(s.peers))
-	var wg sync.WaitGroup
-	errs := make([]error, len(s.peers))
-	for j := range s.peers {
-		if !s.store.NeedsPull(j) {
+	for j, shares := range payloads {
+		if shares == nil {
 			continue
 		}
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			remote[j], errs[j] = s.node.pullShares(ctx, s.peers[j], s.id, req.Round, s.self, j, walks)
-		}(j)
-	}
-	wg.Wait()
-	for _, err := range errs {
+		payload, err := encodeShares(req.Round, shares)
+		if err == nil {
+			_, err = s.node.send(s.peers[j], s.id, payload)
+		}
 		if err != nil {
 			return advanceResponse{}, err
+		}
+	}
+	frozenAt := time.Now()
+
+	// Wait for the share frames of every peer we share a boundary with.
+	remote, err := s.collect(ctx, boxShares, req.Round, s.store.NeedsPull, s.node.peerTimeout)
+	if err != nil {
+		return advanceResponse{}, err
+	}
+	for j, m := range remote {
+		if m != nil && len(m.Support) != walks {
+			return advanceResponse{}, &PeerError{Peer: s.peers[j], Err: fmt.Errorf("%w: session %s: round %d shares carry %d walks, want %d", errCluster, s.id, req.Round, len(m.Support), walks)}
 		}
 	}
 	pulledAt := time.Now()
@@ -173,11 +336,11 @@ func (s *session) advance(ctx context.Context, req advanceRequest) (advanceRespo
 			}
 			s.mark = append(s.mark, e.V)
 		}
-		for j := range s.peers {
-			if remote[j] == nil {
+		for _, m := range remote {
+			if m == nil {
 				continue
 			}
-			for _, e := range remote[j][w] {
+			for _, e := range m.Support[w] {
 				s.share[e.V] = e.S
 				s.mark = append(s.mark, e.V)
 			}
@@ -271,45 +434,4 @@ func (s *session) checkOwned(v int32) error {
 		return fmt.Errorf("%w: session %s: vertex %d not owned by rank %d", errCluster, s.id, v, s.store.rank)
 	}
 	return nil
-}
-
-// shares serves one peer's frozen shares for one round, waiting for the
-// local advance of that round to freeze them first. The wait is bounded by
-// the peer deadline — the slack between the driver's parallel advance POSTs
-// landing on different shards is milliseconds, so a freeze that has not
-// happened within PeerTimeout means the driver or a shard is gone, and
-// parking longer would only wedge the puller's own advance.
-func (s *session) shares(ctx context.Context, round, to int) ([][]entry, error) {
-	if to < 0 || to >= len(s.peers) {
-		return nil, fmt.Errorf("%w: session %s: peer rank %d out of range", errBadRequest, s.id, to)
-	}
-	s.touch()
-	deadline := time.NewTimer(s.node.peerTimeout)
-	defer deadline.Stop()
-	for {
-		s.mu.Lock()
-		if s.frozenRound == round {
-			shares := s.frozen[to]
-			s.mu.Unlock()
-			if shares == nil {
-				return nil, fmt.Errorf("%w: session %s: no boundary toward rank %d", errCluster, s.id, to)
-			}
-			return shares, nil
-		}
-		if s.frozenRound > round {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("%w: session %s: round %d already superseded by %d", errCluster, s.id, round, s.frozenRound)
-		}
-		c := s.frozenC
-		s.mu.Unlock()
-		select {
-		case <-c:
-		case <-s.closed:
-			return nil, fmt.Errorf("%w: session %s: closed while waiting for round %d shares", errCluster, s.id, round)
-		case <-ctx.Done():
-			return nil, fmt.Errorf("%w: session %s: waiting for round %d shares: %v", errCluster, s.id, round, ctx.Err())
-		case <-deadline.C:
-			return nil, fmt.Errorf("%w: session %s: round %d shares never froze within %v", errCluster, s.id, round, s.node.peerTimeout)
-		}
-	}
 }

@@ -2,10 +2,10 @@
 // k cdrwd shards agree on a deterministic hash-based vertex placement
 // (kmachine.HashPartition), hold the walk state of their owned vertices, and
 // advance the CONGEST engine's probability-flooding rounds by exchanging one
-// coalesced share payload per machine link per round over HTTP — the
-// coalesced realisation of the Conversion Theorem's message routing, whose
-// measured per-link wire load is validated against the simulator's predicted
-// link loads.
+// coalesced share frame per machine link per round, on one long-lived
+// stream per ordered shard pair (link.go) — the coalesced realisation of
+// the Conversion Theorem's message routing, whose measured per-link wire
+// load is validated against the simulator's predicted link loads.
 //
 // The division of labour mirrors the congest/kmachine split: the congest
 // package keeps ALL simulated accounting (rounds, messages, link loads — the
@@ -27,7 +27,7 @@ import (
 // each round. The CSR itself is replicated on every shard (graphs are
 // registered on each daemon); what is partitioned is the walk state — each
 // round a shard computes next-step mass only for its owned vertices, reading
-// ghost shares pulled from the peers that own the other endpoints of its
+// ghost shares sent by the peers that own the other endpoints of its
 // boundary edges.
 type Store struct {
 	g      *graph.Graph
@@ -35,6 +35,7 @@ type Store struct {
 	rank   int
 
 	owned    []int32
+	ownedBy  []int     // ownedBy[j]: vertices homed on machine j
 	boundary [][]int32 // boundary[j]: owned v with ≥1 neighbour homed on machine j
 	degInv   []float64 // 1/d(v) for owned v (0 for isolated), indexed by vertex id
 }
@@ -53,11 +54,13 @@ func NewStore(g *graph.Graph, assign kmachine.Assignment, rank int) (*Store, err
 		g:        g,
 		assign:   assign,
 		rank:     rank,
+		ownedBy:  make([]int, assign.K),
 		boundary: make([][]int32, assign.K),
 		degInv:   make([]float64, n),
 	}
 	peerSeen := make([]bool, assign.K)
 	for v := 0; v < n; v++ {
+		s.ownedBy[assign.Home[v]]++
 		if assign.Home[v] != rank {
 			continue
 		}
@@ -87,7 +90,7 @@ func (s *Store) Owned() []int32 { return s.owned }
 // must read each flood round.
 func (s *Store) Boundary(j int) []int32 { return s.boundary[j] }
 
-// NeedsPull reports whether this shard must pull shares from machine j each
+// NeedsPull reports whether this shard reads shares from machine j each
 // round. The graph is undirected, so j holds a boundary vertex toward us iff
 // we hold one toward j — the link is used in both directions or not at all.
 func (s *Store) NeedsPull(j int) bool { return j != s.rank && len(s.boundary[j]) > 0 }

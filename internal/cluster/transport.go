@@ -2,9 +2,7 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"cdrw/internal/congest"
 	"cdrw/internal/kmachine"
@@ -24,9 +22,10 @@ func hashAssign(n, k int, seed uint64) (kmachine.Assignment, error) {
 // the client request runs the unmodified Algorithm 1 — BFS tree, mixing-set
 // ladder, stop rule, all simulated accounting — while every flood round's
 // numeric work is routed to the vertex owners. Per round it splits each
-// walk's support by owner, POSTs one advance per shard in parallel (the
-// driver's own shard short-circuits in process), and merges the owned
-// next-step supports back into the frames.
+// walk's support by owner, writes one advance frame to every remote shard,
+// runs its own shard's advance in process, waits for the remote shards'
+// reply frames, and merges the owned next-step supports back into the
+// frames.
 type roundTransport struct {
 	node   *Node
 	sid    string
@@ -38,8 +37,8 @@ type roundTransport struct {
 
 	// stats accumulates each shard's reported stage nanoseconds across the
 	// detection's rounds; the driver folds them into the request trace as
-	// one span per rank when it cleans up. Written only in the merge loop
-	// after wg.Wait, so no locking.
+	// one span per rank when it cleans up. Written only by Flood, so no
+	// locking.
 	stats []shardStat
 }
 
@@ -68,47 +67,34 @@ func (t *roundTransport) Flood(ctx context.Context, frames []congest.FloodFrame)
 		}
 	}
 
-	resps := make([]advanceResponse, len(t.peers))
-	errs := make([]error, len(t.peers))
-	var wg sync.WaitGroup
-	for m := range t.peers {
-		wg.Add(1)
-		go func(m int) {
-			defer wg.Done()
-			if m == t.self {
-				resps[m], errs[m] = t.local.advance(ctx, reqs[m])
-				return
-			}
-			// An advance nests a freeze wait and a peer pull on the remote
-			// side, each bounded by PeerTimeout; 3× covers both plus the
-			// gather, so a hung shard cannot wedge the driver's round.
-			payload, err := reqs[m].encode()
-			if err == nil {
-				actx, cancel := context.WithTimeout(ctx, 3*t.node.peerTimeout)
-				var coord int64
-				var body []byte
-				_, body, err = t.node.post(actx, t.peers[m]+"/cluster/sessions/"+t.sid+"/advance", advanceContentType, payload, &coord)
-				cancel()
-				if err == nil {
-					resps[m], err = decodeAdvanceReply(body)
-				}
-				t.node.metrics.addCoord(coord, entries(reqs[m].Support)+entries(resps[m].Support))
-			}
-			if err != nil {
-				var pe *PeerError
-				if !errors.As(err, &pe) {
-					err = &PeerError{Peer: t.peers[m], Err: err}
-				}
-				errs[m] = err
-			}
-		}(m)
-	}
-	wg.Wait()
-	for _, err := range errs {
+	// Every remote shard has its advance before the driver's own shard
+	// runs, so all shards freeze and exchange shares at once. The reply
+	// frames are counted as they arrive.
+	for m, req := range reqs {
+		if m == t.self {
+			continue
+		}
+		payload, err := req.encode()
 		if err != nil {
 			return err
 		}
+		size, err := t.node.send(t.peers[m], t.sid, payload)
+		if err != nil {
+			return err
+		}
+		t.node.metrics.addCoord(int64(size), entries(req.Support))
 	}
+	own, err := t.local.advance(ctx, reqs[t.self])
+	if err != nil {
+		return err
+	}
+	// A remote reply nests that shard's share wait, so it is allowed 3×
+	// PeerTimeout.
+	resps, err := t.local.collect(ctx, boxReplies, t.round, func(m int) bool { return m != t.self }, 3*t.node.peerTimeout)
+	if err != nil {
+		return err
+	}
+	resps[t.self] = &own
 
 	// Merge: zero-fill then apply the sparse owned supports. Absent entries
 	// are exact zeros on the shards too, so the merged Next is bit-identical
@@ -119,8 +105,8 @@ func (t *roundTransport) Flood(ctx context.Context, frames []congest.FloodFrame)
 		}
 	}
 	for m, resp := range resps {
-		if resp.Round != t.round || len(resp.Support) != walks {
-			return fmt.Errorf("%w: shard %d answered round %d/%d walks, want %d/%d", errCluster, m, resp.Round, len(resp.Support), t.round, walks)
+		if len(resp.Support) != walks {
+			return &PeerError{Peer: t.peers[m], Err: fmt.Errorf("%w: shard %d answered %d walks, want %d", errCluster, m, len(resp.Support), walks)}
 		}
 		for w, sup := range resp.Support {
 			next := frames[w].Next

@@ -1,10 +1,11 @@
 package cluster
 
 // The control protocol (membership, sessions, heartbeats) is plain JSON
-// over HTTP. Every per-round message — the driver↔shard advance and the
-// shard↔shard shares pull — travels in the compact binary round codec
-// (codec.go), which carries probability values' bits verbatim, so the
-// bit-identity contract of congest.FloodTransport survives the wire.
+// over HTTP. Every per-round message — the driver↔shard advance and reply
+// and the shard↔shard shares — travels as a frame on a link (link.go) in
+// the compact binary round codec (codec.go), which carries probability
+// values' bits verbatim, so the bit-identity contract of
+// congest.FloodTransport survives the wire.
 
 // entry is one sparse (vertex, value) pair — a walk-state support entry on
 // the driver↔shard path, a frozen share on the shard↔shard path.
@@ -30,8 +31,8 @@ type joinResponse struct {
 // pin that every shard holds the same replicated graph; Members pins that
 // every shard numbers ranks identically before any walk state moves. Walks
 // is the most walks one advance of the session carries (the driver's batch
-// size; values below 1 mean 1): with the shard's owned-vertex count it
-// bounds the advance body.
+// size; values below 1 mean 1): with the shards' owned-vertex counts it
+// bounds the session's frames.
 type sessionRequest struct {
 	Session       string   `json:"session"`
 	Graph         string   `json:"graph"`
@@ -51,9 +52,9 @@ type advanceRequest struct {
 }
 
 // advanceTiming reports where one advance spent its time on the shard, in
-// nanoseconds: freezing outgoing boundary shares, pulling ghost shares
-// from peers, and gathering next-step mass. The driver folds these into
-// the request trace's per-shard spans.
+// nanoseconds: freezing and sending outgoing boundary shares, waiting for
+// the peers' share frames, and gathering next-step mass. The driver folds
+// these into the request trace's per-shard spans.
 type advanceTiming struct {
 	FreezeNS int64
 	PullNS   int64

@@ -89,6 +89,11 @@ func TestDetectorParallelMatchesWrapper(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("Detector(parallel) differs from DetectParallel wrapper")
 	}
+	for i, det := range got.Detections {
+		if cap(det.Assigned) != len(det.Assigned) {
+			t.Fatalf("detection %d: assigned piece has cap %d for %d vertices", i, cap(det.Assigned), len(det.Assigned))
+		}
+	}
 }
 
 // TestDetectorCongestMatchesSoloRuns: the CONGEST engine's pool loop draws

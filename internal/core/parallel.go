@@ -201,6 +201,12 @@ func (d *Detector) detectParallel(ctx context.Context) (*Result, error) {
 			}
 		}
 	}
+	// A cached Result retains every piece, so each is copied out at its
+	// exact size once the appends above are done.
+	for i := range res.Detections {
+		det := &res.Detections[i]
+		det.Assigned = append(make([]int, 0, len(det.Assigned)), det.Assigned...)
+	}
 	for v := 0; v < n; v++ {
 		if owner[v] >= 0 {
 			continue

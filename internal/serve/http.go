@@ -511,6 +511,7 @@ func (s *server) handleDetect(w http.ResponseWriter, r *http.Request) {
 	var (
 		line     *detectLine
 		settings core.Settings
+		fp       string
 		cached   bool
 	)
 	handled := false
@@ -520,15 +521,18 @@ func (s *server) handleDetect(w http.ResponseWriter, r *http.Request) {
 		line = &detectLine{res: res} // cluster runs are not cached
 	}
 	if !handled {
-		line, settings, cached, err = s.reg.detect(r.Context(), name, opts...)
+		line, settings, fp, cached, err = s.reg.detect(r.Context(), name, opts...)
 	}
 	if err != nil {
 		s.writeError(w, errStatus(err), err)
 		return
 	}
+	if handled {
+		fp = settings.Fingerprint()
+	}
 	slog.Debug("detection served", "request_id", trace.FromContext(r.Context()).ID(),
 		"graph", name, "engine", settings.Engine.String(), "cached", cached, "cluster", handled)
-	writeDetect(w, name, settings.Fingerprint(), cached, line.detectionsJSON())
+	writeDetect(w, name, fp, cached, line.detectionsJSON())
 }
 
 // detectHead is the full-run answer's fields before its detections.

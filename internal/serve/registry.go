@@ -232,27 +232,34 @@ func (r *Registry) Graph(name string) (*graph.Graph, bool) {
 // use. The second return carries the entry's generation and resolved
 // settings for cache keying.
 func (r *Registry) Pool(name string, opts ...core.Option) (*DetectorPool, int, core.Settings, error) {
+	p, gen, settings, _, err := r.pool(name, opts...)
+	return p, gen, settings, err
+}
+
+// pool is Pool also returning the settings' fingerprint, so a request
+// computes it once and keys its pool, its cache line and its answer with it.
+func (r *Registry) pool(name string, opts ...core.Option) (*DetectorPool, int, core.Settings, string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	e, ok := r.entries[name]
 	if !ok {
-		return nil, 0, core.Settings{}, fmt.Errorf("%w %q", ErrUnknownGraph, name)
+		return nil, 0, core.Settings{}, "", fmt.Errorf("%w %q", ErrUnknownGraph, name)
 	}
 	merged := append(append([]core.Option(nil), e.opts...), opts...)
 	settings, err := core.Resolve(e.g.NumVertices(), merged...)
 	if err != nil {
-		return nil, 0, core.Settings{}, err
+		return nil, 0, core.Settings{}, "", err
 	}
 	fp := settings.Fingerprint()
 	if slot, ok := e.pools[fp]; ok {
-		return slot.pool, e.gen, settings, nil
+		return slot.pool, e.gen, settings, fp, nil
 	}
 	if e.ix == nil {
 		e.ix = rw.NewSharedIndex(e.g)
 	}
 	p, err := NewDetectorPoolWithIndex(e.g, r.poolSize, e.ix, merged...)
 	if err != nil {
-		return nil, 0, core.Settings{}, err
+		return nil, 0, core.Settings{}, "", err
 	}
 	p.SetMetrics(r.m)
 	if len(e.pools) >= maxPoolsPerGraph {
@@ -262,7 +269,7 @@ func (r *Registry) Pool(name string, opts ...core.Option) (*DetectorPool, int, c
 		}
 	}
 	e.pools[fp] = poolSlot{pool: p, opts: merged}
-	return p, e.gen, settings, nil
+	return p, e.gen, settings, fp, nil
 }
 
 // Resolve looks up the named graph and resolves the request options over its
@@ -319,7 +326,7 @@ func (r *Registry) rememberLocked(key string) {
 // of inheriting the foreign cancellation. The returned Result is shared;
 // treat it as read-only.
 func (r *Registry) Detect(ctx context.Context, name string, opts ...core.Option) (*core.Result, core.Settings, bool, error) {
-	line, settings, cached, err := r.detect(ctx, name, opts...)
+	line, settings, _, cached, err := r.detect(ctx, name, opts...)
 	if err != nil {
 		return nil, settings, false, err
 	}
@@ -327,8 +334,8 @@ func (r *Registry) Detect(ctx context.Context, name string, opts ...core.Option)
 }
 
 // detect is Detect returning the cache line, which the HTTP layer answers
-// from. On error the line is nil.
-func (r *Registry) detect(ctx context.Context, name string, opts ...core.Option) (*detectLine, core.Settings, bool, error) {
+// from, and the settings' fingerprint. On error the line is nil.
+func (r *Registry) detect(ctx context.Context, name string, opts ...core.Option) (*detectLine, core.Settings, string, bool, error) {
 	// Cache-phase attribution: everything from the request's start until
 	// this request either answers from the cache layer or commits to a
 	// live run — routing, body decode, pool resolution and the
@@ -341,11 +348,11 @@ func (r *Registry) detect(ctx context.Context, name string, opts ...core.Option)
 	if tr != nil {
 		cacheStart = tr.Start()
 	}
-	p, gen, settings, err := r.Pool(name, opts...)
+	p, gen, settings, fp, err := r.pool(name, opts...)
 	if err != nil {
-		return nil, core.Settings{}, false, err
+		return nil, core.Settings{}, "", false, err
 	}
-	key := cacheKey(name, gen, "detect", settings.Fingerprint())
+	key := cacheKey(name, gen, "detect", fp)
 
 	var f *flight
 	for {
@@ -358,7 +365,7 @@ func (r *Registry) detect(ctx context.Context, name string, opts ...core.Option)
 			if r.m != nil {
 				r.m.IncCacheHit()
 			}
-			return line, settings, true, nil
+			return line, settings, fp, true, nil
 		}
 		lead, inFlight := r.flights[key]
 		if !inFlight {
@@ -379,9 +386,9 @@ func (r *Registry) detect(ctx context.Context, name string, opts ...core.Option)
 			if tr != nil {
 				tr.AddPhase(trace.PhaseCache, time.Since(cacheStart))
 			}
-			return lead.line, settings, false, lead.err
+			return lead.line, settings, fp, false, lead.err
 		case <-ctx.Done():
-			return nil, settings, false, fmt.Errorf("serve: %w", ctx.Err())
+			return nil, settings, fp, false, fmt.Errorf("serve: %w", ctx.Err())
 		}
 	}
 	if tr != nil {
@@ -409,7 +416,7 @@ func (r *Registry) detect(ctx context.Context, name string, opts ...core.Option)
 	}
 	r.mu.Unlock()
 	close(f.done)
-	return f.line, settings, false, err
+	return f.line, settings, fp, false, err
 }
 
 // leaderCancelled reports whether a flight failed with its leader's context
@@ -427,11 +434,11 @@ func (r *Registry) DetectCommunity(ctx context.Context, name string, seed int, o
 	if tr != nil {
 		cacheStart = tr.Start() // see Detect: one clock read on the hit path
 	}
-	p, gen, settings, err := r.Pool(name, opts...)
+	p, gen, _, fp, err := r.pool(name, opts...)
 	if err != nil {
 		return nil, core.CommunityStats{}, false, err
 	}
-	key := cacheKey(name, gen, fmt.Sprintf("community:%d", seed), settings.Fingerprint())
+	key := cacheKey(name, gen, fmt.Sprintf("community:%d", seed), fp)
 
 	r.mu.Lock()
 	if c, ok := r.comm[key]; ok {
@@ -458,7 +465,7 @@ func (r *Registry) DetectCommunity(ctx context.Context, name string, seed int, o
 	}
 	r.mu.Lock()
 	if _, dup := r.comm[key]; !dup {
-		r.comm[key] = commCached{community: out, stats: stats, fp: settings.Fingerprint()}
+		r.comm[key] = commCached{community: out, stats: stats, fp: fp}
 		r.rememberLocked(key)
 	}
 	r.mu.Unlock()
@@ -475,11 +482,10 @@ func (r *Registry) DetectCommunity(ctx context.Context, name string, seed int, o
 // also seeds the per-seed lines DetectCommunity reads, so one stream warms
 // the cache for every later request shape.
 func (r *Registry) Stream(ctx context.Context, name string, opts ...core.Option) (func(yield func(core.Detection, error) bool), error) {
-	p, gen, settings, err := r.Pool(name, opts...)
+	p, gen, settings, fp, err := r.pool(name, opts...)
 	if err != nil {
 		return nil, err
 	}
-	fp := settings.Fingerprint()
 	key := cacheKey(name, gen, "detect", fp)
 
 	r.mu.Lock()

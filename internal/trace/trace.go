@@ -25,9 +25,9 @@ import (
 // Phase identifies where a request's time went. The taxonomy follows the
 // algorithm: walk (random-walk stepping), sweep (mixing-set candidate
 // ladder), flood (CONGEST communication rounds, including transport
-// waits in cluster mode), peer_pull (shard-side share pulls, nested
-// inside flood time), cache (registry result-cache lookups and flight
-// waits).
+// waits in cluster mode), peer_pull (shard-side waits for peers' share
+// frames, nested inside flood time), cache (registry result-cache lookups
+// and flight waits).
 type Phase uint8
 
 const (
