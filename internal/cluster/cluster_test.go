@@ -122,6 +122,63 @@ func TestClusterDetectConformance(t *testing.T) {
 	}
 }
 
+// TestClusterDetectAfterReplaceAndPatch: the driver's detector shares the
+// index bundle of the graph generation the registry resolves
+// (serve.Registry.Resolve appends core.WithSharedIndex), so after a
+// replacing Register (PUT) and after a delta (PATCH) a cluster detection
+// must equal the in-process CONGEST detection on the new generation. A
+// bundle of an older generation would be refused by core.NewDetector or
+// would answer for the old graph.
+func TestClusterDetectAfterReplaceAndPatch(t *testing.T) {
+	ctx := context.Background()
+	tc := startCluster(t, 3, 42)
+	tc.register(t, "ppm", clusterTestGraph(t))
+	opts := []core.Option{core.WithEngine(core.EngineCongest), core.WithSeed(9)}
+	check := func(stage string) {
+		t.Helper()
+		g, ok := tc.regs[0].Graph("ppm")
+		if !ok {
+			t.Fatalf("%s: graph not registered", stage)
+		}
+		det, err := core.NewDetector(g, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := det.Detect(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, handled, err := tc.nodes[0].Detect(ctx, "ppm", opts...)
+		if err != nil || !handled {
+			t.Fatalf("%s: handled=%v err=%v", stage, handled, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: cluster result diverged from the in-process run on the same generation", stage)
+		}
+	}
+	check("first generation")
+
+	ppm, err := gen.NewPPM(gen.PPMConfig{N: 240, R: 2, P: 0.12, Q: 0.01}, rng.New(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.register(t, "ppm", ppm.Graph)
+	check("after a replacing register")
+
+	var adds []graph.Edge
+	for u := 0; len(adds) < 6; u += 7 {
+		if v := u + 120; !ppm.Graph.HasEdge(u, v) {
+			adds = append(adds, graph.Edge{U: u, V: v})
+		}
+	}
+	for i, reg := range tc.regs {
+		if _, err := reg.ApplyDelta(ctx, "ppm", adds, nil); err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+	}
+	check("after a delta")
+}
+
 // TestClusterDetectCommunityConformance pins the single-seed path, including
 // the full stats struct, across several seeds.
 func TestClusterDetectCommunityConformance(t *testing.T) {

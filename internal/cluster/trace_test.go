@@ -61,7 +61,10 @@ func TestClusterTracePropagation(t *testing.T) {
 			inner.ServeHTTP(w, r)
 		})}
 		go func(ln net.Listener) { _ = srv.Serve(ln) }(lns[i])
+		// Cleanups run newest first: the node closes its links (which
+		// http.Server.Close leaves open) before its server closes.
 		t.Cleanup(func() { _ = srv.Close() })
+		t.Cleanup(node.Stop)
 		nodes[i] = node
 	}
 

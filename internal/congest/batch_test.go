@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -334,10 +336,11 @@ func TestBatchObserversSeeAllMessages(t *testing.T) {
 // per selection and round by round on the link-load observers, its
 // canonical sum must equal canonicalCoveredSum of the scan's threshold, and
 // all of it must equal the sequential indexed search
-// (selectKSmallestIndexedReference). The selection reads its off-support
-// stream as evalLadder prepares it, listing the covered vertices without
-// mass (ResetMembers); the sequential search reads one that excludes the
-// support and every uncovered vertex (Reset). The trees grow without a
+// (selectKSmallestIndexedReference). The selection splits the covered
+// vertices as evalLadder does (prepareStep: a support table of the vertices
+// with mass and a stream listing those without, ResetMembers); the
+// sequential search reads a stream that excludes the support and every
+// uncovered vertex (Reset). The trees grow without a
 // depth limit and with limits 0–3, on Gnp graphs (connected or not) and on
 // the selectionGraphs, so the covered sets range from a lone root to the
 // whole graph; the sizes are 2, 8, 40, 150, 199 and 200 plus sizes around
@@ -370,15 +373,13 @@ func TestSelectIndexedMatchesScan(t *testing.T) {
 				p, next := make(rw.Dist, n), make(rw.Dist, n)
 				p[root] = 1
 				x := make([]float64, n)
-				var off, refOff rw.OffSupportStream
+				var refOff rw.OffSupportStream
 				for step := 0; step < 6; step++ {
 					p, next = floodOnce(flood, p, next)
 					// The explicit keys are the covered vertices with mass.
-					// The selection's stream lists the covered vertices
-					// without mass, as evalLadder prepares it; the
-					// reference's excludes the support and every uncovered
-					// vertex instead.
-					var support, members, excluded []int32
+					// The reference's stream excludes them and every
+					// uncovered vertex.
+					var support, excluded []int32
 					for v := 0; v < n; v++ {
 						switch {
 						case !trees[0].Covered(v):
@@ -386,11 +387,8 @@ func TestSelectIndexedMatchesScan(t *testing.T) {
 						case p[v] != 0:
 							support = append(support, int32(v))
 							excluded = append(excluded, int32(v))
-						default:
-							members = append(members, int32(v))
 						}
 					}
-					off.ResetMembers(idxNW.degreeIndex(), members)
 					refOff.Reset(idxNW.degreeIndex(), excluded)
 					nc := len(covered)
 					for _, size := range []int{1, 2, 8, 40, 150, 199, 200, nc / 2, nc - 1, nc, nc + 1, n} {
@@ -406,7 +404,7 @@ func TestSelectIndexedMatchesScan(t *testing.T) {
 						scanCost.Messages -= before.Messages
 
 						before = soloMetrics(idxNW)
-						idxTh, idxSum, idxOK := idxNW.selectKSmallestIndexed(trees[1], p, support, &off, muPrime, size)
+						idxTh, idxSum, idxOK := idxNW.selectKSmallestIndexed(trees[1], p, covered, muPrime, size)
 						idxCost := soloMetrics(idxNW)
 						idxCost.Rounds -= before.Rounds
 						idxCost.Messages -= before.Messages
@@ -444,6 +442,127 @@ func TestSelectIndexedMatchesScan(t *testing.T) {
 						c.name, root, depth, len(scanLoads), len(idxLoads), len(refLoads))
 				}
 			}
+		}
+	}
+}
+
+// TestSelectIndexedSplitsOnIDs pins the bisection's id dimension. On a
+// star, a complete bipartite graph and a hypercube, one or two flood steps
+// leave many support vertices with equal mass and equal degree, hence equal
+// x, so for some sizes the k-th and (k+1)-th smallest keys are support keys
+// that share their x value, and the search must split them on ids. The test
+// asserts that precondition on each input. Then, for every size from 1 to
+// the covered count, the selection (selectIndexed over prepareStep's split)
+// must return the covered scan's (scanSelect) threshold, success flag,
+// leading convergecasts and broadcast + convergecast pairs, a sum with the
+// bits of canonicalCoveredSum at that threshold, and replayed communication
+// that the load observers see round by round.
+func TestSelectIndexedSplitsOnIDs(t *testing.T) {
+	build := func(n int, edges func(add func(u, v int))) *graph.Graph {
+		b := graph.NewBuilder(n)
+		edges(func(u, v int) { b.AddEdge(u, v) })
+		g, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	star := build(40, func(add func(u, v int)) {
+		for v := 1; v < 40; v++ {
+			add(0, v)
+		}
+	})
+	bipartite := build(13, func(add func(u, v int)) { // K(5,8)
+		for u := 0; u < 5; u++ {
+			for v := 5; v < 13; v++ {
+				add(u, v)
+			}
+		}
+	})
+	cube := build(32, func(add func(u, v int)) { // the 5-dimensional hypercube
+		for u := 0; u < 32; u++ {
+			for bit := 1; bit < 32; bit <<= 1 {
+				if v := u ^ bit; u < v {
+					add(u, v)
+				}
+			}
+		}
+	})
+	cases := []struct {
+		name        string
+		g           *graph.Graph
+		root, steps int
+	}{
+		{"star-centre", star, 0, 1},
+		{"star-leaf", star, 7, 2},
+		{"bipartite", bipartite, 0, 1},
+		{"bipartite", bipartite, 0, 2},
+		{"hypercube", cube, 0, 1},
+		{"hypercube", cube, 0, 2},
+	}
+	for _, c := range cases {
+		g := c.g
+		n := g.NumVertices()
+		var gotLoads, wantLoads []observedRound
+		nw, ref := soloNetwork(g), soloNetwork(g)
+		nw.SetLoadObserver(recordRounds(&gotLoads))
+		ref.SetLoadObserver(recordRounds(&wantLoads))
+		tree, err := nw.buildTree(c.root, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refTree, err := ref.buildTree(c.root, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		covered := tree.CoveredVertices()
+		flood := soloNetwork(g)
+		p, next := make(rw.Dist, n), make(rw.Dist, n)
+		p[c.root] = 1
+		for range c.steps {
+			p, next = floodOnce(flood, p, next)
+		}
+		nw.prepareStep(p, covered)
+		x := make([]float64, n)
+		tied := 0
+		for size := 1; size <= len(covered); size++ {
+			at := fmt.Sprintf("%s after %d steps, size %d", c.name, c.steps, size)
+			muPrime := rw.MuPrime(g, size)
+			keys := make([]key, 0, len(covered))
+			for _, v := range covered {
+				x[v] = rw.XValueAt(g, p, int(v), size, muPrime)
+				keys = append(keys, key{x: x[v], id: v})
+			}
+			slices.SortFunc(keys, func(a, b key) int {
+				if keyLess(a, b) {
+					return -1
+				}
+				return 1
+			})
+			if size < len(keys) {
+				a, b := keys[size-1], keys[size]
+				if a.x == b.x && p[a.id] != 0 && p[b.id] != 0 {
+					tied++
+				}
+			}
+			got := nw.selectIndexed(&selScratch{off: nw.off}, nw.degreeIndex(), size, muPrime)
+			want := ref.scanSelect(covered, x, size)
+			if got.threshold != want.threshold || got.ok != want.ok || got.casts != want.casts || got.pairs != want.pairs {
+				t.Fatalf("%s: selection (%+v, ok %v, %d casts, %d pairs), scan (%+v, ok %v, %d casts, %d pairs)",
+					at, got.threshold, got.ok, got.casts, got.pairs, want.threshold, want.ok, want.casts, want.pairs)
+			}
+			if wantSum := canonicalCoveredSum(g, p, covered, x, want.threshold, muPrime, size); math.Float64bits(got.sum) != math.Float64bits(wantSum) {
+				t.Fatalf("%s: canonical sum %v, want %v", at, got.sum, wantSum)
+			}
+			nw.replaySelection(tree, got)
+			ref.replaySelection(refTree, want)
+		}
+		if tied == 0 {
+			t.Fatalf("%s after %d steps: no size has its k-th and (k+1)-th smallest keys on two support vertices with equal x", c.name, c.steps)
+		}
+		if m, refM := soloMetrics(nw), soloMetrics(ref); m != refM || !sameRounds(gotLoads, wantLoads) {
+			t.Fatalf("%s after %d steps: metrics %+v vs scan %+v, or the observers saw different loads over %d and %d rounds",
+				c.name, c.steps, m, refM, len(gotLoads), len(wantLoads))
 		}
 	}
 }

@@ -157,14 +157,12 @@ func (nw *Network) largestMixingSet(tree *Tree, covered []int32, p rw.Dist, ladd
 
 // evalLadder computes every ladder size's selection for the walk
 // distribution p over the covered nodes, in ladder order. Once per walk
-// step it splits the covered nodes: those that hold mass are the
-// selection's explicit keys (nw.support), and those that hold none form the
-// off-support stream (nw.off), which excludes the support and every node
-// the tree does not cover. Preparing it (rw.OffSupportStream.ResetMembers)
-// sorts those nodes' degree-order positions, so a step's preparation costs
-// what the tree covers, not n. Each size then runs selectIndexed, where
-// off-support nodes answer the root's broadcasts from their degree alone,
-// so a size costs O(support + log²n) simulator work per binary-search
+// step prepareStep writes the support table, which every size and every
+// worker reads, and prepares the off-support stream. Each size then runs
+// selectIndexed: one pass over the table for the size's keys, then one
+// branch-free partition pass per binary-search iteration over the keys
+// still inside the bracket, while off-support nodes answer the root's
+// broadcasts from their degree alone — O(support + log²n) simulator work per
 // iteration instead of a scan over every covered node. The selections only
 // read the network, so they run on min(GOMAXPROCS, len(ladder)) goroutines:
 // the caller and one helper per further core, each claiming sizes from a
@@ -177,21 +175,12 @@ func (nw *Network) evalLadder(p rw.Dist, covered []int32, ladder []int) []sizeRe
 	if cap(nw.sizeRes) < len(ladder) {
 		nw.sizeRes = make([]sizeResult, len(ladder))
 	}
-	// covered is ascending, so the support comes out ascending too.
-	nw.support, nw.offMembers = nw.support[:0], nw.offMembers[:0]
-	for _, v := range covered {
-		if p[v] != 0 {
-			nw.support = append(nw.support, v)
-		} else {
-			nw.offMembers = append(nw.offMembers, v)
-		}
-	}
+	nw.prepareStep(p, covered)
 	job := &ladderJob{
-		nw: nw, idx: nw.degreeIndex(), p: p, ladder: ladder,
+		nw: nw, idx: nw.degreeIndex(), ladder: ladder,
 		res:  nw.sizeRes[:len(ladder)],
 		done: make(chan struct{}),
 	}
-	nw.off.ResetMembers(job.idx, nw.offMembers)
 	job.left.Store(int64(len(ladder)))
 	workers := min(runtime.GOMAXPROCS(0), len(ladder))
 	for len(nw.sel) < workers {
@@ -205,6 +194,27 @@ func (nw *Network) evalLadder(p rw.Dist, covered []int32, ladder []int) []sizeRe
 	return job.res
 }
 
+// prepareStep splits the covered nodes (ascending) for the walk
+// distribution p. Those that hold mass are the selection's explicit keys:
+// their mass, degree and id go into the support table (nw.support), in
+// ascending id. Those that hold none form the off-support stream (nw.off),
+// which excludes the support and every node the tree does not cover.
+// Preparing it (rw.OffSupportStream.ResetMembers) sorts those nodes'
+// degree-order positions, so a step's preparation costs what the tree
+// covers, not n.
+func (nw *Network) prepareStep(p rw.Dist, covered []int32) {
+	g := nw.g
+	nw.support, nw.offMembers = nw.support[:0], nw.offMembers[:0]
+	for _, v := range covered {
+		if pv := p[v]; pv != 0 {
+			nw.support = append(nw.support, supportSlot{p: pv, deg: int32(g.Degree(int(v))), id: v})
+		} else {
+			nw.offMembers = append(nw.offMembers, v)
+		}
+	}
+	nw.off.ResetMembers(nw.degreeIndex(), nw.offMembers)
+}
+
 // ladderJob is one evalLadder call shared by its workers. A worker touches
 // nothing but the job's counters until it has claimed a size, and the
 // caller waits for every claimed size to finish, not for the helpers: a
@@ -214,7 +224,6 @@ func (nw *Network) evalLadder(p rw.Dist, covered []int32, ladder []int) []sizeRe
 type ladderJob struct {
 	nw     *Network
 	idx    *rw.DegreeIndex // degree tables and the off-support stream
-	p      rw.Dist
 	ladder []int
 	res    []sizeResult
 	next   atomic.Int64  // next unclaimed ladder position
@@ -252,5 +261,5 @@ func (j *ladderJob) eval(sc *selScratch, size int) sizeResult {
 	if j.nw.stopped() {
 		return sizeResult{}
 	}
-	return j.nw.selectIndexed(sc, j.idx, j.p, size, rw.MuPrime(j.nw.g, size))
+	return j.nw.selectIndexed(sc, j.idx, size, rw.MuPrime(j.nw.g, size))
 }

@@ -114,15 +114,15 @@ type Network struct {
 	// Selection state (selectIndexed), built lazily and retained across
 	// runs. When shared is non-nil the degree index and the inverse-degree
 	// table come from it instead of being built per network. For the
-	// current walk step, support lists the covered nodes that hold mass,
-	// offMembers those that hold none, and off is the stream over
-	// offMembers. sel holds one scratch per ladder worker and sizeRes the
-	// ladder's results.
+	// current walk step (prepareStep), support is the table of the covered
+	// nodes that hold mass, offMembers lists those that hold none, and off
+	// is the stream over offMembers. sel holds one scratch per ladder worker
+	// and sizeRes the ladder's results.
 	shared     *rw.SharedIndex
 	degIdx     *rw.DegreeIndex
 	dinv       []float64
 	off        rw.OffSupportStream
-	support    []int32
+	support    []supportSlot
 	offMembers []int32
 	sel        []*selScratch
 	sizeRes    []sizeResult

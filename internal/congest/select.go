@@ -2,6 +2,7 @@ package congest
 
 import (
 	"math"
+	"math/bits"
 
 	"cdrw/internal/rw"
 )
@@ -79,15 +80,43 @@ func midKey(lo, hi key) key {
 	return key{x: lo.x, id: lo.id + (hi.id-lo.id)/2}
 }
 
+// supportSlot is one entry of a walk step's support table: a covered node
+// that holds mass, with its mass and degree. evalLadder writes the table
+// once per walk step (prepareStep), in ascending id, and every ladder size
+// and worker reads it.
+type supportSlot struct {
+	p   float64
+	deg int32
+	id  int32
+}
+
+// selKey is one explicit key of the bisection's working set. While the
+// search bracket spans distinct x values, b holds the x value's float bits:
+// every x is a finite, non-negative math.Abs, so unsigned bit order is value
+// order. Once the bracket has collapsed to one x value, b holds the id.
+type selKey struct {
+	b  uint64
+	id int32
+}
+
+// key returns e as an (x, id) key; x is the bracket's one x value when b
+// holds ids.
+func (e selKey) key(byID bool, x float64) key {
+	if byID {
+		return key{x: x, id: e.id}
+	}
+	return key{x: math.Float64frombits(e.b), id: e.id}
+}
+
 // selScratch is one ladder worker's selection state: its own copy of the
-// walk step's off-support stream (re-targeted per size by SetMu), the
-// support's x values in ascending vertex order, the bisection's working set
-// of explicit keys, and the size's degree table.
+// walk step's off-support stream (re-targeted per size by SetMu), the size's
+// degree table, and the bisection's two key buffers — the working set and
+// the spare that each partition writes the keys above mid into. All of it is
+// O(support) and retained across sizes and walk steps.
 type selScratch struct {
-	off  rw.OffSupportStream
-	xsup []float64
-	keys []key
-	t    []float64
+	off       rw.OffSupportStream
+	t         []float64
+	ws, spare []selKey
 }
 
 // degreeTable returns the size's degree table (rw.DegreeIndex.DegreeTable)
@@ -101,15 +130,96 @@ func (sc *selScratch) degreeTable(idx *rw.DegreeIndex, size int, muPrime float64
 	return sc.t
 }
 
-// xValue is rw.XValueAt for vertex u of degree d, with the degree term read
-// from the size's degree table t, or divided per vertex when t is nil (then
-// the maximum degree is at least 1, so µ' > 0); both agree with XValueAt
-// bit for bit.
-func xValue(p rw.Dist, t []float64, u, d int, muPrime float64) float64 {
+// xBits is rw.XValueAt of support slot s as float bits, with the degree
+// term read from the size's degree table t, or divided per node when t is
+// nil (then the maximum degree is at least 1, so µ' > 0); both agree with
+// XValueAt bit for bit.
+func xBits(s supportSlot, t []float64, muPrime float64) uint64 {
 	if t != nil {
-		return math.Abs(p[u] - t[d])
+		return math.Float64bits(math.Abs(s.p - t[s.deg]))
 	}
-	return math.Abs(p[u] - float64(d)/muPrime)
+	return math.Float64bits(math.Abs(s.p - float64(s.deg)/muPrime))
+}
+
+// loadKeys writes every support slot's key into ws, in ascending id, and
+// returns the smallest and the largest key. On equal x the earlier slot
+// wins the minimum and the later one the maximum, which is (x, id) order.
+// sup must not be empty.
+func loadKeys(ws []selKey, sup []supportSlot, t []float64, muPrime float64) (lo, hi selKey) {
+	lo.b = math.MaxUint64
+	ws = ws[:len(sup)]
+	for i := range sup {
+		e := selKey{b: xBits(sup[i], t, muPrime), id: sup[i].id}
+		ws[i] = e
+		if e.b < lo.b {
+			lo = e
+		}
+		if e.b >= hi.b {
+			hi = e
+		}
+	}
+	return lo, hi
+}
+
+// splitKeys is one bisection iteration's pass over the working set ws: a
+// stable partition that keeps the keys with b ≤ v at the front of ws and
+// writes the others to spare, both in their order. It returns the count w
+// of the keys ≤ v and the largest of them (valid when w > 0); on equal b the
+// later key wins, which, with ws in ascending id, is (x, id) order.
+//
+// It has no data-dependent branch. Every key is stored to both sides and
+// the side's cursor advances by the comparison's borrow bit; the maximum is
+// taken over (b+1) masked to 0 above v, so keys above v never displace a key
+// ≤ v, by conditional moves. The loop keeps its cursors, v and the maximum
+// in registers (go build -gcflags=-S shows no stack traffic in it).
+// Tracking the smallest key above v in the same loop takes two more live
+// values than amd64's registers hold, and the compiler then spills a
+// cursor; minKey finds that key when the search needs it.
+func splitKeys(ws, spare []selKey, v uint64) (w int, maxLe selKey) {
+	spare = spare[:len(ws)]
+	v1 := v + 1 // v < 2⁶³: float bits of a finite non-negative x, or an id
+	var maxC uint64
+	for i, e := range ws {
+		_, le := bits.Sub64(e.b, v1, 0) // 1 when e.b ≤ v
+		ws[w] = e
+		spare[i-w] = e
+		w += int(le)
+		if c := (e.b + 1) & -le; c >= maxC {
+			maxC, maxLe.id = c, e.id
+		}
+	}
+	maxLe.b = maxC - 1
+	return w, maxLe
+}
+
+// minKey returns the smallest key of ks, which must not be empty; on equal
+// b the earlier key wins. It is branch-free like splitKeys.
+func minKey(ks []selKey) selKey {
+	m := selKey{b: math.MaxUint64}
+	for _, e := range ks {
+		if e.b < m.b {
+			m = e
+		}
+	}
+	return m
+}
+
+// onSupportSum is the on-support part of the canonical mixing sum: the x
+// values of the support slots whose keys are ≤ th, added in ascending id.
+// It is branch-free: one 128-bit subtraction of (th.x bits, th.id+1) from
+// (x bits, id) borrows exactly when the key is ≤ th, and the borrow masks
+// x, so every other slot adds +0, which leaves the sum's bits unchanged (the
+// sum starts at +0 and adds non-negative values, so it is never −0).
+func onSupportSum(sup []supportSlot, t []float64, muPrime float64, th key) float64 {
+	thb, thid := math.Float64bits(th.x), uint64(int64(th.id)+1)
+	sum := 0.0
+	for _, s := range sup {
+		xb := xBits(s, t, muPrime)
+		_, lt := bits.Sub64(uint64(s.id), thid, 0)
+		_, le := bits.Sub64(xb, thb, lt)
+		sum += math.Float64frombits(xb & -le)
+	}
+	return sum
 }
 
 // selectIndexed runs the distributed binary search of Algorithm 1 line 14
@@ -124,16 +234,18 @@ func xValue(p rw.Dist, t []float64, u, d int, muPrime float64) float64 {
 // the search.
 //
 // The simulator computes each aggregate centrally from two populations that
-// together are the covered nodes. The covered nodes that hold mass
-// (nw.support) contribute their explicit keys. The covered nodes that hold
-// none answer from the degree index (sc.off): their x_u = d(u)/µ' depends on
-// their degree alone, so an iteration costs O(support + log²n) instead of a
-// scan over every covered node.
+// together are the covered nodes. The covered nodes that hold mass (the
+// walk step's support table, nw.support) contribute their explicit keys.
+// The covered nodes that hold none answer from the degree index (sc.off):
+// their x_u = d(u)/µ' depends on their degree alone, so an iteration costs
+// O(support + log²n) instead of a scan over every covered node.
 //
 // It only reads the network, so ladder workers run it concurrently, each
-// with its own scratch. One pass computes the support's x values, their
-// keys and the keys' min/max; each bisection iteration is one partition
-// pass over the keys still inside the bracket.
+// with its own scratch. One pass computes the support's keys and their
+// min/max; each bisection iteration is one branch-free partition pass
+// (splitKeys) over the keys still inside the bracket, and the search path —
+// every mid, hence every round — is the one a scan over all covered nodes
+// takes.
 //
 // The returned sum is the canonical mixing sum (rw.MixingSum): on-support
 // terms accumulated in ascending vertex order plus the off-support tail as
@@ -142,13 +254,12 @@ func xValue(p rw.Dist, t []float64, u, d int, muPrime float64) float64 {
 // node. µ' = MuPrime(g, size) is positive unless the graph has no edge; the
 // tree then holds only its root, which keeps its mass, so the stream is
 // empty and never divides.
-func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, p rw.Dist, size int, muPrime float64) sizeResult {
-	g := nw.g
+func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, size int, muPrime float64) sizeResult {
 	off := &sc.off
 	off.SetMu(muPrime)
 	nOff := off.Len()
-	support := nw.support
-	k, covered := size, len(support)+nOff
+	sup := nw.support
+	k, covered := size, len(sup)+nOff
 	if k <= 0 || k > covered {
 		return sizeResult{}
 	}
@@ -156,24 +267,18 @@ func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, p rw.Dist,
 		x, id := off.KeyAt(j)
 		return key{x: x, id: id}
 	}
-	xs := sc.xsup[:0]
-	keys := sc.keys[:0]
-	t := sc.degreeTable(idx, size, muPrime, len(support))
+	t := sc.degreeTable(idx, size, muPrime, len(sup))
+	if cap(sc.ws) < len(sup) {
+		sc.ws, sc.spare = make([]selKey, len(sup)), make([]selKey, len(sup))
+	}
+	ws, spare := sc.ws[:len(sup)], sc.spare[:len(sup)]
 	// Initial convergecast: global (min, max) of the keys (§III: "All the
 	// nodes send xmin and xmax to the root through a convergecast").
 	lo, hi := plusInfKey, minusInfKey
-	for _, v := range support {
-		kk := key{x: xValue(p, t, int(v), g.Degree(int(v)), muPrime), id: v}
-		xs = append(xs, kk.x)
-		keys = append(keys, kk)
-		if keyLess(kk, lo) {
-			lo = kk
-		}
-		if keyLess(hi, kk) {
-			hi = kk
-		}
+	if len(sup) > 0 {
+		l, h := loadKeys(ws, sup, t, muPrime)
+		lo, hi = l.key(false, 0), h.key(false, 0)
 	}
-	sc.xsup, sc.keys = xs, keys
 	if nOff > 0 {
 		if kk := offKey(0); keyLess(kk, lo) {
 			lo = kk
@@ -185,15 +290,9 @@ func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, p rw.Dist,
 	res := sizeResult{casts: 1}
 	// done accepts threshold T: the canonical sum of every key ≤ T.
 	done := func(threshold key) sizeResult {
-		onSum := 0.0
-		for i, v := range support {
-			if keyLE(key{x: xs[i], id: v}, threshold) {
-				onSum += xs[i]
-			}
-		}
 		cOff := off.CountLE(threshold.x, threshold.id)
 		res.threshold, res.ok = threshold, true
-		res.sum = rw.MixingSum(onSum, off.PrefixDeg(cOff), cOff, muPrime, size)
+		res.sum = rw.MixingSum(onSupportSum(sup, t, muPrime, threshold), off.PrefixDeg(cOff), cOff, muPrime, size)
 		return res
 	}
 	if k == covered {
@@ -202,92 +301,75 @@ func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, p rw.Dist,
 		res.casts++
 		return done(hi)
 	}
-	// The explicit keys still inside the search bracket [lo, hi] are the
-	// working set. A key that leaves the bracket keeps its classification
-	// for the rest of the search, so it is folded into running summaries
-	// (count and maximum of the keys below, minimum of the keys above) and
-	// never scanned again: each iteration partitions only the keys the
-	// bisection is still uncertain about — geometrically fewer each time —
-	// while computing aggregates identical to a full scan.
+	// The working set ws holds exactly the explicit keys inside the bracket
+	// [lo, hi], in ascending id; cntBelow counts those below it. A key that
+	// leaves the bracket is never looked at again: fewer than k keys lie
+	// below lo and at least k lie at or below hi, so when the search needs
+	// the largest key ≤ mid (at least k keys are ≤ mid) one lies in
+	// [lo, mid], and when it needs the smallest key > mid one lies in
+	// (mid, hi] — a working key or an off-support one either way.
 	cntBelow := 0
-	maxBelow, minAbove := minusInfKey, plusInfKey
+	byID := false // b holds ids: the bracket spans one x value
 	for iter := 0; iter < 256; iter++ {
 		if nw.stopped() {
 			return res
 		}
 		res.pairs++
 		if lo == hi {
-			cnt := cntBelow + off.CountLE(lo.x, lo.id)
-			for _, kk := range keys {
-				if keyLE(kk, lo) {
-					cnt++
-				}
-			}
-			if cnt != k {
+			// The working set is lo alone, or empty when lo is off-support.
+			if cntBelow+len(ws)+off.CountLE(lo.x, lo.id) != k {
 				// Cannot happen with distinct keys; guard against misuse.
 				return res
 			}
 			return done(lo)
 		}
 		mid := midKey(lo, hi)
-		// Partition: keys ≤ mid move to the front (keys[:w]); record their
-		// maximum and the minimum of the rest.
-		w := 0
-		maxIn, minIn := minusInfKey, plusInfKey
-		for i, kk := range keys {
-			if keyLE(kk, mid) {
-				keys[i] = keys[w]
-				keys[w] = kk
-				w++
-				if keyLess(maxIn, kk) {
-					maxIn = kk
+		v := math.Float64bits(mid.x)
+		if lo.x == hi.x {
+			if !byID {
+				for i := range ws {
+					ws[i].b = uint64(ws[i].id)
 				}
-			} else if keyLess(kk, minIn) {
-				minIn = kk
+				byID = true
 			}
+			v = uint64(mid.id)
 		}
-		// Aggregate: retired keys contribute through their summaries (every
-		// retired below-key is ≤ lo ≤ mid and every retired above-key is >
-		// hi ≥ mid), the off-support stream through the degree index.
+		n := len(ws)
+		w, maxIn := splitKeys(ws, spare, v)
 		cOff := off.CountLE(mid.x, mid.id)
 		countLe := cntBelow + w + cOff
-		maxLe, minGt := maxBelow, minAbove
-		if keyLess(maxLe, maxIn) {
-			maxLe = maxIn
-		}
-		if keyLess(minIn, minGt) {
-			minGt = minIn
-		}
-		if cOff > 0 {
-			if kk := offKey(cOff - 1); keyLess(maxLe, kk) {
-				maxLe = kk
+		if countLe >= k {
+			maxLe := minusInfKey
+			if w > 0 {
+				maxLe = maxIn.key(byID, lo.x)
 			}
+			if cOff > 0 {
+				if kk := offKey(cOff - 1); keyLess(maxLe, kk) {
+					maxLe = kk
+				}
+			}
+			if countLe == k {
+				return done(maxLe)
+			}
+			// hi = maxLe ≤ mid, and no key lies in (maxLe, mid]: the keys
+			// above mid leave the bracket.
+			hi = maxLe
+			ws = ws[:w]
+			continue
+		}
+		// lo = minGt > mid: the keys ≤ mid leave the bracket.
+		minGt := plusInfKey
+		if w < n {
+			minGt = minKey(spare[:n-w]).key(byID, lo.x)
 		}
 		if cOff < nOff {
 			if kk := offKey(cOff); keyLess(kk, minGt) {
 				minGt = kk
 			}
 		}
-		switch {
-		case countLe == k:
-			return done(maxLe)
-		case countLe > k:
-			// hi = maxLe ≤ mid, and no key lies in (maxLe, mid]: the keys
-			// above mid leave the bracket.
-			hi = maxLe
-			if keyLess(minIn, minAbove) {
-				minAbove = minIn
-			}
-			keys = keys[:w]
-		default:
-			// lo = minGt > mid: the keys ≤ mid leave the bracket.
-			lo = minGt
-			cntBelow += w
-			if keyLess(maxBelow, maxIn) {
-				maxBelow = maxIn
-			}
-			keys = keys[w:]
-		}
+		lo = minGt
+		cntBelow += w
+		ws, spare = spare[:n-w], ws
 	}
 	// 256 iterations bound the bisection of a 64-bit float range plus a
 	// 32-bit id range many times over; reaching this is a bug.

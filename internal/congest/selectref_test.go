@@ -126,13 +126,14 @@ func (nw *Network) selectKSmallest(t *Tree, covered []int32, x []float64, k int)
 }
 
 // selectKSmallestIndexed runs one degree-indexed selection of p's size-k
-// candidate set over support (the covered vertices with mass, ascending)
-// and off (prepared to exclude the support and every uncovered vertex) and
-// charges its communication, returning the threshold and canonical sum.
-func (nw *Network) selectKSmallestIndexed(t *Tree, p rw.Dist, support []int32, off *rw.OffSupportStream, muPrime float64, size int) (key, float64, bool) {
-	nw.support = support
-	sc := &selScratch{off: *off}
-	r := nw.selectIndexed(sc, nw.degreeIndex(), p, size, muPrime)
+// candidate set over the covered vertices (ascending), split into the
+// support table and the off-support stream by evalLadder's prepareStep,
+// and charges its communication, returning the threshold and canonical
+// sum.
+func (nw *Network) selectKSmallestIndexed(t *Tree, p rw.Dist, covered []int32, muPrime float64, size int) (key, float64, bool) {
+	nw.prepareStep(p, covered)
+	sc := &selScratch{off: nw.off}
+	r := nw.selectIndexed(sc, nw.degreeIndex(), size, muPrime)
 	nw.replaySelection(t, r)
 	return r.threshold, r.sum, r.ok
 }

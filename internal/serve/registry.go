@@ -67,9 +67,10 @@ type Registry struct {
 }
 
 // entry is one named graph with its base options and per-fingerprint pools.
-// ix is the generation's shared immutable index bundle: built once on first
-// pool creation and handed to every pool of this entry, so all handles of
-// all fingerprints over one graph generation share one set of tables.
+// ix is the generation's shared immutable index bundle: built once, when the
+// first pool or cluster request (Resolve) needs it, and handed to every pool
+// and cluster driver of this entry, so all handles of all fingerprints over
+// one graph generation share one set of tables.
 // Replacement installs a fresh entry (nil ix), so a new generation never
 // reads the old generation's tables; old pools keep the old bundle alive
 // only as long as their in-flight requests do.
@@ -79,6 +80,15 @@ type entry struct {
 	gen   int // bumped on replacement; stale cache keys become unreachable
 	ix    *rw.SharedIndex
 	pools map[string]poolSlot
+}
+
+// index returns the generation's shared index bundle, built on first use;
+// the caller holds the registry's lock.
+func (e *entry) index() *rw.SharedIndex {
+	if e.ix == nil {
+		e.ix = rw.NewSharedIndex(e.g)
+	}
+	return e.ix
 }
 
 // poolSlot is one per-fingerprint pool plus the merged options that created
@@ -254,10 +264,7 @@ func (r *Registry) pool(name string, opts ...core.Option) (*DetectorPool, int, c
 	if slot, ok := e.pools[fp]; ok {
 		return slot.pool, e.gen, settings, fp, nil
 	}
-	if e.ix == nil {
-		e.ix = rw.NewSharedIndex(e.g)
-	}
-	p, err := NewDetectorPoolWithIndex(e.g, r.poolSize, e.ix, merged...)
+	p, err := NewDetectorPoolWithIndex(e.g, r.poolSize, e.index(), merged...)
 	if err != nil {
 		return nil, 0, core.Settings{}, "", err
 	}
@@ -276,7 +283,9 @@ func (r *Registry) pool(name string, opts ...core.Option) (*DetectorPool, int, c
 // base options without creating (or warming) a pool — the cluster layer uses
 // it to validate and fingerprint a request before distributing the run, where
 // a local pool would never execute it. The returned options slice is the
-// merged base+request set and is owned by the caller.
+// merged base+request set plus core.WithSharedIndex of the generation's
+// index bundle, the one its pools share, so a detector made from them does
+// not build its own tables; the slice is owned by the caller.
 func (r *Registry) Resolve(name string, opts ...core.Option) (*graph.Graph, []core.Option, core.Settings, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -289,7 +298,7 @@ func (r *Registry) Resolve(name string, opts ...core.Option) (*graph.Graph, []co
 	if err != nil {
 		return nil, nil, core.Settings{}, err
 	}
-	return e.g, merged, settings, nil
+	return e.g, append(merged, core.WithSharedIndex(e.index())), settings, nil
 }
 
 func cachePrefix(name string) string {
