@@ -486,10 +486,10 @@ func NewClusterServeHandler(reg *GraphRegistry, m *ServeMetrics, node *ClusterNo
 // Request tracing: the flight recorder behind the daemon's
 // GET /debug/traces. A Trace rides the request context — the serving layer
 // mints one per /graphs/ request, the engines attribute per-phase time to
-// it, and cluster RPCs carry its ID in an X-Request-Id header so driver and
-// shard work stitch into one trace. A nil *Trace is a free no-op on every
-// method, and an untraced context costs nothing to check, so embedding
-// callers only pay for tracing when they attach one.
+// it, and a cluster detection carries its ID to every shard in the session
+// open frame, so driver and shard work stitch into one trace. A nil *Trace
+// is a free no-op on every method, and an untraced context costs nothing to
+// check, so embedding callers only pay for tracing when they attach one.
 type (
 	// Trace accumulates one request's per-phase durations and spans.
 	Trace = trace.Trace

@@ -77,7 +77,7 @@ func main() {
 	join := flag.String("join", "", "comma-separated base URLs of known peers to gossip membership with")
 	placementSeed := flag.Uint64("placement-seed", 1, "seed of the deterministic hash vertex placement (must match on every shard)")
 	peerTimeout := flag.Duration("peer-timeout", 2*time.Second, "deadline for each cluster peer RPC; a peer silent past it fails the detection (502)")
-	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "cluster heartbeat interval; 3 consecutive misses evict the peer and flip /readyz")
+	heartbeat := flag.Duration("heartbeat", 500*time.Millisecond, "interval of the cluster peer liveness probes; 3 consecutive misses evict the peer and flip /readyz")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	debugAddr := flag.String("debug-addr", "", "optional listen address for net/http/pprof and expvar (never mounted on the serving address)")

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,11 +27,19 @@ type testCluster struct {
 	nodes []*Node
 	regs  []*serve.Registry
 	urls  []string
+	srvs  []*http.Server
 }
 
 // startCluster boots k shards whose join lists name every peer, so
-// membership settles at construction without gossip latency.
+// membership settles at construction without gossip latency. Their
+// background loops do not run.
 func startCluster(t testing.TB, k int, placementSeed uint64) *testCluster {
+	return bootCluster(t, k, placementSeed, nil, nil)
+}
+
+// bootCluster is startCluster with each shard's Config passed through
+// configure and its handler through wrap, when they are not nil.
+func bootCluster(t testing.TB, k int, placementSeed uint64, configure func(*Config), wrap func(rank int, urls []string, h http.Handler) http.Handler) *testCluster {
 	t.Helper()
 	lns := make([]net.Listener, k)
 	urls := make([]string, k)
@@ -46,19 +55,22 @@ func startCluster(t testing.TB, k int, placementSeed uint64) *testCluster {
 	for i := 0; i < k; i++ {
 		m := metrics.NewServeMetrics()
 		reg := serve.NewRegistry(1, m)
-		node, err := New(reg, Config{
-			Size:          k,
-			Advertise:     urls[i],
-			Join:          urls,
-			PlacementSeed: placementSeed,
-		})
+		cfg := Config{Size: k, Advertise: urls[i], Join: urls, PlacementSeed: placementSeed}
+		if configure != nil {
+			configure(&cfg)
+		}
+		node, err := New(reg, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !node.Ready() {
 			t.Fatalf("shard %d: full join list should settle at construction", i)
 		}
-		srv := &http.Server{Handler: serve.NewClusterHandler(reg, m, node)}
+		var handler http.Handler = serve.NewClusterHandler(reg, m, node)
+		if wrap != nil {
+			handler = wrap(i, urls, handler)
+		}
+		srv := &http.Server{Handler: handler}
 		go func(ln net.Listener) { _ = srv.Serve(ln) }(lns[i])
 		// Cleanups run newest first: the node closes its links (which
 		// http.Server.Close leaves open) before its server closes.
@@ -66,6 +78,7 @@ func startCluster(t testing.TB, k int, placementSeed uint64) *testCluster {
 		t.Cleanup(node.Stop)
 		tc.nodes = append(tc.nodes, node)
 		tc.regs = append(tc.regs, reg)
+		tc.srvs = append(tc.srvs, srv)
 	}
 	return tc
 }
@@ -309,36 +322,21 @@ func TestClusterWireWithinPredicted(t *testing.T) {
 }
 
 // TestClusterSessionErrors pins the shard-side validation: out-of-order
-// rounds, unknown sessions and mismatched graphs are rejected with the
-// cluster error class.
+// rounds and mismatched graphs are rejected with the cluster error class.
 func TestClusterSessionErrors(t *testing.T) {
 	g := clusterTestGraph(t)
 	tc := startCluster(t, 2, 1)
 	tc.register(t, "ppm", g)
 
 	node := tc.nodes[0]
-	if _, err := node.session("nope"); !errors.Is(err, serve.ErrCluster) {
-		t.Fatalf("unknown session: want ErrCluster, got %v", err)
-	}
-
-	ranks, self, err := node.roster()
+	sreq := ppmSession(t, tc, 1)
+	s, err := node.createSession("t1", sreq, tc.urls[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	sreq := sessionRequest{
-		Session: "t1", Graph: "ppm", Members: ranks,
-		Vertices: g.NumVertices(), Edges: g.NumEdges(), PlacementSeed: 1,
-	}
-	if _, err := node.createSession(sreq, ""); err != nil {
-		t.Fatal(err)
-	}
-	defer node.dropSession("t1")
-	s, err := node.session("t1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.self != self {
-		t.Fatalf("session rank %d, node rank %d", s.self, self)
+	defer node.dropSession("t1", "test done")
+	if s.self != node.self {
+		t.Fatalf("session rank %d, node rank %d", s.self, node.self)
 	}
 	// Round 2 before round 1 is out of order.
 	if _, err := s.advance(context.Background(), advanceRequest{Round: 2}); !errors.Is(err, serve.ErrCluster) {
@@ -347,17 +345,15 @@ func TestClusterSessionErrors(t *testing.T) {
 
 	// A graph whose shape differs from the driver's must be rejected.
 	bad := sreq
-	bad.Session = "t2"
 	bad.Vertices++
-	if _, err := node.createSession(bad, ""); err == nil || !strings.Contains(err.Error(), "identical graphs") {
+	if _, err := node.createSession("t2", bad, tc.urls[1]); err == nil || !strings.Contains(err.Error(), "identical graphs") {
 		t.Fatalf("mismatched graph: got %v", err)
 	}
 
 	// Unregistered graph.
 	bad = sreq
-	bad.Session = "t3"
 	bad.Graph = "missing"
-	if _, err := node.createSession(bad, ""); !errors.Is(err, serve.ErrCluster) {
+	if _, err := node.createSession("t3", bad, tc.urls[1]); !errors.Is(err, serve.ErrCluster) {
 		t.Fatalf("missing graph: want ErrCluster, got %v", err)
 	}
 }
@@ -479,6 +475,37 @@ func TestClusterHTTPByteIdentical(t *testing.T) {
 		if got != want {
 			t.Fatalf("shard %d response differs from single-process:\n got %s\nwant %s", rank, got, want)
 		}
+	}
+}
+
+// TestClusterDetectionSendsNoSessionHTTP: a session opens and ends in
+// frames on the links, so once a warm-up detection has opened the 6 links
+// of 3 shards, a detection makes no /cluster/ HTTP request at all.
+func TestClusterDetectionSendsNoSessionHTTP(t *testing.T) {
+	var requests atomic.Int64
+	tc := bootCluster(t, 3, 42, nil, func(_ int, _ []string, h http.Handler) http.Handler {
+		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if strings.HasPrefix(r.URL.Path, "/cluster/") {
+				requests.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		})
+	})
+	tc.register(t, "ppm", clusterTestGraph(t))
+	detect := func() {
+		t.Helper()
+		_, _, handled, err := tc.nodes[0].Detect(context.Background(), "ppm", core.WithEngine(core.EngineCongest), core.WithSeed(9))
+		if err != nil || !handled {
+			t.Fatalf("handled=%v err=%v", handled, err)
+		}
+	}
+	detect()
+	if got := requests.Load(); got != 6 {
+		t.Fatalf("the warm-up detection made %d /cluster/ requests, want its 6 link upgrades", got)
+	}
+	detect()
+	if got := requests.Load() - 6; got != 0 {
+		t.Fatalf("a detection on open links made %d /cluster/ requests, want 0", got)
 	}
 }
 

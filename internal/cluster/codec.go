@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -29,6 +30,11 @@ import (
 // An error payload is 0xC8 0x01, a uvarint HTTP status the failure would
 // have answered with, and its message (at most maxErrorText bytes).
 //
+// A session opens and ends in frames too. An open payload is 0xC9 0x01 and
+// the JSON sessionRequest, at most maxControlBody bytes; the shard answers
+// it with an ack — a reply for round 0 with no walks — or an error frame.
+// A close payload is 0xCA 0x01 alone.
+//
 // Delta coding leans on an invariant every sender guarantees: entries are
 // emitted in ascending vertex order (boundary lists, owned lists and
 // support scans all ascend), so every delta after the first is ≥ 1 and
@@ -49,6 +55,8 @@ const (
 	advanceMagic      = 0xC6
 	advanceReplyMagic = 0xC7
 	errorMagic        = 0xC8
+	openMagic         = 0xC9
+	closeMagic        = 0xCA
 	codecVersion      = 0x01
 
 	// maxSessionID bounds a session id, so a frame header fits a fixed
@@ -221,7 +229,7 @@ func decodeAdvanceReply(b []byte) (resp advanceResponse, err error) {
 	return resp, err
 }
 
-// encodeError encodes a failed round: the status clusterError maps err to,
+// encodeError encodes a failed open or round: the status clusterError maps err to,
 // then its message, cut to maxErrorText bytes.
 func encodeError(err error) []byte {
 	text := err.Error()
@@ -239,7 +247,29 @@ func decodeError(b []byte) (*remoteError, error) {
 	return nil, fmt.Errorf("%w: decode error: malformed error payload", errCluster)
 }
 
-// remoteError is a shard's failed round as its error frame reports it.
+// closePayload ends a session; only its driver may send it.
+var closePayload = []byte{closeMagic, codecVersion}
+
+// encodeOpen encodes a session's open payload. A sessionRequest holds only
+// strings and integers, so marshalling cannot fail.
+func encodeOpen(req sessionRequest) []byte {
+	body, _ := json.Marshal(req)
+	return append([]byte{openMagic, codecVersion}, body...)
+}
+
+// decodeOpen parses an open payload; a malformed one is a bad request.
+func decodeOpen(b []byte) (req sessionRequest, err error) {
+	if len(b) < 2 || b[0] != openMagic || b[1] != codecVersion {
+		return req, fmt.Errorf("%w: not a version-%d open payload", errBadRequest, codecVersion)
+	}
+	if err := json.Unmarshal(b[2:], &req); err != nil {
+		return req, fmt.Errorf("%w: bad open payload: %v", errBadRequest, err)
+	}
+	return req, nil
+}
+
+// remoteError is a shard's failed open or round as its error frame reports
+// it.
 type remoteError struct {
 	status int // the HTTP status clusterError maps the failure to
 	msg    string

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"net/http"
@@ -13,7 +14,6 @@ import (
 	"time"
 
 	"cdrw/internal/core"
-	"cdrw/internal/metrics"
 	"cdrw/internal/serve"
 )
 
@@ -25,62 +25,23 @@ func faultConfig(cfg *Config) {
 	cfg.HeartbeatInterval = 50 * time.Millisecond
 }
 
-// faultCluster is a testCluster whose shards can be killed individually and
-// whose nodes run their background loops (gossip, liveness, reaper).
-type faultCluster struct {
-	*testCluster
-	srvs []*http.Server
-}
-
 // startFaultCluster boots k shards like startCluster, with the fault-test
-// failure knobs, started background loops, and an optional per-rank handler
-// wrapper for injecting stalls.
-func startFaultCluster(t testing.TB, k int, placementSeed uint64, wrap func(rank int, urls []string, h http.Handler) http.Handler) *faultCluster {
+// failure knobs, started background loops (gossip and liveness probes), and
+// an optional per-rank handler wrapper for injecting stalls.
+func startFaultCluster(t testing.TB, k int, placementSeed uint64, wrap func(rank int, urls []string, h http.Handler) http.Handler) *testCluster {
 	t.Helper()
-	lns := make([]net.Listener, k)
-	urls := make([]string, k)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	fc := &faultCluster{testCluster: &testCluster{urls: urls}}
-	for i := 0; i < k; i++ {
-		m := metrics.NewServeMetrics()
-		reg := serve.NewRegistry(1, m)
-		cfg := Config{Size: k, Advertise: urls[i], Join: urls, PlacementSeed: placementSeed}
-		faultConfig(&cfg)
-		node, err := New(reg, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !node.Ready() {
-			t.Fatalf("shard %d: full join list should settle at construction", i)
-		}
+	tc := bootCluster(t, k, placementSeed, faultConfig, wrap)
+	for _, node := range tc.nodes {
 		node.Start()
-		t.Cleanup(node.Stop)
-		var handler http.Handler = serve.NewClusterHandler(reg, m, node)
-		if wrap != nil {
-			handler = wrap(i, urls, handler)
-		}
-		srv := &http.Server{Handler: handler}
-		go func(ln net.Listener, srv *http.Server) { _ = srv.Serve(ln) }(lns[i], srv)
-		t.Cleanup(func() { _ = srv.Close() })
-		fc.nodes = append(fc.nodes, node)
-		fc.regs = append(fc.regs, reg)
-		fc.srvs = append(fc.srvs, srv)
 	}
-	return fc
+	return tc
 }
 
 // kill simulates one shard's death: its HTTP server drops every connection
 // and its background loops stop, as when the process dies.
-func (fc *faultCluster) kill(rank int) {
-	_ = fc.srvs[rank].Close()
-	fc.nodes[rank].Stop()
+func (tc *testCluster) kill(rank int) {
+	_ = tc.srvs[rank].Close()
+	tc.nodes[rank].Stop()
 }
 
 // eventually polls cond until it holds or the deadline passes.
@@ -96,10 +57,10 @@ func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // linkGate holds the frames on the link one shard dials into another: the
-// receiving node hijacks the connection as usual, but its reader's first
-// read signals hit and blocks until release (or until the connection
-// closes), so the first frame on the link — a round's advance — stays
-// unread.
+// receiving node hijacks the connection as usual and reads the link's first
+// frame, a session's open, but the bytes that arrive after it — round 1's
+// advance — signal hit and stay unread until release (or until the
+// connection closes).
 type linkGate struct {
 	inner   http.Handler
 	from    string
@@ -137,17 +98,33 @@ func (w gatedWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 type gatedConn struct {
 	net.Conn
 	g         *linkGate
+	first     []byte // the bytes of the link's first frame read so far
 	closed    chan struct{}
 	closeOnce sync.Once
 }
 
 func (c *gatedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if !wholeFrame(c.first) {
+		c.first = append(c.first, p[:n]...)
+		return n, err
+	}
 	c.g.once.Do(func() { close(c.g.hit) })
 	select {
 	case <-c.g.release:
+		return n, err
 	case <-c.closed:
+		return 0, net.ErrClosed
 	}
-	return c.Conn.Read(p)
+}
+
+// wholeFrame reports whether b holds at least one whole frame.
+func wholeFrame(b []byte) bool {
+	if len(b) == 0 || len(b) < 1+int(b[0])+4 {
+		return false
+	}
+	head := 1 + int(b[0]) + 4
+	return len(b) >= head+int(binary.BigEndian.Uint32(b[head-4:]))
 }
 
 func (c *gatedConn) Close() error {
@@ -187,7 +164,7 @@ func TestClusterKillShardMidDetection(t *testing.T) {
 	select {
 	case <-stall.hit:
 	case <-time.After(10 * time.Second):
-		t.Fatal("detection never reached shard 2's link")
+		t.Fatal("round 1 never reached shard 2's link")
 	}
 	killed := time.Now()
 	fc.kill(2)
@@ -227,7 +204,7 @@ func TestClusterKillShardMidDetection(t *testing.T) {
 		t.Fatal("no survivor recorded an eviction")
 	}
 
-	// No leaked session state or goroutines: the driver's deferred cleanup
+	// No leaked session state or goroutines: the driver's close frames
 	// plus eviction drop every session, and all parked protocol waiters
 	// unwind. The survivors' links to each other stay open.
 	for _, rank := range []int{0, 1} {
@@ -354,101 +331,145 @@ func TestLinkBoundedWithoutDeadline(t *testing.T) {
 	}
 }
 
-// TestSessionReaper pins the orphan cleanup: a session whose driver stops
-// heartbeating is dropped after the TTL, and an advance whose gather is
-// parked on it unwinds with a cluster-class error rather than wedging. A
-// closed session unparks its gather at once.
-func TestSessionReaper(t *testing.T) {
-	g := clusterTestGraph(t)
-	fc := startFaultCluster(t, 2, 1, nil)
-	fc.register(t, "ppm", g)
+// TestClusterKillDriverMidDetection: the driver dies while round 1's
+// advance sits unread on shard 1's link from it. Its links close, so both
+// survivors drop its session, and no goroutine outlives it.
+func TestClusterKillDriverMidDetection(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	stall := newLinkGate()
+	fc := startFaultCluster(t, 3, 42, func(rank int, urls []string, h http.Handler) http.Handler {
+		if rank == 1 {
+			stall.from = urls[0]
+			return stall.wrap(h)
+		}
+		return h
+	})
+	fc.register(t, "ppm", clusterTestGraph(t))
 
-	node := fc.nodes[0]
-	ranks, _, err := node.roster()
-	if err != nil {
+	done := make(chan error, 1)
+	go func() {
+		_, _, _, err := fc.nodes[0].Detect(context.Background(), "ppm",
+			core.WithEngine(core.EngineCongest), core.WithSeed(9))
+		done <- err
+	}()
+	select {
+	case <-stall.hit:
+	case <-time.After(10 * time.Second):
+		t.Fatal("round 1 never reached shard 1's link")
+	}
+	fc.kill(0)
+	close(stall.release)
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("detection succeeded on a killed driver")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the killed driver's detection still wedged after 10s")
+	}
+
+	for _, rank := range []int{1, 2} {
+		node := fc.nodes[rank]
+		eventually(t, 5*time.Second, "survivor sessions drain", func() bool {
+			return node.sessionCount() == 0
+		})
+	}
+	eventually(t, 5*time.Second, "goroutines return to baseline", func() bool {
+		for _, node := range fc.nodes {
+			node.client.CloseIdleConnections()
+		}
+		return runtime.NumGoroutine() <= baseline+8
+	})
+}
+
+// openOnRawLink opens session id on tc.nodes[0] with an open frame on a raw
+// link from tc.nodes[1], its driver, and returns the link and the session
+// once it is installed.
+func openOnRawLink(t *testing.T, tc *testCluster, id string) (net.Conn, *session) {
+	t.Helper()
+	conn := dialRawLink(t, tc.urls[0], tc.urls[1])
+	if _, err := conn.Write(appendFrame(nil, id, encodeOpen(ppmSession(t, tc, 1)))); err != nil {
 		t.Fatal(err)
 	}
-	park := func(id string) (*session, chan error) {
-		t.Helper()
-		sreq := sessionRequest{
-			Session: id, Graph: "ppm", Members: ranks,
-			Vertices: g.NumVertices(), Edges: g.NumEdges(), PlacementSeed: 1,
-		}
-		s, err := node.createSession(sreq, "")
-		if err != nil {
-			t.Fatal(err)
-		}
+	var s *session
+	node := tc.nodes[0]
+	eventually(t, 5*time.Second, "session opened by its open frame", func() bool {
+		node.mu.Lock()
+		defer node.mu.Unlock()
+		s = node.sessions[id]
+		return s != nil
+	})
+	return conn, s
+}
+
+// TestSessionDropsWithDriverLink pins the orphan cleanup: a session lives
+// on its driver's links, so one opened by an open frame is gone within
+// 200 ms of that link closing, an advance whose gather is parked on it
+// unwinds with a cluster-class error rather than wedging, and the node
+// stays ready. A dropped session unparks its gather at once.
+func TestSessionDropsWithDriverLink(t *testing.T) {
+	fc := startFaultCluster(t, 2, 1, nil)
+	fc.register(t, "ppm", clusterTestGraph(t))
+
+	node := fc.nodes[0]
+	park := func(s *session) chan error {
 		parked := make(chan error, 1)
 		go func() {
 			// The peer holds no such session, so no share frame comes back.
 			_, err := s.advance(context.Background(), advanceRequest{Round: 1, Support: [][]entry{nil}})
 			parked <- err
 		}()
-		return s, parked
+		time.Sleep(20 * time.Millisecond)
+		return parked
 	}
-
-	_, dropped := park("dropped")
-	time.Sleep(20 * time.Millisecond)
-	node.dropSession("dropped")
-	select {
-	case err := <-dropped:
-		if !errors.Is(err, serve.ErrCluster) || !strings.Contains(err.Error(), "closed") {
-			t.Fatalf("gather parked on a dropped session: want a closed-session cluster error, got %v", err)
+	unparked := func(parked chan error, what string) {
+		t.Helper()
+		select {
+		case err := <-parked:
+			if !errors.Is(err, serve.ErrCluster) || !strings.Contains(err.Error(), "closed") {
+				t.Fatalf("gather parked on a %s session: want a closed-session cluster error, got %v", what, err)
+			}
+		case <-time.After(200 * time.Millisecond):
+			t.Fatalf("gather still parked 200ms after its session was %s", what)
 		}
-	case <-time.After(200 * time.Millisecond):
-		t.Fatal("gather still parked 200ms after its session was dropped")
 	}
 
-	// No heartbeats arrive: the reaper must drop the session once the TTL
-	// (4x the peer deadline) passes, and the parked gather must unwind.
-	_, parked := park("orphan")
-	eventually(t, 10*time.Second, "orphaned session reaped", func() bool {
-		return node.sessionCount() == 0
-	})
-	select {
-	case err := <-parked:
-		if !errors.Is(err, serve.ErrCluster) {
-			t.Fatalf("parked gather: want cluster error, got %v", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("parked gather still parked after the reap")
-	}
-}
-
-// TestClusterHeartbeatKeepsSessionAlive is the reaper's inverse: a live
-// driver's heartbeats hold a session open well past the TTL.
-func TestClusterHeartbeatKeepsSessionAlive(t *testing.T) {
-	g := clusterTestGraph(t)
-	fc := startFaultCluster(t, 2, 1, nil)
-	fc.register(t, "ppm", g)
-
-	node := fc.nodes[0]
-	ranks, _, err := node.roster()
+	s, err := node.createSession("dropped", ppmSession(t, fc, 1), fc.urls[1])
 	if err != nil {
 		t.Fatal(err)
 	}
-	sreq := sessionRequest{
-		Session: "beaten", Graph: "ppm", Members: ranks,
-		Vertices: g.NumVertices(), Edges: g.NumEdges(), PlacementSeed: 1,
+	dropped := park(s)
+	node.dropSession("dropped", "test")
+	unparked(dropped, "dropped")
+
+	conn, s := openOnRawLink(t, fc, "orphan")
+	parked := park(s)
+	conn.Close()
+	eventually(t, 200*time.Millisecond, "session dropped with its driver's link", func() bool {
+		return node.sessionCount() == 0
+	})
+	unparked(parked, "orphaned")
+	if !node.Ready() {
+		t.Fatal("the driver's closed link evicted a live member")
 	}
-	if _, err := node.createSession(sreq, ""); err != nil {
-		t.Fatal(err)
+}
+
+// TestClusterIdleSessionStaysOpen: a session whose driver's link stays
+// open is not dropped however long the driver computes between frames —
+// 8× the peer deadline here, with every background loop running.
+func TestClusterIdleSessionStaysOpen(t *testing.T) {
+	fc := startFaultCluster(t, 2, 1, nil)
+	fc.register(t, "ppm", clusterTestGraph(t))
+
+	_, s := openOnRawLink(t, fc, "idle")
+	time.Sleep(8 * 400 * time.Millisecond) // 8x the faultConfig peer deadline
+	select {
+	case <-s.closed:
+		t.Fatal("an idle session was closed while its driver's link stayed open")
+	default:
 	}
-	defer node.dropSession("beaten")
-	ttl := 4 * 400 * time.Millisecond // 4x the faultConfig peer deadline
-	deadline := time.Now().Add(ttl + ttl/2)
-	for time.Now().Before(deadline) {
-		status, err := postStatus(t, fc.urls[0]+"/cluster/sessions/beaten/heartbeat", `{"session":"beaten"}`)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if status != http.StatusOK {
-			t.Fatalf("heartbeat: want 200, got %d", status)
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	if node.sessionCount() != 1 {
-		t.Fatal("heartbeated session was reaped")
+	if fc.nodes[0].sessionCount() != 1 {
+		t.Fatal("an idle session was dropped while its driver's link stayed open")
 	}
 }
 

@@ -5,16 +5,17 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"reflect"
 	"testing"
 )
 
 // The fuzz targets below feed arbitrary bytes to the binary round decoders
 // and the link's frame reader. None may panic, and a payload a decoder
 // accepts must re-encode to a payload that decodes to the same value (a
-// whole frame, to the very bytes it was read from). Seed corpora live in
-// testdata/fuzz/<target>: real rounds, truncated payloads, bad magic,
-// oversized counts and lengths, and trailing bytes. CI runs each target
-// briefly.
+// whole binary frame, to the very bytes it was read from). Seed corpora
+// live in testdata/fuzz/<target>: real rounds and session frames, truncated
+// payloads, bad magic, oversized counts and lengths, and trailing bytes. CI
+// runs each target briefly.
 
 // sameWalks reports whether two decoded walk lists carry the same vertices
 // and the same float bits.
@@ -78,16 +79,21 @@ func FuzzDecodeAdvance(f *testing.F) {
 }
 
 // FuzzReadFrame reads one frame as a link reader does — session id, a
-// payload length checked against a bound before the payload is allocated,
-// then the payload's codec (advance, shares, reply or error) — and
-// requires an accepted frame to re-encode to exactly its own bytes: every
-// varint has one encoding.
+// payload length checked against a bound and, for an open, against
+// maxControlBody before the payload is allocated, then the payload's codec
+// (open, close, advance, shares, reply or error) — and requires an accepted
+// binary frame to re-encode to exactly its own bytes: every varint has one
+// encoding. JSON is not byte-canonical, so an accepted open must instead
+// re-encode to a payload that decodes to an equal request.
 func FuzzReadFrame(f *testing.F) {
-	const bound = 1 << 16 // stands in for a session's frame bound
+	const bound = 1 << 17 // stands in for a session's frame bound
 	f.Fuzz(func(t *testing.T, b []byte) {
 		br := bufio.NewReader(bytes.NewReader(b))
 		sid, size, err := readFrameHead(br)
 		if err != nil || size == 0 || size > bound {
+			return
+		}
+		if magic, err := br.Peek(1); err != nil || magic[0] == openMagic && size > maxControlBody {
 			return
 		}
 		payload := make([]byte, size)
@@ -96,6 +102,21 @@ func FuzzReadFrame(f *testing.F) {
 		}
 		var re []byte
 		switch payload[0] {
+		case openMagic:
+			req, err := decodeOpen(payload)
+			if err != nil {
+				return
+			}
+			req2, err := decodeOpen(encodeOpen(req))
+			if err != nil || !reflect.DeepEqual(req2, req) {
+				t.Fatalf("accepted open %+v re-encodes to %+v (%v)", req, req2, err)
+			}
+			return
+		case closeMagic:
+			if !bytes.Equal(payload, closePayload) {
+				return
+			}
+			re = closePayload
 		case shareMagic:
 			round, shares, err := decodeShares(payload)
 			if err != nil {

@@ -17,14 +17,15 @@ import (
 // then writes frames on (codec.go). The receiver hijacks it off its HTTP
 // server and runs one reader goroutine on it; the sender runs one that
 // only notices the receiver closing it. A link that closes for any reason
-// fails every wait on its peer in this shard's sessions at once; the next
-// frame to that peer dials a fresh link.
+// drops every session its peer drives on this shard and fails every wait
+// on the peer in the others at once; the next frame to that peer dials a
+// fresh link.
 const (
 	linkProtocol   = "cdrw-link/1"
 	linkFromHeader = "X-Cdrw-From" // the dialling shard's advertise URL
 
-	// maxOrphanFrame bounds a frame for a session this shard does not hold,
-	// which is discarded unread; a larger one closes the link.
+	// maxOrphanFrame bounds a frame for a session this shard does not hold;
+	// a larger one closes the link.
 	maxOrphanFrame = 1 << 20
 )
 
@@ -49,8 +50,8 @@ func (n *Node) addLink(peer string, conn net.Conn) *link {
 	return l
 }
 
-// linkDone retires a link as its goroutine exits, failing every wait on
-// the peer with the cause.
+// linkDone retires a link as its goroutine exits, failing the peer's
+// sessions and waits with the cause.
 func (n *Node) linkDone(l *link, cause error) {
 	l.conn.Close()
 	n.linkMu.Lock()
@@ -81,7 +82,8 @@ func (n *Node) closeLinks(peer string) {
 // send writes one frame to peer, dialling a link first if it has none,
 // and returns the frame's size. Sends are serialised per shard (a frame is
 // one write); each write carries a PeerTimeout deadline, and a failed one
-// closes the link.
+// closes the link. A close frame dials no link: the one its session was
+// opened on has closed, which dropped the session at the peer.
 func (n *Node) send(peer, sid string, payload []byte) (int, error) {
 	frame := appendFrame(make([]byte, 0, frameOverhead+len(sid)+len(payload)), sid, payload)
 	n.sendMu.Lock()
@@ -95,6 +97,9 @@ func (n *Node) send(peer, sid string, payload []byte) (int, error) {
 		}
 	}
 	if l == nil {
+		if payload[0] == closeMagic {
+			return 0, nil
+		}
 		var err error
 		if l, err = n.dialLink(peer); err != nil {
 			return 0, &PeerError{Peer: peer, Err: fmt.Errorf("open link: %w", err)}
@@ -150,10 +155,19 @@ func (n *Node) dialLink(peer string) (*link, error) {
 
 // handleLink accepts a peer's link: GET /cluster/link with Upgrade:
 // cdrw-link/1 and the sender's advertise URL in X-Cdrw-From, answered 101.
+// The sender must be another member: a shard answers a link's frames by
+// sending to that URL, so it never takes a link it would not dial itself.
 func (n *Node) handleLink(w http.ResponseWriter, r *http.Request) {
 	from := r.Header.Get(linkFromHeader)
 	if !strings.EqualFold(r.Header.Get("Upgrade"), linkProtocol) || from == "" {
 		clusterError(w, fmt.Errorf("%w: a link needs Upgrade: %s and %s", errBadRequest, linkProtocol, linkFromHeader))
+		return
+	}
+	n.mu.Lock()
+	_, member := n.members[from]
+	n.mu.Unlock()
+	if !member || from == n.cfg.Advertise {
+		clusterError(w, fmt.Errorf("%w: link from %q, not another member", errBadRequest, from))
 		return
 	}
 	hj, ok := w.(http.Hijacker)
@@ -180,9 +194,11 @@ func (n *Node) handleLink(w http.ResponseWriter, r *http.Request) {
 }
 
 // readLink files one inbound link's frames until it fails or closes. A
-// frame's length is checked before its payload is allocated: against its
-// session's bound for the sender, or, for a frame no live session here
-// takes, against maxOrphanFrame before it is discarded.
+// frame's length is checked before its payload is read: against its
+// session's bound for the sender or, for a frame no live session here
+// takes, against maxOrphanFrame; then an open against maxControlBody. The
+// reader runs an open itself, so no later frame of its session overtakes
+// it; an orphan advance is answered 409 and any other orphan discarded.
 func (n *Node) readLink(l *link) {
 	br := bufio.NewReaderSize(l.conn, 1<<10)
 	var err error
@@ -192,22 +208,53 @@ func (n *Node) readLink(l *link) {
 		if sid, size, err = readFrameHead(br); err != nil {
 			break
 		}
+		if size == 0 {
+			continue // an empty frame carries nothing
+		}
 		s, from := n.linkSession(sid, l.peer)
 		limit := int64(maxOrphanFrame)
 		if s != nil {
 			limit = s.maxFrameBytes(from)
 		}
-		switch {
-		case int64(size) > limit:
+		if int64(size) > limit {
 			err = fmt.Errorf("%w: %d-byte frame for session %q over its %d-byte bound", errCluster, size, sid, limit)
+			break
+		}
+		var magic []byte
+		if magic, err = br.Peek(1); err != nil {
+			break
+		}
+		switch {
+		case magic[0] == openMagic && size > maxControlBody:
+			n.answer(l.peer, sid, encodeError(fmt.Errorf("%w: %d-byte open frame: %w", errBadRequest, size, &http.MaxBytesError{Limit: maxControlBody})))
+			_, err = br.Discard(int(size))
+		case magic[0] == openMagic:
+			payload := make([]byte, size)
+			if _, err = io.ReadFull(br, payload); err == nil {
+				n.serveOpen(l.peer, sid, payload)
+			}
 		case s == nil:
+			if magic[0] == advanceMagic {
+				n.answer(l.peer, sid, encodeError(fmt.Errorf("%w: advance for unknown session %q", errCluster, sid)))
+			}
 			_, err = br.Discard(int(size))
 		default:
 			payload := make([]byte, size)
-			if _, err = io.ReadFull(br, payload); err == nil && size > 0 {
+			if _, err = io.ReadFull(br, payload); err == nil {
 				s.deliver(from, payload, int64(frameOverhead+len(sid))+int64(size))
 			}
 		}
 	}
 	n.linkDone(l, err)
+}
+
+// answer writes a reader's answer to peer from its own goroutine, as
+// serveAdvance writes replies: a link reader never writes. A lost answer
+// fails the sender's wait through the link's close or its own deadline.
+func (n *Node) answer(peer, sid string, payload []byte) {
+	n.linkWG.Add(1)
+	go func() {
+		defer n.linkWG.Done()
+		_, _ = n.send(peer, sid, payload)
+	}()
 }

@@ -29,8 +29,7 @@ type WireMetrics struct {
 	rounds     int64
 	coordBytes int64
 	coordWords int64 // walk-state entries routed in advance requests and replies
-	evictions  int64 // members evicted after missed heartbeats
-	reaped     int64 // sessions dropped for a silent driver
+	evictions  int64 // members evicted after missed liveness probes
 	maxWords   int64 // largest single-frame word count: measured max per-round link load
 	maxBytes   int64
 
@@ -85,7 +84,7 @@ func (m *WireMetrics) addRounds(n int64) {
 }
 
 // addCoord records driver↔shard coordination traffic (walk-state routing and
-// session control) — deliberately separate from the link counters: in the
+// the session's open, ack and close frames) — deliberately separate from the link counters: in the
 // k-machine model the walk state lives on the machines, and only the
 // shard↔shard share exchange is the traffic the Conversion Theorem bounds.
 // words counts the walk-state entries the bytes routed (0 for control).
@@ -96,21 +95,14 @@ func (m *WireMetrics) addCoord(bytes, words int64) {
 	m.mu.Unlock()
 }
 
-// addEviction records one member evicted after missed heartbeats.
+// addEviction records one member evicted after missed liveness probes.
 func (m *WireMetrics) addEviction() {
 	m.mu.Lock()
 	m.evictions++
 	m.mu.Unlock()
 }
 
-// addReaped records one session dropped because its driver went silent.
-func (m *WireMetrics) addReaped() {
-	m.mu.Lock()
-	m.reaped++
-	m.mu.Unlock()
-}
-
-// Evictions returns members evicted after missed heartbeats.
+// Evictions returns members evicted after missed liveness probes.
 func (m *WireMetrics) Evictions() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -149,7 +141,7 @@ func (m *WireMetrics) TotalLinkWords() int64 {
 }
 
 // CoordBytes returns the driver↔shard coordination bytes sent and received:
-// advance and reply frames with their headers, and the control bodies.
+// open, ack, advance, reply and close frames with their headers.
 func (m *WireMetrics) CoordBytes() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -158,7 +150,8 @@ func (m *WireMetrics) CoordBytes() int64 {
 
 // CoordWords returns the walk-state entries routed in advance and reply
 // frames; the CoordBytes/CoordWords quotient is the advance codec's
-// framing cost (control messages add a few hundred bytes per detection).
+// framing cost (a session's open, ack and close frames add a few hundred
+// bytes per detection).
 func (m *WireMetrics) CoordWords() int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -184,7 +177,7 @@ func (m *WireMetrics) WritePrometheus(w io.Writer) error {
 			"# HELP cdrw_cluster_rounds_total Flood rounds driven through this shard.\n"+
 			"# TYPE cdrw_cluster_rounds_total counter\n"+
 			"cdrw_cluster_rounds_total %d\n"+
-			"# HELP cdrw_cluster_coord_bytes_total Driver-to-shard coordination bytes (walk-state routing, sessions).\n"+
+			"# HELP cdrw_cluster_coord_bytes_total Driver-to-shard coordination bytes (walk-state routing, session open and close).\n"+
 			"# TYPE cdrw_cluster_coord_bytes_total counter\n"+
 			"cdrw_cluster_coord_bytes_total %d\n"+
 			"# HELP cdrw_cluster_max_link_words Largest per-round share-word load measured on any machine link.\n"+
@@ -193,14 +186,10 @@ func (m *WireMetrics) WritePrometheus(w io.Writer) error {
 			"# HELP cdrw_cluster_max_link_bytes Largest per-round encoded payload on any machine link.\n"+
 			"# TYPE cdrw_cluster_max_link_bytes gauge\n"+
 			"cdrw_cluster_max_link_bytes %d\n"+
-			"# HELP cdrw_cluster_evictions_total Members evicted after missed heartbeats.\n"+
+			"# HELP cdrw_cluster_evictions_total Members evicted after missed liveness probes.\n"+
 			"# TYPE cdrw_cluster_evictions_total counter\n"+
-			"cdrw_cluster_evictions_total %d\n"+
-			"# HELP cdrw_cluster_sessions_reaped_total Sessions dropped because their driver went silent.\n"+
-			"# TYPE cdrw_cluster_sessions_reaped_total counter\n"+
-			"cdrw_cluster_sessions_reaped_total %d\n",
-		m.pulls, m.rounds, m.coordBytes, m.maxWords, m.maxBytes,
-		m.evictions, m.reaped); err != nil {
+			"cdrw_cluster_evictions_total %d\n",
+		m.pulls, m.rounds, m.coordBytes, m.maxWords, m.maxBytes, m.evictions); err != nil {
 		return err
 	}
 	if _, err := fmt.Fprintf(w,

@@ -8,13 +8,13 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"cdrw/internal/serve"
-	"cdrw/internal/trace"
 )
 
 // errCluster is the sentinel every cluster-machinery failure wraps; serve
@@ -34,7 +34,8 @@ var errBadRequest = fmt.Errorf("%w: bad request", errCluster)
 type PeerError struct {
 	// Peer is the advertise URL of the member that missed its deadline.
 	Peer string
-	// Err is the underlying RPC or heartbeat failure.
+	// Err is the underlying failure: a closed link, a failed frame write,
+	// an error frame the peer answered or a wait that timed out.
 	Err error
 }
 
@@ -57,9 +58,9 @@ const (
 	defaultHeartbeatInterval = 500 * time.Millisecond
 )
 
-// heartbeatMisses is how many consecutive missed heartbeats or liveness
-// probes declare a peer dead. With the defaults that is ~1.5 s of silence —
-// inside the ~2 s failure budget but tolerant of one dropped packet.
+// heartbeatMisses is how many consecutive missed liveness probes declare a
+// peer dead. With the defaults that is ~1.5 s of silence — inside the ~2 s
+// failure budget but tolerant of one dropped packet.
 const heartbeatMisses = 3
 
 // Config describes one shard of a static cluster.
@@ -77,20 +78,15 @@ type Config struct {
 	// PlacementSeed keys the deterministic hash placement
 	// (kmachine.HashPartition). Every shard must use the same seed.
 	PlacementSeed uint64
-	// PeerTimeout bounds every control RPC, every link dial and frame
-	// write, a shard's wait for its peers' share frames, and the per-probe
-	// liveness deadline. The driver's wait for a round's replies — which
-	// nests the shards' share waits — is allowed 3× this. 0 means 2 s.
+	// PeerTimeout bounds every gossip request and liveness probe, every
+	// link dial and frame write, the driver's wait for its sessions' open
+	// acks and a shard's wait for its peers' share frames. The driver's
+	// wait for a round's replies — which nests the shards' share waits — is
+	// allowed 3× this. 0 means 2 s.
 	PeerTimeout time.Duration
-	// HeartbeatInterval paces the driver's per-session heartbeats and the
-	// settled shard's peer liveness probes. heartbeatMisses consecutive
-	// failures evict the peer. 0 means 500 ms.
+	// HeartbeatInterval paces the settled shard's peer liveness probes;
+	// heartbeatMisses consecutive failures evict the peer. 0 means 500 ms.
 	HeartbeatInterval time.Duration
-	// Client issues the control-plane requests (join, sessions,
-	// heartbeats, probes); nil uses a default whose timeout is
-	// PeerTimeout, so no peer RPC can hang past its deadline even when a
-	// request context carries none.
-	Client *http.Client
 }
 
 // Node is one cluster shard: membership, the shard side of the round
@@ -144,14 +140,10 @@ func New(reg *serve.Registry, cfg Config) (*Node, error) {
 	if cfg.HeartbeatInterval <= 0 {
 		cfg.HeartbeatInterval = defaultHeartbeatInterval
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Timeout: cfg.PeerTimeout}
-	}
 	n := &Node{
 		reg:         reg,
 		cfg:         cfg,
-		client:      client,
+		client:      &http.Client{Timeout: cfg.PeerTimeout},
 		peerTimeout: cfg.PeerTimeout,
 		hbInterval:  cfg.HeartbeatInterval,
 		members:     map[string]struct{}{cfg.Advertise: {}},
@@ -171,12 +163,12 @@ func New(reg *serve.Registry, cfg Config) (*Node, error) {
 }
 
 // Start launches the background loop: gossip until membership settles, then
-// monitor peer liveness (evicting members that miss heartbeatMisses
-// consecutive probes, which flips /readyz to not-ready) and reap sessions
-// whose driver stopped heartbeating. It returns immediately; readiness
-// flips asynchronously once Size members are known. Even an already-settled
-// shard (complete Join list) announces itself once, so peers booted with
-// partial seed lists still learn the full membership from it.
+// monitor peer liveness, evicting members that miss heartbeatMisses
+// consecutive probes, which flips /readyz to not-ready. It returns
+// immediately; readiness flips asynchronously once Size members are known.
+// Even an already-settled shard (complete Join list) announces itself once,
+// so peers booted with partial seed lists still learn the full membership
+// from it.
 func (n *Node) Start() {
 	n.mu.Lock()
 	if n.started {
@@ -222,7 +214,7 @@ func (n *Node) Stop() {
 // loop is the shard's background heartbeat: one goroutine that gossips
 // while unsettled (including after an eviction, so a restarted peer can
 // re-join and re-settle the membership) and, while settled, probes every
-// peer's liveness and reaps orphaned sessions.
+// peer's liveness.
 func (n *Node) loop() {
 	defer close(n.done)
 	ticker := time.NewTicker(gossipInterval)
@@ -244,7 +236,6 @@ func (n *Node) loop() {
 			continue
 		}
 		lastProbe = time.Now()
-		n.reapSessions()
 		for _, peer := range n.peersSnapshot() {
 			select {
 			case <-n.stop:
@@ -327,28 +318,6 @@ func (n *Node) evict(peer, reason string) {
 		"orphaned_sessions", len(orphans), "advertise", n.cfg.Advertise)
 }
 
-// reapSessions drops sessions whose driver has stopped heartbeating — the
-// shard-side cleanup for a driver that died mid-detection and could not
-// issue its DELETEs. The TTL is generous against heartbeat jitter; the
-// prompt path is still the driver's deferred session teardown.
-func (n *Node) reapSessions() {
-	ttl := 4 * n.peerTimeout
-	var dead []*session
-	n.mu.Lock()
-	for id, s := range n.sessions {
-		if s.idle() > ttl {
-			dead = append(dead, s)
-			delete(n.sessions, id)
-		}
-	}
-	n.mu.Unlock()
-	for _, s := range dead {
-		s.close()
-		n.metrics.addReaped()
-		slog.Info("cluster session reaped", "session", s.id, "reason", "driver went silent", "ttl", ttl)
-	}
-}
-
 // gossip pushes this shard's member view to every known peer and merges
 // what comes back.
 func (n *Node) gossip() {
@@ -361,7 +330,7 @@ func (n *Node) gossip() {
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), n.peerTimeout)
 		var resp joinResponse
-		_, err := n.postJSON(ctx, peer+"/cluster/join", req, &resp, nil)
+		err := n.postJSON(ctx, peer+"/cluster/join", req, &resp)
 		cancel()
 		if err != nil {
 			continue // unreachable peers retry next tick
@@ -464,17 +433,6 @@ func (n *Node) roster() ([]string, int, error) {
 	return n.ranks, n.self, nil
 }
 
-// session looks up a live session.
-func (n *Node) session(id string) (*session, error) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	s, ok := n.sessions[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: unknown session %q", errCluster, id)
-	}
-	return s, nil
-}
-
 // linkSession returns the live session a frame from peer names and peer's
 // rank in it, or nil unless peer is one of its other members.
 func (n *Node) linkSession(id, peer string) (*session, int) {
@@ -487,44 +445,69 @@ func (n *Node) linkSession(id, peer string) (*session, int) {
 	return nil, -1
 }
 
-// failPeer fails every wait on peer in this shard's sessions: a link to or
-// from it closed, so frames between the two are lost.
+// failPeer handles a closed link to or from peer: frames between the two
+// are lost, so every session peer drives is dropped and every wait on peer
+// in the others fails.
 func (n *Node) failPeer(peer string, err error) {
+	var driven []string
 	n.mu.Lock()
-	defer n.mu.Unlock()
-	for _, s := range n.sessions {
-		if j := s.rankOf(peer); j >= 0 {
+	for id, s := range n.sessions {
+		switch j := s.rankOf(peer); {
+		case j < 0:
+		case j == s.driver:
+			driven = append(driven, id)
+		default:
 			s.fail(j, &PeerError{Peer: peer, Err: err})
 		}
 	}
+	n.mu.Unlock()
+	for _, id := range driven {
+		n.dropSession(id, "driver link closed")
+	}
+}
+
+// serveOpen runs an open frame from peer on the link reader, so no later
+// frame of the session can overtake it, and answers with an ack (a reply
+// for round 0 with no walks) or an error frame.
+func (n *Node) serveOpen(peer, sid string, payload []byte) {
+	req, err := decodeOpen(payload)
+	if err == nil {
+		_, err = n.createSession(sid, req, peer)
+	}
+	answer, _ := advanceResponse{}.encode() // a reply with no walks always encodes
+	if err != nil {
+		answer = encodeError(err)
+	}
+	n.answer(peer, sid, answer)
 }
 
 // createSession installs the shard-local state for one detection after
 // validating that this shard agrees on membership and holds the same graph.
-// requestID is the driver's request id, logged with the session's rounds.
-func (n *Node) createSession(req sessionRequest, requestID string) (*session, error) {
-	if len(req.Session) == 0 || len(req.Session) > maxSessionID {
-		return nil, fmt.Errorf("%w: session id of %d bytes, want 1 to %d", errBadRequest, len(req.Session), maxSessionID)
-	}
+// driver, a roster member, is the shard that opened it.
+func (n *Node) createSession(sid string, req sessionRequest, driver string) (*session, error) {
 	ranks, self, err := n.roster()
 	if err != nil {
 		return nil, err
 	}
+	d := slices.Index(ranks, driver)
+	if d < 0 {
+		return nil, fmt.Errorf("%w: session %s: opened by %q, not a member", errBadRequest, sid, driver)
+	}
 	if len(req.Members) != len(ranks) {
-		return nil, fmt.Errorf("%w: session %s: driver sees %d members, shard sees %d", errCluster, req.Session, len(req.Members), len(ranks))
+		return nil, fmt.Errorf("%w: session %s: driver sees %d members, shard sees %d", errCluster, sid, len(req.Members), len(ranks))
 	}
 	for i := range ranks {
 		if req.Members[i] != ranks[i] {
-			return nil, fmt.Errorf("%w: session %s: member %d is %q here, %q at driver", errCluster, req.Session, i, ranks[i], req.Members[i])
+			return nil, fmt.Errorf("%w: session %s: member %d is %q here, %q at driver", errCluster, sid, i, ranks[i], req.Members[i])
 		}
 	}
 	g, ok := n.reg.Graph(req.Graph)
 	if !ok {
-		return nil, fmt.Errorf("%w: session %s: graph %q not registered on shard %d", errCluster, req.Session, req.Graph, self)
+		return nil, fmt.Errorf("%w: session %s: graph %q not registered on shard %d", errCluster, sid, req.Graph, self)
 	}
 	if g.NumVertices() != req.Vertices || g.NumEdges() != req.Edges {
 		return nil, fmt.Errorf("%w: session %s: graph %q is %dv/%de here, %dv/%de at driver — shards must register identical graphs",
-			errCluster, req.Session, req.Graph, g.NumVertices(), g.NumEdges(), req.Vertices, req.Edges)
+			errCluster, sid, req.Graph, g.NumVertices(), g.NumEdges(), req.Vertices, req.Edges)
 	}
 	assign, err := hashAssign(g.NumVertices(), len(ranks), req.PlacementSeed)
 	if err != nil {
@@ -532,84 +515,59 @@ func (n *Node) createSession(req sessionRequest, requestID string) (*session, er
 	}
 	store, err := NewStore(g, assign, self)
 	if err != nil {
-		return nil, fmt.Errorf("%w: session %s: %v", errCluster, req.Session, err)
+		return nil, fmt.Errorf("%w: session %s: %v", errCluster, sid, err)
 	}
-	s := newSession(n, req.Session, requestID, g, store, ranks, self, req.Walks)
+	s := newSession(n, sid, req.RequestID, g, store, ranks, self, d, req.Walks)
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if _, dup := n.sessions[req.Session]; dup {
-		return nil, fmt.Errorf("%w: duplicate session %q", errCluster, req.Session)
+	if _, dup := n.sessions[sid]; dup {
+		return nil, fmt.Errorf("%w: duplicate session %q", errCluster, sid)
 	}
-	n.sessions[req.Session] = s
-	slog.Debug("cluster session created", "session", req.Session, "graph", req.Graph, "rank", self)
+	n.sessions[sid] = s
+	slog.Debug("cluster session created", "session", sid, "graph", req.Graph, "rank", self, "driver", d)
 	return s, nil
 }
 
 // dropSession removes a session and unparks anything waiting on it; missing
 // ids are fine (best-effort cleanup).
-func (n *Node) dropSession(id string) {
+func (n *Node) dropSession(id, reason string) {
 	n.mu.Lock()
 	s := n.sessions[id]
 	delete(n.sessions, id)
 	n.mu.Unlock()
 	if s != nil {
 		s.close()
-		slog.Debug("cluster session closed", "session", id, "reason", "dropped")
+		slog.Debug("cluster session closed", "session", id, "reason", reason)
 	}
 }
 
-// postJSON posts v as JSON to url and decodes the response into out (which
-// may be nil), returning the response status: 0 means the request never
-// completed (transport-level failure), so callers like the heartbeat loop
-// can distinguish a dead peer from a live peer rejecting the request. When
-// wire is non-nil it receives the request+response body sizes — the
-// driver's coordination-byte accounting.
-func (n *Node) postJSON(ctx context.Context, url string, v, out any, wire *int64) (int, error) {
+// postJSON posts v as JSON to url and decodes the 200 answer into out.
+func (n *Node) postJSON(ctx context.Context, url string, v, out any) error {
 	body, err := json.Marshal(v)
 	if err != nil {
-		return 0, fmt.Errorf("%w: %v", errCluster, err)
+		return fmt.Errorf("%w: %v", errCluster, err)
 	}
-	status, respBody, err := n.post(ctx, url, "application/json", body, wire)
-	if err != nil || out == nil {
-		return status, err
-	}
-	if err := json.Unmarshal(respBody, out); err != nil {
-		return status, fmt.Errorf("%w: post %s: decode response: %v", errCluster, url, err)
-	}
-	return status, nil
-}
-
-// post sends body to url and returns the response status and body; a
-// non-200 answer is an error carrying the status. wire, when non-nil,
-// receives the request+response body sizes.
-func (n *Node) post(ctx context.Context, url, contentType string, body []byte, wire *int64) (int, []byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return 0, nil, fmt.Errorf("%w: %v", errCluster, err)
+		return fmt.Errorf("%w: %v", errCluster, err)
 	}
-	req.Header.Set("Content-Type", contentType)
-	// Propagate the request trace across the cluster: every peer POST of a
-	// traced detection carries the driver's request id, so shard logs and
-	// the driver's trace stitch into one story.
-	if id := trace.FromContext(ctx).ID(); id != "" {
-		req.Header.Set("X-Request-Id", id)
-	}
+	req.Header.Set("Content-Type", "application/json")
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return 0, nil, fmt.Errorf("%w: post %s: %v", errCluster, url, err)
+		return fmt.Errorf("%w: post %s: %v", errCluster, url, err)
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, maxControlBody))
 	if err != nil {
-		return 0, nil, fmt.Errorf("%w: post %s: %v", errCluster, url, err)
-	}
-	if wire != nil {
-		*wire += int64(len(body) + len(respBody))
+		return fmt.Errorf("%w: post %s: %v", errCluster, url, err)
 	}
 	if resp.StatusCode != http.StatusOK {
-		return resp.StatusCode, nil, fmt.Errorf("%w: post %s: %s: %s", errCluster, url, resp.Status, firstLine(respBody))
+		return fmt.Errorf("%w: post %s: %s: %s", errCluster, url, resp.Status, firstLine(respBody))
 	}
-	return resp.StatusCode, respBody, nil
+	if err := json.Unmarshal(respBody, out); err != nil {
+		return fmt.Errorf("%w: post %s: decode response: %v", errCluster, url, err)
+	}
+	return nil
 }
 
 func firstLine(b []byte) string {

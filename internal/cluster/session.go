@@ -1,12 +1,12 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
 	"log/slog"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cdrw/internal/graph"
@@ -25,11 +25,10 @@ import (
 // reply of round r, so on every link the frames of round r precede those
 // of round r+1: a mailbox slot holds at most one frame per sender.
 //
-// Lifecycle: the driver heartbeats every session it opened at the cluster's
-// heartbeat interval; lastBeat records the latest heartbeat or advance, and
-// the node's reaper drops sessions whose driver has gone silent past the
-// TTL. close() — reached via DELETE, eviction, Stop or the reaper — unparks
-// every waiter immediately.
+// Lifecycle: a session lives on its driver's links. The driver opens it
+// with an open frame and ends it with a close frame; the shard also drops
+// it when a link to or from the driver closes, on eviction and on Stop, so
+// no session outlives its driver. close() unparks every waiter immediately.
 type session struct {
 	node      *Node
 	id        string
@@ -37,10 +36,9 @@ type session struct {
 	store     *Store
 	peers     []string // rank-ordered advertise URLs
 	self      int
+	driver    int    // the rank that opened the session
 	walks     int    // most walks one advance may carry
 	requestID string // the driver's request id, for round logs
-
-	lastBeat atomic.Int64 // unix nanos of the last heartbeat or advance
 
 	// advanceMu serialises rounds: the driver's barrier means at most one
 	// advance is ever in flight per session, but the lock keeps a confused
@@ -71,7 +69,7 @@ const (
 	boxReplies
 )
 
-func newSession(node *Node, id, requestID string, g *graph.Graph, store *Store, peers []string, self, walks int) *session {
+func newSession(node *Node, id, requestID string, g *graph.Graph, store *Store, peers []string, self, driver, walks int) *session {
 	n := g.NumVertices()
 	s := &session{
 		node:      node,
@@ -80,6 +78,7 @@ func newSession(node *Node, id, requestID string, g *graph.Graph, store *Store, 
 		store:     store,
 		peers:     peers,
 		self:      self,
+		driver:    driver,
 		walks:     max(walks, 1),
 		requestID: requestID,
 		failed:    make([]error, len(peers)),
@@ -92,16 +91,7 @@ func newSession(node *Node, id, requestID string, g *graph.Graph, store *Store, 
 		s.box[boxReplies] = append(s.box[boxReplies], make(chan *advanceResponse, 1))
 		s.gone = append(s.gone, make(chan struct{}))
 	}
-	s.touch()
 	return s
-}
-
-// touch records driver liveness (heartbeats and advances both count).
-func (s *session) touch() { s.lastBeat.Store(time.Now().UnixNano()) }
-
-// idle reports how long the driver has been silent.
-func (s *session) idle() time.Duration {
-	return time.Duration(time.Now().UnixNano() - s.lastBeat.Load())
 }
 
 // close tears the session down: every parked waiter returns immediately
@@ -133,8 +123,9 @@ func (s *session) maxFrameBytes(j int) int64 {
 }
 
 // deliver files one frame from rank from: an advance starts on its own
-// goroutine, shares and replies wait in their mailbox slot, and an error
-// frame or a frame for a full slot fails every wait on the sender.
+// goroutine, shares and replies wait in their mailbox slot, the driver's
+// close drops the session, and an error frame, a close from any other
+// member or a frame for a full slot fails every wait on the sender.
 func (s *session) deliver(from int, payload []byte, size int64) {
 	var resp advanceResponse
 	var err error
@@ -159,6 +150,12 @@ func (s *session) deliver(from int, payload []byte, size int64) {
 		if err == nil {
 			s.node.metrics.addCoord(size, entries(resp.Support))
 		}
+	case closeMagic:
+		if from == s.driver && bytes.Equal(payload, closePayload) {
+			s.node.dropSession(s.id, "closed by its driver")
+			return
+		}
+		err = fmt.Errorf("%w: session %s: close frame %x from rank %d, whose driver is rank %d", errCluster, s.id, payload, from, s.driver)
 	case errorMagic:
 		var re *remoteError
 		if re, err = decodeError(payload); err == nil {
@@ -256,7 +253,7 @@ func (s *session) serveAdvance(driver int, payload []byte) {
 		// A traced detection's session carries the driver's request id;
 		// logging it ties this shard's round work to the driver's trace.
 		slog.Debug("cluster round advanced", "request_id", s.requestID, "session", s.id,
-			"round", req.Round, "freeze_ns", resp.T.FreezeNS, "pull_ns", resp.T.PullNS, "gather_ns", resp.T.GatherNS)
+			"rank", s.self, "round", req.Round, "freeze_ns", resp.T.FreezeNS, "pull_ns", resp.T.PullNS, "gather_ns", resp.T.GatherNS)
 	}
 	// A lost reply fails the driver's wait through the link's close.
 	_, _ = s.node.send(s.peers[driver], s.id, payload)
@@ -275,7 +272,6 @@ func (s *session) advance(ctx context.Context, req advanceRequest) (advanceRespo
 		return advanceResponse{}, fmt.Errorf("%w: session %s: closed", errCluster, s.id)
 	default:
 	}
-	s.touch()
 	if len(req.Support) > s.walks {
 		return advanceResponse{}, fmt.Errorf("%w: session %s: advance carries %d walks, session allows %d", errBadRequest, s.id, len(req.Support), s.walks)
 	}

@@ -2,77 +2,36 @@ package cluster
 
 import (
 	"context"
-	"net"
-	"net/http"
+	"log/slog"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cdrw/internal/core"
-	"cdrw/internal/metrics"
-	"cdrw/internal/serve"
 	"cdrw/internal/trace"
 )
 
 // TestClusterTracePropagation asserts the stitched-trace contract: one
 // traced cluster detection yields ONE trace on the driver holding a span
 // for EVERY shard rank, the cross-shard pull time lands in the peer_pull
-// phase, and the driver's request ID crosses the wire as X-Request-Id on
-// the cluster RPCs the remote shards receive.
+// phase, and the driver's request ID reaches each remote shard's session in
+// its open frame, as the shard's round log shows.
 func TestClusterTracePropagation(t *testing.T) {
 	g := clusterTestGraph(t)
 	const k = 3
-
-	lns := make([]net.Listener, k)
-	urls := make([]string, k)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-
-	// Each shard's handler is wrapped to record which request IDs arrive on
-	// its /cluster/ surface — the wire-level propagation evidence.
-	var mu sync.Mutex
-	seen := make([]map[string]bool, k)
-	nodes := make([]*Node, k)
-	for i := 0; i < k; i++ {
-		seen[i] = make(map[string]bool)
-		m := metrics.NewServeMetrics()
-		reg := serve.NewRegistry(1, m)
-		node, err := New(reg, Config{Size: k, Advertise: urls[i], Join: urls, PlacementSeed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := reg.Register("ppm", g); err != nil {
-			t.Fatal(err)
-		}
-		inner := serve.NewClusterHandler(reg, m, node)
-		shard := i
-		srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if id := r.Header.Get("X-Request-Id"); id != "" && strings.HasPrefix(r.URL.Path, "/cluster/") {
-				mu.Lock()
-				seen[shard][id] = true
-				mu.Unlock()
-			}
-			inner.ServeHTTP(w, r)
-		})}
-		go func(ln net.Listener) { _ = srv.Serve(ln) }(lns[i])
-		// Cleanups run newest first: the node closes its links (which
-		// http.Server.Close leaves open) before its server closes.
-		t.Cleanup(func() { _ = srv.Close() })
-		t.Cleanup(node.Stop)
-		nodes[i] = node
-	}
+	tc := startCluster(t, k, 7)
+	tc.register(t, "ppm", g)
+	rounds := &roundLog{seen: make(map[string]map[int]bool)}
+	prev := slog.Default()
+	slog.SetDefault(slog.New(rounds))
+	t.Cleanup(func() { slog.SetDefault(prev) })
 
 	id := trace.NewID()
 	tr := trace.New(id, "cluster detect")
 	ctx := trace.NewContext(context.Background(), tr)
 	opts := []core.Option{core.WithEngine(core.EngineCongest), core.WithSeed(9)}
-	_, _, handled, err := nodes[0].Detect(ctx, "ppm", opts...)
+	_, _, handled, err := tc.nodes[0].Detect(ctx, "ppm", opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,24 +64,57 @@ func TestClusterTracePropagation(t *testing.T) {
 		t.Errorf("trace phases %v, want peer_pull time", snap.PhaseSeconds)
 	}
 
-	// The driver's own ID must have reached at least the two remote shards'
-	// cluster surfaces (the driver short-circuits its own advance).
-	mu.Lock()
-	defer mu.Unlock()
-	carried := 0
-	for i := 0; i < k; i++ {
-		if seen[i][id] {
-			carried++
+	// Every remote shard logs its rounds with the driver's ID (the driver
+	// runs its own advance in process, unlogged).
+	rounds.mu.Lock()
+	defer rounds.mu.Unlock()
+	for r := 0; r < k; r++ {
+		if r != tc.nodes[0].self && !rounds.seen[id][r] {
+			t.Errorf("rank %d logged no round with request id %s (ranks per id: %v)", r, id, rounds.seen)
 		}
-	}
-	if carried < 2 {
-		t.Errorf("X-Request-Id %s reached %d shards over the wire, want >= 2", id, carried)
 	}
 }
 
+// roundLog is a slog handler that records which ranks logged a round
+// under each request id.
+type roundLog struct {
+	mu   sync.Mutex
+	seen map[string]map[int]bool
+}
+
+func (h *roundLog) Enabled(context.Context, slog.Level) bool { return true }
+
+func (h *roundLog) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "cluster round advanced" {
+		return nil
+	}
+	var id string
+	rank := -1
+	r.Attrs(func(a slog.Attr) bool {
+		switch a.Key {
+		case "request_id":
+			id = a.Value.String()
+		case "rank":
+			rank = int(a.Value.Int64())
+		}
+		return true
+	})
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.seen[id] == nil {
+		h.seen[id] = make(map[int]bool)
+	}
+	h.seen[id][rank] = true
+	return nil
+}
+
+func (h *roundLog) WithAttrs([]slog.Attr) slog.Handler { return h }
+
+func (h *roundLog) WithGroup(string) slog.Handler { return h }
+
 // TestClusterRoundStageMetrics asserts a shard that advanced rounds exposes
 // non-empty cdrw_cluster_round_seconds stage series (and the open-sessions
-// gauge) on its wire metrics.
+// gauge, back at 0 once the driver's close arrives) on its wire metrics.
 func TestClusterRoundStageMetrics(t *testing.T) {
 	g := clusterTestGraph(t)
 	tc := startCluster(t, 3, 42)
@@ -133,11 +125,17 @@ func TestClusterRoundStageMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var sb strings.Builder
-	if err := tc.nodes[1].WriteMetrics(&sb); err != nil {
-		t.Fatal(err)
-	}
-	body := sb.String()
+	// The driver's close frame drops shard 1's session just after the
+	// detection returns.
+	var body string
+	eventually(t, 2*time.Second, "shard 1's session closes", func() bool {
+		var sb strings.Builder
+		if err := tc.nodes[1].WriteMetrics(&sb); err != nil {
+			t.Fatal(err)
+		}
+		body = sb.String()
+		return strings.Contains(body, "cdrw_cluster_open_sessions 0")
+	})
 	for _, want := range []string{
 		`cdrw_cluster_round_seconds{stage="freeze",quantile="0.99"}`,
 		`cdrw_cluster_round_seconds_count{stage="pull"}`,

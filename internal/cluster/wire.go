@@ -1,10 +1,10 @@
 package cluster
 
-// The control protocol (membership, sessions, heartbeats) is plain JSON
-// over HTTP. Every per-round message — the driver↔shard advance and reply
-// and the shard↔shard shares — travels as a frame on a link (link.go) in
-// the compact binary round codec (codec.go), which carries probability
-// values' bits verbatim, so the bit-identity contract of
+// Membership is plain JSON over HTTP. A session and every message of its
+// rounds — the driver's open and close, the driver↔shard advance and reply
+// and the shard↔shard shares — travel as frames on the links (link.go); the
+// rounds in the compact binary round codec (codec.go), which carries
+// probability values' bits verbatim, so the bit-identity contract of
 // congest.FloodTransport survives the wire.
 
 // entry is one sparse (vertex, value) pair — a walk-state support entry on
@@ -27,20 +27,22 @@ type joinResponse struct {
 	Size    int      `json:"size"`
 }
 
-// sessionRequest creates one detection session on a shard. Vertices/Edges
-// pin that every shard holds the same replicated graph; Members pins that
-// every shard numbers ranks identically before any walk state moves. Walks
-// is the most walks one advance of the session carries (the driver's batch
-// size; values below 1 mean 1): with the shards' owned-vertex counts it
-// bounds the session's frames.
+// sessionRequest is an open frame's body: it creates one detection session
+// on a shard, named by the frame's session id. Vertices/Edges pin that
+// every shard holds the same replicated graph; Members pins that every
+// shard numbers ranks identically before any walk state moves. Walks is the
+// most walks one advance of the session carries (the driver's batch size;
+// values below 1 mean 1): with the shards' owned-vertex counts it bounds
+// the session's frames. RequestID is the driver's request id, which the
+// shard logs with the session's rounds.
 type sessionRequest struct {
-	Session       string   `json:"session"`
 	Graph         string   `json:"graph"`
 	Members       []string `json:"members"`
 	Vertices      int      `json:"vertices"`
 	Edges         int      `json:"edges"`
 	PlacementSeed uint64   `json:"placement_seed"`
 	Walks         int      `json:"walks"`
+	RequestID     string   `json:"request_id,omitempty"`
 }
 
 // advanceRequest drives one flood round on a shard: Support[w] is the sparse
@@ -67,10 +69,4 @@ type advanceResponse struct {
 	Round   int
 	Support [][]entry
 	T       advanceTiming
-}
-
-// heartbeatRequest is one driver liveness beat for a session; the shard
-// answering 200 promises the session state is still live there.
-type heartbeatRequest struct {
-	Session string `json:"session"`
 }

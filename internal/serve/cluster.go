@@ -53,8 +53,9 @@ type ClusterBackend interface {
 	Detect(ctx context.Context, name string, opts ...core.Option) (res *core.Result, settings core.Settings, handled bool, err error)
 	// DetectCommunity is Detect for a single seed.
 	DetectCommunity(ctx context.Context, name string, seed int, opts ...core.Option) (community []int, stats core.CommunityStats, settings core.Settings, handled bool, err error)
-	// Handler serves the shard-to-shard protocol (join, sessions, share
-	// exchange); the HTTP surface mounts it under /cluster/.
+	// Handler serves the shard-to-shard membership surface (join, info
+	// and the link upgrade; sessions and rounds ride the links); the HTTP
+	// surface mounts it under /cluster/.
 	Handler() http.Handler
 	// WriteMetrics appends the cluster's wire counters to a Prometheus
 	// text exposition (the /metrics endpoint calls it after the serving
