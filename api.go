@@ -155,8 +155,10 @@ type (
 	SharedIndex = rw.SharedIndex
 	// MixSweeper runs largest-mixing-set searches over one graph with the
 	// sparse fast path exposed directly: pass the distribution's support
-	// (ascending) for O(support)-per-size sweeps, or nil for the dense
-	// reference. Not safe for concurrent use.
+	// (ascending) for O(support)-per-size sweeps, or nil for the compact
+	// dense path, which extracts the support from the distribution first.
+	// A result's Vertices alias the sweeper's storage until its next sweep.
+	// Not safe for concurrent use.
 	MixSweeper = rw.Sweeper
 )
 
@@ -192,9 +194,11 @@ func MixingTime(g *Graph, source int, eps float64, maxSteps int) (int, error) {
 }
 
 // LargestMixingSet finds the largest set satisfying the mixing condition
-// for the distribution p, sweeping candidate sizes from minSize.
+// for the distribution p, sweeping candidate sizes from minSize. It runs the
+// sweep every engine runs, on a fresh MixSweeper, so the caller owns the
+// returned Vertices.
 func LargestMixingSet(g *Graph, p Dist, minSize int) (MixingSet, error) {
-	return rw.LargestMixingSet(g, p, minSize)
+	return rw.NewSweeper(g).LargestMixingSet(p, nil, minSize, rw.MixOptions{})
 }
 
 // LocalMixingTime computes the local mixing time τ_s(β) of Definition 2:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -261,28 +262,78 @@ func TestPublicAPIBaselines(t *testing.T) {
 	}
 }
 
+// TestPublicAPIWalkPrimitives pins cdrw.LargestMixingSet's whole result —
+// the set (by size and checksum), the bits of its sum and the ladder sizes
+// checked — on not-found, local and mixed walk distributions. The golden
+// values were recorded with the O(n)-per-size reference sweep; the wrapper
+// runs the production Sweeper, which must reproduce them bit for bit.
 func TestPublicAPIWalkPrimitives(t *testing.T) {
-	g, err := cdrw.Gnp(128, 0.2, cdrw.NewRNG(7))
+	gnp, err := cdrw.Gnp(128, 0.2, cdrw.NewRNG(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pi := cdrw.Stationary(g)
+	pi := cdrw.Stationary(gnp)
 	if len(pi) != 128 {
 		t.Fatalf("stationary length %d", len(pi))
 	}
-	tm, err := cdrw.MixingTime(g, 0, 0.05, 100)
+	tm, err := cdrw.MixingTime(gnp, 0, 0.05, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := cdrw.Walk(g, 0, tm)
+	if tm != 4 {
+		t.Fatalf("mixing time %d, want 4", tm)
+	}
+	ppm, err := cdrw.NewPPM(cdrw.PPMConfig{N: 2048, R: 4, P: 0.05, Q: 0.001}, cdrw.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ms, err := cdrw.LargestMixingSet(g, d, 4)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct {
+		name                string
+		g                   *cdrw.Graph
+		src, steps, minSize int
+		size                int
+		checksum, sumBits   uint64
+		sizesChecked        int
+	}{
+		{"gnp mixed", gnp, 0, tm, 4, 128, 0x356c6cc8137514a5, 0x3fa14d5f0e6bc2a8, 69},
+		{"ppm point", ppm.Graph, 5, 0, 11, 0, 0xcbf29ce484222325, 0, 125},
+		{"ppm 1 step", ppm.Graph, 5, 1, 11, 29, 0x4d4903a4f303d01b, 0x3fc682b57c3db572, 125},
+		{"ppm 6 steps", ppm.Graph, 5, 6, 11, 676, 0x1353611f14cb0923, 0x3fc60bec3e186410, 125},
+		{"ppm 12 steps", ppm.Graph, 5, 12, 11, 0, 0xcbf29ce484222325, 0, 125},
+	} {
+		d, err := cdrw.Walk(c.g, c.src, c.steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := cdrw.LargestMixingSet(c.g, d, c.minSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ms.Size() != c.size || vertexChecksum(ms.Vertices) != c.checksum ||
+			math.Float64bits(ms.Sum) != c.sumBits || ms.SizesChecked != c.sizesChecked {
+			t.Errorf("%s: size %d checksum %#x sum bits %#x sizes %d, want %d %#x %#x %d", c.name,
+				ms.Size(), vertexChecksum(ms.Vertices), math.Float64bits(ms.Sum), ms.SizesChecked,
+				c.size, c.checksum, c.sumBits, c.sizesChecked)
+		}
+		// The caller owns the returned set: a later call must not reuse it.
+		if ms.Found() {
+			ms.Vertices[0] = -1
+			again, err := cdrw.LargestMixingSet(c.g, d, c.minSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if vertexChecksum(again.Vertices) != c.checksum {
+				t.Errorf("%s: a second call returned storage the first caller holds", c.name)
+			}
+		}
 	}
-	if !ms.Found() || ms.Size() < 100 {
-		t.Fatalf("mixed walk should mix on ~the whole graph, got %d", ms.Size())
+}
+
+// vertexChecksum is FNV-1a over the ids, one word each.
+func vertexChecksum(vs []int) uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range vs {
+		h = (h ^ uint64(v)) * 1099511628211
 	}
+	return h
 }

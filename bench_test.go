@@ -213,46 +213,9 @@ func benchWalkGraph(b *testing.B, n int) *cdrw.Graph {
 	return ppm.Graph
 }
 
-// benchWalkEngine measures the early steps of a point-source walk — the
-// regime the hybrid engine's sparse frontier targets — and reports ns/step.
-// forceDense pins the engine to the legacy dense kernel as the baseline.
-// Reset runs outside the timer: its cost is asymmetric between the kernels
-// (O(support) sparse, O(n) dense) and the metric compares stepping alone.
-func benchWalkEngine(b *testing.B, n, steps int, forceDense bool) {
-	g := benchWalkGraph(b, n)
-	eng := cdrw.NewWalkEngine(g)
-	if forceDense {
-		eng.SetDenseThreshold(0)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := eng.Reset(i % n); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		eng.Advance(steps)
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
-}
-
-// BenchmarkWalkEngineSparse10k: hybrid engine, n = 10⁴, 3 early steps of a
-// point distribution.
-func BenchmarkWalkEngineSparse10k(b *testing.B) { benchWalkEngine(b, 10_000, 3, false) }
-
-// BenchmarkWalkEngineDense10k: the dense-kernel baseline on the same walk.
-func BenchmarkWalkEngineDense10k(b *testing.B) { benchWalkEngine(b, 10_000, 3, true) }
-
-// BenchmarkWalkEngineSparse100k: hybrid engine, n = 10⁵.
-func BenchmarkWalkEngineSparse100k(b *testing.B) { benchWalkEngine(b, 100_000, 3, false) }
-
-// BenchmarkWalkEngineDense100k: dense baseline, n = 10⁵. The acceptance bar
-// for the hybrid engine is ≥ 3× faster ns/step than this.
-func BenchmarkWalkEngineDense100k(b *testing.B) { benchWalkEngine(b, 100_000, 3, true) }
-
 // BenchmarkLargestMixingSet measures one full candidate-size sweep
-// (Algorithm 1 lines 12–17) on a mixed distribution.
+// (Algorithm 1 lines 12–17) on a mixed distribution through the public
+// wrapper, which builds a fresh sweeper per call.
 func BenchmarkLargestMixingSet(b *testing.B) {
 	ppm := benchPPM(b, 2048)
 	d, err := cdrw.Walk(ppm.Graph, 0, 8)
@@ -268,12 +231,12 @@ func BenchmarkLargestMixingSet(b *testing.B) {
 	}
 }
 
-// --- Sparse-regime sweep benchmarks ---
+// --- Sweep benchmarks ---
 //
-// CI's bench job gates these: any benchmark whose name contains "Sparse"
-// fails the job if its ns/step (or sec/op) regresses by more than 20%
-// against the base ref. The Dense twins are the O(n·ladder) reference the
-// speedup claims are measured against.
+// The kernel pairs that time the O(n)-per-size reference sweep or the dense
+// walk kernel (MixSweep{Sparse,Dense}, DetectStep*, WalkEngine*,
+// SweepKernel1M) live in internal/rw, beside the reference. CI's bench job
+// gates any benchmark whose name contains "MixSweep" against the base ref.
 
 // benchMinSize mirrors core's default initial candidate size R = ⌈log₂ n⌉.
 func benchMinSize(n int) int {
@@ -282,61 +245,6 @@ func benchMinSize(n int) int {
 		r = 1
 	}
 	return r
-}
-
-// benchMixSweep measures one full candidate-size ladder sweep over a walk
-// distribution after 3 early steps — the sparse regime, where the support is
-// a small ball around the source. sparse=false runs the dense reference
-// sweep on the identical distribution; both report ns/sweep.
-func benchMixSweep(b *testing.B, n int, sparse bool) {
-	g := benchWalkGraph(b, n)
-	eng := cdrw.NewWalkEngine(g)
-	if err := eng.Reset(0); err != nil {
-		b.Fatal(err)
-	}
-	eng.Advance(3)
-	minSize := benchMinSize(n)
-	if _, err := eng.LargestMixingSet(minSize, cdrw.MixOptions{}); err != nil {
-		b.Fatal(err) // also warms the lazily built degree index
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		if sparse {
-			_, err = eng.LargestMixingSet(minSize, cdrw.MixOptions{})
-		} else {
-			_, err = cdrw.LargestMixingSet(g, eng.Dist(), minSize)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/sweep")
-}
-
-// BenchmarkMixSweepSparse100k: the sparse O(support)-per-size sweep, n=10⁵.
-func BenchmarkMixSweepSparse100k(b *testing.B) { benchMixSweep(b, 100_000, true) }
-
-// BenchmarkMixSweepDense100k: the dense O(n)-per-size reference, n=10⁵.
-func BenchmarkMixSweepDense100k(b *testing.B) { benchMixSweep(b, 100_000, false) }
-
-// BenchmarkMixSweepSparse1M: the sparse sweep at n=10⁶ (skipped with
-// -short; graph generation dominates setup).
-func BenchmarkMixSweepSparse1M(b *testing.B) {
-	if testing.Short() {
-		b.Skip("1M-vertex benchmark skipped in short mode")
-	}
-	benchMixSweep(b, 1_000_000, true)
-}
-
-// BenchmarkMixSweepDense1M: the dense reference at n=10⁶ (skipped with
-// -short).
-func BenchmarkMixSweepDense1M(b *testing.B) {
-	if testing.Short() {
-		b.Skip("1M-vertex benchmark skipped in short mode")
-	}
-	benchMixSweep(b, 1_000_000, false)
 }
 
 // BenchmarkMixSweepCompact2k: one full candidate-size ladder sweep on the
@@ -378,60 +286,6 @@ func BenchmarkMixSweepCompact2k(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/sweep")
 		})
 	}
-}
-
-// benchDetectStep measures the full detection step — walk step plus whole
-// mixing-set ladder — over the first 3 lengths of a point-source walk,
-// reporting ns/step. This is the paper's Algorithm 1 inner loop; the
-// acceptance bar for the sparse sweep is ≥3× over the dense twin at n=10⁵.
-func benchDetectStep(b *testing.B, n int, sparse bool) {
-	g := benchWalkGraph(b, n)
-	eng := cdrw.NewWalkEngine(g)
-	minSize := benchMinSize(n)
-	if err := eng.Reset(0); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.LargestMixingSet(minSize, cdrw.MixOptions{}); err != nil {
-		b.Fatal(err) // warm the degree index outside the timer
-	}
-	const steps = 3
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		if err := eng.Reset(i % n); err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		for s := 0; s < steps; s++ {
-			eng.Step()
-			var err error
-			if sparse {
-				_, err = eng.LargestMixingSet(minSize, cdrw.MixOptions{})
-			} else {
-				_, err = cdrw.LargestMixingSet(g, eng.Dist(), minSize)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*steps), "ns/step")
-}
-
-// BenchmarkDetectStepSparse100k: hybrid step + sparse sweep, n=10⁵.
-func BenchmarkDetectStepSparse100k(b *testing.B) { benchDetectStep(b, 100_000, true) }
-
-// BenchmarkDetectStepDense100k: hybrid step + dense reference sweep, n=10⁵.
-func BenchmarkDetectStepDense100k(b *testing.B) { benchDetectStep(b, 100_000, false) }
-
-// BenchmarkDetectStepSparse1M: the full sparse detection step at n=10⁶
-// (skipped with -short).
-func BenchmarkDetectStepSparse1M(b *testing.B) {
-	if testing.Short() {
-		b.Skip("1M-vertex benchmark skipped in short mode")
-	}
-	benchDetectStep(b, 1_000_000, true)
 }
 
 // BenchmarkDetectorReuse measures repeat single-seed serving on one
@@ -1016,50 +870,9 @@ func BenchmarkLPABaseline(b *testing.B) {
 // --- Memory-hierarchy kernel benchmarks (n = 10⁶, skipped with -short) ---
 //
 // CI's bench job runs these in a separate non-short invocation and gates
-// them head-only (no baseline needed): BenchmarkSweepKernel1M/compact must
-// finish a sweep at least 1.3x faster than .../reference, and
-// BenchmarkPoolWarmup/solo must allocate at least 4x the bytes/handle of
-// .../shared — see .github/bench_gate.py.
-
-// BenchmarkSweepKernel1M: one full candidate-size ladder sweep over a
-// full-support distribution at n = 10⁶ — the dense regime. reference is the
-// package-level dense sweep (fresh scratch, per-size x-value recomputation);
-// compact is the sweeper's frontier-compacted path (exact support extraction
-// into the degree-sorted index, prefix-summed degrees, bracket-and-count
-// selection per size), which is bit-identical by the equivalence suites.
-func BenchmarkSweepKernel1M(b *testing.B) {
-	if testing.Short() {
-		b.Skip("1M-vertex benchmark skipped in short mode")
-	}
-	g := benchWalkGraph(b, 1_000_000)
-	p := cdrw.Stationary(g)
-	minSize := benchMinSize(g.NumVertices())
-
-	b.Run("reference", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cdrw.LargestMixingSet(g, p, minSize); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/sweep")
-	})
-	b.Run("compact", func(b *testing.B) {
-		sw := cdrw.NewMixSweeper(g)
-		if _, err := sw.LargestMixingSet(p, nil, minSize, cdrw.MixOptions{}); err != nil {
-			b.Fatal(err) // warm the degree index and retained scratch
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := sw.LargestMixingSet(p, nil, minSize, cdrw.MixOptions{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/sweep")
-	})
-}
+// them head-only (no baseline needed): BenchmarkPoolWarmup/solo must
+// allocate at least 4x the bytes/handle of .../shared — see
+// .github/bench_gate.py.
 
 // BenchmarkPoolWarmup: warm-up allocation cost per pooled handle at
 // n = 10⁶, pool size 8. solo builds and warms 8 independent detectors, each

@@ -20,6 +20,31 @@ import (
 	"cdrw/internal/serve"
 )
 
+// Evictions returns members evicted after missed liveness probes.
+func (m *WireMetrics) Evictions() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.evictions
+}
+
+// CoordBytes returns the driver↔shard coordination bytes sent and received:
+// open, ack, advance, reply and close frames with their headers.
+func (m *WireMetrics) CoordBytes() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.coordBytes
+}
+
+// CoordWords returns the walk-state entries routed in advance and reply
+// frames; the CoordBytes/CoordWords quotient is the advance codec's
+// framing cost (a session's open, ack and close frames add a few hundred
+// bytes per detection).
+func (m *WireMetrics) CoordWords() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.coordWords
+}
+
 // testCluster is k real cdrwd HTTP surfaces on loopback sockets, each with
 // its own registry and cluster node — the in-process equivalent of the CI
 // smoke topology.
@@ -544,8 +569,8 @@ func TestStoreInvariants(t *testing.T) {
 			t.Fatal(err)
 		}
 		stores[r] = s
-		total += len(s.Owned())
-		for _, v := range s.Owned() {
+		total += len(s.owned)
+		for _, v := range s.owned {
 			if assign.Home[v] != r {
 				t.Fatalf("rank %d owns vertex %d homed on %d", r, v, assign.Home[v])
 			}

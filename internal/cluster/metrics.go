@@ -102,13 +102,6 @@ func (m *WireMetrics) addEviction() {
 	m.mu.Unlock()
 }
 
-// Evictions returns members evicted after missed liveness probes.
-func (m *WireMetrics) Evictions() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.evictions
-}
-
 // MaxLinkWords returns the largest per-round word load measured on any
 // machine link — the quantity to hold against the simulator's MaxLinkLoad.
 func (m *WireMetrics) MaxLinkWords() int64 {
@@ -138,24 +131,6 @@ func (m *WireMetrics) TotalLinkWords() int64 {
 		sum += w
 	}
 	return sum
-}
-
-// CoordBytes returns the driver↔shard coordination bytes sent and received:
-// open, ack, advance, reply and close frames with their headers.
-func (m *WireMetrics) CoordBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.coordBytes
-}
-
-// CoordWords returns the walk-state entries routed in advance and reply
-// frames; the CoordBytes/CoordWords quotient is the advance codec's
-// framing cost (a session's open, ack and close frames add a few hundred
-// bytes per detection).
-func (m *WireMetrics) CoordWords() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.coordWords
 }
 
 // Rounds returns the flood rounds driven through this node.

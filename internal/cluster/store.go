@@ -82,9 +82,6 @@ func NewStore(g *graph.Graph, assign kmachine.Assignment, rank int) (*Store, err
 	return s, nil
 }
 
-// Owned returns the vertices homed on this shard, ascending.
-func (s *Store) Owned() []int32 { return s.owned }
-
 // Boundary returns this shard's owned vertices that have at least one
 // neighbour homed on machine j — exactly the vertices whose shares machine j
 // must read each flood round.

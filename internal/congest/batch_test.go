@@ -92,7 +92,7 @@ func TestBatchCancellationLeaksNoGoroutines(t *testing.T) {
 		before := soloMetrics(nw).Rounds
 		cancel()
 		nw.setContext(ctx)
-		ladder := rw.SizeLadder(cfg.MinCommunitySize, 512)
+		ladder := rw.SizeLadderWithGrowth(cfg.MinCommunitySize, 512, rw.GrowthFactor)
 		_, err = nw.largestMixingSet(tree, tree.CoveredVertices(), p, ladder, rw.MixingThreshold)
 		nw.setContext(nil)
 		if !errors.Is(err, context.Canceled) {
@@ -216,7 +216,7 @@ func TestLadderLoadsMatchSequentialReference(t *testing.T) {
 	for _, c := range cases {
 		g := c.g
 		n := g.NumVertices()
-		ladder := rw.SizeLadder(c.minSize, n)
+		ladder := rw.SizeLadderWithGrowth(c.minSize, n, rw.GrowthFactor)
 		for _, seed := range c.roots {
 			component := 0 // set by the unlimited tree, which comes first
 			for depth := -1; depth <= 3; depth++ {
@@ -586,7 +586,7 @@ func TestCanonicalSumMatchesSweeper(t *testing.T) {
 	covered := tree.CoveredVertices()
 	sweeper := rw.NewSweeper(g)
 	const minSize = 6
-	ladder := rw.SizeLadder(minSize, n)
+	ladder := rw.SizeLadderWithGrowth(minSize, n, rw.GrowthFactor)
 	for _, steps := range []int{1, 2, 4, 8} {
 		p, err := rw.Walk(g, 0, steps)
 		if err != nil {

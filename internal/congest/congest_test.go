@@ -25,6 +25,9 @@ func pathGraph(t *testing.T, n int) *graph.Graph {
 	return g
 }
 
+// Covered reports whether v belongs to the tree.
+func (t *Tree) Covered(v int) bool { return t.Depth[v] >= 0 }
+
 func gnpGraph(t *testing.T, n int, seed uint64) *graph.Graph {
 	t.Helper()
 	p := 2 * gen.Log2(n) / float64(n)
@@ -134,11 +137,8 @@ func TestFloodStepMatchesRWStep(t *testing.T) {
 	p := make(rw.Dist, n)
 	p[5] = 1
 	next := make(rw.Dist, n)
-	want, err := rw.NewPointDist(n, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	scratch := make(rw.Dist, n)
+	want, scratch := make(rw.Dist, n), make(rw.Dist, n)
+	want[5] = 1
 	for step := 0; step < 10; step++ {
 		p, next = floodOnce(nw, p, next)
 		want, scratch = rw.Step(g, want, scratch), want
@@ -186,7 +186,7 @@ func TestSelectKSmallestMatchesReference(t *testing.T) {
 		if !ok {
 			t.Fatalf("k=%d: selection failed", k)
 		}
-		wantSet, wantSum := rw.SmallestK(x, k)
+		wantSet, wantSum := smallestK(x, k)
 		if math.Abs(sum-wantSum) > 1e-9 {
 			t.Fatalf("k=%d: sum %v, want %v", k, sum, wantSum)
 		}
@@ -208,6 +208,29 @@ func TestSelectKSmallestMatchesReference(t *testing.T) {
 			}
 		}
 	}
+}
+
+// smallestK is the selection's reference: the k ids smallest under (x, id)
+// order by a full sort, returned ascending with their values summed in that
+// ascending-id order.
+func smallestK(x []float64, k int) ([]int, float64) {
+	ids := make([]int, len(x))
+	for i := range ids {
+		ids[i] = i
+	}
+	sort.Slice(ids, func(a, b int) bool {
+		if x[ids[a]] != x[ids[b]] {
+			return x[ids[a]] < x[ids[b]]
+		}
+		return ids[a] < ids[b]
+	})
+	sel := ids[:k]
+	sort.Ints(sel)
+	sum := 0.0
+	for _, v := range sel {
+		sum += x[v]
+	}
+	return sel, sum
 }
 
 func TestSelectKSmallestEdgeCases(t *testing.T) {

@@ -12,9 +12,6 @@ type Tree struct {
 	Levels [][]int // Levels[d] lists the tree nodes at depth d
 }
 
-// Covered reports whether v belongs to the tree.
-func (t *Tree) Covered(v int) bool { return t.Depth[v] >= 0 }
-
 // Size returns the number of tree nodes (including the root).
 func (t *Tree) Size() int {
 	n := 0

@@ -4,6 +4,7 @@ import (
 	"context"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -13,24 +14,24 @@ import (
 )
 
 // legacyDetectCommunity is the pre-engine reference implementation of the
-// Algorithm 1 single-seed loop: a plain dense rw.Step walk feeding the same
-// stop rule. It pins down the behaviour DetectCommunity had before the
-// hybrid engine so the refactor is provably output-preserving.
+// Algorithm 1 single-seed loop: a plain dense rw.Step walk, swept on a
+// Sweeper's dense path (nil support), feeding the same stop rule. It pins
+// down the behaviour DetectCommunity had before the hybrid engine so the
+// refactor is provably output-preserving; rw's own tests pin that sweep to
+// the O(n)-per-size reference along walk trajectories.
 func legacyDetectCommunity(t *testing.T, g *gen.PPM, s int, cfg config) ([]int, CommunityStats) {
 	t.Helper()
 	n := g.Graph.NumVertices()
 	stats := CommunityStats{Seed: s}
-	p, err := rw.NewPointDist(n, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := make(rw.Dist, n)
+	p, next := make(rw.Dist, n), make(rw.Dist, n)
+	p[s] = 1
+	sw := rw.NewSweeper(g.Graph)
 	var prev rw.MixingSet
 	stalled := 0
 	for l := 1; l <= cfg.maxLen; l++ {
 		stats.WalkLength = l
 		p, next = rw.Step(g.Graph, p, next), p
-		cur, err := rw.LargestMixingSetOpt(g.Graph, p, cfg.minSize, cfg.mix)
+		cur, err := sw.LargestMixingSet(p, nil, cfg.minSize, cfg.mix)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,6 +51,8 @@ func legacyDetectCommunity(t *testing.T, g *gen.PPM, s int, cfg config) ([]int, 
 			stalled = 0
 		}
 		if cur.Found() {
+			// The sweeper's result aliases its storage until the next sweep.
+			cur.Vertices = slices.Clone(cur.Vertices)
 			prev = cur
 			stats.FrozenAt = l
 		}

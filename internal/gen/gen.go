@@ -110,17 +110,6 @@ func crossPairs(la, lb int, p float64, r *rng.RNG, emit func(a, b int)) {
 	}
 }
 
-// ConnectivityThreshold returns the connectivity threshold probability
-// log₂(n)/n used to parameterise "as sparse as possible" experiments. The
-// paper's plots use powers of two, so log means log₂ throughout the
-// experiment suite.
-func ConnectivityThreshold(n int) float64 {
-	if n < 2 {
-		return 1
-	}
-	return math.Log2(float64(n)) / float64(n)
-}
-
 // Log2 is a convenience wrapper for parameterising experiments (log₂ n as a
 // float). It returns 0 for n < 1.
 func Log2(n int) float64 {

@@ -334,6 +334,17 @@ func TestSBMValidation(t *testing.T) {
 	}
 }
 
+// ConnectivityThreshold returns the connectivity threshold probability
+// log₂(n)/n used to parameterise "as sparse as possible" experiments. The
+// paper's plots use powers of two, so log means log₂ throughout the
+// experiment suite.
+func ConnectivityThreshold(n int) float64 {
+	if n < 2 {
+		return 1
+	}
+	return math.Log2(float64(n)) / float64(n)
+}
+
 func TestConnectivityThreshold(t *testing.T) {
 	if got := ConnectivityThreshold(1); got != 1 {
 		t.Fatalf("threshold(1) = %v", got)

@@ -21,17 +21,6 @@ import (
 // Dist is a probability distribution over the vertices of a graph.
 type Dist []float64
 
-// NewPointDist returns the initial distribution of a walk started at s:
-// probability 1 at s and 0 elsewhere (p₀ of Algorithm 1 line 7).
-func NewPointDist(n, s int) (Dist, error) {
-	if s < 0 || s >= n {
-		return nil, fmt.Errorf("rw: source %d out of range [0,%d): %w", s, n, graph.ErrVertexOutOfRange)
-	}
-	d := make(Dist, n)
-	d[s] = 1
-	return d, nil
-}
-
 // Clone returns an independent copy of the distribution.
 func (d Dist) Clone() Dist {
 	c := make(Dist, len(d))

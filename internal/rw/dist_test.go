@@ -1,6 +1,7 @@
 package rw
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,17 @@ import (
 	"cdrw/internal/graph"
 	"cdrw/internal/rng"
 )
+
+// NewPointDist returns the initial distribution of a walk started at s:
+// probability 1 at s and 0 elsewhere (p₀ of Algorithm 1 line 7).
+func NewPointDist(n, s int) (Dist, error) {
+	if s < 0 || s >= n {
+		return nil, fmt.Errorf("rw: source %d out of range [0,%d): %w", s, n, graph.ErrVertexOutOfRange)
+	}
+	d := make(Dist, n)
+	d[s] = 1
+	return d, nil
+}
 
 func cycleGraph(t *testing.T, n int) *graph.Graph {
 	t.Helper()

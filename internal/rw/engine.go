@@ -7,7 +7,7 @@ import (
 	"cdrw/internal/graph"
 )
 
-// DenseSwitchFraction controls the hybrid engine's default regime switch: a
+// DenseSwitchFraction controls the hybrid engine's regime switch: a
 // walk stays on the sparse-frontier kernel while its support holds fewer
 // than n/DenseSwitchFraction vertices and moves to the dense kernel past
 // that. The sparse kernel costs O(vol(support) + nnz·log nnz) per step, the
@@ -38,7 +38,7 @@ type WalkEngine struct {
 	sweeper   *Sweeper // lazily built, or injected sharing a caller's index
 }
 
-// NewWalkEngine returns an engine over g with the default density threshold
+// NewWalkEngine returns an engine over g whose density threshold is
 // max(1, n/DenseSwitchFraction). The engine starts with no walk loaded; call
 // Reset before stepping.
 func NewWalkEngine(g *graph.Graph) *WalkEngine {
@@ -63,17 +63,6 @@ func NewWalkEngineWithIndex(g *graph.Graph, idx *DegreeIndex) *WalkEngine {
 	e := NewWalkEngine(g)
 	e.sweeper = NewSweeperWithIndex(g, idx)
 	return e
-}
-
-// SetDenseThreshold overrides the support size at which the engine abandons
-// the sparse kernel. 0 forces the dense kernel from the first step (the
-// legacy behaviour, useful as a benchmark baseline); values > n keep the
-// sparse kernel for the walk's whole life.
-func (e *WalkEngine) SetDenseThreshold(nnz int) {
-	if nnz < 0 {
-		nnz = 0
-	}
-	e.threshold = nnz
 }
 
 // Reset loads a fresh point distribution at source (p₀ of Algorithm 1
@@ -199,10 +188,10 @@ func (e *WalkEngine) Advance(k int) {
 // support is exactly the frontier; after the switch the sweeper's dense
 // path first extracts it with one O(n) scan of p. Either way the same
 // bracket-and-count ladder then runs over the support, and results are
-// bit-identical to the O(n)-per-size reference LargestMixingSetOpt(g,
-// e.Dist(), minSize, opt). The zero MixOptions selects the paper's
-// constants. The sweeper and its degree index are built lazily on first
-// use and reused across Reset.
+// bit-identical to the O(n)-per-size reference sweep that rw's tests keep
+// (LargestMixingSetOpt in reference_test.go). The zero MixOptions selects
+// the paper's constants. The sweeper and its degree index are built lazily
+// on first use and reused across Reset.
 // On the sparse path the returned Vertices alias sweeper storage and stay
 // valid only until this engine's next sweep; copy them to retain a set.
 func (e *WalkEngine) LargestMixingSet(minSize int, opt MixOptions) (MixingSet, error) {

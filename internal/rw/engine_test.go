@@ -91,7 +91,7 @@ func TestWalkEngineSparseOnlyMatchesDense(t *testing.T) {
 	for _, steps := range []int{1, 3, 8, 20} {
 		want := denseWalk(t, ppm, 1, steps)
 		eng := NewWalkEngine(ppm.Graph)
-		eng.SetDenseThreshold(sparseForever)
+		eng.threshold = sparseForever
 		if err := eng.Reset(1); err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +160,7 @@ func TestWalkEngineIsolatedVertex(t *testing.T) {
 	}
 	for _, threshold := range []int{0, gg.Volume() + 1} {
 		eng := NewWalkEngine(gg)
-		eng.SetDenseThreshold(threshold)
+		eng.threshold = threshold
 		if err := eng.Reset(iso); err != nil {
 			t.Fatal(err)
 		}

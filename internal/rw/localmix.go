@@ -1,9 +1,7 @@
 package rw
 
 import (
-	"fmt"
 	"math"
-	"sort"
 
 	"cdrw/internal/graph"
 )
@@ -46,126 +44,19 @@ func XValueAt(g *graph.Graph, p Dist, u, size int, muPrime float64) float64 {
 	return math.Abs(p[u] - float64(g.Degree(u))/muPrime)
 }
 
-// XValues computes x_u for every vertex. out must have length n and is
-// returned for convenience.
-func XValues(g *graph.Graph, p Dist, size int, out []float64) []float64 {
-	n := g.NumVertices()
-	muPrime := MuPrime(g, size)
-	if muPrime == 0 {
-		// Hoist the edgeless-graph branch of XValueAt out of the loop.
-		target := 1 / float64(size)
-		for u := 0; u < n; u++ {
-			out[u] = math.Abs(p[u] - target)
-		}
-		return out
-	}
-	for u := 0; u < n; u++ {
-		out[u] = math.Abs(p[u] - float64(g.Degree(u))/muPrime)
-	}
-	return out
-}
-
-// SmallestK returns the k vertices with the smallest x values and the sum of
-// those values. Ties are broken by vertex id (smaller id first), which makes
-// the selection deterministic — the distributed implementation breaks ties
-// the same way, standing in for the paper's "add a very small random number
-// to each x_u" trick. The returned ids are sorted ascending, and the sum is
-// accumulated in that ascending-id order, so it is a pure function of the
-// selected set rather than of quickselect's internal permutation (floating-
-// point addition does not commute across orders).
-func SmallestK(x []float64, k int) ([]int, float64) {
-	n := len(x)
-	if k <= 0 {
-		return nil, 0
-	}
-	if k > n {
-		k = n
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	quickselectK(x, idx, k)
-	out := make([]int, k)
-	copy(out, idx[:k])
-	sort.Ints(out)
-	sum := 0.0
-	for _, u := range out {
-		sum += x[u]
-	}
-	return out, sum
-}
-
-// xLess orders indices by (x value, id) lexicographically.
-func xLess(x []float64, a, b int) bool {
-	if x[a] != x[b] {
-		return x[a] < x[b]
-	}
-	return a < b
-}
-
-// quickselectK partitions idx so its first k entries are the k smallest
-// indices under (x, id) order, in O(n) expected time. The candidate-size
-// sweep calls it O(log n) times per walk step, so avoiding a full sort per
-// size matters at the paper's largest experiment scale (n = 2¹³).
-func quickselectK(x []float64, idx []int, k int) {
-	lo, hi := 0, len(idx) // the k-th position (k-1) lies within idx[lo:hi]
-	for hi-lo > 16 {
-		// Median-of-three pivot of (first, middle, last).
-		a, b, c := idx[lo], idx[lo+(hi-lo)/2], idx[hi-1]
-		if xLess(x, b, a) {
-			a, b = b, a
-		}
-		if xLess(x, c, b) {
-			b = c
-			if xLess(x, b, a) {
-				b = a
-			}
-		}
-		pivot := b
-		// Hoare partition: afterwards every element in idx[lo:j+1] is ≤
-		// every element in idx[i:hi], with j < i.
-		i, j := lo, hi-1
-		for {
-			for xLess(x, idx[i], pivot) {
-				i++
-			}
-			for xLess(x, pivot, idx[j]) {
-				j--
-			}
-			if i >= j {
-				break
-			}
-			idx[i], idx[j] = idx[j], idx[i]
-			i++
-			j--
-		}
-		if k-1 <= j {
-			hi = j + 1
-		} else {
-			lo = j + 1
-		}
-	}
-	// Insertion sort the small remainder so idx[:k] ends exactly with the k
-	// smallest entries.
-	for i := lo + 1; i < hi; i++ {
-		for j := i; j > lo && xLess(x, idx[j], idx[j-1]); j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-}
-
-// mixingSum is the canonical summation of the |S| smallest x_u values that
+// MixingSum is the canonical summation of the |S| smallest x_u values that
 // every sweep implementation shares: the on-support terms (vertices with
 // p(u) ≠ 0) are accumulated individually in ascending vertex order and the
 // off-support tail is folded in as one exact integer degree sum divided by
 // µ' (off-support vertices have the closed form x_u = d(u)/µ', so their sum
 // telescopes to Σd(u)/µ'; integer addition is associative where float
-// addition is not, which is what lets the sparse sweep use precomputed
-// prefix sums and still match the dense sweep bit for bit). On an edgeless
-// graph (µ' = 0) every off-support value is 1/|S| and the tail becomes
-// offCount/|S|.
-func mixingSum(onSum float64, offDeg int64, offCount int, muPrime float64, size int) float64 {
+// addition is not, which is what lets the Sweeper use precomputed prefix
+// sums and still match the O(n)-per-size reference bit for bit). On an
+// edgeless graph (µ' = 0) every off-support value is 1/|S| and the tail
+// becomes offCount/|S|. The CONGEST selection folds its distributed
+// aggregates through it too, so every sweep — in-memory and distributed —
+// decides the mixing condition on bit-identical sums.
+func MixingSum(onSum float64, offDeg int64, offCount int, muPrime float64, size int) float64 {
 	if offCount == 0 {
 		return onSum
 	}
@@ -175,47 +66,13 @@ func mixingSum(onSum float64, offDeg int64, offCount int, muPrime float64, size 
 	return onSum + float64(offDeg)/muPrime
 }
 
-// MixingSum exposes the canonical summation to the other engines: the
-// CONGEST selection folds its distributed aggregates through it so that all
-// sweep implementations — dense, sparse, and distributed — decide the mixing
-// condition on bit-identical sums.
-func MixingSum(onSum float64, offDeg int64, offCount int, muPrime float64, size int) float64 {
-	return mixingSum(onSum, offDeg, offCount, muPrime, size)
-}
-
-// denseSweepSize evaluates one candidate size of the ladder against the full
-// vertex set: x buffer of length n, returns the selected ids (ascending) and
-// the canonical mixing sum. This is the reference evaluation the sparse
-// sweep (Sweeper) is equivalence-tested against.
-func denseSweepSize(g *graph.Graph, p Dist, size int, x []float64) ([]int, float64) {
-	muPrime := MuPrime(g, size)
-	XValues(g, p, size, x)
-	sel, _ := SmallestK(x, size)
-	onSum := 0.0
-	var offDeg int64
-	offCount := 0
-	for _, u := range sel {
-		if p[u] != 0 {
-			onSum += x[u]
-		} else {
-			offDeg += int64(g.Degree(u))
-			offCount++
-		}
-	}
-	return sel, mixingSum(onSum, offDeg, offCount, muPrime, size)
-}
-
-// SizeLadder returns the candidate mixing-set sizes of the sweep: R,
-// ⌈R·(1+1/8e)⌉, … capped at n, each size strictly larger than the previous
-// (line 12 of Algorithm 1).
-func SizeLadder(minSize, n int) []int {
-	return SizeLadderWithGrowth(minSize, n, GrowthFactor)
-}
-
-// SizeLadderWithGrowth is SizeLadder with an explicit growth factor; the
-// ablation experiments use it to show the paper's 1+1/8e choice sits on a
-// plateau (bigger factors risk overshooting the community size, smaller
-// ones only add work). growth must be > 1.
+// SizeLadderWithGrowth returns the candidate mixing-set sizes of the sweep
+// for ladder growth factor growth: R, ⌊R·growth⌋, … capped at n, each size
+// strictly larger than the previous (line 12 of Algorithm 1, where growth is
+// GrowthFactor). The ablation experiments vary growth to show the paper's
+// 1+1/8e choice sits on a plateau (bigger factors risk overshooting the
+// community size, smaller ones only add work). growth ≤ 1 selects
+// GrowthFactor.
 func SizeLadderWithGrowth(minSize, n int, growth float64) []int {
 	if minSize < 1 {
 		minSize = 1
@@ -293,43 +150,4 @@ func (o MixOptions) interrupted() error {
 		return nil
 	}
 	return o.Interrupt()
-}
-
-// LargestMixingSet finds the largest set S (|S| on the geometric ladder
-// starting at minSize) on which the distribution p satisfies the mixing
-// condition Σ_{|S| smallest x_u} x_u < 1/2e. The whole ladder is evaluated
-// and the largest passing size wins: small candidate sizes legitimately fail
-// while a size matching the walk's current spread passes, so stopping at the
-// first failure would miss the set (§III "the algorithm iterates the
-// checking process ... by increasing the size").
-func LargestMixingSet(g *graph.Graph, p Dist, minSize int) (MixingSet, error) {
-	return LargestMixingSetOpt(g, p, minSize, MixOptions{})
-}
-
-// LargestMixingSetOpt is LargestMixingSet with the Algorithm 1 constants
-// overridable (ablation studies). This is the dense reference sweep: every
-// ladder size costs O(n). Detection loops go through WalkEngine.
-// LargestMixingSet instead, which switches to the O(support)-per-size sparse
-// sweep (bit-identical to this one) while the walk's support is small.
-func LargestMixingSetOpt(g *graph.Graph, p Dist, minSize int, opt MixOptions) (MixingSet, error) {
-	opt = opt.withDefaults()
-	n := g.NumVertices()
-	if len(p) != n {
-		return MixingSet{}, fmt.Errorf("rw: distribution has %d entries for %d vertices", len(p), n)
-	}
-	ladder := SizeLadderWithGrowth(minSize, n, opt.Growth)
-	x := make([]float64, n)
-	best := MixingSet{}
-	for _, size := range ladder {
-		if err := opt.interrupted(); err != nil {
-			return MixingSet{}, err
-		}
-		best.SizesChecked++
-		sel, sum := denseSweepSize(g, p, size, x)
-		if sum < opt.Threshold {
-			best.Vertices = sel
-			best.Sum = sum
-		}
-	}
-	return best, nil
 }

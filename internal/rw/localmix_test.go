@@ -19,6 +19,11 @@ func TestConstantsMatchPaper(t *testing.T) {
 	}
 }
 
+// SizeLadder returns the paper's candidate-size ladder, growth 1+1/8e.
+func SizeLadder(minSize, n int) []int {
+	return SizeLadderWithGrowth(minSize, n, GrowthFactor)
+}
+
 func TestSizeLadder(t *testing.T) {
 	ladder := SizeLadder(10, 100)
 	if ladder[0] != 10 {

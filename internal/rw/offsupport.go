@@ -177,7 +177,7 @@ func (s *OffSupportStream) KeyAt(j int) (x float64, id int32) {
 
 // PrefixDeg returns the exact integer degree sum of the j smallest
 // off-support entries — the off-support tail of the canonical mixing sum
-// (mixingSum folds it in as one division by µ').
+// (MixingSum folds it in as one division by µ').
 func (s *OffSupportStream) PrefixDeg(j int) int64 {
 	if s.members {
 		return s.wdeg[j]

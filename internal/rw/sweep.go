@@ -9,11 +9,11 @@ import (
 	"cdrw/internal/graph"
 )
 
-// This file implements the sparse-aware mixing-set sweep. The dense sweep
-// (LargestMixingSetOpt) touches all n vertices for every candidate size of
-// the ladder, which PR 1 turned into the dominant cost of detection: walk
-// stepping is O(support) while the walk is a small ball around its source,
-// but the per-step sweep stayed O(n · ladder).
+// This file implements the production mixing-set sweep. The reference sweep
+// (LargestMixingSetOpt, kept in reference_test.go) touches all n vertices
+// for every candidate size of the ladder, which made it the dominant cost of
+// detection: walk stepping is O(support) while the walk is a small ball
+// around its source, but the per-step sweep stayed O(n · ladder).
 //
 // The sparse sweep exploits the closed form of the statistic off the walk's
 // support: p(u) = 0 there, so x_u = |0 − d(u)/µ'(S)| = d(u)/µ'(S) — a value
@@ -37,15 +37,15 @@ import (
 //     sample misjudges, take that quickselect over the whole support. Either
 //     way the cost is O(support) plus O(log support · log n) index probes,
 //     never touching the off-support vertices themselves;
-//   - the off-support tail of the canonical sum (see mixingSum) is an
+//   - the off-support tail of the canonical sum (see MixingSum) is an
 //     integer prefix-degree-sum lookup, O(log n · log support).
 //
 // One walk step's whole ladder costs O(support · ladder + support · log n)
 // instead of O(n · ladder), and the result — set, sum, and the threshold
-// decision — is bit-identical to the dense sweep by construction: explicit
-// values use the exact XValueAt division, implicit comparisons use the same
-// d/µ' division, and both sweeps fold their selection into the same
-// canonical mixingSum.
+// decision — is bit-identical to the reference sweep by construction:
+// explicit values use the exact XValueAt division, implicit comparisons use
+// the same d/µ' division, and both sweeps fold their selection into the same
+// canonical MixingSum.
 //
 // Exactness caveat, for the record: the implicit stream's (degree, id) order
 // stands in for (d·(1/µ'), id) order, which is only guaranteed while
@@ -204,12 +204,13 @@ func NewSweeperWithIndex(g *graph.Graph, idx *DegreeIndex) *Sweeper {
 	return &Sweeper{g: g, idx: idx}
 }
 
-// LargestMixingSet finds the largest mixing set of p exactly like
-// LargestMixingSetOpt, but in O(support) per ladder size when support — the
-// vertices with p(u) ≠ 0, strictly ascending — is given. support == nil
-// selects the dense path (reusing the sweeper's buffers, but otherwise
-// identical to LargestMixingSetOpt). The two paths are bit-identical: same
-// sets, same sums, same threshold decisions.
+// LargestMixingSet finds the largest mixing set of p exactly like the
+// O(n)-per-size reference sweep (LargestMixingSetOpt in reference_test.go),
+// but in O(support) per ladder size when support — the vertices with
+// p(u) ≠ 0, strictly ascending — is given. support == nil selects the
+// compact dense path, which extracts the support from p first. The two
+// paths are bit-identical to each other and to the reference: same sets,
+// same sums, same threshold decisions.
 //
 // On both paths the returned Vertices slice aliases sweeper storage: it is
 // valid until the sweeper's next sweep and must be copied to be retained
@@ -272,7 +273,7 @@ func (s *Sweeper) sizeLadder(minSize int, growth float64) []int {
 	return s.ladder
 }
 
-// denseSweep is LargestMixingSetOpt over the sweeper's reusable buffers.
+// denseSweep sweeps p, whose support is unknown, over reusable buffers.
 // Instead of replaying the reference's O(n)-per-ladder-size full scan, it
 // compacts the frontier once — one sequential pass over p extracts the exact
 // support (skipping a zero mass changes nothing: off-support x-values have
@@ -285,7 +286,7 @@ func (s *Sweeper) sizeLadder(minSize int, growth float64) []int {
 // O(n·ladder) scan into a cache-resident pass. Outputs are bit-identical to
 // the reference: the extracted support is exactly the support the sparse
 // sweep is equivalence-tested with, explicit values use the exact XValueAt
-// division, and both paths fold into the canonical mixingSum. All buffers
+// division, and both paths fold into the canonical MixingSum. All buffers
 // are retained, so steady-state dense sweeps allocate nothing. Like the
 // sparse path, the returned Vertices alias sweeper storage and stay valid
 // only until the sweeper's next sweep.
@@ -518,7 +519,7 @@ func (s *Sweeper) evalSize(p Dist, support []int32, size int) (float64, int) {
 		onSum += en.x
 	}
 	j := size - eSel
-	return mixingSum(onSum, s.off.PrefixDeg(j), j, mu, size), eSel
+	return MixingSum(onSum, s.off.PrefixDeg(j), j, mu, size), eSel
 }
 
 // gatherBefore copies the keys (xs[i], support[i]) that precede cut into

@@ -99,7 +99,7 @@ func TestSparseSweepMatchesDenseProperty(t *testing.T) {
 		r := rng.New(seed ^ 0x9e3779b97f4a7c15)
 		s := r.Intn(g.NumVertices())
 		eng := NewWalkEngine(g)
-		eng.SetDenseThreshold(g.NumVertices() + 1) // stay sparse for the whole walk
+		eng.threshold = g.NumVertices() + 1 // stay sparse for the whole walk
 		if err := eng.Reset(s); err != nil {
 			t.Fatal(err)
 		}
@@ -373,7 +373,7 @@ func TestWalkEngineLargestMixingSetMatchesOpt(t *testing.T) {
 	ppm := sweepPPM(t, 21)
 	g := ppm.Graph
 	eng := NewWalkEngine(g)
-	eng.SetDenseThreshold(16) // force an early sparse→dense switch
+	eng.threshold = 16 // force an early sparse→dense switch
 	if err := eng.Reset(1); err != nil {
 		t.Fatal(err)
 	}

@@ -183,11 +183,11 @@ func newHandler(reg *Registry, m *metrics.ServeMetrics, cb ClusterBackend) http.
 
 // instrument counts every request and its latency, and threads the request
 // trace. Every request gets an ID — accepted from an X-Request-Id header
-// (how cluster RPC spans stitch onto the driver's trace) or minted here —
-// and echoes it in the response. Only /graphs/ requests record a trace into
-// the ring: health probes, /metrics scrapes and the shard-to-shard protocol
-// (whose work is attributed to the driver's trace) would drown the real
-// detections. Errors are counted where they are written (writeError), which
+// (so a client can name the trace it will fetch) or minted here — and
+// echoes it in the response. Only /graphs/ requests record a trace into
+// the ring: health probes, /metrics scrapes and the shard-to-shard link
+// upgrade (whose round work the driver's trace records as per-rank spans)
+// would drown the real detections. Errors are counted where they are written (writeError), which
 // sees the status decision.
 func (s *server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

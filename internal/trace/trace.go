@@ -1,8 +1,11 @@
 // Package trace is the serving stack's flight recorder: request-scoped
 // traces with per-phase time attribution and a bounded span list, carried
-// through Detector runs via context and across cluster RPCs via the
-// X-Request-Id header, so a slow request can say whether its time went to
-// walking, sweeping, flood rounds, peer pulls or the cache.
+// through Detector runs via context, so a slow request can say whether its
+// time went to walking, sweeping, flood rounds, peer pulls or the cache. A
+// cluster detection's trace stays on its driver: the request id travels to
+// the shards in the session's open frame (they log it with their rounds),
+// and the driver builds one span per shard rank from the timings the
+// shards' reply frames carry.
 //
 // The package is dependency-free and built for hot paths: a nil *Trace is
 // a valid no-op receiver for every method, so instrumented code guards a

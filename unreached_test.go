@@ -8,9 +8,12 @@ import (
 	"go/token"
 	"go/types"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -24,11 +27,13 @@ import (
 // its reached interfaces, an interface declared by an imported standard
 // package, or one that errors.Is and errors.As assert.
 //
-// It logs every production declaration the roots do not reach, with its
-// line count, as test-only when a _test.go file uses it (directly or through
-// other test-only code), and fails on the rest: nothing reaches them at all.
-// The test-only ones are the reference kernels and oracles tests compare
-// against.
+// It fails on every production declaration the roots do not reach. One that
+// nothing reaches is dead: delete it. One that only _test.go files reach
+// (directly or through other test-only code) is a reference kernel, oracle
+// or helper: it belongs in the test files of the package whose tests use
+// it, so that production holds one implementation of each kernel. The one
+// exemption is an exported method of a type api.go aliases: public-API
+// users can call it, so a test-only one is logged, not failed.
 func TestUnreachedDeclarations(t *testing.T) {
 	p := loadProgram(t)
 	var roots, testUses, all []*declNode
@@ -46,20 +51,106 @@ func TestUnreachedDeclarations(t *testing.T) {
 		return a.Filename < b.Filename || a.Filename == b.Filename && a.Offset < b.Offset
 	})
 	reached, tested := p.closure(roots), p.closure(testUses)
-	var testOnly, testOnlyLines int
+	var public, publicLines int
 	for _, d := range all {
 		switch {
 		case reached[d]:
+		case tested[d] && d.public:
+			public++
+			publicLines += d.lines
+			t.Logf("test-only %s: %s (%d lines), public API", d.pos, d.name, d.lines)
 		case tested[d]:
-			testOnly++
-			testOnlyLines += d.lines
-			t.Logf("test-only %s: %s (%d lines)", d.pos, d.name, d.lines)
+			t.Errorf("test-only %s: %s (%d lines) is reached only by _test.go files; move it into the tests that use it", d.pos, d.name, d.lines)
 		default:
 			t.Errorf("unused %s: %s (%d lines) is reached by no root and no _test.go file; delete it", d.pos, d.name, d.lines)
 		}
 	}
-	t.Logf("%d declarations, %d reached from the roots, %d test-only (%d lines)",
-		len(all), len(reached), testOnly, testOnlyLines)
+	t.Logf("%d declarations, %d reached from the roots, %d test-only public methods (%d lines)",
+		len(all), len(reached), public, publicLines)
+}
+
+// TestPackageLayers checks the module's production imports against the
+// layer table of docs/ARCHITECTURE.md: every package of the module and of
+// perfbench has a row, every import inside the module points to a strictly
+// lower layer, and every row names a package that exists. Test files are
+// not checked: a test may import what its package may not.
+func TestPackageLayers(t *testing.T) {
+	p := loadPackages(t)
+	layers := readLayers(t, filepath.Join("docs", "ARCHITECTURE.md"))
+	used := map[string]bool{}
+	layerOf := func(ip string) (int, bool) {
+		for name, layer := range layers {
+			if ip == name || strings.HasSuffix(name, "/*") && strings.HasPrefix(ip, strings.TrimSuffix(name, "*")) {
+				used[name] = true
+				return layer, true
+			}
+		}
+		return 0, false
+	}
+	paths := make([]string, 0, len(p.pkgs))
+	for ip := range p.pkgs {
+		paths = append(paths, ip)
+	}
+	sort.Strings(paths)
+	for _, ip := range paths {
+		from, ok := layerOf(ip)
+		if !ok {
+			t.Errorf("%s has no row in ARCHITECTURE.md's layer table", ip)
+			continue
+		}
+		for _, dep := range p.prod[ip].Imports() {
+			if p.pkgs[dep.Path()] == nil {
+				continue
+			}
+			if to, ok := layerOf(dep.Path()); ok && to >= from {
+				t.Errorf("%s (layer %d) imports %s (layer %d); imports must point to a strictly lower layer", ip, from, dep.Path(), to)
+			}
+		}
+	}
+	for name, layer := range layers {
+		if !used[name] {
+			t.Errorf("ARCHITECTURE.md's layer %d names %s, which matches no package", layer, name)
+		}
+	}
+}
+
+// readLayers parses the table under the "### Layers" heading of the
+// markdown file at path, rows of the form "| 2 | `cdrw/internal/x`, … |",
+// into the layer of each import path it lists; a trailing /* matches every
+// package below a directory.
+func readLayers(t *testing.T, path string) map[string]int {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n### Layers\n")
+	if !ok {
+		t.Fatalf("%s has no \"### Layers\" section", path)
+	}
+	row := regexp.MustCompile(`^\| *([0-9]+) *\|(.*)\|$`)
+	name := regexp.MustCompile("`([^`]+)`")
+	layers := map[string]int{}
+	for _, line := range strings.Split(section, "\n") {
+		if strings.HasPrefix(line, "#") {
+			break
+		}
+		m := row.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		layer, _ := strconv.Atoi(m[1])
+		for _, n := range name.FindAllStringSubmatch(m[2], -1) {
+			if _, dup := layers[n[1]]; dup {
+				t.Errorf("%s: %s is on two layers", path, n[1])
+			}
+			layers[n[1]] = layer
+		}
+	}
+	if len(layers) == 0 {
+		t.Fatalf("%s: the Layers section has no table rows", path)
+	}
+	return layers
 }
 
 // declNode is one top-level declaration of a production file: a function, a
@@ -69,6 +160,7 @@ type declNode struct {
 	pos     token.Position // of the declared name, relative to the module root
 	lines   int            // including its doc comment
 	root    bool
+	public  bool        // an exported method of a type api.go aliases
 	testUse bool        // some _test.go file names it
 	uses    []*declNode // declarations its syntax names
 	typ     *types.TypeName
@@ -105,7 +197,9 @@ func rootPackage(p string) bool {
 		p == "cdrw/perfbench" || p == "cdrw/internal/experiments"
 }
 
-func loadProgram(t *testing.T) *program {
+// loadPackages parses every package of the module and of perfbench and
+// type-checks their production files.
+func loadPackages(t *testing.T) *program {
 	t.Helper()
 	fset := token.NewFileSet()
 	p := &program{
@@ -148,10 +242,20 @@ func loadProgram(t *testing.T) *program {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ip, src := range p.pkgs {
+	for ip := range p.pkgs {
 		if _, err := p.Import(ip); err != nil {
 			t.Fatal(err)
 		}
+	}
+	return p
+}
+
+// loadProgram type-checks the module's production files (loadPackages),
+// then its test files, and builds the declaration graph.
+func loadProgram(t *testing.T) *program {
+	t.Helper()
+	p := loadPackages(t)
+	for _, src := range p.pkgs {
 		p.declare(src)
 	}
 	for _, d := range p.decls {
@@ -169,6 +273,7 @@ func loadProgram(t *testing.T) *program {
 	if err := p.satisfiers(); err != nil {
 		t.Fatal(err)
 	}
+	p.markPublic()
 	return p
 }
 
@@ -244,6 +349,39 @@ func (p *program) declare(src *srcPackage) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// markPublic sets public on every exported method of a type that an alias
+// declared in the root package's api.go names.
+func (p *program) markPublic() {
+	src := p.pkgs["cdrw"]
+	aliased := map[*types.TypeName]bool{}
+	for _, f := range src.files {
+		if filepath.Base(p.fset.Position(f.Pos()).Filename) != "api.go" {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if spec, ok := n.(*ast.TypeSpec); ok && spec.Assign.IsValid() {
+				if named, ok := types.Unalias(src.info.Defs[spec.Name].Type()).(*types.Named); ok {
+					aliased[named.Obj()] = true
+				}
+			}
+			return true
+		})
+	}
+	for _, d := range p.decls {
+		fd, ok := d.syntax.(*ast.FuncDecl)
+		if !ok || fd.Recv == nil || !fd.Name.IsExported() {
+			continue
+		}
+		recv := d.info.Defs[fd.Name].Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		if named, ok := recv.(*types.Named); ok {
+			d.public = aliased[named.Origin().Obj()]
 		}
 	}
 }
