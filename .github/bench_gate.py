@@ -8,10 +8,10 @@ custom ns/step, ns/sweep and rounds/op, allocs/op and the absolute gates'
 units), and fails when:
 
   * any benchmark whose name contains "Sparse", "DetectorReuse",
-    "CongestBatch", "KMachineConv", "DetectorPool", "MixSweep" or
-    "DetectStep" regressed in an ns-valued metric (or, for the CONGEST
-    batch benchmarks, in simulated rounds/op) by more than the threshold
-    (default 20%) against the base ref, or
+    "CongestBatch", "KMachineConv", "DetectorPool", "MixSweep",
+    "DetectStep" or "LadderSelect" regressed in an ns-valued metric (or,
+    for the CONGEST batch benchmarks, in simulated rounds/op) by more than
+    the threshold (default 20%) against the base ref, or
   * any row of ABSOLUTE_GATES fails within the head run alone: the
     allocation-free repeat-run contracts, the pooled-serving speedup, the
     flight recorder's overhead budget, the n=10⁶ cache-aware kernel pairs,
@@ -32,7 +32,7 @@ import sys
 
 NS_UNITS = ("ns/op", "ns/step", "ns/sweep", "rounds/op")
 GATED_SUBSTRINGS = ("Sparse", "DetectorReuse", "CongestBatch", "KMachineConv",
-                    "DetectorPool", "MixSweep", "DetectStep")
+                    "DetectorPool", "MixSweep", "DetectStep", "LadderSelect")
 
 POOL_WARM = ("BenchmarkDetectorPoolThroughput/warm", "ns/op")
 CLUSTER_ROUND = "BenchmarkClusterRound"

@@ -134,9 +134,10 @@ func (n *Node) newDriver(ctx context.Context, name string, opts []core.Option) (
 // recordShardSpans emits one span per shard rank into the request trace,
 // covering the whole detection with the rank's accumulated freeze/pull/
 // gather nanoseconds as attributes, and books the summed wait for peers'
-// share frames as the peer_pull phase (nested inside flood: the waits
-// happen while the driver waits on replies, so peer_pull explains flood
-// time rather than adding to the request total).
+// share frames as the peer_pull phase (nested inside the driver's own
+// phases: the waits happen while the driver waits on replies, or runs the
+// ladder when it started the round before it, so peer_pull explains time
+// rather than adding to the request total).
 func recordShardSpans(t *trace.Trace, rt *roundTransport, started time.Time) {
 	total := time.Since(started)
 	var pullNS int64

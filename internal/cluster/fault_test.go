@@ -5,8 +5,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -57,20 +59,21 @@ func eventually(t *testing.T, d time.Duration, what string, cond func() bool) {
 }
 
 // linkGate holds the frames on the link one shard dials into another: the
-// receiving node hijacks the connection as usual and reads the link's first
-// frame, a session's open, but the bytes that arrive after it — round 1's
-// advance — signal hit and stay unread until release (or until the
-// connection closes).
+// receiving node hijacks the connection as usual and reads its frames, but
+// the read that completes the driver's advance frame of round signals hit
+// and returns only at release (or when the connection closes), so that
+// advance and every frame after it stay unread.
 type linkGate struct {
 	inner   http.Handler
 	from    string
+	round   int
 	hit     chan struct{}
 	release chan struct{}
 	once    sync.Once
 }
 
-func newLinkGate() *linkGate {
-	return &linkGate{hit: make(chan struct{}), release: make(chan struct{})}
+func newLinkGate(round int) *linkGate {
+	return &linkGate{round: round, hit: make(chan struct{}), release: make(chan struct{})}
 }
 
 func (g *linkGate) wrap(h http.Handler) http.Handler {
@@ -98,16 +101,25 @@ func (w gatedWriter) Hijack() (net.Conn, *bufio.ReadWriter, error) {
 type gatedConn struct {
 	net.Conn
 	g         *linkGate
-	first     []byte // the bytes of the link's first frame read so far
+	pending   []byte // bytes read but not yet split into whole frames
+	held      bool   // the gated advance has arrived
 	closed    chan struct{}
 	closeOnce sync.Once
 }
 
 func (c *gatedConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	if !wholeFrame(c.first) {
-		c.first = append(c.first, p[:n]...)
-		return n, err
+	if !c.held {
+		c.pending = append(c.pending, p[:n]...)
+		for !c.held {
+			payload, rest, ok := splitFrame(c.pending)
+			if !ok {
+				return n, err
+			}
+			c.pending = rest
+			req, derr := decodeAdvance(payload)
+			c.held = derr == nil && req.Round == c.g.round
+		}
 	}
 	c.g.once.Do(func() { close(c.g.hit) })
 	select {
@@ -118,13 +130,18 @@ func (c *gatedConn) Read(p []byte) (int, error) {
 	}
 }
 
-// wholeFrame reports whether b holds at least one whole frame.
-func wholeFrame(b []byte) bool {
+// splitFrame splits b's first whole frame off: its payload and the bytes
+// after it, or ok=false while b holds no whole frame.
+func splitFrame(b []byte) (payload, rest []byte, ok bool) {
 	if len(b) == 0 || len(b) < 1+int(b[0])+4 {
-		return false
+		return nil, b, false
 	}
 	head := 1 + int(b[0]) + 4
-	return len(b) >= head+int(binary.BigEndian.Uint32(b[head-4:]))
+	end := head + int(binary.BigEndian.Uint32(b[head-4:]))
+	if len(b) < end {
+		return nil, b, false
+	}
+	return b[head:end], b[end:], true
 }
 
 func (c *gatedConn) Close() error {
@@ -137,11 +154,19 @@ func (c *gatedConn) Close() error {
 // link. The driver must fail the detection with a typed *PeerError within
 // the ~2 s failure budget — the dead shard's closed link fails the round at
 // once — the survivors must evict the dead member and flip not-ready, and
-// no session state may survive on them.
+// no session state may survive on them. The held advance is round 1's, or
+// round 2's: the driver starts round 2 before step 1's ladder (no walk can
+// end at step 1), so that round is in flight while the ladder runs.
 func TestClusterKillShardMidDetection(t *testing.T) {
+	for _, round := range []int{1, 2} {
+		t.Run(fmt.Sprintf("round%d", round), func(t *testing.T) { killShardInRound(t, round) })
+	}
+}
+
+func killShardInRound(t *testing.T, round int) {
 	baseline := runtime.NumGoroutine()
 	g := clusterTestGraph(t)
-	stall := newLinkGate()
+	stall := newLinkGate(round)
 	fc := startFaultCluster(t, 3, 42, func(rank int, urls []string, h http.Handler) http.Handler {
 		if rank == 2 {
 			stall.from = urls[0] // the driver's advances
@@ -164,7 +189,7 @@ func TestClusterKillShardMidDetection(t *testing.T) {
 	select {
 	case <-stall.hit:
 	case <-time.After(10 * time.Second):
-		t.Fatal("round 1 never reached shard 2's link")
+		t.Fatalf("round %d never reached shard 2's link", round)
 	}
 	killed := time.Now()
 	fc.kill(2)
@@ -219,6 +244,96 @@ func TestClusterKillShardMidDetection(t *testing.T) {
 		}
 		return runtime.NumGoroutine() <= baseline+8
 	})
+}
+
+// TestClusterCancelStartedRound cancels a request while its started round
+// is in flight: round 2 starts before step 1's ladder, and its advance sits
+// unread on shard 2's link. The detection must return the context's error
+// within PeerTimeout, every shard must read cdrw_cluster_open_sessions 0,
+// no goroutine may stay behind, and the next detection on the same shards
+// must equal the in-process CONGEST run.
+func TestClusterCancelStartedRound(t *testing.T) {
+	g := clusterTestGraph(t)
+	stall := newLinkGate(2)
+	fc := startFaultCluster(t, 3, 42, func(rank int, urls []string, h http.Handler) http.Handler {
+		if rank == 2 {
+			stall.from = urls[0]
+			return stall.wrap(h)
+		}
+		return h
+	})
+	fc.register(t, "ppm", g)
+	opts := []core.Option{core.WithEngine(core.EngineCongest), core.WithSeed(9)}
+	// A detection driven from shard 1 opens every link, whose readers are
+	// then part of the baseline; the gated link carries no advance in it.
+	if _, _, _, err := fc.nodes[1].Detect(context.Background(), "ppm", opts...); err != nil {
+		t.Fatal(err)
+	}
+	for _, node := range fc.nodes {
+		node.client.CloseIdleConnections()
+	}
+	baseline := runtime.NumGoroutine()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		_, _, _, err := fc.nodes[0].Detect(ctx, "ppm", opts...)
+		done <- err
+	}()
+	select {
+	case <-stall.hit:
+	case <-time.After(10 * time.Second):
+		t.Fatal("round 2 never reached shard 2's link")
+	}
+	cancelled := time.Now()
+	cancel()
+	var err error
+	select {
+	case err = <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("detection still wedged 10s after its context was cancelled")
+	}
+	elapsed := time.Since(cancelled)
+	close(stall.release)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("want context.Canceled, got %v", err)
+	}
+	if limit := fc.nodes[0].peerTimeout; elapsed > limit {
+		t.Fatalf("driver took %v after the cancel to return, want <= %v", elapsed, limit)
+	}
+
+	for rank, node := range fc.nodes {
+		eventually(t, 5*time.Second, fmt.Sprintf("shard %d reads no open session", rank), func() bool {
+			var sb strings.Builder
+			if err := node.WriteMetrics(&sb); err != nil {
+				t.Fatal(err)
+			}
+			return strings.Contains(sb.String(), "\ncdrw_cluster_open_sessions 0\n")
+		})
+	}
+	eventually(t, 5*time.Second, "goroutines return to baseline", func() bool {
+		for _, node := range fc.nodes {
+			node.client.CloseIdleConnections()
+		}
+		return runtime.NumGoroutine() <= baseline+8
+	})
+
+	det, err := core.NewDetector(g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := det.Detect(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, _, err := fc.nodes[0].Detect(context.Background(), "ppm", opts...)
+	if err != nil {
+		t.Fatalf("detection after the cancelled one: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("detection after the cancelled one diverged from the in-process run")
+	}
 }
 
 // silentLinks answers every link upgrade itself and then holds the
@@ -336,7 +451,7 @@ func TestLinkBoundedWithoutDeadline(t *testing.T) {
 // survivors drop its session, and no goroutine outlives it.
 func TestClusterKillDriverMidDetection(t *testing.T) {
 	baseline := runtime.NumGoroutine()
-	stall := newLinkGate()
+	stall := newLinkGate(1)
 	fc := startFaultCluster(t, 3, 42, func(rank int, urls []string, h http.Handler) http.Handler {
 		if rank == 1 {
 			stall.from = urls[0]

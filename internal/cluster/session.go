@@ -23,7 +23,15 @@ import (
 // mailboxes, so every share frame a gather waits for arrives. A shard
 // replies after its gather and the driver starts round r+1 after every
 // reply of round r, so on every link the frames of round r precede those
-// of round r+1: a mailbox slot holds at most one frame per sender.
+// of round r+1: a mailbox slot holds at most one frame per sender. The
+// driver may start round r+1 before its mixing-set ladder and finish it
+// after; that moves no frame relative to another, since round r is
+// finished first.
+//
+// A round has two halves, startAdvance (freeze, write the share frames)
+// and finishAdvance (wait for the peers' shares, gather). A shard serving
+// a driver's advance frame runs them back to back; the driver's own shard
+// runs them as its round's start and finish, around the ladder.
 //
 // Lifecycle: a session lives on its driver's links. The driver opens it
 // with an open frame and ends it with a close frame; the shard also drops
@@ -40,9 +48,10 @@ type session struct {
 	walks     int    // most walks one advance may carry
 	requestID string // the driver's request id, for round logs
 
-	// advanceMu serialises rounds: the driver's barrier means at most one
-	// advance is ever in flight per session, but the lock keeps a confused
-	// driver from corrupting state.
+	// advanceMu serialises rounds, held from a round's startAdvance to its
+	// finishAdvance: the driver's barrier means at most one advance is ever
+	// in flight per session, but the lock keeps a confused driver from
+	// corrupting state.
 	advanceMu sync.Mutex
 	round     int // last completed round
 
@@ -259,35 +268,59 @@ func (s *session) serveAdvance(driver int, payload []byte) {
 	_, _ = s.node.send(s.peers[driver], s.id, payload)
 }
 
-// advance executes one flood round for this shard: freeze outgoing boundary
-// shares and write them to the bordering peers, wait for the share frames
-// this shard's owned vertices read, then gather next-step mass for every
-// owned vertex in CSR neighbour order — bit-identical to the in-memory
-// kernel's arithmetic.
+// startedAdvance is a flood round this shard has started and not yet
+// finished: its advance and the time the first half took.
+type startedAdvance struct {
+	req    advanceRequest
+	freeze time.Duration
+}
+
+// advance runs one flood round for this shard, its two halves back to
+// back: what a shard does with the advance frame a driver sent it.
 func (s *session) advance(ctx context.Context, req advanceRequest) (advanceResponse, error) {
+	r, err := s.startAdvance(req)
+	if err != nil {
+		return advanceResponse{}, err
+	}
+	return s.finishAdvance(ctx, r)
+}
+
+// startAdvance runs the first half of a flood round on this shard: it
+// freezes the outgoing boundary shares and writes them to the bordering
+// peers. advanceMu is held from here until finishAdvance returns, so at
+// most one round is in flight; a failed start releases it at once. The
+// driver's own shard calls the two halves apart, running a mixing-set
+// ladder between them.
+func (s *session) startAdvance(req advanceRequest) (*startedAdvance, error) {
 	s.advanceMu.Lock()
-	defer s.advanceMu.Unlock()
+	start := time.Now()
+	if err := s.writeShares(req); err != nil {
+		s.advanceMu.Unlock()
+		return nil, err
+	}
+	return &startedAdvance{req: req, freeze: time.Since(start)}, nil
+}
+
+// writeShares checks an advance against the session and writes this
+// shard's share frames: per peer with a shared link, the shares of our
+// boundary vertices that carry mass this round, as one frame. Shares are
+// frozen as p(v)·(1/d(v)) — the exact product the in-memory kernel
+// computes.
+func (s *session) writeShares(req advanceRequest) error {
 	select {
 	case <-s.closed:
-		return advanceResponse{}, fmt.Errorf("%w: session %s: closed", errCluster, s.id)
+		return fmt.Errorf("%w: session %s: closed", errCluster, s.id)
 	default:
 	}
 	if len(req.Support) > s.walks {
-		return advanceResponse{}, fmt.Errorf("%w: session %s: advance carries %d walks, session allows %d", errBadRequest, s.id, len(req.Support), s.walks)
+		return fmt.Errorf("%w: session %s: advance carries %d walks, session allows %d", errBadRequest, s.id, len(req.Support), s.walks)
 	}
 	if req.Round != s.round+1 {
-		return advanceResponse{}, fmt.Errorf("%w: session %s: advance round %d after round %d", errCluster, s.id, req.Round, s.round)
+		return fmt.Errorf("%w: session %s: advance round %d after round %d", errCluster, s.id, req.Round, s.round)
 	}
-	walks := len(req.Support)
-	start := time.Now()
-
-	// Freeze: per peer with a shared link, the shares of our boundary
-	// vertices that carry mass this round, written as one frame. Shares
-	// are frozen as p(v)·(1/d(v)) — the exact product the in-memory kernel
-	// computes.
 	payloads, err := s.freeze(req)
 	if err != nil {
-		return advanceResponse{}, err
+		return err
 	}
 	for j, shares := range payloads {
 		if shares == nil {
@@ -298,12 +331,23 @@ func (s *session) advance(ctx context.Context, req advanceRequest) (advanceRespo
 			_, err = s.node.send(s.peers[j], s.id, payload)
 		}
 		if err != nil {
-			return advanceResponse{}, err
+			return err
 		}
 	}
-	frozenAt := time.Now()
+	return nil
+}
 
-	// Wait for the share frames of every peer we share a boundary with.
+// finishAdvance runs the second half of the round r started: wait for the
+// share frames this shard's owned vertices read, then gather next-step
+// mass for every owned vertex in CSR neighbour order — bit-identical to
+// the in-memory kernel's arithmetic. It releases advanceMu. Its pull stage
+// is the wait from its own start, so a driver's ladder between the halves
+// counts in neither stage.
+func (s *session) finishAdvance(ctx context.Context, r *startedAdvance) (advanceResponse, error) {
+	defer s.advanceMu.Unlock()
+	req := r.req
+	walks := len(req.Support)
+	waitFrom := time.Now()
 	remote, err := s.collect(ctx, boxShares, req.Round, s.store.NeedsPull, s.node.peerTimeout)
 	if err != nil {
 		return advanceResponse{}, err
@@ -365,11 +409,11 @@ func (s *session) advance(ctx context.Context, req advanceRequest) (advanceRespo
 	s.round = req.Round
 	// Stage attribution: histograms on this shard's /metrics, exact
 	// nanoseconds back to the driver for its trace's per-shard spans.
-	freeze, pull := frozenAt.Sub(start), pulledAt.Sub(frozenAt)
+	pull := pulledAt.Sub(waitFrom)
 	gather := time.Since(pulledAt)
-	s.node.metrics.observeRoundStages(freeze, pull, gather)
+	s.node.metrics.observeRoundStages(r.freeze, pull, gather)
 	resp.T = advanceTiming{
-		FreezeNS: freeze.Nanoseconds(),
+		FreezeNS: r.freeze.Nanoseconds(),
 		PullNS:   pull.Nanoseconds(),
 		GatherNS: gather.Nanoseconds(),
 	}
@@ -381,7 +425,7 @@ func (s *session) advance(ctx context.Context, req advanceRequest) (advanceRespo
 // binary codec's delta coding relies on.
 //
 // s.share doubles as the mass scratch here. The aliasing is safe because of
-// a zero-in/zero-out invariant: advance's gather phase (the other writer)
+// a zero-in/zero-out invariant: finishAdvance's gather (the other writer)
 // runs strictly after freeze returns and restores every touched slot to 0
 // before finishing the round, and freeze itself unmarks each walk's support
 // before moving to the next, so the buffer is all-zero whenever either

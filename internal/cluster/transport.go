@@ -21,11 +21,14 @@ func hashAssign(n, k int, seed uint64) (kmachine.Assignment, error) {
 // congest.FloodTransport, so the CONGEST engine on the shard that received
 // the client request runs the unmodified Algorithm 1 — BFS tree, mixing-set
 // ladder, stop rule, all simulated accounting — while every flood round's
-// numeric work is routed to the vertex owners. Per round it splits each
-// walk's support by owner, writes one advance frame to every remote shard,
-// runs its own shard's advance in process, waits for the remote shards'
-// reply frames, and merges the owned next-step supports back into the
-// frames.
+// numeric work is routed to the vertex owners. A round's Start splits each
+// walk's support by owner, writes one advance frame to every remote shard
+// and runs the first half of its own shard's advance: freeze, and write its
+// share frames. The round's finish runs the second half — wait for the
+// peers' share frames and gather — then waits for the remote shards' reply
+// frames and merges the owned next-step supports back into the frames.
+// Between the two the engine may run a mixing-set ladder: the remote shards
+// and the links carry the round meanwhile.
 type roundTransport struct {
 	node   *Node
 	sid    string
@@ -37,8 +40,8 @@ type roundTransport struct {
 
 	// stats accumulates each shard's reported stage nanoseconds across the
 	// detection's rounds; the driver folds them into the request trace as
-	// one span per rank when it cleans up. Written only by Flood, so no
-	// locking.
+	// one span per rank when it cleans up. Written only by a round's
+	// finish, and rounds never overlap, so no locking.
 	stats []shardStat
 }
 
@@ -50,7 +53,7 @@ type shardStat struct {
 	rounds   int
 }
 
-func (t *roundTransport) Flood(ctx context.Context, frames []congest.FloodFrame) error {
+func (t *roundTransport) Start(ctx context.Context, frames []congest.FloodFrame) (func() error, error) {
 	t.round++
 	walks := len(frames)
 	reqs := make([]advanceRequest, len(t.peers))
@@ -68,7 +71,7 @@ func (t *roundTransport) Flood(ctx context.Context, frames []congest.FloodFrame)
 	}
 
 	// Every remote shard has its advance before the driver's own shard
-	// runs, so all shards freeze and exchange shares at once. The reply
+	// freezes, so all shards freeze and exchange shares at once. The reply
 	// frames are counted as they arrive.
 	for m, req := range reqs {
 		if m == t.self {
@@ -76,25 +79,36 @@ func (t *roundTransport) Flood(ctx context.Context, frames []congest.FloodFrame)
 		}
 		payload, err := req.encode()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		size, err := t.node.send(t.peers[m], t.sid, payload)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		t.node.metrics.addCoord(int64(size), entries(req.Support))
 	}
-	own, err := t.local.advance(ctx, reqs[t.self])
+	own, err := t.local.startAdvance(reqs[t.self])
+	if err != nil {
+		return nil, err
+	}
+	return func() error { return t.finish(ctx, frames, own) }, nil
+}
+
+// finish completes the round own started: the driver's own shard's gather,
+// then the remote shards' replies, merged into the frames' Next.
+func (t *roundTransport) finish(ctx context.Context, frames []congest.FloodFrame, own *startedAdvance) error {
+	walks := len(frames)
+	resp, err := t.local.finishAdvance(ctx, own)
 	if err != nil {
 		return err
 	}
 	// A remote reply nests that shard's share wait, so it is allowed 3×
 	// PeerTimeout.
-	resps, err := t.local.collect(ctx, boxReplies, t.round, func(m int) bool { return m != t.self }, 3*t.node.peerTimeout)
+	resps, err := t.local.collect(ctx, boxReplies, own.req.Round, func(m int) bool { return m != t.self }, 3*t.node.peerTimeout)
 	if err != nil {
 		return err
 	}
-	resps[t.self] = &own
+	resps[t.self] = &resp
 
 	// Merge: zero-fill then apply the sparse owned supports. Absent entries
 	// are exact zeros on the shards too, so the merged Next is bit-identical

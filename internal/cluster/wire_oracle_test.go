@@ -15,15 +15,16 @@ import (
 // the shards' arithmetic and records the wire the cluster must carry for
 // the same execution: in each round, link i→j carries one word per walk
 // for every support vertex homed on i with a neighbour homed on j (the
-// share that vertex's owner sends j).
+// share that vertex's owner sends j). Like a shard, it freezes the shares
+// from P in Start and gathers them into Next in the round's finish.
 type wireOracle struct {
 	g      *graph.Graph
 	assign kmachine.Assignment
 	toward [][]int // toward[v]: machines other than v's home holding a neighbour of v
 
-	share   []float64
-	words   []int64 // k*k totals, from*k+to
-	maxWord int64   // largest single-round load on one link
+	shares  [][]float64 // per frame; an isolated vertex's slot keeps its mass
+	words   []int64     // k*k totals, from*k+to
+	maxWord int64       // largest single-round load on one link
 }
 
 func newWireOracle(g *graph.Graph, assign kmachine.Assignment) *wireOracle {
@@ -31,7 +32,6 @@ func newWireOracle(g *graph.Graph, assign kmachine.Assignment) *wireOracle {
 		g:      g,
 		assign: assign,
 		toward: make([][]int, g.NumVertices()),
-		share:  make([]float64, g.NumVertices()),
 		words:  make([]int64, assign.K*assign.K),
 	}
 	for v := range o.toward {
@@ -46,10 +46,14 @@ func newWireOracle(g *graph.Graph, assign kmachine.Assignment) *wireOracle {
 	return o
 }
 
-func (o *wireOracle) Flood(_ context.Context, frames []congest.FloodFrame) error {
-	k := o.assign.K
+func (o *wireOracle) Start(_ context.Context, frames []congest.FloodFrame) (func() error, error) {
+	k, n := o.assign.K, o.g.NumVertices()
+	for len(o.shares) < len(frames) {
+		o.shares = append(o.shares, make([]float64, n))
+	}
 	round := make([]int64, k*k)
-	for _, f := range frames {
+	for i, f := range frames {
+		share := o.shares[i]
 		for v, p := range f.P {
 			if p == 0 {
 				continue
@@ -57,28 +61,34 @@ func (o *wireOracle) Flood(_ context.Context, frames []congest.FloodFrame) error
 			for _, j := range o.toward[v] {
 				round[o.assign.Home[v]*k+j]++
 			}
+			share[v] = p
 			if d := o.g.Degree(v); d > 0 {
-				o.share[v] = p * (1 / float64(d))
+				share[v] = p * (1 / float64(d))
 			}
 		}
-		for u := range f.Next {
-			if o.g.Degree(u) == 0 {
-				f.Next[u] = f.P[u]
-				continue
-			}
-			var sum float64
-			for _, w := range o.g.Neighbors(u) {
-				sum += o.share[w]
-			}
-			f.Next[u] = sum
-		}
-		clear(o.share)
 	}
 	for l, w := range round {
 		o.words[l] += w
 		o.maxWord = max(o.maxWord, w)
 	}
-	return nil
+	return func() error {
+		for i, f := range frames {
+			share := o.shares[i]
+			for u := range f.Next {
+				if o.g.Degree(u) == 0 {
+					f.Next[u] = share[u]
+					continue
+				}
+				var sum float64
+				for _, w := range o.g.Neighbors(u) {
+					sum += share[w]
+				}
+				f.Next[u] = sum
+			}
+			clear(share)
+		}
+		return nil
+	}, nil
 }
 
 // clusterLinkWords sums the shards' per-link word counters (each shard

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"cdrw/internal/graph"
 	"cdrw/internal/rw"
 	"cdrw/internal/trace"
 )
@@ -97,7 +98,6 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 		w.trk.Reset(s, rule)
 		walks[i] = w
 	}
-	degInv := nw.degInvTable()
 
 	// Phase 1: every walk builds its BFS tree; the builds share rounds, so
 	// the phase costs max tree depth, not the sum.
@@ -118,19 +118,37 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 	ladder := rw.SizeLadderWithGrowth(cfg.MinCommunitySize, n, growth)
 	counts := make([]int32, n)
 	active := len(walks)
+	// A round started ahead of its step is finished on every return path.
+	defer nw.finishFlood()
+	started := false // round l started during step l−1's ladder
 	for l := 1; active > 0; l++ {
 		if err := nw.interrupted(); err != nil {
 			return nil, err
 		}
 		// Flood phase: one shared round advances every live walk's
-		// distribution (Algorithm 1 lines 9–11, batched).
+		// distribution (Algorithm 1 lines 9–11, batched). It is charged
+		// here, whether or not its communication started a step early.
 		var t0 time.Time
 		if nw.tr != nil {
 			t0 = time.Now()
 		}
 		nw.beginPhase()
-		batchFlood(nw, walks, degInv, counts)
+		accountFlood(nw, walks, counts)
 		nw.endPhase()
+		if !started {
+			nw.startFlood(walks)
+		}
+		nw.finishFlood()
+		swapLive(walks)
+		// When no live walk can end at step l, round l+1 is certain and its
+		// input p_l is final: start it now, so that its communication
+		// overlaps step l's ladder. A round the stop rule could still
+		// cancel is never started, so frames, rounds and link words are
+		// those of running the two phases in turn.
+		started = continueAll(walks, l)
+		if started {
+			nw.startFlood(walks)
+		}
 
 		var t1 time.Time
 		if nw.tr != nil {
@@ -175,33 +193,46 @@ func detectBatch(nw *Network, seeds []int, cfg Config) ([]BatchDetection, error)
 	return out, nil
 }
 
-// floodTile is the gather tile of batchFlood: each worker streams through
-// tile-sized slices of the output array (8·tile = 256 KiB of next per tile,
-// L2-resident) while reading the share table through the CSR neighbour
-// lists.
-const floodTile = 1 << 15
+// continueAll reports whether every live walk is certain to continue past
+// step l, whatever its ladder finds (rw.CommunityTracker.Continues).
+func continueAll(walks []*batchWalk, l int) bool {
+	for _, w := range walks {
+		if !w.trk.Done() && !w.trk.Continues(l) {
+			return false
+		}
+	}
+	return true
+}
+
+// swapLive makes every live walk's evolved distribution its current one.
+func swapLive(walks []*batchWalk) {
+	for _, w := range walks {
+		if !w.trk.Done() {
+			w.p, w.next = w.next, w.p
+		}
+	}
+}
 
 // batchFlood performs one shared communication round of probability flooding
 // (Algorithm 1 lines 9–11) for every live walk: every node holding a walk's
 // mass sends p(v)/d(v) to each neighbour, and every node sums what it
-// receives; isolated nodes keep their mass. It is the package's one flood
-// kernel — a one-walk run (DetectCommunity, EstimateConductance) floods
-// through it with a single walk. Accounting: each walk is charged its own
+// receives; isolated nodes keep their mass. A one-walk run
+// (EstimateConductance) floods through it with a single walk; detectBatch
+// makes the same calls, with the round's start moved ahead of the previous
+// step's ladder when the round is certain.
+func batchFlood(nw *Network, walks []*batchWalk, counts []int32) {
+	accountFlood(nw, walks, counts)
+	nw.startFlood(walks)
+	nw.finishFlood()
+	swapLive(walks)
+}
+
+// accountFlood charges one flood round: each live walk is charged its own
 // round and its own per-neighbour messages, while the load observer sees
-// the aggregate — link (v,w) carries one word per live walk holding mass at
-// v, reported as a single LinkLoad with that multiplicity.
-//
-// The computation is fused and blocked. An interleave pass freezes every
-// live walk's outgoing shares into rows of shareAll (row v holds the k
-// walks' shares p(v)·(1/d(v)) side by side on one cache line); then a tiled
-// gather pulls each neighbour list once and accumulates every walk from the
-// row its neighbour ids address — k walks cost one random-access stream of
-// k-wide rows where the unblocked kernel (floodStepReference, kept in
-// floodkernel_test.go) chases two scattered streams, p and 1/d, per walk.
-// Each share is the exact product the unblocked kernel computes and the
-// accumulation order over neighbours is the CSR order, so every walk's
-// evolved distribution is bit-identical to flooding it alone.
-func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int32) {
+// the aggregate — link (v,w) carries one word per live walk holding mass
+// at v, reported as a single LinkLoad with that multiplicity. counts is
+// n-long scratch, all zero between calls.
+func accountFlood(nw *Network, walks []*batchWalk, counts []int32) {
 	g := nw.Graph()
 	observing := nw.loadObs != nil
 	for i, w := range walks {
@@ -219,73 +250,74 @@ func batchFlood(nw *Network, walks []*batchWalk, degInv []float64, counts []int3
 			}
 		}
 	}
-	if observing {
-		// All lanes flood in the phase's first shared round.
-		loads := nw.phaseLoads[0]
-		for v, c := range counts {
-			if c == 0 {
-				continue
-			}
-			for _, w := range g.Neighbors(v) {
-				loads = append(loads, LinkLoad{From: int32(v), To: w, Words: c})
-			}
-			counts[v] = 0
-		}
-		nw.phaseLoads[0] = loads
-	}
-	if nw.transport != nil {
-		// Pluggable round transport: the lane and load accounting above
-		// already happened; hand the live walks' numeric evolution over as
-		// one batch of frames (lane order), which is the coalesced per-round
-		// payload a real network ships.
-		frames := nw.frameBuf[:0]
-		for _, w := range walks {
-			if !w.trk.Done() {
-				frames = append(frames, FloodFrame{P: w.p, Next: w.next})
-			}
-		}
-		nw.frameBuf = frames
-		nw.floodRemote(frames)
-		for _, w := range walks {
-			if !w.trk.Done() {
-				w.p, w.next = w.next, w.p
-			}
-		}
+	if !observing {
 		return
 	}
+	// All lanes flood in the phase's first shared round.
+	loads := nw.phaseLoads[0]
+	for v, c := range counts {
+		if c == 0 {
+			continue
+		}
+		for _, w := range g.Neighbors(v) {
+			loads = append(loads, LinkLoad{From: int32(v), To: w, Words: c})
+		}
+		counts[v] = 0
+	}
+	nw.phaseLoads[0] = loads
+}
+
+// floodTile is the gather tile of floodKernel: each worker streams through
+// tile-sized slices of the output array (8·tile = 256 KiB of next per tile,
+// L2-resident) while reading the share table through the CSR neighbour
+// lists.
+const floodTile = 1 << 15
+
+// floodKernel is the package's one in-memory flood kernel: it writes every
+// frame's Next from its P. The computation is fused and blocked. An
+// interleave pass freezes every frame's outgoing shares into rows of
+// shareAll (row v holds the k frames' shares p(v)·(1/d(v)) side by side on
+// one cache line); then a tiled gather pulls each neighbour list once and
+// accumulates every frame from the row its neighbour ids address — k walks
+// cost one random-access stream of k-wide rows where the unblocked kernel
+// (floodStepReference, kept in floodkernel_test.go) chases two scattered
+// streams, p and 1/d, per walk. Each share is the exact product the
+// unblocked kernel computes and the accumulation order over neighbours is
+// the CSR order, so every walk's evolved distribution is bit-identical to
+// flooding it alone.
+func (nw *Network) floodKernel(frames []FloodFrame) {
+	g := nw.Graph()
+	degInv := nw.degInvTable()
 	n := g.NumVertices()
-	k := len(walks)
+	k := len(frames)
 	shareAll := nw.floodShareAll(n * k)
 	for v := 0; v < n; v++ {
 		row := shareAll[v*k : v*k+k]
 		dv := degInv[v]
-		for j, w := range walks {
-			if !w.trk.Done() {
-				row[j] = w.p[v] * dv
-			}
+		for j, f := range frames {
+			row[j] = f.P[v] * dv
 		}
 	}
-	parallelRanges(n, floodTile, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			ns := g.Neighbors(u)
-			for j, w := range walks {
-				if w.trk.Done() {
-					continue
-				}
-				sum := 0.0
-				for _, nb := range ns {
-					sum += shareAll[int(nb)*k+j]
-				}
-				if len(ns) == 0 {
-					sum = w.p[u] // isolated nodes keep their mass
-				}
-				w.next[u] = sum
+	parallelRanges(n, floodTile, func(lo, hi int) { gatherTile(g, frames, shareAll, lo, hi) })
+}
+
+// gatherTile is floodKernel's gather over the vertices [lo, hi). As a
+// function of its own rather than a closure it keeps its loop indices and
+// bounds in registers: go build -gcflags=-S shows no stack traffic in its
+// per-vertex and per-neighbour loops.
+func gatherTile(g *graph.Graph, frames []FloodFrame, shareAll []float64, lo, hi int) {
+	k := len(frames)
+	for u := lo; u < hi; u++ {
+		ns := g.Neighbors(u)
+		for j := range frames {
+			sum := 0.0
+			for _, nb := range ns {
+				sum += shareAll[int(nb)*k+j]
 			}
-		}
-	})
-	for _, w := range walks {
-		if !w.trk.Done() {
-			w.p, w.next = w.next, w.p
+			if len(ns) == 0 {
+				sum = frames[j].P[u] // isolated nodes keep their mass
+			}
+			frames[j].Next[u] = sum
 		}
 	}
 }

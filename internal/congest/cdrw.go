@@ -99,9 +99,10 @@ func DetectCommunityContext(ctx context.Context, nw *Network, s int, cfg Config)
 
 // largestMixingSet runs the candidate-size sweep of Algorithm 1 lines 12–17
 // over the tree-covered nodes and returns the largest set satisfying the
-// mixing condition (Vertices nil when no size passes). Membership is
-// materialised by one extra broadcast of the winning threshold key, after
-// which every node knows locally whether it belongs to S_ℓ.
+// mixing condition, canonical sum < mixThreshold (Vertices nil when no size
+// passes). Membership is materialised by one extra broadcast of the winning
+// threshold key, after which every node knows locally whether it belongs
+// to S_ℓ.
 // The per-node x_u computation is rw.XValueAt — the exact function the
 // reference engine sweeps with — and the per-size sum is the canonical
 // rw.MixingSum, so the two engines share one definition of the statistic;
@@ -120,14 +121,14 @@ func (nw *Network) largestMixingSet(tree *Tree, covered []int32, p rw.Dist, ladd
 		bestSize      int
 		found         bool
 	)
-	results := nw.evalLadder(p, covered, ladder)
+	results := nw.evalLadder(p, covered, ladder, mixThreshold)
 	for i, size := range ladder {
 		if err := nw.interrupted(); err != nil {
 			return rw.MixingSet{}, err
 		}
 		r := results[i]
 		nw.replaySelection(tree, r)
-		if r.ok && r.sum < mixThreshold {
+		if r.ok && r.mixes {
 			bestThreshold = r.threshold
 			bestSize = size
 			found = true
@@ -155,20 +156,21 @@ func (nw *Network) largestMixingSet(tree *Tree, covered []int32, p rw.Dist, ladd
 	return ms, nil
 }
 
-// evalLadder computes every ladder size's selection for the walk
-// distribution p over the covered nodes, in ladder order. Once per walk
-// step prepareStep writes the support table, which every size and every
-// worker reads, and prepares the off-support stream. Each size then runs
-// selectIndexed: one pass over the table for the size's keys, then one
-// branch-free partition pass per binary-search iteration over the keys
-// still inside the bracket, while off-support nodes answer the root's
-// broadcasts from their degree alone — O(support + log²n) simulator work per
-// iteration instead of a scan over every covered node. The selections only
+// evalLadder computes every ladder size's selection and mixing decision
+// against mixThreshold for the walk distribution p over the covered nodes,
+// in ladder order. Once per walk step prepareStep writes the support table,
+// which every size and every worker reads, and prepares the off-support
+// stream. Each size then runs selectIndexed: one pass over the table for
+// the size's keys, then one branch-free partition pass per binary-search
+// iteration over the keys still inside the bracket, while off-support nodes
+// answer the root's broadcasts from their degree alone — O(support +
+// log²n) simulator work per iteration instead of a scan over every covered
+// node. The selections only
 // read the network, so they run on min(GOMAXPROCS, len(ladder)) goroutines:
 // the caller and one helper per further core, each claiming sizes from a
 // shared cursor with its own scratch. A stopped run leaves the remaining
 // results zero; the caller's next interrupted() poll reports it.
-func (nw *Network) evalLadder(p rw.Dist, covered []int32, ladder []int) []sizeResult {
+func (nw *Network) evalLadder(p rw.Dist, covered []int32, ladder []int, mixThreshold float64) []sizeResult {
 	if len(ladder) == 0 {
 		return nil
 	}
@@ -177,7 +179,7 @@ func (nw *Network) evalLadder(p rw.Dist, covered []int32, ladder []int) []sizeRe
 	}
 	nw.prepareStep(p, covered)
 	job := &ladderJob{
-		nw: nw, idx: nw.degreeIndex(), ladder: ladder,
+		nw: nw, idx: nw.degreeIndex(), ladder: ladder, theta: mixThreshold,
 		res:  nw.sizeRes[:len(ladder)],
 		done: make(chan struct{}),
 	}
@@ -225,6 +227,7 @@ type ladderJob struct {
 	nw     *Network
 	idx    *rw.DegreeIndex // degree tables and the off-support stream
 	ladder []int
+	theta  float64 // the mixing threshold
 	res    []sizeResult
 	next   atomic.Int64  // next unclaimed ladder position
 	left   atomic.Int64  // sizes not yet finished
@@ -261,5 +264,5 @@ func (j *ladderJob) eval(sc *selScratch, size int) sizeResult {
 	if j.nw.stopped() {
 		return sizeResult{}
 	}
-	return j.nw.selectIndexed(sc, j.idx, size, rw.MuPrime(j.nw.g, size))
+	return j.nw.selectIndexed(sc, j.idx, size, rw.MuPrime(j.nw.g, size), j.theta)
 }

@@ -65,7 +65,6 @@ func EstimateConductanceContext(ctx context.Context, nw *Network, source, maxSte
 	w := &batchWalk{p: make(rw.Dist, n), next: make(rw.Dist, n)}
 	w.p[source] = 1
 	walks := []*batchWalk{w}
-	degInv := nw.degInvTable()
 	counts := make([]int32, n)
 
 	best := math.Inf(1)
@@ -74,7 +73,7 @@ func EstimateConductanceContext(ctx context.Context, nw *Network, source, maxSte
 			return 0, err
 		}
 		nw.beginPhase()
-		batchFlood(nw, walks, degInv, counts)
+		batchFlood(nw, walks, counts)
 		nw.endPhase()
 		if t < 2 {
 			continue

@@ -50,11 +50,11 @@ func BenchmarkFloodKernel1M(b *testing.B) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		walks := []*batchWalk{{p: p, next: next}}
 		counts := make([]int32, n)
-		batchFlood(nw, walks, degInv, counts) // warm the retained share scratch
+		batchFlood(nw, walks, counts) // warm the retained share scratch
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			batchFlood(nw, walks, degInv, counts)
+			batchFlood(nw, walks, counts)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/step")
 	})
@@ -104,14 +104,15 @@ func BenchmarkLadderSelect600(b *testing.B) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	nw := soloNetwork(g)
+	threshold, _ := cfg.mixResolved()
 	for _, st := range steps { // warm the retained selection scratch
-		nw.evalLadder(st.p, st.covered, ladder)
+		nw.evalLadder(st.p, st.covered, ladder, threshold)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, st := range steps {
-			nw.evalLadder(st.p, st.covered, ladder)
+			nw.evalLadder(st.p, st.covered, ladder, threshold)
 		}
 	}
 	sizes := float64(b.N) * float64(len(steps)) * float64(len(ladder))

@@ -119,7 +119,7 @@ func checkFloodMatchesReference(t *testing.T, g *graph.Graph, starts []rw.Dist, 
 	counts := make([]int32, n)
 	for step := 1; step <= steps; step++ {
 		blocked.beginPhase()
-		batchFlood(blocked, walks, degInv, counts)
+		batchFlood(blocked, walks, counts)
 		blocked.endPhase()
 		for i, w := range walks {
 			refs[i].floodStepReference(refP[i], refNext[i], degInv)

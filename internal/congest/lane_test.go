@@ -38,7 +38,7 @@ func soloMetrics(nw *Network) Metrics {
 // in nw's current lane and returns the walk's new (p, next).
 func floodOnce(nw *Network, p, next rw.Dist) (rw.Dist, rw.Dist) {
 	w := &batchWalk{p: p, next: next}
-	batchFlood(nw, []*batchWalk{w}, nw.degInvTable(), make([]int32, len(p)))
+	batchFlood(nw, []*batchWalk{w}, make([]int32, len(p)))
 	return w.p, w.next
 }
 

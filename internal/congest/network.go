@@ -105,11 +105,13 @@ type Network struct {
 
 	// transport, when non-nil, executes the numeric part of every flood
 	// round (SetFloodTransport); transportErr is the run's first transport
-	// failure, sticky until the next run, and frameBuf the reused frame
-	// slice handed to the transport.
+	// failure, sticky until the next run, frameBuf the reused frame slice
+	// handed to the transport, and finish the in-flight round's finish
+	// (startFlood), nil when no round is in flight.
 	transport    FloodTransport
 	transportErr error
 	frameBuf     []FloodFrame
+	finish       func() error
 
 	// Selection state (selectIndexed), built lazily and retained across
 	// runs. When shared is non-nil the degree index and the inverse-degree
@@ -127,7 +129,7 @@ type Network struct {
 	sel        []*selScratch
 	sizeRes    []sizeResult
 
-	// Flood-kernel scratch (batchFlood), retained across rounds: the
+	// Flood-kernel scratch (floodKernel), retained across rounds: the
 	// vertex-interleaved outgoing shares of every live walk.
 	shareAll []float64
 }
@@ -173,9 +175,9 @@ func (nw *Network) setContext(ctx context.Context) {
 // interrupted reports the run context's error, caching it once seen. The
 // round scheduler and the per-size selection loops poll it so that
 // cancellation lands within O(1) rounds rather than at the next walk step.
-// A sticky transport failure (floodRemote) surfaces here too, so a broken
-// cluster link unwinds a detection exactly like a cancelled context —
-// always an error, never wrong numbers.
+// A sticky transport failure (startFlood, finishFlood) surfaces here too,
+// so a broken cluster link unwinds a detection exactly like a cancelled
+// context — always an error, never wrong numbers.
 func (nw *Network) interrupted() error {
 	if nw.transportErr != nil {
 		return nw.transportErr
@@ -254,8 +256,8 @@ func (nw *Network) sendAllNeighbors(v int) {
 
 // accountMessages charges count messages to the global metrics and the
 // current lane without naming their endpoints. Callers that observe report
-// the links themselves: batchFlood appends one multi-word LinkLoad per link,
-// and the collectives one LinkLoad per tree edge.
+// the links themselves: accountFlood appends one multi-word LinkLoad per
+// link, and the collectives one LinkLoad per tree edge.
 func (nw *Network) accountMessages(count int) {
 	nw.metrics.Messages += int64(count)
 	nw.lanes[nw.curLane].messages += int64(count)

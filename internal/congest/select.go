@@ -35,14 +35,19 @@ var (
 
 // sizeResult is one candidate size's distributed selection, computed
 // without touching the network: the threshold key T such that exactly k
-// nodes hold a key ≤ T, the sum of their x values, and the communication the
-// search used — casts leading convergecasts, then pairs broadcast +
-// convergecast pairs. replaySelection charges that communication; ok=false
+// nodes hold a key ≤ T, whether the canonical mixing sum of their x values
+// passes the mixing test (mixes: sum < the threshold), and the
+// communication the search used — casts leading convergecasts, then pairs
+// broadcast + convergecast pairs. The sum itself is computed only when the
+// search's bounds on it do not settle the test (summed); the decision is
+// the same either way. replaySelection charges the communication; ok=false
 // means the search failed (k out of range) or was abandoned because the run
 // stopped.
 type sizeResult struct {
 	threshold key
 	sum       float64
+	summed    bool
+	mixes     bool
 	ok        bool
 	casts     int
 	pairs     int
@@ -222,16 +227,52 @@ func onSupportSum(sup []supportSlot, t []float64, muPrime float64, th key) float
 	return sum
 }
 
+// mixesWithin decides the mixing test, canonical sum < theta, from bounds
+// on the sum's on-support part when they settle it: lo ≤ E ≤ hi, where E is
+// the exact sum of the terms selected on-support x values, and lo and hi
+// are each the float evaluation of parts products of a key count and an x
+// value, added in turn. decided=false means the exact sum is needed.
+//
+// Proof. Let u = 2⁻⁵³ and γ_j = j·u/(1−j·u), t = terms and m = parts. No
+// operation here underflows: every x is 0, an isolated root's mass, or
+// |p − d/µ'| with d/µ' ≥ 1/µ', which is at least an ulp of a value ≥
+// 1/(2µ') when it is not 0. So each operation rounds with relative error
+// at most u.
+//   - onSupportSum adds the t values in id order (every other slot adds +0,
+//     which changes nothing), so its result s has |s − E| ≤ γ_{t−1}·E.
+//   - hi is at least (1−γ_m) times the exact sum of its products, which is
+//     at least E, and lo at most (1+γ_m) times its exact sum, at most E. So
+//     s ≤ hi·(1+γ_{t−1})/(1−γ_m) and s ≥ lo·(1−γ_{t−1})/(1+γ_m).
+//   - With ε = 4(t+m+2)·u, 1+ε and 1−ε are floats, and while (t+m)·u ≤ 1/8
+//     the rounded products hi·(1+ε) ≥ hi·(1+ε)·(1−u) and lo·(1−ε) ≤
+//     lo·(1−ε)·(1+u) still lie above and below those two bounds: ε exceeds
+//     the γ terms' first order by at least 6u, which covers the products'
+//     own rounding and every second-order term.
+//   - rw.MixingSum(s, …) is s, or s plus a float that does not depend on s,
+//     rounded. Rounding is monotone, so MixingSum of the widened bounds
+//     brackets the canonical sum: below theta at the upper bound, the sum
+//     is below theta; at or above theta at the lower bound, it is not.
+func mixesWithin(lo, hi float64, terms, parts int, offDeg int64, offCount int, muPrime float64, size int, theta float64) (mixes, decided bool) {
+	eps := float64(4*(terms+parts+2)) * 0x1p-53
+	if rw.MixingSum(hi*(1+eps), offDeg, offCount, muPrime, size) < theta {
+		return true, true
+	}
+	if rw.MixingSum(lo*(1-eps), offDeg, offCount, muPrime, size) >= theta {
+		return false, true
+	}
+	return false, false
+}
+
 // selectIndexed runs the distributed binary search of Algorithm 1 line 14
 // over the nodes the BFS tree covers: the root finds the threshold key T
-// such that exactly k = size covered nodes have key ≤ T, along with the sum
-// of their x values. Every iteration costs one broadcast (the root ships
-// mid down the tree) plus one convergecast (the O(1)-word partial
-// aggregates flow up: the count and x-sum of the keys ≤ mid, the largest
-// key ≤ mid and the smallest key > mid), 2·depth rounds in total, and the
-// iteration count is O(log n) because each step halves either the candidate
-// value range or the candidate id range. Fewer than k covered nodes fail
-// the search.
+// such that exactly k = size covered nodes have key ≤ T, and whether the
+// sum of their x values passes the mixing test sum < theta. Every
+// iteration costs one broadcast (the root ships mid down the tree) plus one
+// convergecast (the O(1)-word partial aggregates flow up: the count and
+// x-sum of the keys ≤ mid, the largest key ≤ mid and the smallest key >
+// mid), 2·depth rounds in total, and the iteration count is O(log n)
+// because each step halves either the candidate value range or the
+// candidate id range. Fewer than k covered nodes fail the search.
 //
 // The simulator computes each aggregate centrally from two populations that
 // together are the covered nodes. The covered nodes that hold mass (the
@@ -247,14 +288,19 @@ func onSupportSum(sup []supportSlot, t []float64, muPrime float64, th key) float
 // every mid, hence every round — is the one a scan over all covered nodes
 // takes.
 //
-// The returned sum is the canonical mixing sum (rw.MixingSum): on-support
+// The mixing test reads the canonical mixing sum (rw.MixingSum): on-support
 // terms accumulated in ascending vertex order plus the off-support tail as
 // one exact integer degree sum divided by µ' — the same summation the
 // in-memory sweeps use, computed without enumerating a single off-support
-// node. µ' = MuPrime(g, size) is positive unless the graph has no edge; the
-// tree then holds only its root, which keeps its mass, so the stream is
-// empty and never divides.
-func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, size int, muPrime float64) sizeResult {
+// node. The bisection bounds the on-support part as it goes: a key that
+// leaves the bracket below lies between the bracket's low end and the
+// largest key that left with it, and a selected key still inside the
+// bracket between its low end and T. Only when those bounds leave the test
+// open (mixesWithin) does one more pass over the support add the terms in
+// id order (onSupportSum). µ' = MuPrime(g, size) is positive unless the
+// graph has no edge; the tree then holds only its root, which keeps its
+// mass, so the stream is empty and never divides.
+func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, size int, muPrime, theta float64) sizeResult {
 	off := &sc.off
 	off.SetMu(muPrime)
 	nOff := off.Len()
@@ -288,27 +334,42 @@ func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, size int, 
 		}
 	}
 	res := sizeResult{casts: 1}
-	// done accepts threshold T: the canonical sum of every key ≤ T.
-	done := func(threshold key) sizeResult {
+	// cntBelow counts the explicit keys below the bracket; the sum of their
+	// x values lies in [sumLo, sumHi], each the sum of parts products.
+	cntBelow, parts := 0, 0
+	var sumLo, sumHi float64
+	// done accepts threshold T, which selects the keys below the bracket
+	// and the first sel keys of ws, whose x values lie in [lo.x, selHi].
+	done := func(threshold key, sel int, selHi float64) sizeResult {
 		cOff := off.CountLE(threshold.x, threshold.id)
+		offDeg := off.PrefixDeg(cOff)
+		onLo, onHi, m := sumLo, sumHi, parts
+		if sel > 0 {
+			onLo += float64(sel) * lo.x
+			onHi += float64(sel) * selHi
+			m++
+		}
 		res.threshold, res.ok = threshold, true
-		res.sum = rw.MixingSum(onSupportSum(sup, t, muPrime, threshold), off.PrefixDeg(cOff), cOff, muPrime, size)
+		var decided bool
+		if res.mixes, decided = mixesWithin(onLo, onHi, cntBelow+sel, m, offDeg, cOff, muPrime, size, theta); !decided {
+			res.sum = rw.MixingSum(onSupportSum(sup, t, muPrime, threshold), offDeg, cOff, muPrime, size)
+			res.summed, res.mixes = true, res.sum < theta
+		}
 		return res
 	}
 	if k == covered {
 		// Every covered node is selected; one more convergecast ships the
 		// sum.
 		res.casts++
-		return done(hi)
+		return done(hi, len(ws), hi.x)
 	}
 	// The working set ws holds exactly the explicit keys inside the bracket
-	// [lo, hi], in ascending id; cntBelow counts those below it. A key that
-	// leaves the bracket is never looked at again: fewer than k keys lie
-	// below lo and at least k lie at or below hi, so when the search needs
-	// the largest key ≤ mid (at least k keys are ≤ mid) one lies in
-	// [lo, mid], and when it needs the smallest key > mid one lies in
-	// (mid, hi] — a working key or an off-support one either way.
-	cntBelow := 0
+	// [lo, hi], in ascending id. A key that leaves the bracket is never
+	// looked at again: fewer than k keys lie below lo and at least k lie at
+	// or below hi, so when the search needs the largest key ≤ mid (at least
+	// k keys are ≤ mid) one lies in [lo, mid], and when it needs the
+	// smallest key > mid one lies in (mid, hi] — a working key or an
+	// off-support one either way.
 	byID := false // b holds ids: the bracket spans one x value
 	for iter := 0; iter < 256; iter++ {
 		if nw.stopped() {
@@ -321,7 +382,7 @@ func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, size int, 
 				// Cannot happen with distinct keys; guard against misuse.
 				return res
 			}
-			return done(lo)
+			return done(lo, len(ws), lo.x)
 		}
 		mid := midKey(lo, hi)
 		v := math.Float64bits(mid.x)
@@ -335,21 +396,22 @@ func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, size int, 
 			v = uint64(mid.id)
 		}
 		n := len(ws)
-		w, maxIn := splitKeys(ws, spare, v)
+		w, maxWS := splitKeys(ws, spare, v)
 		cOff := off.CountLE(mid.x, mid.id)
 		countLe := cntBelow + w + cOff
+		maxIn := minusInfKey // the largest working key ≤ mid
+		if w > 0 {
+			maxIn = maxWS.key(byID, lo.x)
+		}
 		if countLe >= k {
-			maxLe := minusInfKey
-			if w > 0 {
-				maxLe = maxIn.key(byID, lo.x)
-			}
+			maxLe := maxIn
 			if cOff > 0 {
 				if kk := offKey(cOff - 1); keyLess(maxLe, kk) {
 					maxLe = kk
 				}
 			}
 			if countLe == k {
-				return done(maxLe)
+				return done(maxLe, w, maxIn.x)
 			}
 			// hi = maxLe ≤ mid, and no key lies in (maxLe, mid]: the keys
 			// above mid leave the bracket.
@@ -357,7 +419,8 @@ func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, size int, 
 			ws = ws[:w]
 			continue
 		}
-		// lo = minGt > mid: the keys ≤ mid leave the bracket.
+		// lo = minGt > mid: the keys ≤ mid leave the bracket, their x
+		// values between the old lo's and the largest of theirs.
 		minGt := plusInfKey
 		if w < n {
 			minGt = minKey(spare[:n-w]).key(byID, lo.x)
@@ -366,6 +429,11 @@ func (nw *Network) selectIndexed(sc *selScratch, idx *rw.DegreeIndex, size int, 
 			if kk := offKey(cOff); keyLess(kk, minGt) {
 				minGt = kk
 			}
+		}
+		if w > 0 {
+			sumLo += float64(w) * lo.x
+			sumHi += float64(w) * maxIn.x
+			parts++
 		}
 		lo = minGt
 		cntBelow += w

@@ -128,14 +128,24 @@ func (nw *Network) selectKSmallest(t *Tree, covered []int32, x []float64, k int)
 // selectKSmallestIndexed runs one degree-indexed selection of p's size-k
 // candidate set over the covered vertices (ascending), split into the
 // support table and the off-support stream by evalLadder's prepareStep,
-// and charges its communication, returning the threshold and canonical
-// sum.
-func (nw *Network) selectKSmallestIndexed(t *Tree, p rw.Dist, covered []int32, muPrime float64, size int) (key, float64, bool) {
+// decides its mixing test against the paper's 1/2e and charges its
+// communication.
+func (nw *Network) selectKSmallestIndexed(t *Tree, p rw.Dist, covered []int32, muPrime float64, size int) sizeResult {
 	nw.prepareStep(p, covered)
 	sc := &selScratch{off: nw.off}
-	r := nw.selectIndexed(sc, nw.degreeIndex(), size, muPrime)
+	r := nw.selectIndexed(sc, nw.degreeIndex(), size, muPrime, rw.MixingThreshold)
 	nw.replaySelection(t, r)
-	return r.threshold, r.sum, r.ok
+	return r
+}
+
+// matchesSum reports whether selection r agrees with a reference's
+// canonical sum: the same mixing decision against theta, and the same bits
+// wherever r computed the sum. A failed selection decides nothing.
+func matchesSum(r sizeResult, sum, theta float64) bool {
+	if !r.ok {
+		return !r.mixes && !r.summed
+	}
+	return r.mixes == (sum < theta) && (!r.summed || math.Float64bits(r.sum) == math.Float64bits(sum))
 }
 
 // largestMixingSetReference is the sequential sweep: largestMixingSet with

@@ -334,28 +334,6 @@ func TestSBMValidation(t *testing.T) {
 	}
 }
 
-// ConnectivityThreshold returns the connectivity threshold probability
-// log₂(n)/n used to parameterise "as sparse as possible" experiments. The
-// paper's plots use powers of two, so log means log₂ throughout the
-// experiment suite.
-func ConnectivityThreshold(n int) float64 {
-	if n < 2 {
-		return 1
-	}
-	return math.Log2(float64(n)) / float64(n)
-}
-
-func TestConnectivityThreshold(t *testing.T) {
-	if got := ConnectivityThreshold(1); got != 1 {
-		t.Fatalf("threshold(1) = %v", got)
-	}
-	n := 1024
-	want := 10.0 / 1024
-	if got := ConnectivityThreshold(n); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("threshold(1024) = %v, want %v", got, want)
-	}
-}
-
 func TestLog2(t *testing.T) {
 	if Log2(0) != 0 {
 		t.Fatal("Log2(0) should be 0")

@@ -76,14 +76,14 @@ func (t *CommunityTracker) Observe(l int, cur MixingSet) bool {
 	t.stats.SizesChecked += cur.SizesChecked
 	if t.prevFound && cur.Found() {
 		if float64(cur.Size()) < (1+t.rule.Delta)*float64(len(t.prev)) {
-			t.stalled++
-			if t.stalled >= t.rule.Patience {
+			if t.stallEnds() {
 				// Output S_{ℓ-1}, the last set before the stall run began
 				// (Algorithm 1 line 20).
 				t.settle(true)
 				return true
 			}
 			// Keep prev (the pre-stall set) while waiting out the plateau.
+			t.stalled++
 			return t.capped(l)
 		}
 		t.stalled = 0
@@ -95,6 +95,18 @@ func (t *CommunityTracker) Observe(l int, cur MixingSet) bool {
 	}
 	return t.capped(l)
 }
+
+// Continues reports whether the walk is certain to continue past step l,
+// whatever mixing set Observe(l, ·) is given: l is below the length cap,
+// and no stall at l can complete the stop rule, because no set has been
+// found yet or the stall run would stay shorter than Patience. A caller
+// may then start step l+1's work before step l's sweep finishes.
+func (t *CommunityTracker) Continues(l int) bool {
+	return !t.done && l < t.rule.MaxLen && (!t.prevFound || !t.stallEnds())
+}
+
+// stallEnds reports whether one more stalled step completes the stop rule.
+func (t *CommunityTracker) stallEnds() bool { return t.stalled+1 >= t.rule.Patience }
 
 // capped ends the walk at the length cap with the best set so far. A seed
 // in a well-mixed graph ends up here with S = V.
